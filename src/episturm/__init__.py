@@ -22,7 +22,6 @@ from .directive import (
     prefix_increment,
 )
 from .errors import (
-    AmbiguityError,
     CancellationError,
     EpisturmError,
     GuardExceeded,
@@ -77,7 +76,6 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguityError",
     "ALL_CHECKS",
     "BlockTable",
     "CancellationError",

@@ -38,8 +38,11 @@ class BlockTable:
         self._lock = threading.RLock()
         self._blocks: dict[int, Word] = {}
         self._prefixes: dict[int, Word] = {}
-        self._lengths: dict[int, int] = {}
-        self._others: dict[int, int] = {}
+        self._pieces: dict[int, tuple[tuple[int, int], ...]] = {}
+        # the integer-sequence memos hold the seed levels 1-k..0 and then every
+        # level up to the highest computed, with no gaps (_sequence relies on it)
+        self._lengths = {level: 1 for level in range(1 - spec.k, 1)}
+        self._others = {level: int(level < 0) for level in range(1 - spec.k, 1)}
 
     @property
     def spec(self) -> DirectiveSpec:
@@ -63,6 +66,22 @@ class BlockTable:
         if size > self._length_guard:
             raise GuardExceeded(f"block at level {n} has {size} letters, above the length guard {self._length_guard}")
 
+    def pieces(self, n: int) -> tuple[tuple[int, int], ...]:
+        """The recurrence for block n as (level, exponent) pairs, highest level first.
+
+        block(n) is the concatenation of block(level) * exponent over the
+        pairs: ((n-1, d_n), ..., (n-k+1, d_{n-k+2}), (n-k, 1)), where the
+        powers of levels below 0 are dropped and the final seed is kept.
+        """
+        self._check_level(n, low=1, what="block recurrence")
+        with self._lock:
+            got = self._pieces.get(n)
+            if got is None:
+                k = self._spec.k
+                powers = tuple((n - j, exponent(self._spec, n - j + 1)) for j in range(1, k) if n - j >= 0)
+                got = self._pieces[n] = powers + ((n - k, 1),)
+            return got
+
     # -- integer sequences ----------------------------------------------------
 
     def block_length(self, n: int) -> int:
@@ -70,40 +89,23 @@ class BlockTable:
         k = self._spec.k
         self._check_level(n, low=1 - k, what="block length")
         with self._lock:
-            return self._block_length_locked(n)
-
-    def _block_length_locked(self, n: int) -> int:
-        if n <= 0:
-            return 1
-        got = self._lengths.get(n)
-        if got is None:
-            got = self._combine_lengths(n, self._block_length_locked)
-            self._lengths[n] = got
-        return got
+            return self._sequence(self._lengths, n)
 
     def other_letter_count(self, n: int) -> int:
         """How many letters of the level-n block differ from the first alphabet letter."""
         k = self._spec.k
         self._check_level(n, low=1 - k, what="letter count")
         with self._lock:
-            return self._other_count_locked(n)
+            return self._sequence(self._others, n)
 
-    def _other_count_locked(self, n: int) -> int:
-        if n <= 0:
-            return 0 if n == 0 else 1
-        got = self._others.get(n)
+    def _sequence(self, memo: dict[int, int], n: int) -> int:
+        """Term n of an integer sequence that follows the block recurrence, filling memo bottom-up."""
+        got = memo.get(n)
         if got is None:
-            got = self._combine_lengths(n, self._other_count_locked)
-            self._others[n] = got
+            for m in range(len(memo) - self._spec.k + 1, n + 1):
+                memo[m] = sum(e * memo[level] for level, e in self.pieces(m))
+            got = memo[n]
         return got
-
-    def _combine_lengths(self, n: int, value) -> int:
-        k = self._spec.k
-        total = value(n - k)
-        for j in range(1, k):
-            if n - j + 1 >= 1:
-                total += exponent(self._spec, n - j + 1) * value(n - j)
-        return total
 
     def first_letter_count(self, n: int) -> int:
         """How many letters of the level-n block equal the first alphabet letter."""
@@ -121,12 +123,7 @@ class BlockTable:
             got = self._blocks.get(n)
             if got is None:
                 self._check_size(n)
-                parts = []
-                for j in range(1, k):
-                    if n - j + 1 >= 1:
-                        parts.append(self.block(n - j) * exponent(self._spec, n - j + 1))
-                parts.append(self.block(n - k))
-                got = "".join(parts)
+                got = "".join(self.block(level) * e for level, e in self.pieces(n))
                 self._blocks[n] = got
             return got
 

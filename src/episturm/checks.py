@@ -22,7 +22,7 @@ from .directive import (
     previous_same_letter,
 )
 from .errors import VerificationError
-from .partition import level_partition
+from .partition import level_partition, refined_levels
 from .powers import block_index, block_index_witness, census, length_sets, prefix_index
 from .singular import factor_partition, singular_window
 from .words import (
@@ -360,19 +360,8 @@ def check_partition_tilings(table: BlockTable, n_max: int) -> None:
         if rebuilt != table.block(upto):
             _fail("partition-tilings", n, "tiles do not rebuild the block")
         if n >= 1:
-            coarser = level_partition(table, n, upto)
             finer = level_partition(table, n - 1, upto)
-            expanded: list[int] = []
-            k = table.spec.k
-            for level, _, _ in coarser.items:
-                if level <= n - 1:
-                    expanded.append(level)
-                    continue
-                for j in range(1, k):
-                    if level - j + 1 >= 1:
-                        expanded.extend([level - j] * table.exponent(level - j + 1))
-                expanded.append(level - k)
-            if expanded != [level for level, _, _ in finer.items]:
+            if refined_levels(table, view) != [level for level, _, _ in finer.items]:
                 _fail("partition-tilings", n, "one-step expansion disagrees with the finer tiling")
 
 

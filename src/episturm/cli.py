@@ -17,7 +17,6 @@ from .blocks import DEFAULT_LENGTH_GUARD, BlockTable
 from .checks import run_battery
 from .directive import DirectiveSpec, closure_prefix
 from .errors import (
-    AmbiguityError,
     CancellationError,
     GuardExceeded,
     InsufficientDataError,
@@ -28,7 +27,7 @@ from .errors import (
     VerificationError,
 )
 from .oracle import certified_scan, greatest_power_prefix, max_fractional_power
-from .partition import level_partition
+from .partition import level_partition, refined_levels
 from .powers import block_index, block_index_witness, census, prefix_index
 from .singular import factor_partition
 from .words import RationalIndex, shorten
@@ -36,7 +35,7 @@ from .words import RationalIndex, shorten
 _INLINE_WORD_LIMIT = 64
 
 _USAGE_ERRORS = (ParseError, RangeError, CancellationError, NotAFactorError, InsufficientDataError)
-_VERIFY_ERRORS = (VerificationError, InvariantViolation, AmbiguityError)
+_VERIFY_ERRORS = (VerificationError, InvariantViolation)
 
 
 class Reporter:
@@ -202,17 +201,7 @@ def cmd_partition(args, rep: Reporter) -> int:
         ],
     )
     if args.verify:
-        coarser = level_partition(table, n + 1, upto)
-        expanded: list[int] = []
-        for level, _, _ in coarser.items:
-            if level <= n:
-                expanded.append(level)
-                continue
-            for j in range(1, spec.k):
-                if level - j + 1 >= 1:
-                    expanded.extend([level - j] * table.exponent(level - j + 1))
-            expanded.append(level - spec.k)
-        ok = expanded == levels
+        ok = refined_levels(table, level_partition(table, n + 1, upto)) == levels
         rep.row(
             "verification",
             {"target": "partition", "ok": ok, "detail": None if ok else "one-step regrouping disagrees"},
@@ -228,7 +217,7 @@ def cmd_index(args, rep: Reporter) -> int:
     table = _build_table(spec)
     if (args.n is None) == (args.all_up_to is None):
         raise ParseError("pass exactly one of --n or --all-up-to")
-    levels = [args.n] if args.n is not None else list(range(1, args.all_up_to + 1))
+    levels = [args.n] if args.n is not None else range(1, args.all_up_to + 1)
     for n in levels:
         pre = prefix_index(table, n)
         blk = block_index(table, n)
@@ -306,20 +295,19 @@ def cmd_census(args, rep: Reporter) -> int:
     if (args.m is None) == (args.all_up_to is None):
         raise ParseError("pass exactly one of --m or --all-up-to")
     l = args.l
-    lengths = [args.m] if args.m is not None else list(range(1, args.all_up_to + 1))
-    rows = {}
-    ambiguous: list[int] = []
+    m_max = args.m if args.m is not None else args.all_up_to
+    lengths = [args.m] if args.m is not None else range(1, m_max + 1)
+    if args.verify:
+        # certify first: its guards trip before any witness set is built
+        certificate, scans = certified_scan(table, m_max, l)
+    nonzero: list[int] = []
+    mismatches: list[int] = []
     for m in lengths:
-        try:
-            rows[m] = census(table, m, l)
-        except AmbiguityError as exc:
-            ambiguous.append(m)
-            rep.row(
-                "ambiguity",
-                {"m": m, "l": l, "candidates": [list(c) for c in exc.candidates]},
-                f"m={m} l={l}: ambiguous grid point, candidates {list(exc.candidates)}",
-            )
-    for m, row in rows.items():
+        row = census(table, m, l)
+        if row.count:
+            nonzero.append(m)
+        if args.verify and scans[l].per_length[m] != frozenset(row.witnesses):
+            mismatches.append(m)
         if row.count or args.m is not None or args.full:
             payload, text = _census_payload(table, row, args.full)
             rep.row("census-row", payload, text)
@@ -327,45 +315,29 @@ def cmd_census(args, rep: Reporter) -> int:
                 rep.row("witness-list", {"m": m, "l": l, "witnesses": sorted(row.witnesses)},
                         [f"  {w}" for w in sorted(row.witnesses)])
     if args.all_up_to is not None:
-        nonzero = [m for m in lengths if m in rows and rows[m].count]
         rep.row(
             "census-summary",
-            {"l": l, "m_max": args.all_up_to, "nonzero_lengths": nonzero, "zero_count": len(lengths) - len(nonzero)},
-            f"order {l}: {len(nonzero)} carrying lengths up to {args.all_up_to}: {' '.join(map(str, nonzero))}",
+            {"l": l, "m_max": m_max, "nonzero_lengths": nonzero, "zero_count": len(lengths) - len(nonzero)},
+            f"order {l}: {len(nonzero)} carrying lengths up to {m_max}: {' '.join(map(str, nonzero))}",
         )
-    verdict_ok = True
-    if args.verify or ambiguous:
-        m_max = max(lengths)
-        certificate, scans = certified_scan(table, m_max, max(l, 2), jobs=args.jobs)
-        scanned = scans[l].per_length
-        mismatches = []
-        for m in lengths:
-            expected = frozenset(rows[m].witnesses) if m in rows else None
-            if expected is not None and scanned[m] != expected:
-                mismatches.append(m)
-        for m in ambiguous:
-            rep.row(
-                "verification",
-                {"target": "census-ambiguity", "m": m, "l": l, "ok": False, "oracle_count": len(scanned[m]), "detail": "closed form ambiguous"},
-                f"m={m}: oracle finds {len(scanned[m])} bases (closed form was ambiguous)",
-            )
-        verdict_ok = not mismatches and not ambiguous
+    if args.verify:
+        ok = not mismatches
         rep.row(
             "verification",
             {
                 "target": "census",
                 "l": l,
                 "m_max": m_max,
-                "ok": verdict_ok,
+                "ok": ok,
                 "prefix_letters": len(certificate.word),
                 "mismatched_lengths": mismatches,
                 "detail": certificate.method,
             },
             f"oracle agreement at order {l} on lengths 1..{m_max} over {len(certificate.word)} certified letters: "
-            + ("OK" if verdict_ok else f"MISMATCH at {mismatches}"),
+            + ("OK" if ok else f"MISMATCH at {mismatches}"),
         )
-    if not verdict_ok:
-        raise VerificationError("closed-form census disagrees with the oracle scan")
+        if not ok:
+            raise VerificationError("closed-form census disagrees with the oracle scan")
     return 0
 
 
@@ -402,7 +374,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, n=False, full=False, verify=False, jobs=False):
+    def common(p, *, n=False, full=False, verify=False):
         p.add_argument("--spec", required=True, help='directive, e.g. "k=3; d=1,1,2; 2,1,2" or "k=3; d=; 1"')
         p.add_argument("--json", action="store_true", help="emit JSON lines instead of text")
         if n:
@@ -411,8 +383,6 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--full", action="store_true", help="expand words and witness sets in full")
         if verify:
             p.add_argument("--verify", action="store_true", help="cross-check against the scanning oracle")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="oracle scan threads")
 
     p = sub.add_parser("generate", help="print a prefix of the word")
     common(p)
@@ -433,12 +403,12 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_partition)
 
     p = sub.add_parser("index", help="prefix and block indices with witnesses")
-    common(p, n=True, full=True, verify=True, jobs=True)
+    common(p, n=True, verify=True)
     p.add_argument("--all-up-to", type=int, help="report levels 1..N")
     p.set_defaults(fn=cmd_index)
 
     p = sub.add_parser("census", help="which words of a given length have an l-th power in the word")
-    common(p, full=True, verify=True, jobs=True)
+    common(p, full=True, verify=True)
     p.add_argument("--m", type=int, help="single base length")
     p.add_argument("--all-up-to", type=int, help="all base lengths 1..N")
     p.add_argument("--l", type=int, default=2, help="power order (default 2)")

@@ -36,10 +36,3 @@ class NotAFactorError(EpisturmError):
 class InsufficientDataError(EpisturmError):
     """Too few occurrences in the available prefix to answer."""
 
-
-class AmbiguityError(EpisturmError):
-    """The power census found candidate classifications but cannot pick one."""
-
-    def __init__(self, message: str, candidates: tuple = ()):
-        super().__init__(message)
-        self.candidates = tuple(candidates)

@@ -9,7 +9,6 @@ meta-oracle for small inputs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .blocks import BlockTable
 from .directive import closure_prefix
 from .errors import NotAFactorError, RangeError, VerificationError
-from .words import RationalIndex, Word
+from .words import RationalIndex, Word, occurrences
 
 _PREFIX_CROSSCHECK_LETTERS = 20_000
 
@@ -83,16 +82,6 @@ def _bases_in_runs(prefix: Word, runs: np.ndarray, m: int, l: int) -> set[Word]:
     return {prefix[i:i + m] for i in starts.tolist()}
 
 
-def _positions_of(prefix: Word, w: Word, l: int) -> tuple[int, ...]:
-    body = w * l
-    found = []
-    pos = prefix.find(body)
-    while pos != -1:
-        found.append(pos)
-        pos = prefix.find(body, pos + 1)
-    return tuple(found)
-
-
 def scan_powers(
     prefix: Word,
     l: int,
@@ -112,7 +101,6 @@ def scan_powers_multi(
     m_max: int,
     *,
     record_positions: bool = False,
-    jobs: int = 1,
 ) -> dict[int, ScanResult]:
     """Scan several power orders at once, sharing the per-length run decomposition."""
     orders = sorted(set(orders))
@@ -125,34 +113,19 @@ def scan_powers_multi(
             f"prefix of {len(prefix)} letters is too short for order {orders[-1]} at length {m_max}"
         )
     arr = _byte_view(prefix)
-
-    def lengths_chunk(ms) -> dict[int, dict[int, frozenset]]:
-        chunk: dict[int, dict[int, frozenset]] = {l: {} for l in orders}
-        for m in ms:
-            runs = _true_runs(arr[m:] == arr[:-m])
-            for l in orders:
-                chunk[l][m] = frozenset(_bases_in_runs(prefix, runs, m, l))
-        return chunk
-
     all_m = range(m_min, m_max + 1)
-    if jobs <= 1:
-        merged = lengths_chunk(all_m)
-    else:
-        merged = {l: {} for l in orders}
-        step = max(1, (m_max - m_min + 1) // (jobs * 4))
-        chunks = [range(lo, min(lo + step, m_max + 1)) for lo in range(m_min, m_max + 1, step)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(lengths_chunk, chunks):
-                for l in orders:
-                    merged[l].update(part[l])
+    per_order: dict[int, dict[int, frozenset]] = {l: {} for l in orders}
+    for m in all_m:
+        runs = _true_runs(arr[m:] == arr[:-m])
+        for l in orders:
+            per_order[l][m] = frozenset(_bases_in_runs(prefix, runs, m, l))
 
     results: dict[int, ScanResult] = {}
-    for l in orders:
-        per_length = {m: merged[l][m] for m in all_m}
+    for l, per_length in per_order.items():
         positions = None
         if record_positions:
             positions = {
-                m: {w: _positions_of(prefix, w, l) for w in sorted(per_length[m])}
+                m: {w: tuple(occurrences(prefix, w * l)) for w in sorted(per_length[m])}
                 for m in all_m
             }
         results[l] = ScanResult(l=l, per_length=per_length, positions=positions)
@@ -184,7 +157,7 @@ def _stability_levels(table: BlockTable, m_max: int) -> tuple[int, int, int]:
     return n, n + k + 3, n + k + 4
 
 
-def certified_scan(table: BlockTable, m_max: int, l_max: int, *, jobs: int = 1):
+def certified_scan(table: BlockTable, m_max: int, l_max: int):
     """Certify a prefix by scan stability across one level step, returning its scans too."""
     if m_max < 1:
         raise RangeError(f"m_max must be >= 1 (got {m_max})")
@@ -196,8 +169,8 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, jobs: int = 1):
     for low, high in ((low, high), (low + 1, high + 1)):
         small = table.block(low)
         large = table.block(high)
-        scans_small = scan_powers_multi(small, orders, 1, m_max, jobs=jobs)
-        scans_large = scan_powers_multi(large, orders, 1, m_max, jobs=jobs)
+        scans_small = scan_powers_multi(small, orders, 1, m_max)
+        scans_large = scan_powers_multi(large, orders, 1, m_max)
         diffs = [
             (l, m)
             for l in orders
@@ -222,26 +195,17 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, jobs: int = 1):
     )
 
 
-def certify_prefix(table: BlockTable, m_max: int, l_max: int, *, jobs: int = 1) -> PrefixCertificate:
+def certify_prefix(table: BlockTable, m_max: int, l_max: int) -> PrefixCertificate:
     """A prefix whose repetition content up to m_max is stable under one more level of growth."""
-    return certified_scan(table, m_max, l_max, jobs=jobs)[0]
-
-
-def _all_occurrences(prefix: Word, base: Word) -> list[int]:
-    found = []
-    pos = prefix.find(base)
-    while pos != -1:
-        found.append(pos)
-        pos = prefix.find(base, pos + 1)
-    return found
+    return certified_scan(table, m_max, l_max)[0]
 
 
 def max_fractional_power(prefix: Word, base: Word) -> RationalIndex:
     """Largest exponent (possibly fractional) with base**exponent a factor of prefix."""
     if not base:
         raise RangeError("base must be nonempty")
-    occurrences = _all_occurrences(prefix, base)
-    if not occurrences:
+    found = occurrences(prefix, base)
+    if not found:
         raise NotAFactorError("base does not occur in the prefix")
     m = len(base)
     arr = _byte_view(prefix)
@@ -250,8 +214,8 @@ def max_fractional_power(prefix: Word, base: Word) -> RationalIndex:
     ends = runs[:, 1]
     best = m
     if starts.size:
-        where = np.searchsorted(starts, occurrences, side="right") - 1
-        for i, j in zip(occurrences, where.tolist()):
+        where = np.searchsorted(starts, found, side="right") - 1
+        for i, j in zip(found, where.tolist()):
             if j >= 0 and i < ends[j]:
                 best = max(best, m + int(ends[j]) - i)
     return RationalIndex(best // m, best % m, m)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 from .blocks import BlockTable
 from .errors import InsufficientDataError, InvariantViolation, RangeError
-from .directive import exponent
-from .words import Word
+from .words import Word, occurrences
 
 
 @dataclass(frozen=True)
@@ -27,16 +26,11 @@ class PartitionView:
 
 def _expanded_levels(table: BlockTable, level: int, upto_level: int) -> tuple[int, ...]:
     """Flat sequence of tile levels for the level-`upto_level` block, all within the window."""
-    spec = table.spec
-    k = spec.k
     flat: dict[int, tuple[int, ...]] = {}
     for m in range(level + 1, upto_level + 1):
         parts: list[int] = []
-        for j in range(1, k):
-            if m - j + 1 >= 1:
-                piece = (m - j,) if m - j <= level else flat[m - j]
-                parts.extend(piece * exponent(spec, m - j + 1))
-        parts.extend((m - k,) if m - k <= level else flat[m - k])
+        for lower, e in table.pieces(m):
+            parts.extend(((lower,) if lower <= level else flat[lower]) * e)
         flat[m] = tuple(parts)
     return flat[upto_level]
 
@@ -69,15 +63,23 @@ def block_positions(view: PartitionView, level: int) -> list[int]:
     return [start for tile_level, start, _ in view.items if tile_level == level]
 
 
+def refined_levels(table: BlockTable, view: PartitionView) -> list[int]:
+    """Tile levels after one recurrence step on every top-level tile: the level-(view.level - 1) tiling."""
+    out: list[int] = []
+    for level, _, _ in view.items:
+        if level < view.level:
+            out.append(level)
+        else:
+            for lower, e in table.pieces(level):
+                out.extend([lower] * e)
+    return out
+
+
 def return_words(prefix: Word, w: Word) -> frozenset:
     """Factors spanning one occurrence of w to the next, over all occurrences inside prefix."""
     if not w:
         raise RangeError("return words need a nonempty factor")
-    starts: list[int] = []
-    pos = prefix.find(w)
-    while pos != -1:
-        starts.append(pos)
-        pos = prefix.find(w, pos + 1)
+    starts = occurrences(prefix, w)
     if len(starts) < 2:
         raise InsufficientDataError(f"{w!r} occurs {len(starts)} time(s); need at least 2")
     return frozenset(prefix[a:b] for a, b in zip(starts, starts[1:]))

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import BlockTable
-from .directive import exponent
-from .errors import AmbiguityError, InvariantViolation, RangeError
+from .errors import InvariantViolation, RangeError
 from .words import RationalIndex, Word
 
 
@@ -94,14 +93,19 @@ def block_index_witness(table: BlockTable, n: int) -> Word:
     return body + table.palindromic_prefix(n - k)
 
 
+def _offset_pieces(table: BlockTable, n: int, depth: int) -> list[tuple[int, int]]:
+    """The lower blocks trailing a power of block n at the given depth, as (level, exponent) pairs.
+
+    They are the pieces of block n+1 strictly between levels n+1-depth and n,
+    closed by one copy of block n+1-depth.
+    """
+    low = n + 1 - depth
+    return [(level, e) for level, e in table.pieces(n + 1) if low < level < n] + [(low, 1)]
+
+
 def _offset_total(table: BlockTable, n: int, depth: int) -> int:
     """Grid offset at the given depth: trailing lower-block lengths below a power of block n."""
-    spec = table.spec
-    total = table.block_length(n + 1 - depth)
-    for j in range(n + 2 - depth, n):
-        if j + 1 >= 1:
-            total += exponent(spec, j + 1) * table.block_length(j)
-    return total
+    return sum(e * table.block_length(level) for level, e in _offset_pieces(table, n, depth))
 
 
 def window_level(table: BlockTable, m: int) -> int:
@@ -156,13 +160,7 @@ def _grid_candidates(table: BlockTable, n: int, m: int) -> list[tuple[int, int]]
 
 def _offset_base(table: BlockTable, n: int, depth: int, r: int) -> Word:
     """The canonical base at an offset grid point: a power of block n plus the trailing lower blocks."""
-    spec = table.spec
-    parts = [table.block(n) * r]
-    for j in range(n - 1, n + 1 - depth, -1):
-        if j + 1 >= 1:
-            parts.append(table.block(j) * exponent(spec, j + 1))
-    parts.append(table.block(n + 1 - depth))
-    return "".join(parts)
+    return table.block(n) * r + "".join(table.block(level) * e for level, e in _offset_pieces(table, n, depth))
 
 
 def census(table: BlockTable, m: int, l: int) -> PowerCensus:
@@ -174,15 +172,9 @@ def census(table: BlockTable, m: int, l: int) -> PowerCensus:
     applicable = [(depth, r) for depth, r in candidates if depth == 1 or n + 1 - depth >= 0]
     if not candidates:
         return PowerCensus(m, l, 0, (), CensusProvenance("off-grid", n))
-    if not applicable:
-        raise AmbiguityError(
-            f"length {m} sits on the level-{n} grid only at depths needing negative levels: {candidates}",
-            candidates,
-        )
-    if len(applicable) > 1:
-        raise AmbiguityError(
-            f"length {m} matches several applicable grid points at level {n}: {applicable}",
-            applicable,
+    if len(applicable) != 1:
+        raise InvariantViolation(
+            f"length {m} matches {len(applicable)} applicable grid points at level {n} (candidates {candidates})"
         )
     depth, r = applicable[0]
     d_next = table.exponent(n + 1)

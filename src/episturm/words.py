@@ -87,6 +87,16 @@ def factors_of_length(w: Word, n: int) -> set[Word]:
     return {w[i:i + n] for i in range(len(w) - n + 1)}
 
 
+def occurrences(text: Word, w: Word) -> list[int]:
+    """Start positions of every occurrence of w in text, overlapping ones included."""
+    found: list[int] = []
+    pos = text.find(w)
+    while pos != -1:
+        found.append(pos)
+        pos = text.find(w, pos + 1)
+    return found
+
+
 def z_array(w: str) -> list[int]:
     """z[i] = length of the longest common prefix of w and w[i:] (z[0] = |w|)."""
     n = len(w)

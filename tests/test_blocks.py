@@ -7,6 +7,8 @@ from episturm.directive import DirectiveSpec, exponent_sum, prefix_increment
 from episturm.errors import CancellationError, GuardExceeded, RangeError
 from episturm.words import conjugate, is_palindrome, is_primitive, reversal
 
+from conftest import ALL_NAMES
+
 
 @pytest.fixture(scope="module")
 def trib():
@@ -53,6 +55,24 @@ class TestBlocks:
         for n in range(1, 7):
             stage = exponent_sum(mix3.spec, n)
             assert mix3.block(n) == prefix_increment(mix3.spec, stage)
+
+
+class TestPieces:
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_pieces_rebuild_block_and_sequences(self, tables, name):
+        table = tables[name]
+        k = table.spec.k
+        first = table.spec.alphabet[0]
+        for n in range(1, 11):
+            pieces = table.pieces(n)
+            assert pieces[0] == (n - 1, table.exponent(n)) and pieces[-1] == (n - k, 1)
+            joined = "".join(table.block(level) * e for level, e in pieces)
+            assert table.block(n) == joined
+            assert table.block_length(n) == sum(e * table.block_length(level) for level, e in pieces) == len(joined)
+            others = sum(e * table.other_letter_count(level) for level, e in pieces)
+            assert table.other_letter_count(n) == others == len(joined) - joined.count(first)
+        with pytest.raises(RangeError):
+            table.pieces(0)
 
 
 class TestPalindromicPrefixes:

@@ -1,12 +1,14 @@
 """Command-line behavior: outputs, exit codes, JSON rows against the schema."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
 import episturm.cli as cli
+import episturm.powers as powers
 
 TRIB = "k=3; d=; 1"
 MIX3 = "k=3; d=1,1,2; 2,1,2"
@@ -166,6 +168,13 @@ class TestIndex:
         verdict = next(r for r in rows if r["kind"] == "verification")
         assert verdict["ok"] is True and verdict["target"] == "index"
 
+    def test_huge_range_trips_the_guard_at_once(self, capsys, monkeypatch):
+        monkeypatch.setenv("EPISTURM_GUARD", "8")
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "index", "--spec", TRIB, "--all-up-to", "100000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and "guard" in err
+
 
 class TestCensus:
     def test_single_length(self, capsys):
@@ -200,6 +209,17 @@ class TestCensus:
         rows = json_rows(out)
         verdict = next(r for r in rows if r["kind"] == "verification" and r["target"] == "census")
         assert verdict["ok"] is True and verdict["mismatched_lengths"] == []
+
+    def test_grid_invariant_failure_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(powers, "_grid_candidates", lambda table, n, m: [(1, 1), (2, 1)])
+        code, _, err = run_cli(capsys, "census", "--spec", TRIB, "--m", "4")
+        assert code == 3 and "2 applicable grid points" in err
+
+    def test_huge_verified_range_trips_the_guard_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "100000000", "--verify")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == "" and "guard" in err
 
 
 class TestVerify:

@@ -64,13 +64,6 @@ class TestScan:
         assert multi[2].per_length == scan_powers(prefix, 2, 1, 40).per_length
         assert multi[3].per_length == scan_powers(prefix, 3, 1, 40).per_length
 
-    def test_threaded_scan_matches_serial(self, trib):
-        prefix = generate_prefix(trib, 5000)
-        serial = scan_powers_multi(prefix, (2, 3), 1, 60)
-        threaded = scan_powers_multi(prefix, (2, 3), 1, 60, jobs=3)
-        for l in (2, 3):
-            assert serial[l].per_length == threaded[l].per_length
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(RangeError):
             scan_powers("abcabc", 1, 1, 2)
