@@ -48,7 +48,6 @@ from .partition import PartitionView, block_positions, level_partition, return_w
 from .powers import (
     CensusProvenance,
     CensusRange,
-    IndexWitness,
     PowerCensus,
     block_index,
     block_index_witness,
@@ -85,7 +84,6 @@ __all__ = [
     "EpisturmError",
     "FactorPartition",
     "GuardExceeded",
-    "IndexWitness",
     "InsufficientDataError",
     "InvariantViolation",
     "NotAFactorError",

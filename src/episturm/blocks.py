@@ -5,7 +5,7 @@ level -j the (k-j+1)-th). Each higher block concatenates powers of the k
 previous ones, every block is a prefix of the next from level 0 on, and the
 infinite word is their common limit. The table memoizes blocks, palindromic
 prefixes and the integer length sequences, guarded both by level and by
-materialized size.
+size: every word it builds is checked against the length guard first.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ class BlockTable:
         if n > self._level_guard:
             raise GuardExceeded(f"level {n} above the guard {self._level_guard}")
 
-    def _check_size(self, n: int) -> None:
-        size = self.block_length(n)
+    def _check_size(self, what: str, n: int, size: int) -> None:
+        """Refuse to build a word of `size` letters above the length guard, before building it."""
         if size > self._length_guard:
-            raise GuardExceeded(f"block at level {n} has {size} letters, above the length guard {self._length_guard}")
+            raise GuardExceeded(f"{what} at level {n} has {size} letters, above the length guard {self._length_guard}")
 
     def pieces(self, n: int) -> tuple[tuple[int, int], ...]:
         """The recurrence for block n as (level, exponent) pairs, highest level first.
@@ -122,7 +122,7 @@ class BlockTable:
         with self._lock:
             got = self._blocks.get(n)
             if got is None:
-                self._check_size(n)
+                self._check_size("block", n, self.block_length(n))
                 got = "".join(self.block(level) * e for level, e in self.pieces(n))
                 self._blocks[n] = got
             return got
@@ -134,6 +134,7 @@ class BlockTable:
         with self._lock:
             got = self._prefixes.get(n)
             if got is None:
+                self._check_size("palindromic prefix", n, self.palindromic_prefix_length(n))
                 d_next = exponent(self._spec, n + 1)
                 if n < k:
                     got = (self.block(n) * d_next)[:-1]
@@ -190,4 +191,5 @@ class BlockTable:
         self._check_level(n, low=0, what="power prefix")
         if n == 0:
             return ""
+        self._check_size("power prefix", n, self.block_length(n - 1) + self.palindromic_prefix_length(n - 1))
         return self.block(n - 1) + self.palindromic_prefix(n - 1)

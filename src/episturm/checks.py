@@ -290,12 +290,11 @@ def check_index_consistency(table: BlockTable, n_max: int) -> None:
     for n in range(1, n_max + 1):
         pre = prefix_index(table, n)
         blk = block_index(table, n)
-        if pre.value.as_fraction() + 1 != blk.as_fraction():
-            _fail("index-consistency", n, f"{pre.value} + 1 != {blk}")
+        if pre.as_fraction() + 1 != blk.as_fraction():
+            _fail("index-consistency", n, f"{pre} + 1 != {blk}")
         witness = block_index_witness(table, n)
-        expected = blk.whole * blk.den + blk.num
-        if len(witness) != expected:
-            _fail("index-consistency", n, f"witness length {len(witness)}, predicted {expected}")
+        if len(witness) != blk.length:
+            _fail("index-consistency", n, f"witness length {len(witness)}, predicted {blk.length}")
         if not witness.startswith(table.block(n) * blk.whole):
             _fail("index-consistency", n, "witness does not start with the full power")
         host_level = n + k + 2
@@ -303,7 +302,7 @@ def check_index_consistency(table: BlockTable, n_max: int) -> None:
             host = table.block(host_level)
             if host.find(witness) == -1:
                 _fail("index-consistency", n, "maximal power not visible at the predicted level")
-            if not host.startswith(pre.witness):
+            if not host.startswith(table.power_prefix(n + 1)):
                 _fail("index-consistency", n, "prefix witness is not a prefix")
 
 

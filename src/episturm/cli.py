@@ -28,7 +28,7 @@ from .errors import (
 )
 from .oracle import certified_scan, greatest_power_prefix, max_fractional_power
 from .partition import level_partition, refined_levels
-from .powers import block_index, block_index_witness, census, prefix_index
+from .powers import block_index, census, prefix_index
 from .singular import factor_partition
 from .words import RationalIndex, shorten
 
@@ -70,6 +70,19 @@ def _word_fields(w: str, full: bool) -> dict:
 
 def _rational_fields(value: RationalIndex) -> dict:
     return {"text": str(value), "whole": value.whole, "num": value.num, "den": value.den}
+
+
+def _index_payload(table: BlockTable, n: int) -> dict:
+    """The level-n index row; witness lengths come from the indices, no witness is built."""
+    pre = prefix_index(table, n)
+    blk = block_index(table, n)
+    return {
+        "level": n,
+        "prefix_index": _rational_fields(pre),
+        "prefix_witness_length": pre.length,
+        "block_index": _rational_fields(blk),
+        "block_witness_length": blk.length,
+    }
 
 
 def _build_table(spec: DirectiveSpec) -> BlockTable:
@@ -122,19 +135,12 @@ def cmd_blocks(args, rep: Reporter) -> int:
                 f"tail depth {r}: {len(g)} letters  {shorten(g)}",
             )
     if n >= 1:
-        pre = prefix_index(table, n)
-        blk = block_index(table, n)
-        blk_witness = block_index_witness(table, n)
+        p = _index_payload(table, n)
         rep.row(
             "index",
-            {
-                "level": n,
-                "prefix_index": _rational_fields(pre.value),
-                "prefix_witness_length": len(pre.witness),
-                "block_index": _rational_fields(blk),
-                "block_witness_length": len(blk_witness),
-            },
-            f"indices: prefix {pre.value} (witness {len(pre.witness)} letters) / block {blk} (witness {len(blk_witness)} letters)",
+            p,
+            f"indices: prefix {p['prefix_index']['text']} (witness {p['prefix_witness_length']} letters)"
+            f" / block {p['block_index']['text']} (witness {p['block_witness_length']} letters)",
         )
     return 0
 
@@ -219,25 +225,19 @@ def cmd_index(args, rep: Reporter) -> int:
         raise ParseError("pass exactly one of --n or --all-up-to")
     levels = [args.n] if args.n is not None else range(1, args.all_up_to + 1)
     for n in levels:
-        pre = prefix_index(table, n)
-        blk = block_index(table, n)
-        payload = {
-            "level": n,
-            "prefix_index": _rational_fields(pre.value),
-            "prefix_witness_length": len(pre.witness),
-            "block_index": _rational_fields(blk),
-            "block_witness_length": len(block_index_witness(table, n)),
-        }
+        p = _index_payload(table, n)
         rep.row(
             "index",
-            payload,
-            f"level {n}: prefix index {pre.value} (witness {len(pre.witness)} letters) / block index {blk}",
+            p,
+            f"level {n}: prefix index {p['prefix_index']['text']} (witness {p['prefix_witness_length']} letters)"
+            f" / block index {p['block_index']['text']}",
         )
         if args.verify:
             host = table.block(n + spec.k + 3)
             measured = max_fractional_power(host, table.block(n))
             front = greatest_power_prefix(host, table.block(n))
-            ok = measured.as_fraction() == blk.as_fraction() and front == pre.witness
+            blk = block_index(table, n)
+            ok = measured.as_fraction() == blk.as_fraction() and front == table.power_prefix(n + 1)
             rep.row(
                 "verification",
                 {
@@ -264,6 +264,7 @@ def _census_rule(table: BlockTable, row) -> str | None:
 
 
 def _census_payload(table: BlockTable, row, full: bool) -> tuple[dict, str]:
+    """The census row without its witnesses, which the caller adds under --full."""
     prov = row.provenance
     payload = {
         "m": row.m,
@@ -276,8 +277,6 @@ def _census_payload(table: BlockTable, row, full: bool) -> tuple[dict, str]:
         payload["base_preview"] = shorten(prov.base)
         if full or len(prov.base) <= _INLINE_WORD_LIMIT:
             payload["base"] = prov.base
-    if full:
-        payload["witnesses"] = sorted(row.witnesses)
     where = f"window {prov.level}"
     if prov.kind == "off-grid":
         where += ", off-grid"
@@ -306,14 +305,16 @@ def cmd_census(args, rep: Reporter) -> int:
         row = census(table, m, l)
         if row.count:
             nonzero.append(m)
-        if args.verify and scans[l].per_length[m] != frozenset(row.witnesses):
+        witnesses = sorted(row.witnesses) if args.full or args.verify else None
+        if args.verify and scans[l].per_length[m] != frozenset(witnesses):
             mismatches.append(m)
         if row.count or args.m is not None or args.full:
             payload, text = _census_payload(table, row, args.full)
+            if args.full:
+                payload["witnesses"] = witnesses
             rep.row("census-row", payload, text)
-            if args.full and row.witnesses:
-                rep.row("witness-list", {"m": m, "l": l, "witnesses": sorted(row.witnesses)},
-                        [f"  {w}" for w in sorted(row.witnesses)])
+            if args.full and witnesses:
+                rep.row("witness-list", {"m": m, "l": l, "witnesses": witnesses}, [f"  {w}" for w in witnesses])
     if args.all_up_to is not None:
         rep.row(
             "census-summary",

@@ -4,8 +4,9 @@ Every length m falls into the window of the unique level n whose block length
 is <= m but whose successor's is not. Inside a window, lengths carrying any
 integer power lie on a small grid: plain multiples of the block length, or a
 multiple plus one of k-1 fixed offsets. The dispatcher classifies m on that
-grid and emits the exact witness set; everything is integer arithmetic, and
-the scanning oracle cross-checks the result in the test suite.
+grid and describes the exact witness set as leading rotations of one base
+word; everything else is integer arithmetic, and the scanning oracle
+cross-checks the result in the test suite.
 """
 
 from __future__ import annotations
@@ -37,13 +38,21 @@ class CensusProvenance:
 
 @dataclass(frozen=True)
 class PowerCensus:
-    """Exact answer to: which length-m words have their l-th power inside the word?"""
+    """Exact answer to: which length-m words have their l-th power inside the word?
+
+    The witnesses are the first `count` rotations of provenance.base; they are
+    built each time `witnesses` is read.
+    """
 
     m: int
     l: int
     count: int
-    witnesses: tuple[Word, ...]
     provenance: CensusProvenance
+
+    @property
+    def witnesses(self) -> tuple[Word, ...]:
+        base = self.provenance.base
+        return tuple(base[j:] + base[:j] for j in range(self.count))
 
 
 @dataclass(frozen=True)
@@ -55,24 +64,11 @@ class CensusRange:
     zero_lengths: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IndexWitness:
-    """A fractional-power exponent together with the word realizing it."""
-
-    value: RationalIndex
-    witness: Word
-
-
-def prefix_index(table: BlockTable, n: int) -> IndexWitness:
-    """Largest fractional power of the level-n block that prefixes the word, with its witness."""
+def prefix_index(table: BlockTable, n: int) -> RationalIndex:
+    """Largest fractional power of the level-n block that prefixes the word; table.power_prefix(n + 1) realizes it."""
     if n < 1:
         raise RangeError(f"prefix index starts at level 1 (got {n})")
-    size = table.block_length(n)
-    value = RationalIndex(1 + table.exponent(n + 1), table.palindromic_prefix_length(n - table.spec.k), size)
-    witness = table.power_prefix(n + 1)
-    if len(witness) * value.den != (value.whole * value.den + value.num) * size:
-        raise InvariantViolation(f"prefix-index witness length {len(witness)} disagrees with {value} at level {n}")
-    return IndexWitness(value=value, witness=witness)
+    return RationalIndex(1 + table.exponent(n + 1), table.palindromic_prefix_length(n - table.spec.k), table.block_length(n))
 
 
 def block_index(table: BlockTable, n: int) -> RationalIndex:
@@ -83,14 +79,10 @@ def block_index(table: BlockTable, n: int) -> RationalIndex:
 
 
 def block_index_witness(table: BlockTable, n: int) -> Word:
-    """The factor realizing block_index(table, n)."""
+    """The factor realizing block_index(table, n): the block followed by the power prefix it extends."""
     if n < 1:
         raise RangeError(f"block index starts at level 1 (got {n})")
-    k = table.spec.k
-    body = table.block(n) * (2 + table.exponent(n + 1))
-    if n < k:
-        return body[:-1]
-    return body + table.palindromic_prefix(n - k)
+    return table.block(n) + table.power_prefix(n + 1)
 
 
 def _offset_pieces(table: BlockTable, n: int, depth: int) -> list[tuple[int, int]]:
@@ -171,7 +163,7 @@ def census(table: BlockTable, m: int, l: int) -> PowerCensus:
     candidates = _grid_candidates(table, n, m)
     applicable = [(depth, r) for depth, r in candidates if depth == 1 or n + 1 - depth >= 0]
     if not candidates:
-        return PowerCensus(m, l, 0, (), CensusProvenance("off-grid", n))
+        return PowerCensus(m, l, 0, CensusProvenance("off-grid", n))
     if len(applicable) != 1:
         raise InvariantViolation(
             f"length {m} matches {len(applicable)} applicable grid points at level {n} (candidates {candidates})"
@@ -197,10 +189,10 @@ def census(table: BlockTable, m: int, l: int) -> PowerCensus:
         kind = "block-offset"
         take = table.palindromic_prefix_length(n + 1 - depth) + 1 if l == 2 else 0
         base = _offset_base(table, n, depth, r) if take else None
-    witnesses = tuple(base[j:] + base[:j] for j in range(take)) if base else ()
-    if len(set(witnesses)) != len(witnesses):
+    # rotations 0..take-1 are distinct exactly when the base's rotation period is >= take
+    if base is not None and (base + base).find(base, 1) < take:
         raise InvariantViolation(f"witness rotations collide at m={m}, l={l}")
-    return PowerCensus(m, l, len(witnesses), witnesses, CensusProvenance(kind, n, depth, r, base))
+    return PowerCensus(m, l, take, CensusProvenance(kind, n, depth, r, base))
 
 
 def census_range(table: BlockTable, m_max: int, l: int) -> CensusRange:

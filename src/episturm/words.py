@@ -138,6 +138,11 @@ class RationalIndex:
     def as_fraction(self) -> Fraction:
         return self.whole + Fraction(self.num, self.den)
 
+    @property
+    def length(self) -> int:
+        """Letters in the power of a length-den base with this exponent."""
+        return self.whole * self.den + self.num
+
     def __lt__(self, other: "RationalIndex"):
         if not isinstance(other, RationalIndex):
             return NotImplemented

@@ -5,6 +5,7 @@ import pytest
 from episturm.blocks import BlockTable
 from episturm.directive import DirectiveSpec, exponent_sum, prefix_increment
 from episturm.errors import CancellationError, GuardExceeded, RangeError
+from episturm.powers import block_index_witness
 from episturm.words import conjugate, is_palindrome, is_primitive, reversal
 
 from conftest import ALL_NAMES
@@ -195,6 +196,28 @@ class TestGuards:
             table.block(10)
         # integer sequences stay available above the length guard
         assert table.block_length(10) > 100
+
+    @pytest.mark.parametrize("text", ["k=2; d=; 3", "k=3; d=; 1", "k=3; d=1,1,2; 2,1,2", "k=4; d=2,1,3,1; 2,2"])
+    def test_every_built_word_checks_the_length_guard(self, text):
+        guard = 1000
+        table = BlockTable(DirectiveSpec.parse(text), length_guard=guard)
+        k = table.spec.k
+        B, P = table.block_length, table.palindromic_prefix_length
+        # builder: (lowest level, length of its word, longest word the table builds for it)
+        builders = {
+            table.block: (1, B, B),
+            table.palindromic_prefix: (0, P, lambda n: max(B(n), P(n))),
+            table.power_prefix: (1, lambda n: B(n - 1) + P(n - 1), lambda n: B(n - 1) + P(n - 1)),
+            lambda n: table.block_tail(n, 1): (1, lambda n: B(n) - P(n - 1), B),
+            table.junction: (k - 1, lambda n: P(n - k + 1) + B(n + 1) - P(n - k + 2), lambda n: B(n + 1)),
+            lambda n: block_index_witness(table, n): (1, lambda n: 2 * B(n) + P(n), lambda n: B(n) + P(n)),
+        }
+        for build, (low, length, cost) in builders.items():
+            top = next(n for n in range(low, 64) if cost(n) > guard)
+            assert top > low
+            assert len(build(top - 1)) == length(top - 1)
+            with pytest.raises(GuardExceeded):
+                build(top)
 
     def test_bad_guard(self):
         with pytest.raises(RangeError):

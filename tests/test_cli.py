@@ -9,6 +9,8 @@ from jsonschema import Draft202012Validator
 
 import episturm.cli as cli
 import episturm.powers as powers
+from episturm.blocks import BlockTable
+from episturm.directive import DirectiveSpec
 
 TRIB = "k=3; d=; 1"
 MIX3 = "k=3; d=1,1,2; 2,1,2"
@@ -85,6 +87,13 @@ class TestBlocks:
     def test_bad_spec_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "blocks", "--spec", "k=1; d=; 1", "--n", "2")
         assert code == 2
+
+    def test_large_exponent_trips_the_length_guard_at_once(self, capsys):
+        # the level-2 palindromic prefix would have 10^9 letters
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "blocks", "--spec", "k=2; d=; 1000", "--n", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and "palindromic prefix at level 2" in err
 
     def test_env_guard_overrides_level_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("EPISTURM_GUARD", "4")
@@ -168,6 +177,19 @@ class TestIndex:
         verdict = next(r for r in rows if r["kind"] == "verification")
         assert verdict["ok"] is True and verdict["target"] == "index"
 
+    def test_rows_above_the_length_guard_need_no_witness(self, capsys):
+        table = BlockTable(DirectiveSpec.parse(TRIB))
+        code, out, _ = run_cli(capsys, "index", "--spec", TRIB, "--all-up-to", "40", "--json")
+        assert code == 0
+        rows = [r for r in json_rows(out) if r["kind"] == "index"]
+        assert [r["level"] for r in rows] == list(range(1, 41))
+        for row in rows[:8]:
+            n = row["level"]
+            assert row["prefix_witness_length"] == len(table.power_prefix(n + 1))
+            assert row["block_witness_length"] == len(powers.block_index_witness(table, n))
+        code, _, err = run_cli(capsys, "index", "--spec", TRIB, "--all-up-to", "65")
+        assert code == 4 and "level 65 above the guard" in err
+
     def test_huge_range_trips_the_guard_at_once(self, capsys, monkeypatch):
         monkeypatch.setenv("EPISTURM_GUARD", "8")
         start = time.perf_counter()
@@ -214,6 +236,20 @@ class TestCensus:
         monkeypatch.setattr(powers, "_grid_candidates", lambda table, n, m: [(1, 1), (2, 1)])
         code, _, err = run_cli(capsys, "census", "--spec", TRIB, "--m", "4")
         assert code == 3 and "2 applicable grid points" in err
+
+    def test_large_length_builds_no_witness(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--m", "66012", "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        row = json_rows(out)[0]
+        assert row["count"] == powers.census(BlockTable(DirectiveSpec.parse(TRIB)), 66012, 2).count > 0
+
+    def test_rotation_collision_exits_three(self, capsys, monkeypatch):
+        # m = 15 is an offset grid point with 8 witnesses; a base of period 1 has one rotation
+        monkeypatch.setattr(powers, "_offset_base", lambda table, n, depth, r: "a" * 15)
+        code, _, err = run_cli(capsys, "census", "--spec", MIX3, "--m", "15")
+        assert code == 3 and "witness rotations collide" in err
 
     def test_huge_verified_range_trips_the_guard_at_once(self, capsys):
         start = time.perf_counter()

@@ -56,18 +56,18 @@ class TestWindows:
 
 class TestIndices:
     def test_known_values(self, trib, mix3):
-        assert prefix_index(trib, 1).value == RationalIndex(1, 1, 2)
-        assert prefix_index(trib, 2).value == RationalIndex(1, 3, 4)
+        assert prefix_index(trib, 1) == RationalIndex(1, 1, 2)
+        assert prefix_index(trib, 2) == RationalIndex(1, 3, 4)
         assert block_index(trib, 2) == RationalIndex(2, 3, 4)
         assert block_index(trib, 3) == RationalIndex(3, 0, 7)
-        assert prefix_index(mix3, 2).value == RationalIndex(2, 3, 4)
+        assert prefix_index(mix3, 2) == RationalIndex(2, 3, 4)
         assert block_index(mix3, 3) == RationalIndex(4, 0, 11)
 
     def test_block_exceeds_prefix_by_one(self, tables):
         for name in ALL_NAMES:
             table = tables[name]
             for n in range(1, 9):
-                pre = prefix_index(table, n).value
+                pre = prefix_index(table, n)
                 blk = block_index(table, n)
                 assert blk.as_fraction() - pre.as_fraction() == 1
 
@@ -75,9 +75,10 @@ class TestIndices:
         for name in ALL_NAMES:
             table = tables[name]
             for n in range(1, 9):
-                iw = prefix_index(table, n)
-                assert iw.witness == table.power_prefix(n + 1)
-                assert iw.witness == table.block(n) * iw.value.whole + table.block(n)[: iw.value.num]
+                pre = prefix_index(table, n)
+                witness = table.power_prefix(n + 1)
+                assert len(witness) == pre.length
+                assert witness == table.block(n) * pre.whole + table.block(n)[: pre.num]
 
     def test_block_witness_shape_and_occurrence(self, tables):
         for name in ALL_NAMES:
