@@ -1,10 +1,23 @@
 """Scanning oracle: literal repetition search over materialized prefixes.
 
 Everything here works by comparing letters, never by the closed forms, so
-its answers are an independent route for the census and index formulas. The
-fast path compares the prefix against itself at a fixed shift with numpy and
-reads maximal equality runs; a naive double loop stays available as the
-meta-oracle for small inputs.
+its answers are an independent route for the census and index formulas.
+
+`scan_powers_multi` compares the prefix with itself at every shift m and
+reads the bases of l-th powers off the maximal equality runs of at least
+need = (l-1)m letters. Its cost follows those long runs, not every
+mismatch: once need >= 15, a chunk filter (the sampling idea behind
+Main-Lorentz and Kolpakov-Kucherov) compares eight letters at a time as
+uint64 words and OR-folds the verdicts into aligned chunks of c letters,
+c the largest power of two with 2c - 1 <= need, so each long run holds an
+equal chunk and only groups of equal chunks are refined to exact runs.
+Shorter shifts read every run of the full equality mask. Each distinct run
+window is built once and cut into its length-m factors.
+
+`certified_scan` compares the scans of two nested blocks in one pass: it
+scans the larger block and reads the smaller one's runs by clipping,
+since the smaller block is a prefix of the larger. A naive double loop
+stays available as the meta-oracle for small inputs.
 """
 
 from __future__ import annotations
@@ -19,6 +32,8 @@ from .errors import NotAFactorError, RangeError, VerificationError
 from .words import RationalIndex, Word, occurrences
 
 _PREFIX_CROSSCHECK_LETTERS = 20_000
+_WINDOW_BATCH = 1 << 16
+_FOLD_MIN_NEED = 15  # 2c - 1 for the smallest chunk, one uint64 word of c = 8 letters
 
 
 @dataclass(frozen=True)
@@ -64,22 +79,87 @@ def _true_runs(mask: np.ndarray) -> np.ndarray:
     return edges.reshape(-1, 2)
 
 
+def _chunk_runs(buf: bytes, arr: np.ndarray, m: int, need: int) -> np.ndarray:
+    """Maximal runs of prefix[i] == prefix[i + m] as (r, 2) [start, end) pairs: every run of at
+    least `need` (>= 15) letters, perhaps with a few shorter ones.
+
+    With c the largest power of two such that 2c - 1 <= need, each such run covers an aligned
+    chunk of c letters. The prefix is compared with itself at offset m as uint64 words, eight
+    letters each; the per-word verdicts are OR-folded to one per chunk, and only groups of
+    equal chunks are refined, word by word and then letter by letter, to the run's edges.
+    Each edge lies in the unequal chunk next to its group, or in the last c - 1 letters,
+    past the whole chunks.
+    """
+    size = len(buf) - m
+    c = 1 << ((need + 1) // 2).bit_length() - 1
+    per_chunk = c // 8
+    chunks = size // c
+    words = chunks * per_chunk
+    unequal = np.frombuffer(buf, np.uint64, words) != np.frombuffer(buf, np.uint64, words, m)
+    folded = unequal.view(f"u{min(per_chunk, 8)}")
+    while folded.size > chunks:
+        folded = folded[0::2] | folded[1::2]
+    zero = np.flatnonzero(folded == 0)
+    if not zero.size:
+        return np.empty((0, 2), dtype=np.int64)
+    breaks = np.flatnonzero(zero[1:] != zero[:-1] + 1)
+    lo = zero[np.r_[0, breaks + 1]] * c
+    hi = zero[np.r_[breaks, zero.size - 1]] * c + c
+    span = np.arange(per_chunk)
+    octet = np.arange(8)
+    starts = lo.copy()
+    left = lo > 0
+    if left.any():
+        # the chunk before holds a mismatch: find its last unequal word, then that word's last unequal letter
+        word = lo[left] // 8 - 1 - np.argmax(unequal[lo[left, None] // 8 - 1 - span], axis=1)
+        letter = 8 * word[:, None] + 7 - octet
+        starts[left] = 8 * word + 8 - np.argmax(arr[letter] != arr[letter + m], axis=1)
+    ends = hi.copy()
+    right = hi < chunks * c
+    if right.any():
+        word = hi[right] // 8 + np.argmax(unequal[hi[right, None] // 8 + span], axis=1)
+        letter = 8 * word[:, None] + octet
+        ends[right] = 8 * word + np.argmax(arr[letter] != arr[letter + m], axis=1)
+    if not right[-1]:
+        last = hi[-1]
+        differs = np.flatnonzero(arr[last:size] != arr[last + m:])
+        ends[-1] = last + differs[0] if differs.size else size
+    return np.stack((starts, ends), axis=1)
+
+
 def _bases_in_runs(prefix: Word, runs: np.ndarray, m: int, l: int) -> set[Word]:
     """Distinct bases whose l-th power fits in some period-m run.
 
     Within one run [a, b) every qualifying start at or past a+m repeats the
-    base seen one period earlier, so scanning starts up to a+m-1 is complete.
+    base seen one period earlier, so the window prefix[a : a+m+cnt-1] with
+    cnt = min(b - (l-1)m - a + 1, m) holds them all; each distinct window is
+    cut into its length-m factors once.
     """
     need = (l - 1) * m
-    spans = runs[:, 1] - runs[:, 0]
-    picked = runs[spans >= need]
+    picked = runs[runs[:, 1] - runs[:, 0] >= need]
     if not picked.size:
         return set()
     a = picked[:, 0]
-    counts = np.minimum(picked[:, 1] - need, a + m - 1) - a + 1
-    offsets = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-    starts = np.repeat(a, counts) + offsets
-    return {prefix[i:i + m] for i in starts.tolist()}
+    ends = a + m - 1 + np.minimum(picked[:, 1] - need - a + 1, m)
+    windows: set[Word] = set()
+    for lo in range(0, a.size, _WINDOW_BATCH):  # batches keep the Python int lists small
+        part = slice(lo, lo + _WINDOW_BATCH)
+        windows.update(prefix[i:j] for i, j in zip(a[part].tolist(), ends[part].tolist()))
+    return {w[i:i + m] for w in windows for i in range(len(w) - m + 1)}
+
+
+def _results(prefix: Word, per_order: dict[int, dict[int, frozenset]], record_positions: bool) -> dict[int, ScanResult]:
+    """One ScanResult per order, with every base's occurrences of its power if asked."""
+    results: dict[int, ScanResult] = {}
+    for l, per_length in per_order.items():
+        positions = None
+        if record_positions:
+            positions = {
+                m: {w: tuple(occurrences(prefix, w * l)) for w in sorted(bases)}
+                for m, bases in per_length.items()
+            }
+        results[l] = ScanResult(l=l, per_length=per_length, positions=positions)
+    return results
 
 
 def scan_powers(
@@ -101,35 +181,40 @@ def scan_powers_multi(
     m_max: int,
     *,
     record_positions: bool = False,
-) -> dict[int, ScanResult]:
-    """Scan several power orders at once, sharing the per-length run decomposition."""
+    shorter: int | None = None,
+):
+    """Scan several power orders at once, sharing the per-length run decomposition.
+
+    With `shorter`, the scan of prefix[:shorter] is read off the same runs,
+    clipped, and the pair (scans of prefix, scans of prefix[:shorter]) is returned.
+    """
     orders = sorted(set(orders))
     if not orders or orders[0] < 2:
         raise RangeError("power orders must all be >= 2")
     if not 1 <= m_min <= m_max:
         raise RangeError(f"bad length range {m_min}..{m_max}")
-    if m_max * orders[-1] > len(prefix):
-        raise RangeError(
-            f"prefix of {len(prefix)} letters is too short for order {orders[-1]} at length {m_max}"
-        )
-    arr = _byte_view(prefix)
-    all_m = range(m_min, m_max + 1)
+    size = len(prefix) if shorter is None else min(shorter, len(prefix))
+    if m_max * orders[-1] > size:
+        raise RangeError(f"prefix of {size} letters is too short for order {orders[-1]} at length {m_max}")
+    buf = prefix.encode("ascii")
+    arr = np.frombuffer(buf, dtype=np.uint8)
     per_order: dict[int, dict[int, frozenset]] = {l: {} for l in orders}
-    for m in all_m:
-        runs = _true_runs(arr[m:] == arr[:-m])
+    clipped: dict[int, dict[int, frozenset]] = {l: {} for l in orders}
+    for m in range(m_min, m_max + 1):
+        need = (orders[0] - 1) * m
+        if need < _FOLD_MIN_NEED:
+            runs = _true_runs(arr[m:] == arr[:-m])
+        else:
+            runs = _chunk_runs(buf, arr, m, need)
+        low = None if shorter is None else np.minimum(runs, shorter - m)
         for l in orders:
             per_order[l][m] = frozenset(_bases_in_runs(prefix, runs, m, l))
-
-    results: dict[int, ScanResult] = {}
-    for l, per_length in per_order.items():
-        positions = None
-        if record_positions:
-            positions = {
-                m: {w: tuple(occurrences(prefix, w * l)) for w in sorted(per_length[m])}
-                for m in all_m
-            }
-        results[l] = ScanResult(l=l, per_length=per_length, positions=positions)
-    return results
+            if low is not None:
+                clipped[l][m] = frozenset(_bases_in_runs(prefix, low, m, l))
+    results = _results(prefix, per_order, record_positions)
+    if shorter is None:
+        return results
+    return results, _results(prefix[:shorter], clipped, record_positions)
 
 
 def naive_scan(prefix: Word, l: int, m_min: int, m_max: int) -> dict[int, frozenset]:
@@ -158,7 +243,11 @@ def _stability_levels(table: BlockTable, m_max: int) -> tuple[int, int, int]:
 
 
 def certified_scan(table: BlockTable, m_max: int, l_max: int):
-    """Certify a prefix by scan stability across one level step, returning its scans too."""
+    """Certify a prefix by scan stability across one level step, returning its scans too.
+
+    Each attempt scans only the larger block; the smaller block is its prefix,
+    so its scan is the same runs clipped (`scan_powers_multi(..., shorter=...)`).
+    """
     if m_max < 1:
         raise RangeError(f"m_max must be >= 1 (got {m_max})")
     if l_max < 2:
@@ -169,8 +258,9 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int):
     for low, high in ((low, high), (low + 1, high + 1)):
         small = table.block(low)
         large = table.block(high)
-        scans_small = scan_powers_multi(small, orders, 1, m_max)
-        scans_large = scan_powers_multi(large, orders, 1, m_max)
+        if not large.startswith(small):
+            raise VerificationError(f"block level {low} is not a prefix of block level {high}")
+        scans_large, scans_small = scan_powers_multi(large, orders, 1, m_max, shorter=len(small))
         diffs = [
             (l, m)
             for l in orders

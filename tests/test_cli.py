@@ -60,6 +60,12 @@ class TestGenerate:
         assert code == 4
         assert "guard" in err
 
+    def test_length_just_over_the_guard_exits_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "generate", "--spec", TRIB, "--length", str(cli._GENERATE_GUARD + 1))
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == "" and "guard" in err
+
 
 class TestBlocks:
     def test_text_output_mentions_the_block(self, capsys):
@@ -250,6 +256,12 @@ class TestCensus:
         monkeypatch.setattr(powers, "_offset_base", lambda table, n, depth, r: "a" * 15)
         code, _, err = run_cli(capsys, "census", "--spec", MIX3, "--m", "15")
         assert code == 3 and "witness rotations collide" in err
+
+    def test_range_just_over_the_guard_exits_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", str(cli._CENSUS_RANGE_GUARD + 1))
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == "" and "guard" in err
 
     def test_huge_verified_range_trips_the_guard_at_once(self, capsys):
         start = time.perf_counter()

@@ -71,6 +71,8 @@ class TestScan:
             scan_powers("abcabc", 2, 3, 2)
         with pytest.raises(RangeError):
             scan_powers("abc", 2, 1, 2)
+        with pytest.raises(RangeError):
+            scan_powers_multi("abcabcab", (2,), 1, 2, shorter=3)
 
     @given(st.text(alphabet="ab", min_size=4, max_size=120), st.integers(min_value=2, max_value=4))
     @settings(max_examples=60, deadline=None)
@@ -78,6 +80,72 @@ class TestScan:
         m_max = len(w) // l
         got = scan_powers(w, l, 1, m_max).per_length
         assert got == naive_scan(w, l, 1, m_max)
+
+
+def _check_against_naive(w, l, m_min=1):
+    """The scan of w, and the scan of a prefix read off the same runs, match the naive double loop."""
+    m_max = len(w) // l
+    if m_max < m_min:
+        return
+    assert scan_powers(w, l, m_min, m_max).per_length == naive_scan(w, l, m_min, m_max)
+    shorter = len(w) * 2 // 3
+    if shorter // l >= m_min:
+        _, clipped = scan_powers_multi(w, (l,), m_min, shorter // l, shorter=shorter)
+        assert clipped[l].per_length == naive_scan(w[:shorter], l, m_min, shorter // l)
+
+
+@st.composite
+def periodic_words(draw):
+    """h u^r v cut to any length: runs of period |u| (chunks of 8 to 128 letters for |u| >= 15)
+    that start anywhere and end at the prefix end or just before the tail v."""
+    h = draw(st.text(alphabet="abc", max_size=40))
+    u = draw(st.text(alphabet="abc", min_size=1, max_size=140))
+    size = draw(st.integers(min_value=2 * len(u), max_value=700))
+    v = draw(st.text(alphabet="abc", max_size=20))
+    return (h + (u * (size // len(u) + 1))[:size] + v)[:700]
+
+
+class TestChunkFilter:
+    """Once (l-1)m >= 15 the all-shift scan finds long runs through chunks of 8 or more letters; it must stay exact."""
+
+    @given(st.text(alphabet="ab", min_size=32, max_size=700), st.integers(min_value=2, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_binary_words_match_naive(self, w, l):
+        _check_against_naive(w, l)
+
+    @given(st.text(alphabet="abc", min_size=32, max_size=700), st.integers(min_value=2, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_ternary_words_match_naive(self, w, l):
+        _check_against_naive(w, l)
+
+    @given(periodic_words(), st.integers(min_value=2, max_value=4))
+    @settings(max_examples=80, deadline=None)
+    def test_periodic_words_match_naive(self, w, l):
+        _check_against_naive(w, l)
+
+    @pytest.mark.parametrize("period", [14, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255])
+    @pytest.mark.parametrize("head, tail", [("", ""), ("cbc", "c"), ("cbbcacbccba", "cabbacb")])
+    def test_runs_of_every_chunk_size(self, period, head, tail):
+        u = ("abaababaabaab" * 20)[: period - 1] + "c"
+        for size in (2 * period + 3, 4 * period + 5, 600):
+            w = head + (u * (size // period + 1))[:size] + tail
+            for l in (2, 3):
+                if l * period <= len(w):
+                    _check_against_naive(w, l, m_min=max(1, period - 3))
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_certified_low_scan_equals_a_direct_scan(self, certificates, name):
+        cert, scans = certificates[name]
+        direct = scan_powers_multi(cert.word, (2, 3, 4), 1, cert.covered_m_max)
+        assert {l: scans[l].per_length for l in scans} == {l: direct[l].per_length for l in direct}
+
+    def test_non_nested_blocks_are_refused(self, monkeypatch):
+        table = BlockTable(DirectiveSpec.parse("k=3; d=; 1"))
+        block = table.block
+        # a block's last letter differs from the previous block's, so no reversed block prefixes the next
+        monkeypatch.setattr(table, "block", lambda n: block(n)[::-1])
+        with pytest.raises(VerificationError, match="not a prefix"):
+            certified_scan(table, 13, 2)
 
 
 class TestCertificates:
