@@ -98,6 +98,13 @@ class BlockTable:
         with self._lock:
             return self._sequence(self._others, n)
 
+    def level_reaching(self, length: int) -> int:
+        """The lowest level n >= 1 whose block has at least `length` letters."""
+        n = 1
+        while self.block_length(n) < length:
+            n += 1
+        return n
+
     def _sequence(self, memo: dict[int, int], n: int) -> int:
         """Term n of an integer sequence that follows the block recurrence, filling memo bottom-up."""
         got = memo.get(n)

@@ -368,11 +368,7 @@ def check_closure_equivalence(table: BlockTable, n_max: int) -> None:
     """The closure construction and the block recurrence build the same prefix."""
     target = min(10_000, table.block_length(min(n_max + 1, 12)))
     by_closure = closure_prefix(table.spec, target)
-    by_blocks = None
-    n = 1
-    while table.block_length(n) < target:
-        n += 1
-    by_blocks = table.block(n)[:target]
+    by_blocks = table.block(table.level_reaching(target))[:target]
     if by_closure != by_blocks:
         _fail("closure-equivalence", target, "construction routes disagree")
 

@@ -27,7 +27,7 @@ from .errors import (
     VerificationError,
 )
 from .oracle import certified_scan, greatest_power_prefix, max_fractional_power
-from .partition import level_partition, refined_levels
+from .partition import level_partition, refined_levels, tile_count
 from .powers import block_index, census, prefix_index
 from .singular import factor_partition
 from .words import RationalIndex, shorten
@@ -36,9 +36,14 @@ _INLINE_WORD_LIMIT = 64
 
 # Guards derived from measured cost (2-CPU x86-64 VM, Python 3.11): the
 # closure behind `generate` takes about 2.5 us per letter and a census row
-# about 33 us per length, so each cap stands for 20 to 35 s of work.
+# about 33 us per length, so each cap stands for 20 to 35 s of work. A
+# partition tile costs about 4 us and 280 bytes (2^20 tiles: 4 s, 300 MB);
+# the battery about 0.16 us and 12 bytes per letter of its largest block,
+# block n + 2, above a 7 s floor (2^25 letters: 10 s, 400 MB).
 _GENERATE_GUARD = 1 << 23
 _CENSUS_RANGE_GUARD = 1 << 20
+_PARTITION_TILE_GUARD = 1 << 20
+_BATTERY_LETTER_GUARD = 1 << 25
 
 _USAGE_ERRORS = (ParseError, RangeError, CancellationError, NotAFactorError, InsufficientDataError)
 _VERIFY_ERRORS = (VerificationError, InvariantViolation)
@@ -196,6 +201,9 @@ def cmd_partition(args, rep: Reporter) -> int:
     table = _build_table(spec)
     n = args.n
     upto = args.m if args.m is not None else n + 2
+    tiles = tile_count(table, n, upto)
+    if tiles > _PARTITION_TILE_GUARD:
+        raise GuardExceeded(f"level-{n} tiling of block {upto}: {tiles} tiles, above the guard {_PARTITION_TILE_GUARD}")
     view = level_partition(table, n, upto)
     levels = [level for level, _, _ in view.items]
     rep.row(
@@ -354,6 +362,11 @@ def cmd_verify(args, rep: Reporter) -> int:
     spec = DirectiveSpec.parse(args.spec)
     table = _build_table(spec)
     n_max = args.n if args.n is not None else 8
+    letters = table.block_length(n_max + 2)
+    if letters > _BATTERY_LETTER_GUARD:
+        raise GuardExceeded(
+            f"battery to level {n_max} builds block {n_max + 2}: {letters} letters, above the guard {_BATTERY_LETTER_GUARD}"
+        )
     failures = 0
     for name, error in run_battery(table, n_max):
         ok = error is None

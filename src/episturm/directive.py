@@ -236,15 +236,10 @@ class PalindromicPrefixTable:
         """Shortest closure prefix of length >= length (RangeError on a finite directive that runs out)."""
         if length < 0:
             raise RangeError("length must be nonnegative")
-        with self._lock:
-            j = len(self._prefixes)
-            while len(self._prefixes[-1]) < length:
-                j += 1
-                self.prefix(j)
-            for candidate in self._prefixes:
-                if len(candidate) >= length:
-                    return candidate
-            return self._prefixes[-1]
+        j = 1
+        while len(self.prefix(j)) < length:
+            j += 1
+        return self.prefix(j)
 
 
 def closure_prefix(spec: DirectiveSpec, length: int) -> Word:

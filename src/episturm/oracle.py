@@ -28,10 +28,15 @@ import numpy as np
 
 from .blocks import BlockTable
 from .directive import closure_prefix
-from .errors import NotAFactorError, RangeError, VerificationError
+from .errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
 from .words import RationalIndex, Word, occurrences
 
 _PREFIX_CROSSCHECK_LETTERS = 20_000
+# Letter-shifts one certification scan may cost: m_max times the letters of the
+# larger block. Measured on a 2-CPU x86-64 VM (Python 3.11) at 0.3 to 0.8 ns
+# each, so the cap stands for under 7 s; the l = 2 witness sets then reach
+# about 1 GB on the Fibonacci word, the densest case.
+_SCAN_GUARD = 1 << 33
 _WINDOW_BATCH = 1 << 16
 _FOLD_MIN_NEED = 15  # 2c - 1 for the smallest chunk, one uint64 word of c = 8 letters
 
@@ -42,7 +47,6 @@ class ScanResult:
 
     l: int
     per_length: dict[int, frozenset]
-    positions: dict[int, dict[Word, tuple[int, ...]]] | None = None
 
 
 @dataclass(frozen=True)
@@ -58,10 +62,7 @@ def generate_prefix(table: BlockTable, min_length: int) -> Word:
     """The smallest block of length >= min_length (any block is a prefix of the word)."""
     if min_length < 1:
         raise RangeError(f"min_length must be >= 1 (got {min_length})")
-    n = 1
-    while table.block_length(n) < min_length:
-        n += 1
-    return table.block(n)
+    return table.block(table.level_reaching(min_length))
 
 
 def _byte_view(prefix: Word) -> np.ndarray:
@@ -148,30 +149,9 @@ def _bases_in_runs(prefix: Word, runs: np.ndarray, m: int, l: int) -> set[Word]:
     return {w[i:i + m] for w in windows for i in range(len(w) - m + 1)}
 
 
-def _results(prefix: Word, per_order: dict[int, dict[int, frozenset]], record_positions: bool) -> dict[int, ScanResult]:
-    """One ScanResult per order, with every base's occurrences of its power if asked."""
-    results: dict[int, ScanResult] = {}
-    for l, per_length in per_order.items():
-        positions = None
-        if record_positions:
-            positions = {
-                m: {w: tuple(occurrences(prefix, w * l)) for w in sorted(bases)}
-                for m, bases in per_length.items()
-            }
-        results[l] = ScanResult(l=l, per_length=per_length, positions=positions)
-    return results
-
-
-def scan_powers(
-    prefix: Word,
-    l: int,
-    m_min: int,
-    m_max: int,
-    *,
-    record_positions: bool = False,
-) -> ScanResult:
+def scan_powers(prefix: Word, l: int, m_min: int, m_max: int) -> ScanResult:
     """All bases with base**l inside prefix, for every base length in m_min..m_max."""
-    return scan_powers_multi(prefix, (l,), m_min, m_max, record_positions=record_positions)[l]
+    return scan_powers_multi(prefix, (l,), m_min, m_max)[l]
 
 
 def scan_powers_multi(
@@ -180,7 +160,6 @@ def scan_powers_multi(
     m_min: int,
     m_max: int,
     *,
-    record_positions: bool = False,
     shorter: int | None = None,
 ):
     """Scan several power orders at once, sharing the per-length run decomposition.
@@ -198,8 +177,8 @@ def scan_powers_multi(
         raise RangeError(f"prefix of {size} letters is too short for order {orders[-1]} at length {m_max}")
     buf = prefix.encode("ascii")
     arr = np.frombuffer(buf, dtype=np.uint8)
-    per_order: dict[int, dict[int, frozenset]] = {l: {} for l in orders}
-    clipped: dict[int, dict[int, frozenset]] = {l: {} for l in orders}
+    results = {l: ScanResult(l, {}) for l in orders}
+    clipped = {l: ScanResult(l, {}) for l in orders}
     for m in range(m_min, m_max + 1):
         need = (orders[0] - 1) * m
         if need < _FOLD_MIN_NEED:
@@ -208,13 +187,10 @@ def scan_powers_multi(
             runs = _chunk_runs(buf, arr, m, need)
         low = None if shorter is None else np.minimum(runs, shorter - m)
         for l in orders:
-            per_order[l][m] = frozenset(_bases_in_runs(prefix, runs, m, l))
+            results[l].per_length[m] = frozenset(_bases_in_runs(prefix, runs, m, l))
             if low is not None:
-                clipped[l][m] = frozenset(_bases_in_runs(prefix, low, m, l))
-    results = _results(prefix, per_order, record_positions)
-    if shorter is None:
-        return results
-    return results, _results(prefix[:shorter], clipped, record_positions)
+                clipped[l].per_length[m] = frozenset(_bases_in_runs(prefix, low, m, l))
+    return results if shorter is None else (results, clipped)
 
 
 def naive_scan(prefix: Word, l: int, m_min: int, m_max: int) -> dict[int, frozenset]:
@@ -235,9 +211,7 @@ def naive_scan(prefix: Word, l: int, m_min: int, m_max: int) -> dict[int, frozen
 
 
 def _stability_levels(table: BlockTable, m_max: int) -> tuple[int, int, int]:
-    n = 1
-    while table.block_length(n + 1) <= m_max:
-        n += 1
+    n = max(1, table.level_reaching(m_max + 1) - 1)
     k = table.spec.k
     return n, n + k + 3, n + k + 4
 
@@ -256,6 +230,11 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int):
     orders = range(2, l_max + 1)
     last_diff = None
     for low, high in ((low, high), (low + 1, high + 1)):
+        cost = m_max * table.block_length(high)
+        if cost > _SCAN_GUARD:
+            raise GuardExceeded(
+                f"certifying lengths up to {m_max} scans {cost} letter-shifts, above the guard {_SCAN_GUARD}"
+            )
         small = table.block(low)
         large = table.block(high)
         if not large.startswith(small):

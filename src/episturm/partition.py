@@ -24,23 +24,36 @@ class PartitionView:
     covered_prefix_length: int
 
 
+def _check_levels(level: int, upto_level: int) -> None:
+    if level < 0:
+        raise RangeError(f"partition level must be >= 0 (got {level})")
+    if upto_level <= level:
+        raise RangeError(f"upto_level {upto_level} must exceed the partition level {level}")
+
+
 def _expanded_levels(table: BlockTable, level: int, upto_level: int) -> tuple[int, ...]:
     """Flat sequence of tile levels for the level-`upto_level` block, all within the window."""
     flat: dict[int, tuple[int, ...]] = {}
     for m in range(level + 1, upto_level + 1):
         parts: list[int] = []
         for lower, e in table.pieces(m):
-            parts.extend(((lower,) if lower <= level else flat[lower]) * e)
+            parts.extend(flat.get(lower, (lower,)) * e)
         flat[m] = tuple(parts)
     return flat[upto_level]
 
 
+def tile_count(table: BlockTable, level: int, upto_level: int) -> int:
+    """How many tiles level_partition(table, level, upto_level) has, from the recurrence alone."""
+    _check_levels(level, upto_level)
+    counts: dict[int, int] = {}
+    for m in range(level + 1, upto_level + 1):
+        counts[m] = sum(e * counts.get(lower, 1) for lower, e in table.pieces(m))
+    return counts[upto_level]
+
+
 def level_partition(table: BlockTable, level: int, upto_level: int) -> PartitionView:
     """Tiling of the level-`upto_level` block by blocks of levels level-k+1..level."""
-    if level < 0:
-        raise RangeError(f"partition level must be >= 0 (got {level})")
-    if upto_level <= level:
-        raise RangeError(f"upto_level {upto_level} must exceed the partition level {level}")
+    _check_levels(level, upto_level)
     table.block_length(upto_level)  # surfaces guard violations before any expansion work
     tiles = _expanded_levels(table, level, upto_level)
     items: list[tuple[int, int, int]] = []

@@ -95,58 +95,43 @@ def _offset_pieces(table: BlockTable, n: int, depth: int) -> list[tuple[int, int
     return [(level, e) for level, e in table.pieces(n + 1) if low < level < n] + [(low, 1)]
 
 
-def _offset_total(table: BlockTable, n: int, depth: int) -> int:
-    """Grid offset at the given depth: trailing lower-block lengths below a power of block n."""
-    return sum(e * table.block_length(level) for level, e in _offset_pieces(table, n, depth))
+def _grid(table: BlockTable, n: int) -> dict[int, tuple[int, int]]:
+    """The level-n window grid as {depth: (offset, r_max)}, for the applicable depths only.
+
+    Its lengths are r * |block n| + offset for r in 1..r_max. Depth 1 has no
+    offset; depth i >= 2 adds the lower blocks trailing a power of block n and
+    applies only while level n+1-i is not negative. The deepest depth stops
+    one multiple short.
+    """
+    k = table.spec.k
+    d_next = table.exponent(n + 1)
+    grid = {1: (0, d_next)}
+    for depth in range(2, min(k, n + 1) + 1):
+        offset = sum(e * table.block_length(level) for level, e in _offset_pieces(table, n, depth))
+        grid[depth] = (offset, d_next if depth < k else d_next - 1)
+    return grid
 
 
 def window_level(table: BlockTable, m: int) -> int:
     """The level n with block length <= m below the next block length (level 0 for tiny m)."""
     if m < 1:
         raise RangeError(f"length must be >= 1 (got {m})")
-    n = 0
-    while table.block_length(n + 1) <= m:
-        n += 1
-    return n
+    return table.level_reaching(m + 1) - 1
 
 
 def length_sets(table: BlockTable, n: int) -> dict[int, tuple[int, ...]]:
     """The grid of power-carrying lengths in the level-n window, keyed by depth 1..k.
 
-    Depth 1 holds the plain multiples of the block length; depth i >= 2 adds
-    the fixed offset of that depth. Entries are clipped to the window, and a
-    depth whose offset would need a negative level reports empty.
+    Entries are clipped to the window, and a depth whose offset would need a
+    negative level reports empty.
     """
     if n < 1:
         raise RangeError(f"length grid starts at level 1 (got {n})")
-    k = table.spec.k
-    d_next = table.exponent(n + 1)
     size = table.block_length(n)
     window_end = table.block_length(n + 1)
-    out: dict[int, tuple[int, ...]] = {1: tuple(r * size for r in range(1, d_next + 1))}
-    for depth in range(2, k + 1):
-        if n + 1 - depth < 0:
-            out[depth] = ()
-            continue
-        offset = _offset_total(table, n, depth)
-        r_max = d_next if depth < k else d_next - 1
+    out: dict[int, tuple[int, ...]] = {depth: () for depth in range(1, table.spec.k + 1)}
+    for depth, (offset, r_max) in _grid(table, n).items():
         out[depth] = tuple(r * size + offset for r in range(1, r_max + 1) if r * size + offset < window_end)
-    return out
-
-
-def _grid_candidates(table: BlockTable, n: int, m: int) -> list[tuple[int, int]]:
-    """All (depth, multiplier) grid matches for m in the level-n window, applicable or not."""
-    k = table.spec.k
-    size = table.block_length(n)
-    d_next = table.exponent(n + 1)
-    out: list[tuple[int, int]] = []
-    if m % size == 0 and 1 <= m // size <= d_next:
-        out.append((1, m // size))
-    for depth in range(2, k + 1):
-        rest = m - _offset_total(table, n, depth)
-        r_max = d_next if depth < k else d_next - 1
-        if rest > 0 and rest % size == 0 and 1 <= rest // size <= r_max:
-            out.append((depth, rest // size))
     return out
 
 
@@ -160,15 +145,17 @@ def census(table: BlockTable, m: int, l: int) -> PowerCensus:
     if l < 2:
         raise RangeError(f"power order must be >= 2 (got {l})")
     n = window_level(table, m)
-    candidates = _grid_candidates(table, n, m)
-    applicable = [(depth, r) for depth, r in candidates if depth == 1 or n + 1 - depth >= 0]
-    if not candidates:
+    size = table.block_length(n)
+    points = [
+        (depth, (m - offset) // size)
+        for depth, (offset, r_max) in _grid(table, n).items()
+        if (m - offset) % size == 0 and 1 <= (m - offset) // size <= r_max
+    ]
+    if not points:
         return PowerCensus(m, l, 0, CensusProvenance("off-grid", n))
-    if len(applicable) != 1:
-        raise InvariantViolation(
-            f"length {m} matches {len(applicable)} applicable grid points at level {n} (candidates {candidates})"
-        )
-    depth, r = applicable[0]
+    if len(points) > 1:
+        raise InvariantViolation(f"length {m} matches {len(points)} applicable grid points at level {n} ({points})")
+    depth, r = points[0]
     d_next = table.exponent(n + 1)
     k = table.spec.k
     if depth == 1:

@@ -22,7 +22,6 @@ class FactorPartition:
     level: int
     rotations: frozenset
     singular: dict[int, frozenset]
-    source_window: dict[int, Word]
 
     @property
     def classes(self) -> int:
@@ -75,7 +74,6 @@ def factor_partition(table: BlockTable, n: int) -> FactorPartition:
     if len(rotations) != size:
         raise InvariantViolation(f"level-{n} block is not primitive: {len(rotations)} rotations for length {size}")
     singular = {r: singular_words(table, n, r) for r in range(1, k)}
-    windows = {r: singular_window(table, n, r) for r in range(1, k)}
 
     classes: list[frozenset] = [rotations] + [singular[r] for r in range(1, k)]
     for a in range(len(classes)):
@@ -91,7 +89,7 @@ def factor_partition(table: BlockTable, n: int) -> FactorPartition:
     total = sum(len(c) for c in classes)
     if total != expected_total:
         raise InvariantViolation(f"level {n}: {total} factors across classes, expected {expected_total}")
-    return FactorPartition(level=n, rotations=rotations, singular=singular, source_window=windows)
+    return FactorPartition(level=n, rotations=rotations, singular=singular)
 
 
 def classify_factor(partition: FactorPartition, w: Word) -> int | None:

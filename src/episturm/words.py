@@ -73,7 +73,7 @@ def strip_prefix(w: Word, p: Word) -> Word:
 
 def strip_suffix(w: Word, s: Word) -> Word:
     """Remove s from the end of w; the removal must match exactly."""
-    if not w.endswith(s) or len(s) > len(w):
+    if not w.endswith(s):
         raise CancellationError(f"{shorten(s)!r} is not a suffix of {shorten(w)!r}")
     return w[:len(w) - len(s)]
 

@@ -52,6 +52,14 @@ class TestBlocks:
             assert trib.first_letter_count(n) == trib.block(n).count("a")
             assert trib.block_length(n) == len(trib.block(n))
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_level_reaching_is_the_lowest_long_enough_block(self, tables, name):
+        table = tables[name]
+        for length in range(1, table.block_length(8) + 2):
+            n = table.level_reaching(length)
+            assert n >= 1 and table.block_length(n) >= length
+            assert n == 1 or table.block_length(n - 1) < length
+
     def test_block_equals_composed_increment(self, mix3):
         for n in range(1, 7):
             stage = exponent_sum(mix3.spec, n)

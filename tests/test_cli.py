@@ -132,6 +132,12 @@ class TestSingular:
         code, _, err = run_cli(capsys, "singular", "--spec", TRIB, "--n", "40")
         assert code == 4
 
+    def test_quadratic_partition_trips_the_guard_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "singular", "--spec", TRIB, "--n", "16")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == "" and "16" in err
+
 
 class TestPartition:
     def test_tiling_row(self, capsys):
@@ -154,6 +160,22 @@ class TestPartition:
         code, out, _ = run_cli(capsys, "partition", "--spec", TRIB, "--n", "1", "--json")
         rows = json_rows(out)
         assert rows[0]["upto"] == 3
+
+    def test_too_many_tiles_trip_the_guard_at_once(self, capsys):
+        # 69,700,671 tiles; expanding them used to take minutes and gigabytes
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "partition", "--spec", TRIB, "--n", "1", "--m", "30")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == "" and "69700671 tiles" in err
+
+    def test_tiles_just_under_the_guard_are_accepted(self, capsys, monkeypatch):
+        # the level-1 tiling of block 8 has 105 tiles
+        monkeypatch.setattr(cli, "_PARTITION_TILE_GUARD", 105)
+        code, _, _ = run_cli(capsys, "partition", "--spec", TRIB, "--n", "1", "--m", "8")
+        assert code == 0
+        monkeypatch.setattr(cli, "_PARTITION_TILE_GUARD", 104)
+        code, _, _ = run_cli(capsys, "partition", "--spec", TRIB, "--n", "1", "--m", "8")
+        assert code == 4
 
 
 class TestIndex:
@@ -239,7 +261,7 @@ class TestCensus:
         assert verdict["ok"] is True and verdict["mismatched_lengths"] == []
 
     def test_grid_invariant_failure_exits_three(self, capsys, monkeypatch):
-        monkeypatch.setattr(powers, "_grid_candidates", lambda table, n, m: [(1, 1), (2, 1)])
+        monkeypatch.setattr(powers, "_grid", lambda table, n: {1: (0, 1), 2: (0, 1)})
         code, _, err = run_cli(capsys, "census", "--spec", TRIB, "--m", "4")
         assert code == 3 and "2 applicable grid points" in err
 
@@ -269,6 +291,13 @@ class TestCensus:
         assert time.perf_counter() - start < 1.0
         assert code == 4 and out == "" and "guard" in err
 
+    def test_costly_certification_trips_the_guard_at_once(self, capsys):
+        # scanning a 2.6M-letter block at 40,000 shifts ran out of memory before
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "40000", "--verify")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == "" and "letter-shifts" in err
+
 
 class TestVerify:
     def test_battery_passes_and_reports_each_check(self, capsys):
@@ -285,6 +314,20 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--spec", TRIB, "--n", "3")
         assert code == 0
         assert "PASS block-letters" in out
+
+    def test_large_battery_trips_the_guard_at_once(self, capsys):
+        # block 31 has 181,997,601 letters; the battery used to build up to it before the guard tripped
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--spec", TRIB, "--n", "29")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == "" and "block 31" in err
+
+    def test_battery_guard_reads_block_n_plus_two(self, capsys, monkeypatch):
+        # block 5 of the Tribonacci word has 24 letters
+        monkeypatch.setattr(cli, "_BATTERY_LETTER_GUARD", 24)
+        assert run_cli(capsys, "verify", "--spec", TRIB, "--n", "3")[0] == 0
+        monkeypatch.setattr(cli, "_BATTERY_LETTER_GUARD", 23)
+        assert run_cli(capsys, "verify", "--spec", TRIB, "--n", "3")[0] == 4
 
 
 class TestArgparse:

@@ -132,6 +132,12 @@ class TestClosure:
             grown = palindromic_closure(table.prefix(j) + directive_letter(TRIB, j))
             assert grown == table.prefix(j + 1)
 
+    def test_prefix_of_length_is_the_shortest_long_enough(self):
+        table = PalindromicPrefixTable(TRIB)
+        assert table.prefix_of_length(0) == ""
+        got = [table.prefix_of_length(n) for n in (1, 2, 3, 4, 7, 8)]
+        assert got == ["a", "aba", "aba", "abacaba", "abacaba", "abacabaabacaba"]
+
     def test_increment_word_recurrence(self):
         table = PalindromicPrefixTable(TRIB)
         for j in range(1, 9):

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from episturm.blocks import BlockTable
 from episturm.directive import DirectiveSpec
-from episturm.errors import NotAFactorError, RangeError, VerificationError
+import episturm.oracle as oracle
+from episturm.errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
 from episturm.oracle import (
     certified_scan,
     certify_prefix,
@@ -17,7 +18,7 @@ from episturm.oracle import (
     scan_powers_multi,
 )
 from episturm.powers import block_index, census
-from episturm.words import RationalIndex
+from episturm.words import RationalIndex, occurrences
 
 from conftest import ALL_NAMES
 
@@ -37,12 +38,12 @@ class TestScan:
         assert scan_powers("abababab", 2, 2, 2).per_length[2] == frozenset({"ab", "ba"})
 
     def test_positions_are_sound(self):
-        out = scan_powers("abababab", 3, 1, 2, record_positions=True)
-        assert out.positions[2]["ab"] == (0, 2)
-        for m, by_word in out.positions.items():
-            for w, starts in by_word.items():
-                for i in starts:
-                    assert "abababab"[i : i + 3 * m] == w * 3
+        out = scan_powers("abababab", 3, 1, 2)
+        assert out.per_length[2] == frozenset({"ab", "ba"})
+        assert occurrences("abababab", "ab" * 3) == [0, 2]
+        for bases in out.per_length.values():
+            for w in bases:
+                assert occurrences("abababab", w * 3)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_agrees_with_fully_naive_scan(self, tables, name):
@@ -165,6 +166,17 @@ class TestCertificates:
     def test_certify_prefix_shortcut(self, trib):
         assert certify_prefix(trib, 13, 2).word == certified_scan(trib, 13, 2)[0].word
 
+    def test_scan_cost_guard_trips_before_any_block_is_built(self, monkeypatch):
+        table = BlockTable(DirectiveSpec.parse("k=3; d=; 1"))
+        # lengths up to 13 certify block 504 by scanning block 927: 13 * 927 letter-shifts
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * 927)
+        assert len(certified_scan(table, 13, 2)[0].word) == 504
+        fresh = BlockTable(DirectiveSpec.parse("k=3; d=; 1"))
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * 927 - 1)
+        monkeypatch.setattr(fresh, "block", lambda n: pytest.fail("built a block"))
+        with pytest.raises(GuardExceeded, match="letter-shifts"):
+            certified_scan(fresh, 13, 2)
+
     def test_finite_directive_cannot_certify(self):
         table = BlockTable(DirectiveSpec.parse("k=2; d=1,1,1,1"))
         with pytest.raises(RangeError):
@@ -199,12 +211,10 @@ class TestIndexMeasurement:
 class TestSoundnessSample:
     def test_reported_bases_occur_literally(self, trib):
         prefix = generate_prefix(trib, 3000)
-        result = scan_powers(prefix, 2, 1, 24, record_positions=True)
-        for m, bases in result.per_length.items():
+        result = scan_powers(prefix, 2, 1, 24)
+        for bases in result.per_length.values():
             for w in bases:
-                starts = result.positions[m][w]
-                assert starts, f"no recorded occurrence for {w!r}"
-                assert prefix[starts[0] : starts[0] + 2 * m] == w * 2
+                assert occurrences(prefix, w * 2), f"no occurrence of the square of {w!r}"
 
 
 @st.composite

@@ -4,7 +4,7 @@ import pytest
 
 from episturm.errors import InsufficientDataError, InvariantViolation, RangeError
 from episturm.oracle import generate_prefix
-from episturm.partition import block_positions, level_partition, return_words
+from episturm.partition import block_positions, level_partition, return_words, tile_count
 
 from conftest import ALL_NAMES
 
@@ -74,6 +74,17 @@ class TestTiling:
             level_partition(trib, -1, 3)
         with pytest.raises(RangeError):
             level_partition(trib, 3, 3)
+        with pytest.raises(RangeError):
+            tile_count(trib, -1, 3)
+        with pytest.raises(RangeError):
+            tile_count(trib, 3, 3)
+
+    def test_tile_count_needs_no_tiling(self, tables):
+        for name in ALL_NAMES:
+            table = tables[name]
+            for n in range(0, 5):
+                for upto in range(n + 1, n + 6):
+                    assert tile_count(table, n, upto) == len(level_partition(table, n, upto).items)
 
 
 class TestAlignment:
