@@ -61,10 +61,10 @@ class BlockTable:
         if n > self._level_guard:
             raise GuardExceeded(f"level {n} above the guard {self._level_guard}")
 
-    def _check_size(self, what: str, n: int, size: int) -> None:
-        """Refuse to build a word of `size` letters above the length guard, before building it."""
+    def check_size(self, what: str, size: int) -> None:
+        """Refuse to build `size` letters above the length guard, before building them."""
         if size > self._length_guard:
-            raise GuardExceeded(f"{what} at level {n} has {size} letters, above the length guard {self._length_guard}")
+            raise GuardExceeded(f"{what} has {size} letters, above the length guard {self._length_guard}")
 
     def pieces(self, n: int) -> tuple[tuple[int, int], ...]:
         """The recurrence for block n as (level, exponent) pairs, highest level first.
@@ -129,7 +129,7 @@ class BlockTable:
         with self._lock:
             got = self._blocks.get(n)
             if got is None:
-                self._check_size("block", n, self.block_length(n))
+                self.check_size(f"block at level {n}", self.block_length(n))
                 got = "".join(self.block(level) * e for level, e in self.pieces(n))
                 self._blocks[n] = got
             return got
@@ -141,7 +141,7 @@ class BlockTable:
         with self._lock:
             got = self._prefixes.get(n)
             if got is None:
-                self._check_size("palindromic prefix", n, self.palindromic_prefix_length(n))
+                self.check_size(f"palindromic prefix at level {n}", self.palindromic_prefix_length(n))
                 d_next = exponent(self._spec, n + 1)
                 if n < k:
                     got = (self.block(n) * d_next)[:-1]
@@ -198,5 +198,5 @@ class BlockTable:
         self._check_level(n, low=0, what="power prefix")
         if n == 0:
             return ""
-        self._check_size("power prefix", n, self.block_length(n - 1) + self.palindromic_prefix_length(n - 1))
+        self.check_size(f"power prefix at level {n}", self.block_length(n - 1) + self.palindromic_prefix_length(n - 1))
         return self.block(n - 1) + self.palindromic_prefix(n - 1)

@@ -19,7 +19,6 @@ from .directive import DirectiveSpec, closure_prefix
 from .errors import (
     CancellationError,
     GuardExceeded,
-    InsufficientDataError,
     InvariantViolation,
     NotAFactorError,
     ParseError,
@@ -28,24 +27,25 @@ from .errors import (
 )
 from .oracle import certified_scan, greatest_power_prefix, max_fractional_power
 from .partition import level_partition, refined_levels, tile_count
-from .powers import block_index, census, prefix_index
+from .powers import block_index, census, census_range, prefix_index
 from .singular import factor_partition
 from .words import RationalIndex, shorten
 
 _INLINE_WORD_LIMIT = 64
 
 # Guards derived from measured cost (2-CPU x86-64 VM, Python 3.11): the
-# closure behind `generate` takes about 2.5 us per letter and a census row
-# about 33 us per length, so each cap stands for 20 to 35 s of work. A
-# partition tile costs about 4 us and 280 bytes (2^20 tiles: 4 s, 300 MB);
-# the battery about 0.16 us and 12 bytes per letter of its largest block,
-# block n + 2, above a 7 s floor (2^25 letters: 10 s, 400 MB).
+# closure behind `generate` takes about 2.5 us per letter and a `census --full`
+# row about 20 us per length, so each cap stands for about 20 s of work (plain
+# census ranges visit only their carrying lengths; the table's length guard
+# bounds their bases). A partition tile costs about 4 us and 280 bytes (2^20
+# tiles: 4 s, 300 MB); the battery about 0.16 us and 12 bytes per letter of its
+# largest block, block n + 2, above a 7 s floor (2^25 letters: 10 s, 400 MB).
 _GENERATE_GUARD = 1 << 23
 _CENSUS_RANGE_GUARD = 1 << 20
 _PARTITION_TILE_GUARD = 1 << 20
 _BATTERY_LETTER_GUARD = 1 << 25
 
-_USAGE_ERRORS = (ParseError, RangeError, CancellationError, NotAFactorError, InsufficientDataError)
+_USAGE_ERRORS = (ParseError, RangeError, CancellationError, NotAFactorError)
 _VERIFY_ERRORS = (VerificationError, InvariantViolation)
 
 
@@ -237,6 +237,8 @@ def cmd_index(args, rep: Reporter) -> int:
     table = _build_table(spec)
     if (args.n is None) == (args.all_up_to is None):
         raise ParseError("pass exactly one of --n or --all-up-to")
+    if args.all_up_to is not None and args.all_up_to < 1:
+        raise RangeError(f"index levels start at 1 (got --all-up-to {args.all_up_to})")
     levels = [args.n] if args.n is not None else range(1, args.all_up_to + 1)
     for n in levels:
         p = _index_payload(table, n)
@@ -307,37 +309,36 @@ def cmd_census(args, rep: Reporter) -> int:
     table = _build_table(spec)
     if (args.m is None) == (args.all_up_to is None):
         raise ParseError("pass exactly one of --m or --all-up-to")
-    if args.all_up_to is not None and args.all_up_to > _CENSUS_RANGE_GUARD:
-        raise GuardExceeded(f"{args.all_up_to} lengths above the census range guard {_CENSUS_RANGE_GUARD}")
     l = args.l
-    m_max = args.m if args.m is not None else args.all_up_to
-    lengths = [args.m] if args.m is not None else range(1, m_max + 1)
+    ranged = args.all_up_to is not None
+    m_max = args.all_up_to if ranged else args.m
+    if args.full and ranged and m_max > _CENSUS_RANGE_GUARD:
+        raise GuardExceeded(f"{m_max} lengths above the census range guard {_CENSUS_RANGE_GUARD}")
     if args.verify:
         # certify first: its guards trip before any witness set is built
         certificate, scans = certified_scan(table, m_max, l)
-    nonzero: list[int] = []
-    mismatches: list[int] = []
-    for m in lengths:
-        row = census(table, m, l)
-        if row.count:
-            nonzero.append(m)
-        witnesses = sorted(row.witnesses) if args.full or args.verify else None
-        if args.verify and scans[l].per_length[m] != frozenset(witnesses):
-            mismatches.append(m)
-        if row.count or args.m is not None or args.full:
-            payload, text = _census_payload(table, row, args.full)
-            if args.full:
-                payload["witnesses"] = witnesses
-            rep.row("census-row", payload, text)
-            if args.full and witnesses:
-                rep.row("witness-list", {"m": m, "l": l, "witnesses": witnesses}, [f"  {w}" for w in witnesses])
-    if args.all_up_to is not None:
+    rows = census_range(table, m_max, l).nonzero if ranged else [census(table, m_max, l)]
+    carrying = {row.m: row for row in rows if row.count}
+    if args.full:
+        table.check_size(f"census witness lists to m={m_max}", sum(row.count * row.m for row in carrying.values()))
+        if ranged:
+            rows = (carrying[m] if m in carrying else census(table, m, l) for m in range(1, m_max + 1))
+    for row in rows:
+        payload, text = _census_payload(table, row, args.full)
+        if args.full:
+            payload["witnesses"] = witnesses = sorted(row.witnesses)
+        rep.row("census-row", payload, text)
+        if args.full and witnesses:
+            rep.row("witness-list", {"m": row.m, "l": l, "witnesses": witnesses}, [f"  {w}" for w in witnesses])
+    if ranged:
         rep.row(
             "census-summary",
-            {"l": l, "m_max": m_max, "nonzero_lengths": nonzero, "zero_count": len(lengths) - len(nonzero)},
-            f"order {l}: {len(nonzero)} carrying lengths up to {m_max}: {' '.join(map(str, nonzero))}",
+            {"l": l, "m_max": m_max, "nonzero_lengths": list(carrying), "zero_count": m_max - len(carrying)},
+            f"order {l}: {len(carrying)} carrying lengths up to {m_max}: {' '.join(map(str, carrying))}",
         )
     if args.verify:
+        lengths = range(1, m_max + 1) if ranged else [m_max]
+        mismatches = [m for m in lengths if scans[l].per_length[m] != frozenset(carrying[m].witnesses if m in carrying else ())]
         ok = not mismatches
         rep.row(
             "verification",
@@ -362,6 +363,8 @@ def cmd_verify(args, rep: Reporter) -> int:
     spec = DirectiveSpec.parse(args.spec)
     table = _build_table(spec)
     n_max = args.n if args.n is not None else 8
+    if n_max < 0:
+        raise RangeError(f"battery level must be >= 0 (got {n_max})")
     letters = table.block_length(n_max + 2)
     if letters > _BATTERY_LETTER_GUARD:
         raise GuardExceeded(

@@ -4,9 +4,10 @@ Every length m falls into the window of the unique level n whose block length
 is <= m but whose successor's is not. Inside a window, lengths carrying any
 integer power lie on a small grid: plain multiples of the block length, or a
 multiple plus one of k-1 fixed offsets. The dispatcher classifies m on that
-grid and describes the exact witness set as leading rotations of one base
-word; everything else is integer arithmetic, and the scanning oracle
-cross-checks the result in the test suite.
+grid, a range walks the grids and visits only the carrying points, and each
+row describes the exact witness set as leading rotations of one base word;
+everything else is integer arithmetic, and the scanning oracle cross-checks
+the result in the test suite.
 """
 
 from __future__ import annotations
@@ -57,11 +58,16 @@ class PowerCensus:
 
 @dataclass(frozen=True)
 class CensusRange:
-    """census over 1..m_max: rows with witnesses, plus the lengths that carry none."""
+    """census over 1..m_max: the carrying rows, from a walk over the window grids; every other length carries none."""
 
     l: int
+    m_max: int
     nonzero: tuple[PowerCensus, ...]
-    zero_lengths: tuple[int, ...]
+
+    @property
+    def zero_lengths(self) -> tuple[int, ...]:
+        carrying = {row.m for row in self.nonzero}
+        return tuple(m for m in range(1, self.m_max + 1) if m not in carrying)
 
 
 def prefix_index(table: BlockTable, n: int) -> RationalIndex:
@@ -140,22 +146,8 @@ def _offset_base(table: BlockTable, n: int, depth: int, r: int) -> Word:
     return table.block(n) * r + "".join(table.block(level) * e for level, e in _offset_pieces(table, n, depth))
 
 
-def census(table: BlockTable, m: int, l: int) -> PowerCensus:
-    """Every length-m word whose l-th power occurs in the infinite word, by closed form."""
-    if l < 2:
-        raise RangeError(f"power order must be >= 2 (got {l})")
-    n = window_level(table, m)
-    size = table.block_length(n)
-    points = [
-        (depth, (m - offset) // size)
-        for depth, (offset, r_max) in _grid(table, n).items()
-        if (m - offset) % size == 0 and 1 <= (m - offset) // size <= r_max
-    ]
-    if not points:
-        return PowerCensus(m, l, 0, CensusProvenance("off-grid", n))
-    if len(points) > 1:
-        raise InvariantViolation(f"length {m} matches {len(points)} applicable grid points at level {n} ({points})")
-    depth, r = points[0]
+def _row(table: BlockTable, m: int, l: int, n: int, depth: int, r: int) -> PowerCensus:
+    """The census row of length m at grid point (depth, r) of the level-n window."""
     d_next = table.exponent(n + 1)
     k = table.spec.k
     if depth == 1:
@@ -171,27 +163,59 @@ def census(table: BlockTable, m: int, l: int) -> PowerCensus:
             take = table.palindromic_prefix_length(n - k) + 1
         else:
             take = 0
-        base = table.block(n) * r if take else None
     else:
         kind = "block-offset"
         take = table.palindromic_prefix_length(n + 1 - depth) + 1 if l == 2 else 0
-        base = _offset_base(table, n, depth, r) if take else None
-    # rotations 0..take-1 are distinct exactly when the base's rotation period is >= take
-    if base is not None and (base + base).find(base, 1) < take:
-        raise InvariantViolation(f"witness rotations collide at m={m}, l={l}")
+    base = None
+    if take:
+        table.check_size(f"census base at m={m}", m)
+        base = table.block(n) * r if depth == 1 else _offset_base(table, n, depth, r)
+        # rotations 0..take-1 are distinct exactly when the base's rotation period is >= take
+        if (base + base).find(base, 1) < take:
+            raise InvariantViolation(f"witness rotations collide at m={m}, l={l}")
     return PowerCensus(m, l, take, CensusProvenance(kind, n, depth, r, base))
 
 
+def census(table: BlockTable, m: int, l: int) -> PowerCensus:
+    """Every length-m word whose l-th power occurs in the infinite word, by closed form."""
+    if l < 2:
+        raise RangeError(f"power order must be >= 2 (got {l})")
+    n = window_level(table, m)
+    size = table.block_length(n)
+    points = [
+        (depth, (m - offset) // size)
+        for depth, (offset, r_max) in _grid(table, n).items()
+        if (m - offset) % size == 0 and 1 <= (m - offset) // size <= r_max
+    ]
+    if not points:
+        return PowerCensus(m, l, 0, CensusProvenance("off-grid", n))
+    if len(points) > 1:
+        raise InvariantViolation(f"length {m} matches {len(points)} applicable grid points at level {n} ({points})")
+    return _row(table, m, l, n, *points[0])
+
+
 def census_range(table: BlockTable, m_max: int, l: int) -> CensusRange:
-    """census for every length 1..m_max, split into carrying rows and empty lengths."""
+    """census over 1..m_max, by a walk over the window grids that visits only the carrying grid points.
+
+    Depth 1 carries while l * r < d_{n+1} + 2, and at equality from level k
+    on (the palindromic prefix at n - k is formal below it); deeper depths
+    carry squares only. The letters of all the bases are checked against the
+    length guard before any is built.
+    """
     if m_max < 1:
         raise RangeError(f"m_max must be >= 1 (got {m_max})")
-    nonzero: list[PowerCensus] = []
-    zero: list[int] = []
-    for m in range(1, m_max + 1):
-        row = census(table, m, l)
-        if row.count:
-            nonzero.append(row)
-        else:
-            zero.append(m)
-    return CensusRange(l=l, nonzero=tuple(nonzero), zero_lengths=tuple(zero))
+    if l < 2:
+        raise RangeError(f"power order must be >= 2 (got {l})")
+    runs = []
+    for n in range(window_level(table, m_max) + 1):
+        size = table.block_length(n)
+        for depth, (offset, r_max) in _grid(table, n).items():
+            if depth == 1:
+                r_max = min(r_max, (table.exponent(n + 1) + 1 + (n >= table.spec.k)) // l)
+            elif l > 2:
+                continue
+            runs.append((n, depth, range(offset + size, min(m_max, offset + r_max * size) + 1, size)))
+    letters = sum((lengths.start + lengths[-1]) * len(lengths) // 2 for _, _, lengths in runs if lengths)
+    table.check_size(f"census range 1..{m_max}", letters)
+    points = sorted((m, n, depth, r) for n, depth, lengths in runs for r, m in enumerate(lengths, 1))
+    return CensusRange(l=l, m_max=m_max, nonzero=tuple(_row(table, m, l, n, depth, r) for m, n, depth, r in points))

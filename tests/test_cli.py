@@ -281,9 +281,37 @@ class TestCensus:
 
     def test_range_just_over_the_guard_exits_at_once(self, capsys):
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", str(cli._CENSUS_RANGE_GUARD + 1))
+        code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", str(cli._CENSUS_RANGE_GUARD + 1), "--full")
         assert time.perf_counter() - start < 1.0
         assert code == 4 and out == "" and "guard" in err
+
+    def test_only_full_ranges_read_the_range_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_CENSUS_RANGE_GUARD", 57)
+        assert run_cli(capsys, "census", "--spec", MIX3, "--all-up-to", "58")[0] == 0
+        assert run_cli(capsys, "census", "--spec", MIX3, "--all-up-to", "58", "--l", "3", "--verify")[0] == 0
+        assert run_cli(capsys, "census", "--spec", MIX3, "--all-up-to", "58", "--full")[0] == 4
+
+    def test_range_bases_above_the_length_guard_exit_at_once(self, capsys):
+        # the carrying lengths up to 10^9 add up to more than 2^27 base letters
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", str(10**9))
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == "" and "census range 1..1000000000 has" in err
+
+    def test_long_base_trips_the_length_guard_at_once(self, capsys):
+        # m = 500 * |block 2| carries every rotation of a 500,500,500-letter base
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "census", "--spec", "k=2; d=; 1000", "--m", "500500500")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == "" and "census base at m=500500500" in err
+
+    @pytest.mark.parametrize("lengths", [("--m", "66012"), ("--all-up-to", "70000")])
+    def test_full_witness_letters_trip_the_length_guard_at_once(self, capsys, lengths):
+        # m = 66012 carries 66,012 witnesses of 66,012 letters
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "census", "--spec", TRIB, *lengths, "--full")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == "" and "census witness lists" in err
 
     def test_huge_verified_range_trips_the_guard_at_once(self, capsys):
         start = time.perf_counter()
@@ -315,6 +343,10 @@ class TestVerify:
         assert code == 0
         assert "PASS block-letters" in out
 
+    def test_level_zero_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--spec", TRIB, "--n", "0")
+        assert code == 0 and "battery up to level 0: all checks pass" in out
+
     def test_large_battery_trips_the_guard_at_once(self, capsys):
         # block 31 has 181,997,601 letters; the battery used to build up to it before the guard tripped
         start = time.perf_counter()
@@ -328,6 +360,22 @@ class TestVerify:
         assert run_cli(capsys, "verify", "--spec", TRIB, "--n", "3")[0] == 0
         monkeypatch.setattr(cli, "_BATTERY_LETTER_GUARD", 23)
         assert run_cli(capsys, "verify", "--spec", TRIB, "--n", "3")[0] == 4
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("census", "--all-up-to", "0"), "m_max must be >= 1 (got 0)"),
+        (("census", "--all-up-to", "-3"), "m_max must be >= 1 (got -3)"),
+        (("census", "--all-up-to", "0", "--verify"), "m_max must be >= 1 (got 0)"),
+        (("census", "--all-up-to", "0", "--full"), "m_max must be >= 1 (got 0)"),
+        (("index", "--all-up-to", "0"), "index levels start at 1"),
+        (("verify", "--n", "-1"), "battery level must be >= 0"),
+    ],
+)
+def test_nonpositive_ranges_exit_two_before_any_row(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv[0], "--spec", TRIB, *argv[1:])
+    assert code == 2 and out == "" and message in err
 
 
 class TestArgparse:

@@ -1,9 +1,14 @@
 """Closed-form power census, indices, witnesses, and the length grid."""
 
+import random
+
 import pytest
 from fractions import Fraction
 
-from episturm.errors import RangeError
+from episturm.blocks import BlockTable
+from episturm.directive import DirectiveSpec
+from episturm import powers
+from episturm.errors import GuardExceeded, RangeError
 from episturm.powers import (
     block_index,
     block_index_witness,
@@ -15,7 +20,18 @@ from episturm.powers import (
 )
 from episturm.words import RationalIndex, is_primitive
 
-from conftest import ALL_NAMES
+from conftest import ALL_NAMES, SPEC_TEXTS
+
+
+def _random_specs(count: int, seed: int) -> list[str]:
+    """Directive texts with k = 2..6, short preperiods and periods of exponents up to 4."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        pre = ",".join(str(rng.randint(1, 4)) for _ in range(rng.randint(0, 4)))
+        period = ",".join(str(rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
+        texts.append(f"k={rng.randint(2, 6)}; d={pre}; {period}")
+    return texts
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +148,36 @@ class TestCensus:
         assert [c.m for c in rng.nonzero] == [1, 2, 3, 4, 6, 7, 10, 11, 15, 21, 22, 26, 32, 43, 58]
         assert all(census(mix3, m, 2).count == 0 for m in rng.zero_lengths)
         assert len(rng.nonzero) + len(rng.zero_lengths) == 58
+
+    @pytest.mark.parametrize("text", [*SPEC_TEXTS.values(), *_random_specs(12, seed=6)])
+    def test_walk_equals_per_length_census(self, text):
+        table = BlockTable(DirectiveSpec.parse(text))
+        for l in (2, 3, 4):
+            rows = [census(table, m, l) for m in range(1, 400)]
+            rng = census_range(table, 399, l)
+            assert rng.nonzero == tuple(row for row in rows if row.count)
+            assert rng.zero_lengths == tuple(row.m for row in rows if not row.count)
+
+    def test_range_guard_counts_the_base_letters(self, monkeypatch):
+        spec = DirectiveSpec.parse(SPEC_TEXTS["k3_mixed"])
+        letters = sum(row.m for row in census_range(BlockTable(spec), 58, 2).nonzero)
+        assert len(census_range(BlockTable(spec, length_guard=letters), 58, 2).nonzero) == 15
+        # refused before any row, and so any base, is built
+        monkeypatch.setattr(powers, "_row", None)
+        with pytest.raises(GuardExceeded, match=f"census range 1..58 has {letters} letters"):
+            census_range(BlockTable(spec, length_guard=letters - 1), 58, 2)
+
+    def test_base_checks_the_length_guard(self):
+        # m = 15 carries 8 rotations of a 15-letter base built from blocks of at most 11 letters
+        spec = DirectiveSpec.parse(SPEC_TEXTS["k3_mixed"])
+        assert census(BlockTable(spec, length_guard=15), 15, 2).count == 8
+        with pytest.raises(GuardExceeded, match="census base at m=15"):
+            census(BlockTable(spec, length_guard=14), 15, 2)
+
+    def test_range_arguments(self, trib):
+        for m_max, l in ((0, 2), (-3, 2), (5, 1)):
+            with pytest.raises(RangeError):
+                census_range(trib, m_max, l)
 
     def test_monotone_in_the_order(self, tables):
         for name in ALL_NAMES:
