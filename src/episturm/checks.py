@@ -4,17 +4,21 @@ Each check raises VerificationError naming the first failing level. The
 battery is exact string or integer equality throughout; callers choose how
 far up the level ladder to push. Checks that would materialize quadratic or
 deep data (singular classes, occurrence sub-checks) cap themselves by size,
-never by weakening an equality.
+and the closure comparisons also by the letters the closure scans, never by
+weakening an equality.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable
 
 from .blocks import BlockTable
 from .directive import (
     PalindromicPrefixTable,
+    closure_lengths,
     closure_prefix,
+    closure_work,
     directive_letter,
     exponent_sum,
     next_same_letter,
@@ -26,7 +30,6 @@ from .partition import level_partition, refined_levels
 from .powers import block_index, block_index_witness, census, length_sets, prefix_index
 from .singular import factor_partition, singular_window
 from .words import (
-    Word,
     conjugate,
     is_palindrome,
     is_primitive,
@@ -34,10 +37,13 @@ from .words import (
     shorten,
     strip_prefix,
     strip_suffix,
-    z_array,
+    two_palindrome_splits,
 )
 
 _CLOSURE_CHECK_CAP = 200_000
+_CLOSURE_WORK_CAP = 1 << 20
+_COMPOSED_LETTER_CAP = 1 << 19
+_POSITION_CAP = 1 << 12
 _WITNESS_OCCURRENCE_CAP = 2_000_000
 _PARTITION_SIZE_CAP = 2_000
 _CENSUS_LENGTH_CAP = 2_000
@@ -46,6 +52,15 @@ _SPLIT_SIZE_CAP = 1_000_000
 
 def _fail(name: str, level, detail: str):
     raise VerificationError(f"{name} at level {level}: {detail}")
+
+
+def _closure_affordable(table: BlockTable, length: int) -> bool:
+    """Whether a closure comparison on `length` letters stays within the prefix cap and the closure's work cap.
+
+    A long run of one directive letter makes the closure's work quadratic in
+    its output, so the prefix cap alone does not bound it.
+    """
+    return length <= _CLOSURE_CHECK_CAP and closure_work(table.spec, length, _CLOSURE_WORK_CAP) <= _CLOSURE_WORK_CAP
 
 
 def check_block_letters(table: BlockTable, n_max: int) -> None:
@@ -92,7 +107,7 @@ def check_palindromic_prefixes(table: BlockTable, n_max: int) -> None:
         spread = sum(table.palindromic_prefix_length(n - j) for j in range(1, k))
         if spread != table.block_length(n) - k:
             _fail("palindromic-prefixes", n, f"window prefix lengths sum to {spread}, expected length-{k}")
-        if len(p) <= _CLOSURE_CHECK_CAP:
+        if _closure_affordable(table, len(p)):
             stage = exponent_sum(table.spec, n + 1)
             if closures.prefix(stage) != p:
                 _fail("palindromic-prefixes", n, "disagrees with the iterated-closure construction")
@@ -134,17 +149,6 @@ def check_reversal_rotation(table: BlockTable, n_max: int) -> None:
             _fail("reversal-rotation", n, "single letter not fixed")
 
 
-def _palindromic_prefix_flags(w: Word) -> list[bool]:
-    n = len(w)
-    rev = w[::-1]
-    z = z_array(w + "\x00" + rev)
-    flags = [False] * (n + 1)
-    flags[0] = True
-    for p in range(1, n + 1):
-        flags[p] = z[n + 1 + n - p] >= p
-    return flags
-
-
 def check_two_palindrome_split(table: BlockTable, n_max: int) -> None:
     """Each block splits into two palindromes in exactly one way, the predicted one."""
     k = table.spec.k
@@ -152,10 +156,7 @@ def check_two_palindrome_split(table: BlockTable, n_max: int) -> None:
         if table.block_length(n) > _SPLIT_SIZE_CAP:
             break
         w = table.block(n)
-        pref = _palindromic_prefix_flags(w)
-        suff = list(reversed(_palindromic_prefix_flags(w[::-1])))
-        # suff[q] now says w[q:] is a palindrome
-        splits = [p for p in range(len(w)) if pref[p] and suff[p]]
+        splits = two_palindrome_splits(w)
         if n >= k:
             expected = len(table.palindromic_prefix(n - k))
         else:
@@ -211,8 +212,15 @@ def check_increment_words(table: BlockTable, n_max: int) -> None:
     spec = table.spec
     closures = PalindromicPrefixTable(spec)
     cap = exponent_sum(spec, min(n_max, 8))
+    lengths = list(islice(closure_lengths(spec), cap + 2))
+    composed = work = 0
     previous = prefix_increment(spec, 0)
     for i in range(1, cap + 1):
+        # increment i has |u_{i+2}| - |u_{i+1}| letters; closure prefix i + 1 scans u_1 .. u_i
+        composed += lengths[i + 1] - lengths[i]
+        work += lengths[i - 1]
+        if composed > _COMPOSED_LETTER_CAP or work > _CLOSURE_WORK_CAP:
+            break
         current = prefix_increment(spec, i)
         if len(current) > _CLOSURE_CHECK_CAP:
             break
@@ -229,7 +237,7 @@ def check_increment_words(table: BlockTable, n_max: int) -> None:
 def check_position_functions(table: BlockTable, n_max: int) -> None:
     """previous/next same-letter positions match a brute scan of the expanded directive."""
     spec = table.spec
-    horizon = exponent_sum(spec, min(n_max + spec.k, 10))
+    horizon = min(exponent_sum(spec, min(n_max + spec.k, 10)), _POSITION_CAP)
     letters = [directive_letter(spec, i) for i in range(1, horizon + 1)]
     for i in range(1, horizon + 1):
         target = letters[i - 1]
@@ -280,7 +288,7 @@ def check_power_prefixes(table: BlockTable, n_max: int) -> None:
             _fail("power-prefixes", n, f"length {len(r)} vs predicted {expected}")
         if table.block(n + 2)[:len(r)] != r:
             _fail("power-prefixes", n, "not a prefix of the word")
-        if len(r) <= _CLOSURE_CHECK_CAP and closures.prefix(exponent_sum(table.spec, n) + 1) != r:
+        if _closure_affordable(table, len(r)) and closures.prefix(exponent_sum(table.spec, n) + 1) != r:
             _fail("power-prefixes", n, "disagrees with the closure construction")
 
 
@@ -367,6 +375,8 @@ def check_partition_tilings(table: BlockTable, n_max: int) -> None:
 def check_closure_equivalence(table: BlockTable, n_max: int) -> None:
     """The closure construction and the block recurrence build the same prefix."""
     target = min(10_000, table.block_length(min(n_max + 1, 12)))
+    if not _closure_affordable(table, target):
+        return
     by_closure = closure_prefix(table.spec, target)
     by_blocks = table.block(table.level_reaching(target))[:target]
     if by_closure != by_blocks:

@@ -15,7 +15,7 @@ import sys
 
 from .blocks import DEFAULT_LENGTH_GUARD, BlockTable
 from .checks import run_battery
-from .directive import DirectiveSpec, closure_prefix
+from .directive import DirectiveSpec, closure_prefix, closure_work
 from .errors import (
     CancellationError,
     GuardExceeded,
@@ -33,14 +33,18 @@ from .words import RationalIndex, shorten
 
 _INLINE_WORD_LIMIT = 64
 
-# Guards derived from measured cost (2-CPU x86-64 VM, Python 3.11): the
-# closure behind `generate` takes about 2.5 us per letter and a `census --full`
-# row about 20 us per length, so each cap stands for about 20 s of work (plain
-# census ranges visit only their carrying lengths; the table's length guard
+# Guards derived from measured cost (2-CPU x86-64 VM, Python 3.11). `generate`
+# bounds the letters its closure steps scan, |u_j| summed over the steps from
+# the integer length recurrence, not the letters it prints: a long run of one
+# letter makes that sum quadratic in the output. At 2^25 letters it takes
+# about 1.5 s and 100 MB on the Tribonacci word (19M letters out) and 4 s where
+# 45 us per closure step adds up (`k=2; d=8000; 1`, 16,000 letters out). A
+# `census --full` row costs about 20 us per length (2^20 lengths: 20 s; plain
+# census ranges visit only their carrying lengths, and the table's length guard
 # bounds their bases). A partition tile costs about 4 us and 280 bytes (2^20
-# tiles: 4 s, 300 MB); the battery about 0.16 us and 12 bytes per letter of its
-# largest block, block n + 2, above a 7 s floor (2^25 letters: 10 s, 400 MB).
-_GENERATE_GUARD = 1 << 23
+# tiles: 4 s, 300 MB); the battery about 0.17 us and 12 bytes per letter of its
+# largest block, block n + 2, above a 0.5 s floor (2^25 letters: 6 s, 440 MB).
+_GENERATE_GUARD = 1 << 25
 _CENSUS_RANGE_GUARD = 1 << 20
 _PARTITION_TILE_GUARD = 1 << 20
 _BATTERY_LETTER_GUARD = 1 << 25
@@ -113,9 +117,10 @@ def _build_table(spec: DirectiveSpec) -> BlockTable:
 def cmd_generate(args, rep: Reporter) -> int:
     if args.length < 0:
         raise RangeError(f"length must be >= 0 (got {args.length})")
-    if args.length > _GENERATE_GUARD:
-        raise GuardExceeded(f"length {args.length} above the guard {_GENERATE_GUARD}")
-    word = closure_prefix(DirectiveSpec.parse(args.spec), args.length)
+    spec = DirectiveSpec.parse(args.spec)
+    if closure_work(spec, args.length, _GENERATE_GUARD) > _GENERATE_GUARD:
+        raise GuardExceeded(f"length {args.length}: the closure steps scan more than the guard of {_GENERATE_GUARD} letters")
+    word = closure_prefix(spec, args.length)
     rep.row("prefix", {"length": len(word), "word": word}, word if word else None)
     return 0
 

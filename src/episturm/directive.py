@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import string
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParseError, RangeError
-from .words import Word, z_array
+from .words import Word, longest_palindromic_suffix
 
 _LETTER_POOL = string.ascii_lowercase
 
@@ -175,24 +176,16 @@ def next_same_letter(spec: DirectiveSpec, i: int) -> int:
 
 
 def palindromic_closure(w: Word) -> Word:
-    """Shortest palindrome that has w as a prefix."""
-    if not w:
-        return ""
-    rev = w[::-1]
-    n = len(w)
-    z = z_array(rev + "\x00" + w)
-    for i in range(n):
-        # w[i:] is a palindrome exactly when it matches the reversed word that far
-        if z[n + 1 + i] >= n - i:
-            return w + rev[n - i:]
-    raise AssertionError("unreachable: a single letter is always a palindrome")
+    """Shortest palindrome that has w as a prefix: w followed by the mirror of what precedes its longest palindromic suffix."""
+    return w + w[:len(w) - longest_palindromic_suffix(w)][::-1]
 
 
-def morphism(a: str, w: Word) -> Word:
-    """Image of w under the map fixing a and sending any other letter x to a+x."""
+def morphism(a: str, w: Word, times: int = 1) -> Word:
+    """Image of w under the map fixing a and sending any other letter x to a+x, applied `times` times (x goes to a^times x)."""
     if len(a) != 1:
         raise RangeError("morphism seed must be a single letter")
-    return "".join(c if c == a else a + c for c in w)
+    run = a * times
+    return "".join(c if c == a else run + c for c in w)
 
 
 def prefix_increment(spec: DirectiveSpec, n: int) -> Word:
@@ -200,13 +193,21 @@ def prefix_increment(spec: DirectiveSpec, n: int) -> Word:
 
     Equals the image of directive letter n+1 under the composed morphisms of
     the first n directive letters; the closure table satisfies
-    prefix(j+1) == prefix_increment(spec, j-1) + prefix(j) for j >= 1.
+    prefix(j+1) == prefix_increment(spec, j-1) + prefix(j) for j >= 1. A run
+    of one letter composes as one power of its morphism.
     """
     if n < 0:
         raise RangeError("increment level must be >= 0")
+    runs: list[tuple[str, int]] = []  # directive letters 1..n as (letter, run length)
+    entry, left = 1, n
+    while left:
+        take = min(exponent(spec, entry), left)
+        runs.append((block_letter(spec, entry), take))
+        left -= take
+        entry += 1
     w = directive_letter(spec, n + 1)
-    for i in range(n, 0, -1):
-        w = morphism(directive_letter(spec, i), w)
+    for a, times in reversed(runs):
+        w = morphism(a, w, times)
     return w
 
 
@@ -240,6 +241,40 @@ class PalindromicPrefixTable:
         while len(self.prefix(j)) < length:
             j += 1
         return self.prefix(j)
+
+
+def closure_lengths(spec: DirectiveSpec) -> Iterator[int]:
+    """|u_1|, |u_2|, ...: the lengths of the closure prefixes, from integers alone (a finite directive stops at its end).
+
+    Closing u_j with a letter last closed at step p gives 2|u_j| - |u_p|
+    letters; with a letter not closed before, 2|u_j| + 1.
+    """
+    before: dict[str, int] = {}  # letter -> |u_p| for the last step p that closed it
+    u = 0
+    yield u
+    entry = 1
+    while entry <= len(spec.preperiod) or spec.period:
+        letter = block_letter(spec, entry)
+        for _ in range(exponent(spec, entry)):
+            grown = 2 * u - before[letter] if letter in before else 2 * u + 1
+            before[letter] = u
+            u = grown
+            yield u
+        entry += 1
+
+
+def closure_work(spec: DirectiveSpec, length: int, limit: int) -> int:
+    """Letters the closure steps scan to build `length` letters: |u_j| summed over the steps, stopping once past limit.
+
+    Each step scans the prefix it closes, so a long run of one letter costs
+    quadratic work for linear output.
+    """
+    work = 0
+    for u in closure_lengths(spec):
+        if u >= length or work > limit:
+            break
+        work += u
+    return work
 
 
 def closure_prefix(spec: DirectiveSpec, length: int) -> Word:

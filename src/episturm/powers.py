@@ -128,16 +128,15 @@ def window_level(table: BlockTable, m: int) -> int:
 def length_sets(table: BlockTable, n: int) -> dict[int, tuple[int, ...]]:
     """The grid of power-carrying lengths in the level-n window, keyed by depth 1..k.
 
-    Entries are clipped to the window, and a depth whose offset would need a
-    negative level reports empty.
+    A depth whose offset would need a negative level reports empty. Every grid
+    point lies below |block n+1|; check_length_grids verifies it.
     """
     if n < 1:
         raise RangeError(f"length grid starts at level 1 (got {n})")
     size = table.block_length(n)
-    window_end = table.block_length(n + 1)
     out: dict[int, tuple[int, ...]] = {depth: () for depth in range(1, table.spec.k + 1)}
     for depth, (offset, r_max) in _grid(table, n).items():
-        out[depth] = tuple(r * size + offset for r in range(1, r_max + 1) if r * size + offset < window_end)
+        out[depth] = tuple(r * size + offset for r in range(1, r_max + 1))
     return out
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CancellationError, RangeError
 
 Word = str
@@ -97,6 +99,71 @@ def occurrences(text: Word, w: Word) -> list[int]:
     return found
 
 
+# Polynomial hashes mod the prime 2^31 - 1: a residue times a residue or a
+# letter code stays below 2^62, and a chunk's running sum of residues below
+# 2^47, so uint64 never wraps. The chunk bounds the arrays a long word needs.
+_HASH_MODULUS = (1 << 31) - 1
+_HASH_BASE = 48271
+_HASH_CHUNK = 1 << 16
+
+
+def _palindromic_prefix_candidates(w: Word) -> np.ndarray:
+    """Lengths p in 1..|w|, ascending, whose prefix w[:p] may be a palindrome.
+
+    Every palindromic prefix is listed; a hash collision may add others, so a
+    caller verifies each candidate it relies on. With D_j = B^(|w|-1-j), w[:p]
+    is a palindrome only if sum_{j<p} w_j B^j * D_{p-1} == sum_{j<p} w_j D_j.
+    """
+    modulus, base, n = _HASH_MODULUS, _HASH_BASE, len(w)
+    width = max(1, min(n, _HASH_CHUNK))
+    powers = np.ones(width, dtype=np.uint64)  # powers[t] = B^t, built by doubling
+    filled = 1
+    while filled < width:
+        step = min(filled, width - filled)
+        powers[filled:filled + step] = powers[:step] * np.uint64(pow(base, filled, modulus)) % np.uint64(modulus)
+        filled += step
+    m = np.uint64(modulus)
+    forward_sum = backward_sum = np.uint64(0)
+    found = []
+    for start in range(0, n, width):
+        codes = np.frombuffer(w[start:start + width].encode("utf-32-le"), dtype="<u4").astype(np.uint64)
+        size = len(codes)
+        ascending = powers[:size] * np.uint64(pow(base, start, modulus)) % m  # B^j
+        descending = powers[size - 1::-1] * np.uint64(pow(base, n - start - size, modulus)) % m  # D_j
+        forward = (np.cumsum(codes * ascending % m) + forward_sum) % m
+        backward = (np.cumsum(codes * descending % m) + backward_sum) % m
+        found.append(np.flatnonzero(forward * descending % m == backward) + (start + 1))
+        forward_sum, backward_sum = forward[-1], backward[-1]
+    return np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+
+
+def longest_palindromic_suffix(w: Word) -> int:
+    """Length of the longest palindromic suffix of w, verified letter by letter (0 only for the empty word).
+
+    Candidates are tried longest first; the first that holds is the answer,
+    so a hash collision costs one literal comparison and never the result.
+    """
+    n = len(w)
+    for p in _palindromic_prefix_candidates(w[::-1])[::-1].tolist():
+        if is_palindrome(w[n - p:]):
+            return p
+    return 0
+
+
+def two_palindrome_splits(w: Word) -> list[int]:
+    """Every p in 0..|w|-1 with w[:p] and w[p:] both palindromes, verified letter by letter.
+
+    Only positions where both halves are hash candidates are compared, so a
+    word with many palindromic prefixes costs no more than one with few.
+    """
+    n = len(w)
+    prefixes = np.concatenate(([0], _palindromic_prefix_candidates(w)))
+    suffix_starts = n - _palindromic_prefix_candidates(w[::-1])
+    both = np.intersect1d(prefixes, suffix_starts).tolist()
+    return [p for p in both if is_palindrome(w[:p]) and is_palindrome(w[p:])]
+
+
+# No caller in the package: the tests' reference for the palindrome finder, and a name bench/layers.py traces.
 def z_array(w: str) -> list[int]:
     """z[i] = length of the longest common prefix of w and w[i:] (z[0] = |w|)."""
     n = len(w)

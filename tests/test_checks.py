@@ -4,9 +4,10 @@ import re
 
 import pytest
 
+import episturm.checks as checks
 from episturm.blocks import BlockTable
 from episturm.checks import ALL_CHECKS, check_block_letters, run_battery
-from episturm.directive import DirectiveSpec
+from episturm.directive import DirectiveSpec, PalindromicPrefixTable, closure_prefix
 from episturm.errors import VerificationError
 
 from conftest import SPEC_TEXTS
@@ -55,3 +56,43 @@ class TestFailureReporting:
         assert name == "block-letters"
         assert isinstance(error, VerificationError)
         assert "level 2" in str(error)
+
+
+class _CorruptedClosures(PalindromicPrefixTable):
+    """Closure prefixes from number `first` on have their last letter changed."""
+
+    first = 8
+
+    def prefix(self, j: int) -> str:
+        w = super().prefix(j)
+        return w[:-1] + ("a" if w[-1] != "a" else "b") if j >= self.first else w
+
+
+CLOSURE_CHECKS = ("palindromic-prefixes", "increment-words", "power-prefixes", "closure-equivalence")
+
+
+class TestClosureCaps:
+    @staticmethod
+    def failing(text: str, n: int, monkeypatch, first: int = 8) -> list[str]:
+        monkeypatch.setattr(_CorruptedClosures, "first", first)
+        monkeypatch.setattr(checks, "PalindromicPrefixTable", _CorruptedClosures)
+        monkeypatch.setattr(checks, "closure_prefix", lambda spec, length: closure_prefix(spec, length)[:-1] + "?")
+        table = BlockTable(DirectiveSpec.parse(text))
+        return [name for name, error in run_battery(table, n) if error is not None]
+
+    def test_closure_checks_compare_within_their_caps(self, monkeypatch):
+        assert self.failing(SPEC_TEXTS["tribonacci"], 8, monkeypatch) == list(CLOSURE_CHECKS)
+
+    def test_closure_checks_skip_a_closure_whose_work_passes_the_cap(self, monkeypatch):
+        # closing a^j for j up to 4,000 scans about 8 * 10^6 letters, above the work cap, so
+        # only increment-words still compares closure prefixes, and it stops before prefix 1,450
+        assert self.failing("k=2; d=4000; 1", 3, monkeypatch) == ["increment-words"]
+        assert self.failing("k=2; d=4000; 1", 3, monkeypatch, first=1450) == []
+
+    def test_increment_words_stops_at_the_composed_letter_cap(self, monkeypatch):
+        # Tribonacci increments 1..7 add up to 175 letters, and increment 7 is the
+        # first step that compares the corrupted closure prefix 8
+        monkeypatch.setattr(checks, "_COMPOSED_LETTER_CAP", 175)
+        assert "increment-words" in self.failing(SPEC_TEXTS["tribonacci"], 8, monkeypatch)
+        monkeypatch.setattr(checks, "_COMPOSED_LETTER_CAP", 174)
+        assert "increment-words" not in self.failing(SPEC_TEXTS["tribonacci"], 8, monkeypatch)

@@ -66,6 +66,20 @@ class TestGenerate:
         assert time.perf_counter() - start < 1.0
         assert code == 4 and out == "" and "guard" in err
 
+    def test_long_exponent_trips_the_guard_at_once(self, capsys):
+        # 64,000 letters, but closing a^j for j up to 32,000 scans about 5 * 10^8 letters
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "generate", "--spec", "k=2; d=32000; 1", "--length", "64000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == "" and "guard" in err
+
+    def test_guard_counts_the_letters_the_closure_scans(self, capsys, monkeypatch):
+        # 31 letters of the Tribonacci word close prefixes of 0, 1, 3, 7, 14 and 27 letters
+        monkeypatch.setattr(cli, "_GENERATE_GUARD", 52)
+        assert run_cli(capsys, "generate", "--spec", TRIB, "--length", "31")[0] == 0
+        monkeypatch.setattr(cli, "_GENERATE_GUARD", 51)
+        assert run_cli(capsys, "generate", "--spec", TRIB, "--length", "31")[0] == 4
+
 
 class TestBlocks:
     def test_text_output_mentions_the_block(self, capsys):
@@ -353,6 +367,14 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--spec", TRIB, "--n", "29")
         assert time.perf_counter() - start < 1.0
         assert code == 4 and out == "" and "block 31" in err
+
+    @pytest.mark.parametrize("spec, n", [("k=2; d=4000; 1", "3"), ("k=2; d=100000; 1", "0")])
+    def test_long_exponent_battery_finishes_at_once(self, capsys, spec, n):
+        # the closure, morphic and position checks used to take minutes on one long run of a letter
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--n", n)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and "all checks pass" in out
 
     def test_battery_guard_reads_block_n_plus_two(self, capsys, monkeypatch):
         # block 5 of the Tribonacci word has 24 letters

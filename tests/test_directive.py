@@ -1,12 +1,16 @@
 """Directive parsing, exponent indexing, and the palindromic-closure construction."""
 
+from itertools import takewhile
+
 import pytest
 from hypothesis import given, strategies as st
 
 from episturm.directive import (
     DirectiveSpec,
     PalindromicPrefixTable,
+    closure_lengths,
     closure_prefix,
+    closure_work,
     directive_letter,
     exponent,
     exponent_sum,
@@ -146,8 +150,37 @@ class TestClosure:
     def test_morphism(self):
         assert morphism("a", "abc") == "aabac"
         assert morphism("b", "ba") == "bba"
+        assert morphism("a", "abc", 3) == "aaaabaaac" == morphism("a", morphism("a", morphism("a", "abc")))
         with pytest.raises(RangeError):
             morphism("ab", "a")
+
+    @pytest.mark.parametrize("text", ["k=2; d=1,2; 3", "k=4; d=2,1,3,1; 2,2", "k=2; d=40; 1"])
+    def test_increment_composes_each_run_as_one_power(self, text):
+        spec = DirectiveSpec.parse(text)
+        n = 0
+        while n < 48 and len(prefix_increment(spec, n)) < 5_000:
+            one_by_one = directive_letter(spec, n + 1)
+            for i in range(n, 0, -1):
+                one_by_one = morphism(directive_letter(spec, i), one_by_one)
+            assert prefix_increment(spec, n) == one_by_one
+            n += 1
+        assert n > 15
+
+    @pytest.mark.parametrize("spec", [TRIB, FIB, MIX3, DirectiveSpec.parse("k=2; d=40; 1"), DirectiveSpec.parse("k=2; d=1,2")])
+    def test_closure_lengths_follow_the_closure(self, spec):
+        table = PalindromicPrefixTable(spec)
+        lengths = list(takewhile(lambda u: u < 10**5, closure_lengths(spec)))
+        assert lengths == [len(table.prefix(j)) for j in range(1, len(lengths) + 1)]
+        for length in range(0, lengths[-1] + 1, max(1, lengths[-1] // 97)):
+            reached = next(j for j, u in enumerate(lengths) if u >= length)
+            assert closure_work(spec, length, 10**12) == sum(lengths[:reached])
+
+    def test_closure_work_stops_past_the_limit(self):
+        # one run of 10^9 letters: the closure would scan about 5 * 10^17 letters
+        spec = DirectiveSpec.parse("k=2; d=1000000000; 1")
+        work = closure_work(spec, 2 * 10**9, 1 << 25)
+        assert 1 << 25 < work < (1 << 25) + 10**5
+        assert closure_work(spec, 10, 1 << 25) == sum(range(10))
 
     def test_closure_prefix_known_words(self):
         assert closure_prefix(FIB, 21) == "abaababaabaababaababa"

@@ -1,8 +1,12 @@
-"""Word primitives: rotations, palindromes, stripping, Z-array, rational exponents."""
+"""Word primitives: rotations, palindromes, stripping, Z-array, the palindrome finder, rational exponents."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+import episturm.words as words
+from episturm.blocks import BlockTable
+from episturm.checks import check_two_palindrome_split
+from episturm.directive import DirectiveSpec, PalindromicPrefixTable, palindromic_closure
 from episturm.errors import CancellationError, RangeError
 from episturm.words import (
     RationalIndex,
@@ -15,11 +19,19 @@ from episturm.words import (
     shorten,
     strip_prefix,
     strip_suffix,
+    longest_palindromic_suffix,
+    two_palindrome_splits,
     z_array,
 )
 
+from conftest import SPEC_TEXTS
+
 WORDS = st.text(alphabet="abc", min_size=0, max_size=40)
 NONEMPTY = st.text(alphabet="abc", min_size=1, max_size=40)
+# words over k <= 6 letters, built from runs so that long single-letter runs are common
+RUN_WORDS = st.integers(min_value=1, max_value=6).flatmap(
+    lambda k: st.lists(st.tuples(st.sampled_from("abcdef"[:k]), st.integers(min_value=1, max_value=300)), max_size=12)
+).map(lambda runs: "".join(letter * count for letter, count in runs))
 
 
 class TestBasics:
@@ -109,6 +121,77 @@ class TestZArray:
     @given(WORDS)
     def test_matches_brute_force(self, w):
         assert z_array(w) == self.brute(w)
+
+
+def palindromic_prefix_flags(w: str) -> list[bool]:
+    """flags[p] says w[:p] is a palindrome, from one z-array of w, a separator and the reversal."""
+    n = len(w)
+    z = z_array(w + "\x00" + w[::-1])
+    return [True] + [z[2 * n + 1 - p] >= p for p in range(1, n + 1)]
+
+
+def reference_splits(w: str) -> list[int]:
+    prefix = palindromic_prefix_flags(w)
+    suffix = palindromic_prefix_flags(w[::-1])[::-1]  # suffix[p] says w[p:] is a palindrome
+    return [p for p in range(len(w)) if prefix[p] and suffix[p]]
+
+
+def reference_longest_suffix(w: str) -> int:
+    return max(p for p, flag in enumerate(palindromic_prefix_flags(w[::-1])) if flag)
+
+
+class TestPalindromeFinder:
+    def test_known(self):
+        assert longest_palindromic_suffix("") == 0
+        assert longest_palindromic_suffix("abac") == 1
+        assert longest_palindromic_suffix("abacaba") == 7
+        assert longest_palindromic_suffix("aabaab") == 4
+        assert two_palindrome_splits("") == []
+        assert two_palindrome_splits("abacaba") == [0]
+        assert two_palindrome_splits("abaab") == [1]
+        assert two_palindrome_splits("ab") == [1]
+
+    @given(RUN_WORDS, st.sampled_from([3, 64, 1 << 16]))
+    def test_matches_the_z_array_reference(self, w, chunk):
+        # small chunks carry the running hashes across many chunk boundaries
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(words, "_HASH_CHUNK", chunk)
+            assert longest_palindromic_suffix(w) == reference_longest_suffix(w)
+            assert two_palindrome_splits(w) == reference_splits(w)
+            flags = palindromic_prefix_flags(w)
+            candidates = words._palindromic_prefix_candidates(w).tolist()
+        assert set(candidates) >= {p for p in range(1, len(w) + 1) if flags[p]}
+
+    @pytest.mark.parametrize("name", ["tribonacci", "k4_mixed"])
+    def test_a_collision_on_every_position_changes_no_answer(self, name, monkeypatch):
+        spec = DirectiveSpec.parse(SPEC_TEXTS[name])
+        closures = PalindromicPrefixTable(spec)
+        table = BlockTable(spec)
+        levels = [n for n in range(1, 20) if table.block_length(n) <= 1_500]
+        prefixes = [closures.prefix(j) for j in range(1, 14) if len(closures.prefix(j)) <= 3_000]
+        splits = [two_palindrome_splits(table.block(n)) for n in levels]
+        monkeypatch.setattr(words, "_HASH_MODULUS", 1)  # every hash is 0, so every length is a candidate
+        assert words._palindromic_prefix_candidates("abc").tolist() == [1, 2, 3]
+        rebuilt = PalindromicPrefixTable(spec)
+        assert [rebuilt.prefix(j) for j in range(1, len(prefixes) + 1)] == prefixes
+        assert [two_palindrome_splits(table.block(n)) for n in levels] == splits
+        check_two_palindrome_split(table, levels[-1])
+
+    def test_literal_verification_stays_linear(self, monkeypatch):
+        verified = []
+
+        def counting(w):
+            verified.append(len(w))
+            return w == w[::-1]
+
+        monkeypatch.setattr(words, "is_palindrome", counting)
+        w = "a" * 5000 + "b" + "a" * 5000  # 5,001 palindromic prefixes and as many suffixes
+        assert two_palindrome_splits(w) == [0]
+        assert sum(verified) <= 2 * len(w)
+        verified.clear()
+        grown = w + "a"  # its palindromic suffixes are the 5,001 runs of a
+        assert palindromic_closure(grown) == grown + "b" + "a" * 5000
+        assert sum(verified) <= 2 * len(grown)
 
 
 class TestRotationProperties:
