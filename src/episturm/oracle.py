@@ -23,15 +23,21 @@ stays available as the meta-oracle for small inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .blocks import BlockTable
-from .directive import closure_prefix
+from .directive import DirectiveSpec, closure_lengths, closure_prefix
 from .errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
 from .words import RationalIndex, Word, occurrences
 
+if TYPE_CHECKING:  # numpy is imported inside the functions that use it, so the closed-form route starts without it
+    import numpy as np
+
 _PREFIX_CROSSCHECK_LETTERS = 20_000
+# Letters the cross-check's closure steps may scan; a long run of one directive
+# letter makes that quadratic in the prefix (`k=2; d=20000; 1` scanned 2.0e8
+# letters for 20,000). The reference directives need under 5e4 at 20,000 letters.
+_PREFIX_CROSSCHECK_WORK = 1 << 20
 # Letter-shifts one certification scan may cost: m_max times the letters of the
 # larger block. Measured on a 2-CPU x86-64 VM (Python 3.11) at 0.3 to 0.8 ns
 # each, so the cap stands for under 7 s; the l = 2 witness sets then reach
@@ -66,11 +72,15 @@ def generate_prefix(table: BlockTable, min_length: int) -> Word:
 
 
 def _byte_view(prefix: Word) -> np.ndarray:
+    import numpy as np
+
     return np.frombuffer(prefix.encode("ascii"), dtype=np.uint8)
 
 
 def _true_runs(mask: np.ndarray) -> np.ndarray:
     """Maximal True runs of a bool array as an (r, 2) array of [start, end) pairs."""
+    import numpy as np
+
     if mask.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     padded = np.empty(mask.size + 2, dtype=bool)
@@ -91,6 +101,8 @@ def _chunk_runs(buf: bytes, arr: np.ndarray, m: int, need: int) -> np.ndarray:
     Each edge lies in the unequal chunk next to its group, or in the last c - 1 letters,
     past the whole chunks.
     """
+    import numpy as np
+
     size = len(buf) - m
     c = 1 << ((need + 1) // 2).bit_length() - 1
     per_chunk = c // 8
@@ -136,6 +148,8 @@ def _bases_in_runs(prefix: Word, runs: np.ndarray, m: int, l: int) -> set[Word]:
     cnt = min(b - (l-1)m - a + 1, m) holds them all; each distinct window is
     cut into its length-m factors once.
     """
+    import numpy as np
+
     need = (l - 1) * m
     picked = runs[runs[:, 1] - runs[:, 0] >= need]
     if not picked.size:
@@ -167,6 +181,8 @@ def scan_powers_multi(
     With `shorter`, the scan of prefix[:shorter] is read off the same runs,
     clipped, and the pair (scans of prefix, scans of prefix[:shorter]) is returned.
     """
+    import numpy as np
+
     orders = sorted(set(orders))
     if not orders or orders[0] < 2:
         raise RangeError("power orders must all be >= 2")
@@ -216,6 +232,18 @@ def _stability_levels(table: BlockTable, m_max: int) -> tuple[int, int, int]:
     return n, n + k + 3, n + k + 4
 
 
+def _crosscheck_length(spec: DirectiveSpec, length: int) -> int:
+    """The longest prefix, up to `length` letters, whose closure steps scan at most _PREFIX_CROSSCHECK_WORK letters."""
+    work = 0
+    for u in closure_lengths(spec):
+        if u >= length:
+            break
+        work += u
+        if work > _PREFIX_CROSSCHECK_WORK:
+            return u
+    return length
+
+
 def certified_scan(table: BlockTable, m_max: int, l_max: int):
     """Certify a prefix by scan stability across one level step, returning its scans too.
 
@@ -247,7 +275,8 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int):
             if scans_small[l].per_length[m] != scans_large[l].per_length[m]
         ]
         if not diffs:
-            checked = min(len(small), _PREFIX_CROSSCHECK_LETTERS)
+            target = min(len(small), _PREFIX_CROSSCHECK_LETTERS)
+            checked = _crosscheck_length(table.spec, target)
             if closure_prefix(table.spec, checked) != small[:checked]:
                 raise VerificationError(
                     f"block level {low} disagrees with the closure construction within {checked} letters"
@@ -257,6 +286,11 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int):
                 f"block levels {low} ({len(small)} letters) and {high} ({len(large)} letters); "
                 f"window level {window}, visibility bound level {window} + alphabet size + 2"
             )
+            if checked < target:
+                method += (
+                    f"; closure cross-check on {checked} of {target} letters, "
+                    f"cut by its cap of {_PREFIX_CROSSCHECK_WORK} scanned letters"
+                )
             return PrefixCertificate(word=small, covered_m_max=m_max, method=method), scans_small
         last_diff = diffs[0]
     raise VerificationError(
@@ -271,6 +305,8 @@ def certify_prefix(table: BlockTable, m_max: int, l_max: int) -> PrefixCertifica
 
 def max_fractional_power(prefix: Word, base: Word) -> RationalIndex:
     """Largest exponent (possibly fractional) with base**exponent a factor of prefix."""
+    import numpy as np
+
     if not base:
         raise RangeError("base must be nonempty")
     found = occurrences(prefix, base)
@@ -292,6 +328,8 @@ def max_fractional_power(prefix: Word, base: Word) -> RationalIndex:
 
 def greatest_power_prefix(prefix: Word, base: Word) -> Word:
     """The longest prefix of prefix that is a (possibly fractional) power of base."""
+    import numpy as np
+
     if not base:
         raise RangeError("base must be nonempty")
     if not prefix.startswith(base):

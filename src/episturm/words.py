@@ -8,10 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CancellationError, RangeError
+
+if TYPE_CHECKING:  # numpy is imported inside the functions that use it, so the closed-form route starts without it
+    import numpy as np
 
 Word = str
 
@@ -105,6 +107,7 @@ def occurrences(text: Word, w: Word) -> list[int]:
 _HASH_MODULUS = (1 << 31) - 1
 _HASH_BASE = 48271
 _HASH_CHUNK = 1 << 16
+_HASH_POWERS: dict = {}  # (base, modulus, chunk) -> B^t for t < chunk, as uint64
 
 
 def _palindromic_prefix_candidates(w: Word) -> np.ndarray:
@@ -114,15 +117,22 @@ def _palindromic_prefix_candidates(w: Word) -> np.ndarray:
     caller verifies each candidate it relies on. With D_j = B^(|w|-1-j), w[:p]
     is a palindrome only if sum_{j<p} w_j B^j * D_{p-1} == sum_{j<p} w_j D_j.
     """
+    import numpy as np
+
     modulus, base, n = _HASH_MODULUS, _HASH_BASE, len(w)
     width = max(1, min(n, _HASH_CHUNK))
-    powers = np.ones(width, dtype=np.uint64)  # powers[t] = B^t, built by doubling
-    filled = 1
-    while filled < width:
-        step = min(filled, width - filled)
-        powers[filled:filled + step] = powers[:step] * np.uint64(pow(base, filled, modulus)) % np.uint64(modulus)
-        filled += step
     m = np.uint64(modulus)
+    key = (base, modulus, _HASH_CHUNK)
+    powers = _HASH_POWERS.get(key)
+    if powers is None:  # built once per key by doubling, then sliced by every call
+        powers = np.ones(_HASH_CHUNK, dtype=np.uint64)
+        filled = 1
+        while filled < _HASH_CHUNK:
+            step = min(filled, _HASH_CHUNK - filled)
+            powers[filled:filled + step] = powers[:step] * np.uint64(pow(base, filled, modulus)) % m
+            filled += step
+        powers.flags.writeable = False  # shared by every call in the process
+        _HASH_POWERS[key] = powers
     forward_sum = backward_sum = np.uint64(0)
     found = []
     for start in range(0, n, width):
@@ -156,6 +166,8 @@ def two_palindrome_splits(w: Word) -> list[int]:
     Only positions where both halves are hash candidates are compared, so a
     word with many palindromic prefixes costs no more than one with few.
     """
+    import numpy as np
+
     n = len(w)
     prefixes = np.concatenate(([0], _palindromic_prefix_candidates(w)))
     suffix_starts = n - _palindromic_prefix_candidates(w[::-1])

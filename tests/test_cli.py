@@ -1,6 +1,9 @@
 """Command-line behavior: outputs, exit codes, JSON rows against the schema."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -340,6 +343,23 @@ class TestCensus:
         assert time.perf_counter() - start < 1.0
         assert code == 4 and out == "" and "letter-shifts" in err
 
+    def test_long_exponent_certificate_names_its_crosscheck_cap(self, capsys):
+        # closing all 20,000 letters of a^20000 b would scan 2e8 letters (24 s)
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "census", "--spec", "k=2; d=20000; 1", "--m", "3", "--verify", "--json")
+        assert time.perf_counter() - start < 2.0
+        verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
+        assert code == 0 and verdict["ok"] is True
+        assert verdict["detail"].endswith("; closure cross-check on 1448 of 20000 letters, cut by its cap of 1048576 scanned letters")
+
+    def test_uncut_certificate_detail_is_unchanged(self, capsys):
+        code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "1795", "--verify", "--json")
+        verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
+        assert code == 0 and verdict["detail"] == (
+            "scan counts for orders 2..2 at lengths 1..1795 identical on block levels 18 (66012 letters) "
+            "and 19 (121415 letters); window level 12, visibility bound level 12 + alphabet size + 2"
+        )
+
 
 class TestVerify:
     def test_battery_passes_and_reports_each_check(self, capsys):
@@ -410,3 +430,50 @@ class TestArgparse:
         with pytest.raises(SystemExit) as exc:
             cli.main(["generate", "--length", "5"])
         assert exc.value.code == 2
+
+
+# A fresh interpreter runs cli.main on argv and reports its exit code and whether numpy was loaded.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from episturm import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+def _fresh_child(*args) -> str:
+    env = {key: value for key, value in os.environ.items() if key != "EPISTURM_GUARD"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestNumpyStaysUnloaded:
+    """The closed forms never call numpy, so only the oracle and the palindrome finder import it."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("census", "--spec", MIX3, "--m", "22"), 0),
+            (("census", "--spec", MIX3, "--all-up-to", "58"), 0),
+            (("index", "--spec", TRIB, "--all-up-to", "6"), 0),
+            (("blocks", "--spec", MIX3, "--n", "3"), 0),
+            (("partition", "--spec", TRIB, "--n", "1", "--m", "4"), 0),
+            (("partition", "--spec", TRIB, "--n", "1", "--m", "4", "--verify"), 0),
+            (("singular", "--spec", TRIB, "--n", "2"), 0),
+            (("census", "--spec", "k=1; d=; 1", "--m", "4"), 2),
+            (("census", "--spec", TRIB, "--all-up-to", "40000", "--verify"), 4),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+    )
+    def test_closed_form_answers_and_early_exits_run_without_numpy(self, argv, code):
+        assert json.loads(_fresh_child("-c", _NUMPY_PROBE, *argv)) == [code, False]
+
+    def test_importing_the_package_loads_no_numpy(self):
+        assert _fresh_child("-c", "import sys, episturm; print('numpy' in sys.modules)").strip() == "False"
+
+    def test_the_oracle_still_loads_numpy(self):
+        argv = ("census", "--spec", TRIB, "--m", "4", "--verify")
+        assert json.loads(_fresh_child("-c", _NUMPY_PROBE, *argv)) == [0, True]

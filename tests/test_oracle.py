@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from episturm.blocks import BlockTable
-from episturm.directive import DirectiveSpec
+from episturm.directive import DirectiveSpec, closure_prefix, closure_work
 import episturm.oracle as oracle
 from episturm.errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
 from episturm.oracle import (
@@ -176,6 +176,29 @@ class TestCertificates:
         monkeypatch.setattr(fresh, "block", lambda n: pytest.fail("built a block"))
         with pytest.raises(GuardExceeded, match="letter-shifts"):
             certified_scan(fresh, 13, 2)
+
+    def test_crosscheck_stops_at_its_work_cap(self, monkeypatch):
+        # closing a^j scans j letters, so the first 20,000 letters of this word cost about 2e8
+        spec = DirectiveSpec.parse("k=2; d=20000; 1")
+        cap = oracle._PREFIX_CROSSCHECK_WORK
+        checked = oracle._crosscheck_length(spec, 20_000)
+        assert closure_work(spec, checked, cap) <= cap < closure_work(spec, checked + 1, cap)
+        cert, _ = certified_scan(BlockTable(spec), 3, 2)
+        assert cert.method.endswith(f"; closure cross-check on {checked} of 20000 letters, cut by its cap of {cap} scanned letters")
+        asked = []
+
+        def corrupted(spec, length):
+            asked.append(length)
+            return closure_prefix(spec, length)[:-1] + "?"
+
+        monkeypatch.setattr(oracle, "closure_prefix", corrupted)
+        with pytest.raises(VerificationError, match=f"closure construction within {checked} letters"):
+            certified_scan(BlockTable(spec), 3, 2)
+        assert asked == [checked]
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_reference_directives_crosscheck_the_whole_prefix(self, tables, name):
+        assert oracle._crosscheck_length(tables[name].spec, oracle._PREFIX_CROSSCHECK_LETTERS) == oracle._PREFIX_CROSSCHECK_LETTERS
 
     def test_finite_directive_cannot_certify(self):
         table = BlockTable(DirectiveSpec.parse("k=2; d=1,1,1,1"))
