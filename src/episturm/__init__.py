@@ -34,6 +34,7 @@ from .errors import (
 )
 from .oracle import (
     PrefixCertificate,
+    RotationClass,
     ScanResult,
     certified_scan,
     certify_prefix,
@@ -41,6 +42,7 @@ from .oracle import (
     greatest_power_prefix,
     max_fractional_power,
     naive_scan,
+    same_bases,
     scan_powers,
     scan_powers_multi,
 )
@@ -94,6 +96,7 @@ __all__ = [
     "PrefixCertificate",
     "RangeError",
     "RationalIndex",
+    "RotationClass",
     "ScanResult",
     "VerificationError",
     "Word",
@@ -128,6 +131,7 @@ __all__ = [
     "return_words",
     "reversal",
     "run_battery",
+    "same_bases",
     "scan_powers",
     "scan_powers_multi",
     "singular_window",

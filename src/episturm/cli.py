@@ -25,7 +25,7 @@ from .errors import (
     RangeError,
     VerificationError,
 )
-from .oracle import certified_scan, greatest_power_prefix, max_fractional_power
+from .oracle import RotationClass, certified_scan, greatest_power_prefix, max_fractional_power, same_bases
 from .partition import level_partition, refined_levels, tile_count
 from .powers import block_index, census, census_range, prefix_index
 from .singular import factor_partition
@@ -321,7 +321,7 @@ def cmd_census(args, rep: Reporter) -> int:
         raise GuardExceeded(f"{m_max} lengths above the census range guard {_CENSUS_RANGE_GUARD}")
     if args.verify:
         # certify first: its guards trip before any witness set is built
-        certificate, scans = certified_scan(table, m_max, l)
+        certificate, scans = certified_scan(table, m_max, l, m_min=1 if ranged else m_max)
     rows = census_range(table, m_max, l).nonzero if ranged else [census(table, m_max, l)]
     carrying = {row.m: row for row in rows if row.count}
     if args.full:
@@ -342,8 +342,9 @@ def cmd_census(args, rep: Reporter) -> int:
             f"order {l}: {len(carrying)} carrying lengths up to {m_max}: {' '.join(map(str, carrying))}",
         )
     if args.verify:
-        lengths = range(1, m_max + 1) if ranged else [m_max]
-        mismatches = [m for m in lengths if scans[l].per_length[m] != frozenset(carrying[m].witnesses if m in carrying else ())]
+        # a row's witnesses are rotations 0..count-1 of its base: one class, compared without building them
+        expected = {m: (RotationClass(row.provenance.base, ((0, row.count),)),) for m, row in carrying.items()}
+        mismatches = [m for m, found in scans[l].classes.items() if not same_bases(found, expected.get(m, ()))]
         ok = not mismatches
         rep.row(
             "verification",
@@ -356,7 +357,7 @@ def cmd_census(args, rep: Reporter) -> int:
                 "mismatched_lengths": mismatches,
                 "detail": certificate.method,
             },
-            f"oracle agreement at order {l} on lengths 1..{m_max} over {len(certificate.word)} certified letters: "
+            f"oracle agreement at order {l} on {'lengths 1..' if ranged else 'length '}{m_max} over {len(certificate.word)} certified letters: "
             + ("OK" if ok else f"MISMATCH at {mismatches}"),
         )
         if not ok:

@@ -11,13 +11,21 @@ Main-Lorentz and Kolpakov-Kucherov) compares eight letters at a time as
 uint64 words and OR-folds the verdicts into aligned chunks of c letters,
 c the largest power of two with 2c - 1 <= need, so each long run holds an
 equal chunk and only groups of equal chunks are refined to exact runs.
-Shorter shifts read every run of the full equality mask. Each distinct run
-window is built once and cut into its length-m factors.
+Shorter shifts read every run of the full equality mask. Every factor of a
+period-m run is a rotation of its first m letters, so a run with cnt
+qualifying starts contributes rotations 0..cnt-1 of one word, and each length
+keeps a few rotation classes, never the bases themselves.
 
 `certified_scan` compares the scans of two nested blocks in one pass: it
 scans the larger block and reads the smaller one's runs by clipping,
 since the smaller block is a prefix of the larger. A naive double loop
-stays available as the meta-oracle for small inputs.
+stays available as the meta-oracle for small inputs, and `ScanResult.per_length`
+expands the classes into word sets for it.
+
+`max_fractional_power` and `greatest_power_prefix` read one shift only: the
+period-m run through an occurrence of the base ends where galloping slice
+comparisons find the first difference, and each run is measured once, from
+its first occurrence, without numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from typing import TYPE_CHECKING
 from .blocks import BlockTable
 from .directive import DirectiveSpec, closure_lengths, closure_prefix
 from .errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
-from .words import RationalIndex, Word, occurrences
+from .words import RationalIndex, Word
 
 if TYPE_CHECKING:  # numpy is imported inside the functions that use it, so the closed-form route starts without it
     import numpy as np
@@ -40,19 +48,88 @@ _PREFIX_CROSSCHECK_LETTERS = 20_000
 _PREFIX_CROSSCHECK_WORK = 1 << 20
 # Letter-shifts one certification scan may cost: m_max times the letters of the
 # larger block. Measured on a 2-CPU x86-64 VM (Python 3.11) at 0.3 to 0.8 ns
-# each, so the cap stands for under 7 s; the l = 2 witness sets then reach
-# about 1 GB on the Fibonacci word, the densest case.
+# each, so the cap stands for under 7 s. Memory follows the runs, not the
+# bases: each run's first m letters while a length is scanned, and a few
+# rotation classes per length kept.
 _SCAN_GUARD = 1 << 33
-_WINDOW_BATCH = 1 << 16
+_RUN_BATCH = 1 << 16
 _FOLD_MIN_NEED = 15  # 2c - 1 for the smallest chunk, one uint64 word of c = 8 letters
+
+
+def _spans(pieces, period: int) -> tuple[tuple[int, int], ...]:
+    """The offsets covered by the [lo, hi) pieces, reduced mod period, as sorted disjoint [lo, hi) spans in 0..period."""
+    cut = []
+    for lo, hi in pieces:
+        if hi - lo >= period:
+            return ((0, period),)
+        lo, hi = lo % period, lo % period + hi - lo
+        cut += [(lo, period), (0, hi - period)] if hi > period else [(lo, hi)]
+    merged: list[list[int]] = []
+    for lo, hi in sorted(cut):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
+class RotationClass:
+    """Some rotations of one word: word[j:] + word[:j] for the offsets j in `spans`.
+
+    Construction reduces the offsets mod `period`, the least p > 0 with
+    word[p:] + word[:p] == word, so each listed offset names a distinct word.
+    Two classes are equal when they list the same words, whichever rotation
+    each keeps as its representative: the other's word is located in
+    word + word and its offsets shifted by that amount.
+    """
+
+    __slots__ = ("word", "spans", "period")  # a plain class: a dataclass would cost each CLI start about 0.3 ms
+
+    def __init__(self, word: Word, spans) -> None:
+        self.word = word
+        self.period = (word + word).find(word, 1)
+        self.spans = _spans(spans, self.period)
+
+    def __repr__(self) -> str:
+        return f"RotationClass(word={self.word!r}, spans={self.spans!r}, period={self.period})"
+
+    def __len__(self) -> int:
+        return sum(hi - lo for lo, hi in self.spans)
+
+    def __eq__(self, other):
+        if not isinstance(other, RotationClass):
+            return NotImplemented
+        if len(self.word) != len(other.word) or self.period != other.period or len(self) != len(other):
+            return False
+        shift = (self.word + self.word).find(other.word)
+        return shift >= 0 and _spans(((lo + shift, hi + shift) for lo, hi in other.spans), self.period) == self.spans
+
+    def rotations(self) -> frozenset:
+        """The words themselves: len(self) of them, each as long as `word`."""
+        w = self.word
+        return frozenset(w[j:] + w[:j] for lo, hi in self.spans for j in range(lo, hi))
+
+
+def same_bases(a: tuple[RotationClass, ...], b: tuple[RotationClass, ...]) -> bool:
+    """Whether two descriptions of one length list the same words.
+
+    The classes of one description are never rotations of each other, so
+    the two are equal exactly when their classes pair off one to one.
+    """
+    return len(a) == len(b) and all(any(x == y for y in b) for x in a)
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Bases found by one scan: per_length maps m to the set of length-m words w with w**l inside the prefix."""
+    """Bases found by one scan: classes maps m to the rotation classes of the length-m words w with w**l inside the prefix."""
 
     l: int
-    per_length: dict[int, frozenset]
+    classes: dict[int, tuple[RotationClass, ...]]
+
+    @property
+    def per_length(self) -> dict[int, frozenset]:
+        """The same answer as word sets, built on each read: count * m letters per length, for tests and small scans."""
+        return {m: frozenset().union(*(c.rotations() for c in found)) for m, found in self.classes.items()}
 
 
 @dataclass(frozen=True)
@@ -62,6 +139,7 @@ class PrefixCertificate:
     word: Word
     covered_m_max: int
     method: str
+    covered_m_min: int = 1
 
 
 def generate_prefix(table: BlockTable, min_length: int) -> Word:
@@ -69,12 +147,6 @@ def generate_prefix(table: BlockTable, min_length: int) -> Word:
     if min_length < 1:
         raise RangeError(f"min_length must be >= 1 (got {min_length})")
     return table.block(table.level_reaching(min_length))
-
-
-def _byte_view(prefix: Word) -> np.ndarray:
-    import numpy as np
-
-    return np.frombuffer(prefix.encode("ascii"), dtype=np.uint8)
 
 
 def _true_runs(mask: np.ndarray) -> np.ndarray:
@@ -140,27 +212,40 @@ def _chunk_runs(buf: bytes, arr: np.ndarray, m: int, need: int) -> np.ndarray:
     return np.stack((starts, ends), axis=1)
 
 
-def _bases_in_runs(prefix: Word, runs: np.ndarray, m: int, l: int) -> set[Word]:
-    """Distinct bases whose l-th power fits in some period-m run.
+def _classes_in_runs(prefix: Word, runs: np.ndarray, m: int, l: int) -> tuple[RotationClass, ...]:
+    """Rotation classes of the distinct bases whose l-th power fits in some period-m run.
 
-    Within one run [a, b) every qualifying start at or past a+m repeats the
-    base seen one period earlier, so the window prefix[a : a+m+cnt-1] with
-    cnt = min(b - (l-1)m - a + 1, m) holds them all; each distinct window is
-    cut into its length-m factors once.
+    Within one run [a, b) the qualifying starts are a..a+cnt-1 with
+    cnt = min(b - (l-1)m - a + 1, m), and the base at a + j is rotation j of
+    prefix[a : a+m]. Each distinct first word, with its largest cnt, joins the
+    class whose representative it is a rotation of, found by str.find in the
+    representative written twice, or starts a new class.
     """
     import numpy as np
 
     need = (l - 1) * m
     picked = runs[runs[:, 1] - runs[:, 0] >= need]
     if not picked.size:
-        return set()
+        return ()
     a = picked[:, 0]
-    ends = a + m - 1 + np.minimum(picked[:, 1] - need - a + 1, m)
-    windows: set[Word] = set()
-    for lo in range(0, a.size, _WINDOW_BATCH):  # batches keep the Python int lists small
-        part = slice(lo, lo + _WINDOW_BATCH)
-        windows.update(prefix[i:j] for i, j in zip(a[part].tolist(), ends[part].tolist()))
-    return {w[i:i + m] for w in windows for i in range(len(w) - m + 1)}
+    cnt = np.minimum(picked[:, 1] - need - a + 1, m)
+    firsts: dict[Word, int] = {}
+    for lo in range(0, a.size, _RUN_BATCH):  # batches keep the Python int lists small
+        part = slice(lo, lo + _RUN_BATCH)
+        for i, c in zip(a[part].tolist(), cnt[part].tolist()):
+            u = prefix[i:i + m]
+            if firsts.get(u, 0) < c:
+                firsts[u] = c
+    classes: list[tuple[Word, Word, list]] = []  # (representative, representative twice, [lo, hi) offsets)
+    for u, c in firsts.items():
+        for _, twice, pieces in classes:
+            shift = twice.find(u)
+            if shift >= 0:
+                pieces.append((shift, shift + c))
+                break
+        else:
+            classes.append((u, u + u, [(0, c)]))
+    return tuple(RotationClass(u, tuple(pieces)) for u, _, pieces in classes)
 
 
 def scan_powers(prefix: Word, l: int, m_min: int, m_max: int) -> ScanResult:
@@ -203,9 +288,9 @@ def scan_powers_multi(
             runs = _chunk_runs(buf, arr, m, need)
         low = None if shorter is None else np.minimum(runs, shorter - m)
         for l in orders:
-            results[l].per_length[m] = frozenset(_bases_in_runs(prefix, runs, m, l))
+            results[l].classes[m] = _classes_in_runs(prefix, runs, m, l)
             if low is not None:
-                clipped[l].per_length[m] = frozenset(_bases_in_runs(prefix, low, m, l))
+                clipped[l].classes[m] = _classes_in_runs(prefix, low, m, l)
     return results if shorter is None else (results, clipped)
 
 
@@ -244,16 +329,22 @@ def _crosscheck_length(spec: DirectiveSpec, length: int) -> int:
     return length
 
 
-def certified_scan(table: BlockTable, m_max: int, l_max: int):
-    """Certify a prefix by scan stability across one level step, returning its scans too.
+def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1):
+    """Certify a prefix by scan stability across one level step at lengths m_min..m_max, returning its scans too.
 
     Each attempt scans only the larger block; the smaller block is its prefix,
     so its scan is the same runs clipped (`scan_powers_multi(..., shorter=...)`).
+    The two scans are compared by their rotation classes (`same_bases`). The
+    levels and the cost guard depend on m_max alone.
     """
     if m_max < 1:
         raise RangeError(f"m_max must be >= 1 (got {m_max})")
+    if not 1 <= m_min <= m_max:
+        raise RangeError(f"m_min must be in 1..{m_max} (got {m_min})")
     if l_max < 2:
         raise RangeError(f"l_max must be >= 2 (got {l_max})")
+    lengths = range(m_min, m_max + 1)
+    named = f"length {m_max}" if m_min == m_max else f"lengths {m_min}..{m_max}"
     window, low, high = _stability_levels(table, m_max)
     orders = range(2, l_max + 1)
     last_diff = None
@@ -267,12 +358,12 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int):
         large = table.block(high)
         if not large.startswith(small):
             raise VerificationError(f"block level {low} is not a prefix of block level {high}")
-        scans_large, scans_small = scan_powers_multi(large, orders, 1, m_max, shorter=len(small))
+        scans_large, scans_small = scan_powers_multi(large, orders, m_min, m_max, shorter=len(small))
         diffs = [
             (l, m)
             for l in orders
-            for m in range(1, m_max + 1)
-            if scans_small[l].per_length[m] != scans_large[l].per_length[m]
+            for m in lengths
+            if not same_bases(scans_small[l].classes[m], scans_large[l].classes[m])
         ]
         if not diffs:
             target = min(len(small), _PREFIX_CROSSCHECK_LETTERS)
@@ -282,7 +373,7 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int):
                     f"block level {low} disagrees with the closure construction within {checked} letters"
                 )
             method = (
-                f"scan counts for orders 2..{l_max} at lengths 1..{m_max} identical on "
+                f"scan counts for orders 2..{l_max} at {named} identical on "
                 f"block levels {low} ({len(small)} letters) and {high} ({len(large)} letters); "
                 f"window level {window}, visibility bound level {window} + alphabet size + 2"
             )
@@ -291,7 +382,7 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int):
                     f"; closure cross-check on {checked} of {target} letters, "
                     f"cut by its cap of {_PREFIX_CROSSCHECK_WORK} scanned letters"
                 )
-            return PrefixCertificate(word=small, covered_m_max=m_max, method=method), scans_small
+            return PrefixCertificate(word=small, covered_m_max=m_max, method=method, covered_m_min=m_min), scans_small
         last_diff = diffs[0]
     raise VerificationError(
         f"scan results still unstable after escalation: first difference at order/length {last_diff}"
@@ -303,42 +394,53 @@ def certify_prefix(table: BlockTable, m_max: int, l_max: int) -> PrefixCertifica
     return certified_scan(table, m_max, l_max)[0]
 
 
+def _run_end(w: Word, i: int, m: int) -> int:
+    """The end of the period-m run through i: the least e >= i with w[e] != w[e + m], or len(w) - m.
+
+    Slices are compared at C speed, doubling until one differs and then
+    halving onto its first difference, so the cost is linear in e - i.
+    """
+    limit = len(w) - m
+    step = 1
+    while i < limit:
+        step = min(step, limit - i)
+        if w[i:i + step] != w[i + m:i + m + step]:
+            break
+        i += step
+        step *= 2
+    else:
+        return limit
+    while step > 1:  # the first difference lies in w[i : i + step]
+        half = step // 2
+        if w[i:i + half] == w[i + m:i + m + half]:
+            i += half
+            step -= half
+        else:
+            step = half
+    return i
+
+
 def max_fractional_power(prefix: Word, base: Word) -> RationalIndex:
     """Largest exponent (possibly fractional) with base**exponent a factor of prefix."""
-    import numpy as np
-
     if not base:
         raise RangeError("base must be nonempty")
-    found = occurrences(prefix, base)
-    if not found:
+    i = prefix.find(base)
+    if i < 0:
         raise NotAFactorError("base does not occur in the prefix")
     m = len(base)
-    arr = _byte_view(prefix)
-    runs = _true_runs(arr[m:] == arr[:-m])
-    starts = runs[:, 0]
-    ends = runs[:, 1]
-    best = m
-    if starts.size:
-        where = np.searchsorted(starts, found, side="right") - 1
-        for i, j in zip(found, where.tolist()):
-            if j >= 0 and i < ends[j]:
-                best = max(best, m + int(ends[j]) - i)
+    best = 0
+    while i >= 0:
+        end = _run_end(prefix, i, m)
+        best = max(best, m + end - i)
+        # an occurrence before `end` lies in the run just measured and reaches only as far
+        i = prefix.find(base, max(end, i + 1))
     return RationalIndex(best // m, best % m, m)
 
 
 def greatest_power_prefix(prefix: Word, base: Word) -> Word:
     """The longest prefix of prefix that is a (possibly fractional) power of base."""
-    import numpy as np
-
     if not base:
         raise RangeError("base must be nonempty")
     if not prefix.startswith(base):
         raise NotAFactorError("base is not a prefix")
-    m = len(base)
-    arr = _byte_view(prefix)
-    mask = arr[m:] == arr[:-m]
-    extent = m
-    if mask.size and mask[0]:
-        falses = np.flatnonzero(~mask)
-        extent = m + (int(falses[0]) if falses.size else mask.size)
-    return prefix[:extent]
+    return prefix[:len(base) + _run_end(prefix, 0, len(base))]

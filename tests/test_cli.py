@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, JSON rows against the schema."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -352,6 +353,57 @@ class TestCensus:
         assert code == 0 and verdict["ok"] is True
         assert verdict["detail"].endswith("; closure cross-check on 1448 of 20000 letters, cut by its cap of 1048576 scanned letters")
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda row: dataclasses.replace(row, count=row.count + 1),
+            lambda row: dataclasses.replace(row, count=row.count - 1),
+            lambda row: dataclasses.replace(
+                row, provenance=dataclasses.replace(row.provenance, base=row.provenance.base[1:] + row.provenance.base[0])
+            ),
+        ],
+        ids=["count+1", "count-1", "rotated-base"],
+    )
+    def test_verify_catches_a_changed_row(self, capsys, monkeypatch, change):
+        # m = 6 carries rotations 0 and 1 of abacab: any change of count or base changes the set
+        census, census_range = cli.census, cli.census_range
+        monkeypatch.setattr(cli, "census", lambda table, m, l: change(census(table, m, l)))
+        code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--m", "6", "--verify")
+        assert code == 3 and out.endswith("on length 6 over 149 certified letters: MISMATCH at [6]\n")
+
+        def changed_range(table, m_max, l):
+            found = census_range(table, m_max, l)
+            return dataclasses.replace(found, nonzero=tuple(change(r) if r.m == 6 else r for r in found.nonzero))
+
+        monkeypatch.setattr(cli, "census_range", changed_range)
+        code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "13", "--verify", "--json")
+        verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
+        assert code == 3 and verdict["ok"] is False and verdict["mismatched_lengths"] == [6]
+
+    def test_verify_needs_empty_scans_off_the_grid(self, capsys, monkeypatch):
+        census_range = cli.census_range
+
+        def moved(table, m_max, l):
+            # drop the row at m = 6 and claim one at the off-grid m = 5
+            found = census_range(table, m_max, l)
+            fake = powers.PowerCensus(5, l, 1, powers.CensusProvenance("off-grid", 2, base="abaca"))
+            rows = sorted((*(r for r in found.nonzero if r.m != 6), fake), key=lambda r: r.m)
+            return dataclasses.replace(found, nonzero=tuple(rows))
+
+        monkeypatch.setattr(cli, "census_range", moved)
+        code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "13", "--verify", "--json")
+        verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
+        assert code == 3 and verdict["mismatched_lengths"] == [5, 6]
+
+    def test_single_length_verify_scans_that_length_only(self, capsys, monkeypatch):
+        calls = []
+        certified_scan = cli.certified_scan
+        monkeypatch.setattr(cli, "certified_scan", lambda *args, **kw: calls.append(kw) or certified_scan(*args, **kw))
+        code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--m", "24", "--verify", "--json")
+        verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
+        assert code == 0 and verdict["ok"] is True and calls == [{"m_min": 24}]
+        assert verdict["detail"].startswith("scan counts for orders 2..2 at length 24 identical")
+
     def test_uncut_certificate_detail_is_unchanged(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "1795", "--verify", "--json")
         verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
@@ -451,7 +503,7 @@ def _fresh_child(*args) -> str:
 
 
 class TestNumpyStaysUnloaded:
-    """The closed forms never call numpy, so only the oracle and the palindrome finder import it."""
+    """The closed forms never call numpy, so only the oracle's all-shift scan and the palindrome finder import it."""
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -459,6 +511,7 @@ class TestNumpyStaysUnloaded:
             (("census", "--spec", MIX3, "--m", "22"), 0),
             (("census", "--spec", MIX3, "--all-up-to", "58"), 0),
             (("index", "--spec", TRIB, "--all-up-to", "6"), 0),
+            (("index", "--spec", TRIB, "--all-up-to", "6", "--verify"), 0),
             (("blocks", "--spec", MIX3, "--n", "3"), 0),
             (("partition", "--spec", TRIB, "--n", "1", "--m", "4"), 0),
             (("partition", "--spec", TRIB, "--n", "1", "--m", "4", "--verify"), 0),
@@ -477,3 +530,24 @@ class TestNumpyStaysUnloaded:
     def test_the_oracle_still_loads_numpy(self):
         argv = ("census", "--spec", TRIB, "--m", "4", "--verify")
         assert json.loads(_fresh_child("-c", _NUMPY_PROBE, *argv)) == [0, True]
+
+
+# Linux counts a parent's resident memory at spawn in the child's max RSS, so a
+# fresh small interpreter spawns the CLI and prints its exit code and max RSS in KB.
+_RSS_PROBE = """
+import json, os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "episturm.cli", *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss]))
+"""
+
+
+def test_dense_verified_census_stays_small():
+    """Fibonacci order-2 bases up to 10,946 letters hold about 1.9e8 letters as word sets; the scan keeps classes."""
+    out = _fresh_child("-c", _RSS_PROBE, "census", "--spec", "k=2; d=; 1", "--all-up-to", "10946", "--verify", "--json")
+    *lines, last = out.splitlines()
+    code, max_rss_kb = json.loads(last)
+    rows = json_rows("\n".join(lines))
+    assert code == 0 and rows[-1]["ok"] is True
+    assert next(r for r in rows if r["kind"] == "verification")["ok"] is True
+    assert max_rss_kb < 100 * 1024

@@ -8,12 +8,14 @@ from episturm.directive import DirectiveSpec, closure_prefix, closure_work
 import episturm.oracle as oracle
 from episturm.errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
 from episturm.oracle import (
+    RotationClass,
     certified_scan,
     certify_prefix,
     generate_prefix,
     greatest_power_prefix,
     max_fractional_power,
     naive_scan,
+    same_bases,
     scan_powers,
     scan_powers_multi,
 )
@@ -83,16 +85,95 @@ class TestScan:
         assert got == naive_scan(w, l, 1, m_max)
 
 
+def _check_description(result):
+    """Each length's classes list distinct words and are never rotations of each other."""
+    for m, found in result.classes.items():
+        words = [c.rotations() for c in found]
+        assert all(len(c.word) == m and len(c) == len(ws) for c, ws in zip(found, words))
+        assert all(0 <= lo < hi <= c.period and m % c.period == 0 for c in found for lo, hi in c.spans)
+        conjugacy = [frozenset(c.word[j:] + c.word[:j] for j in range(m)) for c in found]
+        assert len(set(conjugacy)) == len(found)
+
+
 def _check_against_naive(w, l, m_min=1):
-    """The scan of w, and the scan of a prefix read off the same runs, match the naive double loop."""
+    """The scan of w, and the scan of a prefix read off the same runs, match the naive double loop;
+    comparing the two scans by description agrees with comparing their word sets."""
     m_max = len(w) // l
     if m_max < m_min:
         return
-    assert scan_powers(w, l, m_min, m_max).per_length == naive_scan(w, l, m_min, m_max)
+    full = scan_powers(w, l, m_min, m_max)
+    _check_description(full)
+    assert full.per_length == naive_scan(w, l, m_min, m_max)
     shorter = len(w) * 2 // 3
     if shorter // l >= m_min:
         _, clipped = scan_powers_multi(w, (l,), m_min, shorter // l, shorter=shorter)
+        _check_description(clipped[l])
         assert clipped[l].per_length == naive_scan(w[:shorter], l, m_min, shorter // l)
+        for m, found in clipped[l].classes.items():
+            assert same_bases(found, full.classes[m]) == (clipped[l].per_length[m] == full.per_length[m])
+
+
+class TestRotationClasses:
+    """Scans keep rotation classes per length; the expansion is the word set and equality is set equality."""
+
+    @pytest.mark.parametrize(
+        "w, l, m, classes",
+        [
+            ("ababcdcd", 2, 2, 2),  # {ab} and {cd}
+            ("aabaabaacaacaac", 2, 3, 2),  # {aab, aba, baa} and {aac, aca, caa}
+            ("abcabcxcabcab", 2, 3, 1),  # {abc, cab}: rotations 0 and 2 of abc, two spans
+            ("aaaaaaa", 2, 2, 1),  # {aa}: period 1, one offset
+            ("abababababab", 2, 4, 1),  # {abab, baba}: period 2, two offsets
+            ("ababababababcc", 3, 4, 1),  # {abab}
+        ],
+    )
+    def test_classes_and_non_primitive_bases_match_naive(self, w, l, m, classes):
+        got = scan_powers(w, l, m, m)
+        _check_description(got)
+        assert len(got.classes[m]) == classes
+        assert got.per_length == naive_scan(w, l, m, m)
+        for shorter in range(l * m, len(w)):
+            _, clipped = scan_powers_multi(w, (l,), m, m, shorter=shorter)
+            _check_description(clipped[l])
+            assert clipped[l].per_length == naive_scan(w[:shorter], l, m, m)
+            assert same_bases(clipped[l].classes[m], got.classes[m]) == (clipped[l].per_length[m] == got.per_length[m])
+
+    def test_period_reduces_offsets(self):
+        assert RotationClass("aaaa", ((0, 3),)).spans == ((0, 1),)
+        assert RotationClass("abab", ((1, 4),)).spans == ((0, 2),)
+        assert RotationClass("abab", ((3, 4),)).spans == ((1, 2),)
+        assert RotationClass("abcd", ((3, 6),)).spans == ((0, 2), (3, 4))
+        assert RotationClass("abab", ((0, 1),)) == RotationClass("baba", ((1, 2),))
+
+    def test_equality_ignores_the_representative(self):
+        assert RotationClass("abcd", ((1, 3),)) == RotationClass("bcda", ((0, 2),))
+        assert RotationClass("abcd", ((3, 5),)) == RotationClass("dabc", ((0, 2),))
+        assert RotationClass("abcd", ((0, 2),)) != RotationClass("bcda", ((0, 2),))
+        assert RotationClass("abcd", ((0, 1),)) != RotationClass("abdc", ((0, 1),))
+        assert RotationClass("abab", ((0, 2),)) != RotationClass("abababab", ((0, 2),))
+
+    @given(
+        st.text(alphabet="ab", min_size=1, max_size=12),
+        st.lists(st.tuples(st.integers(0, 30), st.integers(1, 12)), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(0, 30), st.integers(1, 12)), min_size=1, max_size=4),
+        st.integers(0, 11),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equality_is_word_set_equality(self, w, first, second, turn):
+        turn %= len(w)
+        a = RotationClass(w, tuple((lo, lo + n) for lo, n in first))
+        b = RotationClass(w[turn:] + w[:turn], tuple((lo, lo + n) for lo, n in second))
+        expected = {w[j % len(w):] + w[:j % len(w)] for lo, n in first for j in range(lo, lo + n)}
+        assert a.rotations() == expected and len(a) == len(expected)
+        assert (a == b) == (a.rotations() == b.rotations())
+        assert same_bases((a,), (b,)) == (a == b)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_certified_scans_are_one_class_per_carrying_length(self, certificates, name):
+        _, scans = certificates[name]
+        for result in scans.values():
+            _check_description(result)
+            assert all(len(found) <= 1 for found in result.classes.values())
 
 
 @st.composite
@@ -163,6 +244,27 @@ class TestCertificates:
         rescan = scan_powers(bigger, 2, 1, 13)
         assert rescan.per_length == scans[2].per_length
 
+    def test_single_length_certificate_scans_that_length_only(self, trib, monkeypatch):
+        full_cert, full = certified_scan(trib, 13, 3)
+        calls = []
+        scan = oracle.scan_powers_multi
+        monkeypatch.setattr(oracle, "scan_powers_multi", lambda *args, **kw: calls.append(args[2:4]) or scan(*args, **kw))
+        cert, scans = certified_scan(trib, 13, 3, m_min=13)
+        assert calls == [(13, 13)]
+        assert (cert.word, cert.covered_m_min, cert.covered_m_max) == (full_cert.word, 13, 13)
+        assert cert.method == full_cert.method.replace("at lengths 1..13", "at length 13")
+        assert {l: r.per_length for l, r in scans.items()} == {l: {13: r.per_length[13]} for l, r in full.items()}
+        assert certified_scan(trib, 13, 2, m_min=5)[0].method.startswith("scan counts for orders 2..2 at lengths 5..13 identical")
+        for m_min in (0, 14):
+            with pytest.raises(RangeError, match="m_min"):
+                certified_scan(trib, 13, 2, m_min=m_min)
+
+    def test_single_length_keeps_the_range_guard(self, monkeypatch):
+        # the guard still reads m_max times the larger block, as for the whole range
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * 927 - 1)
+        with pytest.raises(GuardExceeded, match="letter-shifts"):
+            certified_scan(BlockTable(DirectiveSpec.parse("k=3; d=; 1")), 13, 2, m_min=13)
+
     def test_certify_prefix_shortcut(self, trib):
         assert certify_prefix(trib, 13, 2).word == certified_scan(trib, 13, 2)[0].word
 
@@ -222,6 +324,37 @@ class TestIndexMeasurement:
         with pytest.raises(NotAFactorError):
             greatest_power_prefix("ba", "ab")
 
+    @pytest.mark.parametrize(
+        "prefix, base",
+        [
+            ("xyzab", "ab"),  # base at the very end
+            ("cababab", "ab"),  # run reaching the end
+            ("ababa", "ab"),  # run reaching the end from the start
+            ("abaabab", "ab"),  # the later run is longer
+            ("aaaa", "aaaa"),  # base is the whole prefix
+            ("abcabc", "ba"),  # base not a factor
+            ("ab", "abc"),  # base longer than the prefix
+        ],
+    )
+    def test_edge_cases_match_a_letter_loop(self, prefix, base):
+        _check_one_shift(prefix, base)
+
+    @given(st.text(alphabet="ab", min_size=1, max_size=80), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_binary_words_match_a_letter_loop(self, w, data):
+        i = data.draw(st.integers(0, len(w) - 1))
+        j = data.draw(st.integers(i + 1, min(len(w), i + 12)))
+        _check_one_shift(w, w[i:j])
+        _check_one_shift(w, w[:j - i])
+        _check_one_shift(w, data.draw(st.text(alphabet="ab", min_size=1, max_size=6)))
+
+    @given(periodic_words())
+    @settings(max_examples=30, deadline=None)
+    def test_periodic_words_match_a_letter_loop(self, w):
+        for m in (1, 2, 5, 17, 64):
+            _check_one_shift(w, w[len(w) // 3:len(w) // 3 + m])
+            _check_one_shift(w, w[:m])
+
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_never_exceeds_the_closed_form_on_certified_prefixes(self, tables, certificates, name):
         table = tables[name]
@@ -229,6 +362,31 @@ class TestIndexMeasurement:
         for n in range(1, 7):
             measured = max_fractional_power(cert.word, table.block(n))
             assert measured <= block_index(table, n)
+
+
+def _naive_power_from(w, i, m):
+    """Letters of the longest factor at i with period m, one comparison at a time."""
+    e = m
+    while i + e < len(w) and w[i + e] == w[i + e - m]:
+        e += 1
+    return e
+
+
+def _check_one_shift(prefix, base):
+    """max_fractional_power and greatest_power_prefix agree with letter loops, refusals included."""
+    m = len(base)
+    found = [i for i in range(len(prefix) - m + 1) if prefix[i:i + m] == base]
+    if found:
+        best = max(_naive_power_from(prefix, i, m) for i in found)
+        assert max_fractional_power(prefix, base) == RationalIndex(best // m, best % m, m)
+    else:
+        with pytest.raises(NotAFactorError):
+            max_fractional_power(prefix, base)
+    if prefix.startswith(base):
+        assert greatest_power_prefix(prefix, base) == prefix[:_naive_power_from(prefix, 0, m)]
+    else:
+        with pytest.raises(NotAFactorError):
+            greatest_power_prefix(prefix, base)
 
 
 class TestSoundnessSample:
