@@ -48,10 +48,6 @@ class BlockTable:
     def spec(self) -> DirectiveSpec:
         return self._spec
 
-    @property
-    def level_guard(self) -> int:
-        return self._level_guard
-
     def exponent(self, i: int) -> int:
         return exponent(self._spec, i)
 

@@ -15,17 +15,18 @@ from typing import Callable
 
 from .blocks import BlockTable
 from .directive import (
+    CLOSURE_CHECK_WORK,
     PalindromicPrefixTable,
     closure_lengths,
     closure_prefix,
-    closure_work,
+    closure_reach,
     directive_letter,
     exponent_sum,
     next_same_letter,
     prefix_increment,
     previous_same_letter,
 )
-from .errors import VerificationError
+from .errors import CancellationError, InvariantViolation, VerificationError
 from .partition import level_partition, refined_levels
 from .powers import block_index, block_index_witness, census, length_sets, prefix_index
 from .singular import factor_partition, singular_window
@@ -41,7 +42,6 @@ from .words import (
 )
 
 _CLOSURE_CHECK_CAP = 200_000
-_CLOSURE_WORK_CAP = 1 << 20
 _COMPOSED_LETTER_CAP = 1 << 19
 _POSITION_CAP = 1 << 12
 _WITNESS_OCCURRENCE_CAP = 2_000_000
@@ -54,13 +54,13 @@ def _fail(name: str, level, detail: str):
     raise VerificationError(f"{name} at level {level}: {detail}")
 
 
-def _closure_affordable(table: BlockTable, length: int) -> bool:
-    """Whether a closure comparison on `length` letters stays within the prefix cap and the closure's work cap.
+def _closure_reach(table: BlockTable) -> int | float:
+    """The longest prefix a closure comparison may build: within the prefix cap and the closure's work cap.
 
     A long run of one directive letter makes the closure's work quadratic in
     its output, so the prefix cap alone does not bound it.
     """
-    return length <= _CLOSURE_CHECK_CAP and closure_work(table.spec, length, _CLOSURE_WORK_CAP) <= _CLOSURE_WORK_CAP
+    return min(_CLOSURE_CHECK_CAP, closure_reach(table.spec, CLOSURE_CHECK_WORK))
 
 
 def check_block_letters(table: BlockTable, n_max: int) -> None:
@@ -90,6 +90,7 @@ def check_palindromic_prefixes(table: BlockTable, n_max: int) -> None:
     """Palindromic prefixes are palindromes, sized by the recurrence, nested, and literal prefixes."""
     k = table.spec.k
     closures = PalindromicPrefixTable(table.spec)
+    reach = _closure_reach(table)
     for n in range(0, n_max + 1):
         p = table.palindromic_prefix(n)
         if not is_palindrome(p):
@@ -107,7 +108,7 @@ def check_palindromic_prefixes(table: BlockTable, n_max: int) -> None:
         spread = sum(table.palindromic_prefix_length(n - j) for j in range(1, k))
         if spread != table.block_length(n) - k:
             _fail("palindromic-prefixes", n, f"window prefix lengths sum to {spread}, expected length-{k}")
-        if _closure_affordable(table, len(p)):
+        if len(p) <= reach:
             stage = exponent_sum(table.spec, n + 1)
             if closures.prefix(stage) != p:
                 _fail("palindromic-prefixes", n, "disagrees with the iterated-closure construction")
@@ -213,13 +214,13 @@ def check_increment_words(table: BlockTable, n_max: int) -> None:
     closures = PalindromicPrefixTable(spec)
     cap = exponent_sum(spec, min(n_max, 8))
     lengths = list(islice(closure_lengths(spec), cap + 2))
-    composed = work = 0
+    reach = closure_reach(spec, CLOSURE_CHECK_WORK)
+    composed = 0
     previous = prefix_increment(spec, 0)
     for i in range(1, cap + 1):
-        # increment i has |u_{i+2}| - |u_{i+1}| letters; closure prefix i + 1 scans u_1 .. u_i
+        # increment i has |u_{i+2}| - |u_{i+1}| letters; closure prefix i + 1 has |u_{i+1}|
         composed += lengths[i + 1] - lengths[i]
-        work += lengths[i - 1]
-        if composed > _COMPOSED_LETTER_CAP or work > _CLOSURE_WORK_CAP:
+        if composed > _COMPOSED_LETTER_CAP or lengths[i] > reach:
             break
         current = prefix_increment(spec, i)
         if len(current) > _CLOSURE_CHECK_CAP:
@@ -279,6 +280,7 @@ def check_power_prefixes(table: BlockTable, n_max: int) -> None:
     """Power prefixes are palindromic prefixes of the word with the predicted lengths."""
     k = table.spec.k
     closures = PalindromicPrefixTable(table.spec)
+    reach = _closure_reach(table)
     for n in range(1, n_max + 1):
         r = table.power_prefix(n)
         if not is_palindrome(r):
@@ -288,7 +290,7 @@ def check_power_prefixes(table: BlockTable, n_max: int) -> None:
             _fail("power-prefixes", n, f"length {len(r)} vs predicted {expected}")
         if table.block(n + 2)[:len(r)] != r:
             _fail("power-prefixes", n, "not a prefix of the word")
-        if _closure_affordable(table, len(r)) and closures.prefix(exponent_sum(table.spec, n) + 1) != r:
+        if len(r) <= reach and closures.prefix(exponent_sum(table.spec, n) + 1) != r:
             _fail("power-prefixes", n, "disagrees with the closure construction")
 
 
@@ -375,7 +377,7 @@ def check_partition_tilings(table: BlockTable, n_max: int) -> None:
 def check_closure_equivalence(table: BlockTable, n_max: int) -> None:
     """The closure construction and the block recurrence build the same prefix."""
     target = min(10_000, table.block_length(min(n_max + 1, 12)))
-    if not _closure_affordable(table, target):
+    if target > _closure_reach(table):
         return
     by_closure = closure_prefix(table.spec, target)
     by_blocks = table.block(table.level_reaching(target))[:target]
@@ -408,11 +410,15 @@ ALL_CHECKS: tuple[tuple[str, Callable[[BlockTable, int], None]], ...] = (
 
 
 def run_battery(table: BlockTable, n_max: int):
-    """Run every check; yield (name, None) on success or (name, error) on the first failure inside it."""
+    """Run every check; yield (name, None) on success or (name, error) on the first failure inside it.
+
+    A cancellation or partition invariant that breaks inside a check is that
+    check's failure too, so the rest of the battery still runs.
+    """
     for name, fn in ALL_CHECKS:
         try:
             fn(table, n_max)
-        except VerificationError as exc:
+        except (VerificationError, CancellationError, InvariantViolation) as exc:
             yield name, exc
         else:
             yield name, None

@@ -9,6 +9,7 @@ that sequence builds the word this whole package studies.
 
 from __future__ import annotations
 
+import math
 import string
 import threading
 from collections.abc import Iterator
@@ -142,7 +143,10 @@ def _entry_of_position(spec: DirectiveSpec, i: int) -> int:
     """Index of the exponent entry covering position i of the expanded letter sequence."""
     if i < 1:
         raise RangeError(f"letter position {i} must be >= 1")
-    lo, hi = 1, i  # each exponent is >= 1, so entry index never exceeds position
+    # each exponent is >= 1, so the entry index never exceeds the position, nor a finite directive's entry count
+    lo, hi = 1, i if spec.period else len(spec.preperiod)
+    if exponent_sum(spec, hi) < i:
+        raise RangeError(f"directive is finite with {exponent_sum(spec, hi)} letters; position {i} is past its end")
     while lo < hi:
         mid = (lo + hi) // 2
         if exponent_sum(spec, mid) >= i:
@@ -219,10 +223,6 @@ class PalindromicPrefixTable:
         self._prefixes: list[Word] = [""]
         self._lock = threading.RLock()
 
-    @property
-    def spec(self) -> DirectiveSpec:
-        return self._spec
-
     def prefix(self, j: int) -> Word:
         """The j-th palindromic prefix (j >= 1)."""
         if j < 1:
@@ -263,18 +263,27 @@ def closure_lengths(spec: DirectiveSpec) -> Iterator[int]:
         entry += 1
 
 
-def closure_work(spec: DirectiveSpec, length: int, limit: int) -> int:
-    """Letters the closure steps scan to build `length` letters: |u_j| summed over the steps, stopping once past limit.
+# Letters a closure cross-check may scan: a long run of one directive letter
+# makes that quadratic in the prefix (`k=2; d=20000; 1` scans 2.0e8 letters for
+# 20,000). The reference directives need under 5e4 at 20,000 letters.
+CLOSURE_CHECK_WORK = 1 << 20
 
-    Each step scans the prefix it closes, so a long run of one letter costs
-    quadratic work for linear output.
+
+def closure_reach(spec: DirectiveSpec, work: int) -> int | float:
+    """The longest prefix the closure builds while its steps scan at most `work` letters.
+
+    Building L letters closes every prefix u_j shorter than L, scanning |u_j|
+    letters each, so a long run of one letter costs quadratic work for linear
+    output. That work never falls as L grows: it is at most `work` exactly when
+    L <= closure_reach(spec, work). A finite directive whose whole closure fits
+    leaves every length in reach (math.inf); past its end the closure raises.
     """
-    work = 0
+    scanned = 0
     for u in closure_lengths(spec):
-        if u >= length or work > limit:
-            break
-        work += u
-    return work
+        scanned += u
+        if scanned > work:
+            return u
+    return math.inf
 
 
 def closure_prefix(spec: DirectiveSpec, length: int) -> Word:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .blocks import BlockTable
-from .directive import DirectiveSpec, closure_lengths, closure_prefix
+from .directive import CLOSURE_CHECK_WORK, closure_prefix, closure_reach
 from .errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
 from .words import RationalIndex, Word
 
@@ -42,10 +42,6 @@ if TYPE_CHECKING:  # numpy is imported inside the functions that use it, so the 
     import numpy as np
 
 _PREFIX_CROSSCHECK_LETTERS = 20_000
-# Letters the cross-check's closure steps may scan; a long run of one directive
-# letter makes that quadratic in the prefix (`k=2; d=20000; 1` scanned 2.0e8
-# letters for 20,000). The reference directives need under 5e4 at 20,000 letters.
-_PREFIX_CROSSCHECK_WORK = 1 << 20
 # Letter-shifts one certification scan may cost: m_max times the letters of the
 # larger block. Measured on a 2-CPU x86-64 VM (Python 3.11) at 0.3 to 0.8 ns
 # each, so the cap stands for under 7 s. Memory follows the runs, not the
@@ -317,18 +313,6 @@ def _stability_levels(table: BlockTable, m_max: int) -> tuple[int, int, int]:
     return n, n + k + 3, n + k + 4
 
 
-def _crosscheck_length(spec: DirectiveSpec, length: int) -> int:
-    """The longest prefix, up to `length` letters, whose closure steps scan at most _PREFIX_CROSSCHECK_WORK letters."""
-    work = 0
-    for u in closure_lengths(spec):
-        if u >= length:
-            break
-        work += u
-        if work > _PREFIX_CROSSCHECK_WORK:
-            return u
-    return length
-
-
 def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1):
     """Certify a prefix by scan stability across one level step at lengths m_min..m_max, returning its scans too.
 
@@ -367,7 +351,7 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
         ]
         if not diffs:
             target = min(len(small), _PREFIX_CROSSCHECK_LETTERS)
-            checked = _crosscheck_length(table.spec, target)
+            checked = min(target, closure_reach(table.spec, CLOSURE_CHECK_WORK))
             if closure_prefix(table.spec, checked) != small[:checked]:
                 raise VerificationError(
                     f"block level {low} disagrees with the closure construction within {checked} letters"
@@ -380,7 +364,7 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
             if checked < target:
                 method += (
                     f"; closure cross-check on {checked} of {target} letters, "
-                    f"cut by its cap of {_PREFIX_CROSSCHECK_WORK} scanned letters"
+                    f"cut by its cap of {CLOSURE_CHECK_WORK} scanned letters"
                 )
             return PrefixCertificate(word=small, covered_m_max=m_max, method=method, covered_m_min=m_min), scans_small
         last_diff = diffs[0]

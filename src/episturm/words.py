@@ -107,7 +107,7 @@ def occurrences(text: Word, w: Word) -> list[int]:
 _HASH_MODULUS = (1 << 31) - 1
 _HASH_BASE = 48271
 _HASH_CHUNK = 1 << 16
-_HASH_POWERS: dict = {}  # (base, modulus, chunk) -> B^t for t < chunk, as uint64
+_hash_powers = None  # B^t for t < _HASH_CHUNK, as read-only uint64; built on first use
 
 
 def _palindromic_prefix_candidates(w: Word) -> np.ndarray:
@@ -119,12 +119,12 @@ def _palindromic_prefix_candidates(w: Word) -> np.ndarray:
     """
     import numpy as np
 
+    global _hash_powers
     modulus, base, n = _HASH_MODULUS, _HASH_BASE, len(w)
     width = max(1, min(n, _HASH_CHUNK))
     m = np.uint64(modulus)
-    key = (base, modulus, _HASH_CHUNK)
-    powers = _HASH_POWERS.get(key)
-    if powers is None:  # built once per key by doubling, then sliced by every call
+    powers = _hash_powers
+    if powers is None or len(powers) < _HASH_CHUNK:  # built by doubling, again only for a larger chunk; sliced by every call
         powers = np.ones(_HASH_CHUNK, dtype=np.uint64)
         filled = 1
         while filled < _HASH_CHUNK:
@@ -132,7 +132,7 @@ def _palindromic_prefix_candidates(w: Word) -> np.ndarray:
             powers[filled:filled + step] = powers[:step] * np.uint64(pow(base, filled, modulus)) % m
             filled += step
         powers.flags.writeable = False  # shared by every call in the process
-        _HASH_POWERS[key] = powers
+        _hash_powers = powers
     forward_sum = backward_sum = np.uint64(0)
     found = []
     for start in range(0, n, width):

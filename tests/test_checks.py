@@ -8,7 +8,7 @@ import episturm.checks as checks
 from episturm.blocks import BlockTable
 from episturm.checks import ALL_CHECKS, check_block_letters, run_battery
 from episturm.directive import DirectiveSpec, PalindromicPrefixTable, closure_prefix
-from episturm.errors import VerificationError
+from episturm.errors import CancellationError, InvariantViolation, VerificationError
 
 from conftest import SPEC_TEXTS
 
@@ -56,6 +56,26 @@ class TestFailureReporting:
         assert name == "block-letters"
         assert isinstance(error, VerificationError)
         assert "level 2" in str(error)
+
+
+class _CorruptedTails(BlockTable):
+    """Returns every level-3 tail with its last letter changed."""
+
+    def block_tail(self, n: int, r: int) -> str:
+        g = super().block_tail(n, r)
+        return g[:-1] + ("a" if g[-1] != "a" else "b") if n == 3 else g
+
+
+class TestStepErrors:
+    def test_a_step_error_fails_its_check_and_the_battery_runs_on(self):
+        # stripping a wrong tail cancels nothing, and the wrong window breaks the partition's invariants
+        table = _CorruptedTails(DirectiveSpec.parse(SPEC_TEXTS["tribonacci"]))
+        results = list(run_battery(table, 6))
+        assert [name for name, _ in results] == [name for name, _ in ALL_CHECKS]
+        failed = {name: error for name, error in results if error is not None}
+        assert list(failed) == ["near-commutation", "tail-reversal-link", "tail-letters", "junction-products", "singular-forms"]
+        assert isinstance(failed["near-commutation"], CancellationError)
+        assert isinstance(failed["singular-forms"], InvariantViolation)
 
 
 class _CorruptedClosures(PalindromicPrefixTable):

@@ -77,6 +77,24 @@ class TestGenerate:
         assert time.perf_counter() - start < 1.0
         assert code == 4 and out == "" and "guard" in err
 
+    @pytest.mark.parametrize(
+        "length, code, out",
+        [("4", 0, "abab\n"), ("5", 0, "ababa\n"), ("6", 2, ""), ("50", 2, ""), (str(10**30), 2, "")],
+    )
+    def test_a_finite_directive_within_the_guard_runs_out_as_a_usage_error(self, capsys, length, code, out):
+        # its whole closure scans 9 letters, so no length trips the guard
+        result = run_cli(capsys, "generate", "--spec", "k=2; d=1,2", "--length", length)
+        assert result[:2] == (code, out)
+        assert code == 0 or result[2].startswith("episturm generate: directive is finite")
+
+    def test_a_finite_directive_above_the_guard_trips_it(self, capsys, monkeypatch):
+        # building 3 letters of aa.. closes prefixes of 0, 1 and 2 letters before the directive runs out
+        monkeypatch.setattr(cli, "_GENERATE_GUARD", 1)
+        assert run_cli(capsys, "generate", "--spec", "k=2; d=2", "--length", "2")[0] == 0
+        assert run_cli(capsys, "generate", "--spec", "k=2; d=2", "--length", "3")[0] == 4
+        monkeypatch.setattr(cli, "_GENERATE_GUARD", 3)
+        assert run_cli(capsys, "generate", "--spec", "k=2; d=2", "--length", "3")[0] == 2
+
     def test_guard_counts_the_letters_the_closure_scans(self, capsys, monkeypatch):
         # 31 letters of the Tribonacci word close prefixes of 0, 1, 3, 7, 14 and 27 letters
         monkeypatch.setattr(cli, "_GENERATE_GUARD", 52)
@@ -155,6 +173,7 @@ class TestSingular:
         code, out, err = run_cli(capsys, "singular", "--spec", TRIB, "--n", "16")
         assert time.perf_counter() - start < 1.0
         assert code == 4 and out == "" and "16" in err
+        assert err == "episturm singular: the level-16 partition has 1142271507 letters, above the length guard 134217728\n"
 
 
 class TestPartition:
@@ -447,6 +466,21 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--n", n)
         assert time.perf_counter() - start < 2.0
         assert code == 0 and "all checks pass" in out
+
+    def test_a_step_error_inside_a_check_is_that_check_failing(self, capsys, monkeypatch):
+        # a wrong level-3 tail used to end the battery after 7 rows with a usage error (exit 2)
+        block_tail = BlockTable.block_tail
+
+        def flipped(self, n, r):
+            g = block_tail(self, n, r)
+            return g[:-1] + ("a" if g[-1] != "a" else "b") if n == 3 else g
+
+        monkeypatch.setattr(BlockTable, "block_tail", flipped)
+        code, out, err = run_cli(capsys, "verify", "--spec", TRIB, "--n", "6")
+        lines = out.splitlines()
+        assert code == 3 and len(lines) == 21 and lines[-1] == "battery up to level 6: 5 checks FAILED"
+        assert "FAIL near-commutation: 'cabb' is not a suffix of 'abacabacaba'" in lines
+        assert err == "episturm verify: 5 invariant checks failed\n"
 
     def test_battery_guard_reads_block_n_plus_two(self, capsys, monkeypatch):
         # block 5 of the Tribonacci word has 24 letters

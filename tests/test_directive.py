@@ -1,5 +1,6 @@
 """Directive parsing, exponent indexing, and the palindromic-closure construction."""
 
+import math
 from itertools import takewhile
 
 import pytest
@@ -10,7 +11,7 @@ from episturm.directive import (
     PalindromicPrefixTable,
     closure_lengths,
     closure_prefix,
-    closure_work,
+    closure_reach,
     directive_letter,
     exponent,
     exponent_sum,
@@ -26,6 +27,52 @@ from episturm.errors import ParseError, RangeError
 TRIB = DirectiveSpec.parse("k=3; d=; 1")
 FIB = DirectiveSpec.parse("k=2; d=; 1")
 MIX3 = DirectiveSpec.parse("k=3; d=1,1,2; 2,1,2")
+
+
+# reference directives, long runs of one letter, and finite directives
+CLOSURE_SPECS = [
+    "k=3; d=; 1",
+    "k=2; d=; 1",
+    "k=3; d=1,1,2; 2,1,2",
+    "k=4; d=2,1,3,1; 2,2",
+    "k=2; d=40; 1",
+    "k=2; d=900; 1",
+    "k=3; d=1,900; 2",
+    "k=2; d=1,2",
+    "k=2; d=2",
+    "k=3; d=5",
+    "k=3; d=1,1,1,1,7",
+]
+
+
+def reference_closure_work(spec, length, limit):
+    """The closure-work loop `closure_reach` replaced: |u_j| summed over the steps that build `length` letters, stopping once past limit."""
+    work = 0
+    for u in closure_lengths(spec):
+        if u >= length or work > limit:
+            break
+        work += u
+    return work
+
+
+def counting_closure(spec, budget):
+    """Close the actual words until `budget` letters are scanned: the lengths |u_1|, |u_2|, ... and whether the directive ran out."""
+    w, scanned, lengths, i = "", 0, [0], 1
+    while scanned <= budget:
+        try:
+            x = directive_letter(spec, i)
+        except RangeError:
+            return lengths, True
+        scanned += len(w)  # a closure step scans the prefix it closes
+        w = palindromic_closure(w + x)
+        lengths.append(len(w))
+        i += 1
+    return lengths, False
+
+
+def scanned_to_build(lengths, length):
+    """Letters the closure scans to build `length` letters: every prefix shorter than it is closed once."""
+    return sum(u for u in lengths if u < length)
 
 
 class TestParsing:
@@ -173,14 +220,77 @@ class TestClosure:
         assert lengths == [len(table.prefix(j)) for j in range(1, len(lengths) + 1)]
         for length in range(0, lengths[-1] + 1, max(1, lengths[-1] // 97)):
             reached = next(j for j, u in enumerate(lengths) if u >= length)
-            assert closure_work(spec, length, 10**12) == sum(lengths[:reached])
+            assert reference_closure_work(spec, length, 10**12) == sum(lengths[:reached])
 
-    def test_closure_work_stops_past_the_limit(self):
+    @pytest.mark.parametrize("text", CLOSURE_SPECS)
+    def test_closure_reach_matches_a_counting_closure(self, text):
+        spec = DirectiveSpec.parse(text)
+        lengths, finite = counting_closure(spec, 1 << 16)
+        sums = [sum(lengths[:j + 1]) for j in range(len(lengths))]
+        top = math.inf if finite else sums[-1]  # an unfinished closure knows the reach of smaller budgets only
+        for work in sorted({0, 1, 2, 7, 52, 1000, 1 << 25} | {w + d for w in sums for d in (-1, 0, 1)}):
+            if not 0 <= work < top:
+                continue
+            reach = closure_reach(spec, work)
+            if reach == math.inf:
+                assert finite and scanned_to_build(lengths, 10**30) <= work
+            else:
+                assert scanned_to_build(lengths, reach) <= work < scanned_to_build(lengths, reach + 1), work
+        probes = {u + d for u in lengths for d in (-1, 0, 1) if u + d >= 0} | ({10**30} if finite else set())
+        for work in (0, 1, 2, 7, 52, 1000):
+            reach = closure_reach(spec, work)
+            for length in probes:
+                if finite or length <= lengths[-1]:
+                    assert (scanned_to_build(lengths, length) <= work) == (length <= reach), (work, length)
+
+    @given(
+        st.integers(2, 4),
+        st.lists(st.integers(1, 60), max_size=6),
+        st.lists(st.integers(1, 4), max_size=4),
+        st.integers(0, 1 << 14),
+        st.integers(0, 4_000),
+    )
+    def test_closure_reach_on_random_directives(self, k, preperiod, period, work, length):
+        if not preperiod and not period:
+            period = [1]
+        spec = DirectiveSpec.make(k, tuple(preperiod), tuple(period))
+        lengths, finite = counting_closure(spec, 1 << 15)
+        if finite or length <= lengths[-1]:
+            assert (scanned_to_build(lengths, length) <= work) == (length <= closure_reach(spec, work))
+        assert (reference_closure_work(spec, length, work) <= work) == (length <= closure_reach(spec, work))
+
+    @pytest.mark.parametrize("text", CLOSURE_SPECS + ["k=2; d=1000000000; 1", "k=5; d=; 1", "k=2; d=; 900"])
+    @pytest.mark.parametrize("work", [0, 1, 7, 52, 1000, 1 << 20, 1 << 25])
+    def test_closure_reach_agrees_with_the_replaced_loop(self, text, work):
+        spec = DirectiveSpec.parse(text)
+        reach = closure_reach(spec, work)
+        lengths = list(takewhile(lambda u: u <= min(reach, 10**7), closure_lengths(spec)))
+        sample = lengths[::max(1, len(lengths) // 100)] + lengths[-30:]
+        probes = {0, 1, 10**30} | {u + d for u in sample for d in (-1, 0, 1) if u + d >= 0}
+        for length in probes:
+            assert (reference_closure_work(spec, length, work) <= work) == (length <= reach), length
+
+    def test_closure_reach_at_the_edges(self):
+        # 28 to 51 letters of the Tribonacci word close prefixes of 0, 1, 3, 7, 14 and 27 letters
+        assert closure_reach(TRIB, 52) == 51
+        assert closure_reach(TRIB, 51) == 27
+        assert closure_reach(TRIB, 0) == 1
+        # closing a^j for j up to 1,447 scans 1,047,628 letters, a^1448 one more prefix
+        long_run = DirectiveSpec.parse("k=2; d=20000; 1")
+        assert closure_reach(long_run, 1 << 20) == 1448
+        assert closure_reach(DirectiveSpec.parse("k=2; d=1000000000; 1"), 1 << 25) == 8192
+        # a finite directive that the budget covers to its end leaves every length in reach
+        finite = DirectiveSpec.parse("k=2; d=1,2")  # prefixes of 0, 1, 3 and 5 letters
+        assert closure_reach(finite, 9) == math.inf
+        assert closure_reach(finite, 8) == 5
+        assert closure_reach(finite, 3) == 3
+        assert closure_reach(DirectiveSpec.parse("k=2; d=2"), 1) == 2
+
+    def test_closure_reach_stops_past_the_budget(self):
         # one run of 10^9 letters: the closure would scan about 5 * 10^17 letters
         spec = DirectiveSpec.parse("k=2; d=1000000000; 1")
-        work = closure_work(spec, 2 * 10**9, 1 << 25)
-        assert 1 << 25 < work < (1 << 25) + 10**5
-        assert closure_work(spec, 10, 1 << 25) == sum(range(10))
+        reach = closure_reach(spec, 1 << 25)
+        assert sum(range(reach)) <= 1 << 25 < sum(range(reach + 1))
 
     def test_closure_prefix_known_words(self):
         assert closure_prefix(FIB, 21) == "abaababaabaababaababa"
@@ -191,3 +301,17 @@ class TestClosure:
         spec = DirectiveSpec.parse("k=2; d=1,1")
         with pytest.raises(RangeError):
             closure_prefix(spec, 1000)
+
+    def test_a_finite_directive_has_exactly_its_letters(self):
+        # the position search stays within a finite directive's entries: `d=5` has letters 3..5,
+        # and `d=1,1,1,1,1` has no sixth letter to close a 20th letter of the word with
+        run = DirectiveSpec.parse("k=3; d=5")
+        assert [directive_letter(run, i) for i in range(1, 6)] == ["a"] * 5
+        assert closure_prefix(run, 5) == "aaaaa"
+        alternating = DirectiveSpec.parse("k=2; d=1,1,1,1,1")
+        assert closure_prefix(alternating, 19) == "abaababaabaababaaba"
+        for spec, past in ((run, 6), (alternating, 6)):
+            with pytest.raises(RangeError, match=f"position {past} is past its end"):
+                directive_letter(spec, past)
+        with pytest.raises(RangeError):
+            closure_prefix(alternating, 20)

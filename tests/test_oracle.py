@@ -1,10 +1,12 @@
 """Brute-force repetition scanning: the independent route the census is checked against."""
 
+from itertools import takewhile
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from episturm.blocks import BlockTable
-from episturm.directive import DirectiveSpec, closure_prefix, closure_work
+from episturm.directive import CLOSURE_CHECK_WORK, DirectiveSpec, closure_lengths, closure_prefix, closure_reach
 import episturm.oracle as oracle
 from episturm.errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
 from episturm.oracle import (
@@ -282,9 +284,11 @@ class TestCertificates:
     def test_crosscheck_stops_at_its_work_cap(self, monkeypatch):
         # closing a^j scans j letters, so the first 20,000 letters of this word cost about 2e8
         spec = DirectiveSpec.parse("k=2; d=20000; 1")
-        cap = oracle._PREFIX_CROSSCHECK_WORK
-        checked = oracle._crosscheck_length(spec, 20_000)
-        assert closure_work(spec, checked, cap) <= cap < closure_work(spec, checked + 1, cap)
+        cap = CLOSURE_CHECK_WORK
+        checked = closure_reach(spec, cap)
+        closed = list(takewhile(lambda u: u <= checked, closure_lengths(spec)))
+        assert checked == 1448 and closed == list(range(checked + 1))
+        assert sum(closed[:-1]) <= cap < sum(closed)  # building one letter more closes prefix `checked` too
         cert, _ = certified_scan(BlockTable(spec), 3, 2)
         assert cert.method.endswith(f"; closure cross-check on {checked} of 20000 letters, cut by its cap of {cap} scanned letters")
         asked = []
@@ -300,7 +304,7 @@ class TestCertificates:
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_reference_directives_crosscheck_the_whole_prefix(self, tables, name):
-        assert oracle._crosscheck_length(tables[name].spec, oracle._PREFIX_CROSSCHECK_LETTERS) == oracle._PREFIX_CROSSCHECK_LETTERS
+        assert closure_reach(tables[name].spec, CLOSURE_CHECK_WORK) >= oracle._PREFIX_CROSSCHECK_LETTERS
 
     def test_finite_directive_cannot_certify(self):
         table = BlockTable(DirectiveSpec.parse("k=2; d=1,1,1,1"))
