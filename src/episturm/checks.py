@@ -10,6 +10,7 @@ weakening an equality.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import islice
 from typing import Callable
 
@@ -36,7 +37,6 @@ from .words import (
     is_primitive,
     reversal,
     shorten,
-    strip_prefix,
     strip_suffix,
     two_palindrome_splits,
 )
@@ -52,6 +52,15 @@ _SPLIT_SIZE_CAP = 1_000_000
 
 def _fail(name: str, level, detail: str):
     raise VerificationError(f"{name} at level {level}: {detail}")
+
+
+@contextmanager
+def _at_level(name: str, level):
+    """A cancellation or partition invariant that breaks inside the block fails the check at this level."""
+    try:
+        yield
+    except (CancellationError, InvariantViolation) as exc:
+        _fail(name, level, str(exc))
 
 
 def _closure_reach(table: BlockTable) -> int | float:
@@ -170,10 +179,11 @@ def check_near_commutation(table: BlockTable, n_max: int) -> None:
     """Products of consecutive blocks agree once each drops its own short tail."""
     k = table.spec.k
     for n in range(1, n_max + 1):
-        left = strip_suffix(table.block(n) + table.block(n - 1), table.block_tail(n - 1, k - 1))
-        right = strip_suffix(table.block(n - 1) + table.block(n), table.block_tail(n, 1))
-        if left != right:
-            _fail("near-commutation", n, f"{shorten(left)!r} != {shorten(right)!r}")
+        with _at_level("near-commutation", n):
+            left = strip_suffix(table.block(n) + table.block(n - 1), table.block_tail(n - 1, k - 1))
+            right = strip_suffix(table.block(n - 1) + table.block(n), table.block_tail(n, 1))
+            if left != right:
+                _fail("near-commutation", n, f"{shorten(left)!r} != {shorten(right)!r}")
 
 
 def check_tail_reversal_link(table: BlockTable, n_max: int) -> None:
@@ -261,19 +271,20 @@ def check_junction_products(table: BlockTable, n_max: int) -> None:
     k = table.spec.k
     alphabet = table.spec.alphabet
     for n in range(1, n_max + 1):
-        product = table.block(n + 1) + table.block(n)
-        via_tail = table.power_prefix(n + 1) + table.block_tail(n, k - 1)
-        if product != via_tail:
-            _fail("junction-products", n, "power-prefix factorization fails")
-        if n >= k:
-            via_junction = table.block(n) * (table.exponent(n + 1) + 1) + table.junction(n - 1)
-            if product != via_junction:
-                _fail("junction-products", n, "junction factorization fails")
-        else:
-            power = table.block(n) * (table.exponent(n + 1) + 1)
-            resolved = strip_suffix(power, alphabet[n % k]) + table.block_tail(n, k - 1)
-            if product != resolved:
-                _fail("junction-products", n, "resolved formal junction fails")
+        with _at_level("junction-products", n):
+            product = table.block(n + 1) + table.block(n)
+            via_tail = table.power_prefix(n + 1) + table.block_tail(n, k - 1)
+            if product != via_tail:
+                _fail("junction-products", n, "power-prefix factorization fails")
+            if n >= k:
+                via_junction = table.block(n) * (table.exponent(n + 1) + 1) + table.junction(n - 1)
+                if product != via_junction:
+                    _fail("junction-products", n, "junction factorization fails")
+            else:
+                power = table.block(n) * (table.exponent(n + 1) + 1)
+                resolved = strip_suffix(power, alphabet[n % k]) + table.block_tail(n, k - 1)
+                if product != resolved:
+                    _fail("junction-products", n, "resolved formal junction fails")
 
 
 def check_power_prefixes(table: BlockTable, n_max: int) -> None:
@@ -344,18 +355,19 @@ def check_singular_forms(table: BlockTable, n_max: int) -> None:
     for n in range(1, n_max + 1):
         if table.block_length(n) > _PARTITION_SIZE_CAP:
             break
-        factor_partition(table, n)
-        for r in range(1, k):
-            if not 1 <= n <= r:
-                continue
-            window = singular_window(table, n, r)
-            pp = table.power_prefix(n)
-            if n < r:
-                alternate = pp + alphabet[(n - r) % k] + pp
-            else:
-                alternate = strip_suffix(pp, table.palindromic_prefix(0)) + pp
-            if window != alternate:
-                _fail("singular-forms", n, f"kind {r}: window forms disagree")
+        with _at_level("singular-forms", n):
+            factor_partition(table, n)
+            for r in range(1, k):
+                if not 1 <= n <= r:
+                    continue
+                window = singular_window(table, n, r)
+                pp = table.power_prefix(n)
+                if n < r:
+                    alternate = pp + alphabet[(n - r) % k] + pp
+                else:
+                    alternate = strip_suffix(pp, table.palindromic_prefix(0)) + pp
+                if window != alternate:
+                    _fail("singular-forms", n, f"kind {r}: window forms disagree")
 
 
 def check_partition_tilings(table: BlockTable, n_max: int) -> None:

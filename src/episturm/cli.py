@@ -15,7 +15,7 @@ import sys
 
 from .blocks import BlockTable
 from .checks import run_battery
-from .directive import DirectiveSpec, closure_prefix, closure_reach
+from .directive import CLOSURE_CHECK_WORK, DirectiveSpec, closure_prefix, closure_reach
 from .errors import (
     CancellationError,
     GuardExceeded,
@@ -350,11 +350,17 @@ def cmd_census(args, rep: Reporter) -> int:
                 "l": l,
                 "m_max": m_max,
                 "ok": ok,
+                "factor_length": certificate.factor_length,
+                "factors": certificate.factors,
+                "block_level": certificate.block_level,
                 "prefix_letters": len(certificate.word),
+                "scanned_letters": certificate.scanned_letters,
+                "closure_checked_letters": certificate.closure_checked_letters,
+                "closure_cap": CLOSURE_CHECK_WORK,
                 "mismatched_lengths": mismatches,
-                "detail": certificate.method,
             },
-            f"oracle agreement at order {l} on {'lengths 1..' if ranged else 'length '}{m_max} over {len(certificate.word)} certified letters: "
+            f"oracle agreement at order {l} on {'lengths 1..' if ranged else 'length '}{m_max} over {certificate.scanned_letters} letters"
+            f" holding all {certificate.factors} factors of length {certificate.factor_length}: "
             + ("OK" if ok else f"MISMATCH at {mismatches}"),
         )
         if not ok:

@@ -1,7 +1,7 @@
 """Scanning oracle: literal repetition search over materialized prefixes.
 
-Everything here works by comparing letters, never by the closed forms, so
-its answers are an independent route for the census and index formulas.
+Everything here works by reading letters, never the closed forms, so its
+answers are an independent route for the census and index formulas.
 
 `scan_powers_multi` compares the prefix with itself at every shift m and
 reads the bases of l-th powers off the maximal equality runs of at least
@@ -16,9 +16,11 @@ period-m run is a rotation of its first m letters, so a run with cnt
 qualifying starts contributes rotations 0..cnt-1 of one word, and each length
 keeps a few rotation classes, never the bases themselves.
 
-`certified_scan` compares the scans of two nested blocks in one pass: it
-scans the larger block and reads the smaller one's runs by clipping,
-since the smaller block is a prefix of the larger. A naive double loop
+`certified_scan` proves its prefix sufficient: a strict episturmian word on
+k letters has exactly (k-1)L + 1 factors of each length L (Arnoux & Rauzy
+1991; Droubay, Justin & Pirillo, TCS 255, 2001), so a prefix holding that
+many, with L = l_max * m_max, holds every power of order up to l_max with a
+base of at most m_max letters that the infinite word has. A naive double loop
 stays available as the meta-oracle for small inputs, and `ScanResult.per_length`
 expands the classes into word sets for it.
 
@@ -36,17 +38,17 @@ from typing import TYPE_CHECKING
 from .blocks import BlockTable
 from .directive import CLOSURE_CHECK_WORK, closure_prefix, closure_reach
 from .errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
-from .words import RationalIndex, Word
+from .words import RationalIndex, Word, count_factors
 
 if TYPE_CHECKING:  # numpy is imported inside the functions that use it, so the closed-form route starts without it
     import numpy as np
 
-_PREFIX_CROSSCHECK_LETTERS = 20_000
 # Letter-shifts one certification scan may cost: m_max times the letters of the
-# larger block. Measured on a 2-CPU x86-64 VM (Python 3.11) at 0.3 to 0.8 ns
-# each, so the cap stands for under 7 s. Memory follows the runs, not the
-# bases: each run's first m letters while a length is scanned, and a few
-# rotation classes per length kept.
+# scanned prefix, once per power order, since each order reads every run again.
+# Measured on a 2-CPU x86-64 VM (Python 3.11) at 0.3 to 0.8 ns each at order 2
+# (orders 3 and 4 add 15 to 25% each on the reference words), so the cap stands
+# for under 7 s. Memory follows the runs, not the bases: each run's first m
+# letters while a length is scanned, and a few rotation classes per length kept.
 _SCAN_GUARD = 1 << 33
 _RUN_BATCH = 1 << 16
 _FOLD_MIN_NEED = 15  # 2c - 1 for the smallest chunk, one uint64 word of c = 8 letters
@@ -130,12 +132,22 @@ class ScanResult:
 
 @dataclass(frozen=True)
 class PrefixCertificate:
-    """A finite prefix whose repetition content is stable, with the evidence that made it so."""
+    """What a certified scan rests on.
+
+    The block `word`, at level `block_level`, holds `factors` = (k-1)L + 1
+    distinct factors of length L = `factor_length`: all the word has. Its
+    first `scanned_letters` letters already hold them, and the closure
+    construction built the first `closure_checked_letters` of those too.
+    """
 
     word: Word
+    covered_m_min: int
     covered_m_max: int
-    method: str
-    covered_m_min: int = 1
+    factor_length: int
+    factors: int
+    block_level: int
+    scanned_letters: int
+    closure_checked_letters: int
 
 
 def generate_prefix(table: BlockTable, min_length: int) -> Word:
@@ -249,19 +261,8 @@ def scan_powers(prefix: Word, l: int, m_min: int, m_max: int) -> ScanResult:
     return scan_powers_multi(prefix, (l,), m_min, m_max)[l]
 
 
-def scan_powers_multi(
-    prefix: Word,
-    orders,
-    m_min: int,
-    m_max: int,
-    *,
-    shorter: int | None = None,
-):
-    """Scan several power orders at once, sharing the per-length run decomposition.
-
-    With `shorter`, the scan of prefix[:shorter] is read off the same runs,
-    clipped, and the pair (scans of prefix, scans of prefix[:shorter]) is returned.
-    """
+def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int) -> dict[int, ScanResult]:
+    """Scan several power orders at once, sharing the per-length run decomposition."""
     import numpy as np
 
     orders = sorted(set(orders))
@@ -269,25 +270,20 @@ def scan_powers_multi(
         raise RangeError("power orders must all be >= 2")
     if not 1 <= m_min <= m_max:
         raise RangeError(f"bad length range {m_min}..{m_max}")
-    size = len(prefix) if shorter is None else min(shorter, len(prefix))
-    if m_max * orders[-1] > size:
-        raise RangeError(f"prefix of {size} letters is too short for order {orders[-1]} at length {m_max}")
+    if m_max * orders[-1] > len(prefix):
+        raise RangeError(f"prefix of {len(prefix)} letters is too short for order {orders[-1]} at length {m_max}")
     buf = prefix.encode("ascii")
     arr = np.frombuffer(buf, dtype=np.uint8)
     results = {l: ScanResult(l, {}) for l in orders}
-    clipped = {l: ScanResult(l, {}) for l in orders}
     for m in range(m_min, m_max + 1):
         need = (orders[0] - 1) * m
         if need < _FOLD_MIN_NEED:
             runs = _true_runs(arr[m:] == arr[:-m])
         else:
             runs = _chunk_runs(buf, arr, m, need)
-        low = None if shorter is None else np.minimum(runs, shorter - m)
         for l in orders:
             results[l].classes[m] = _classes_in_runs(prefix, runs, m, l)
-            if low is not None:
-                clipped[l].classes[m] = _classes_in_runs(prefix, low, m, l)
-    return results if shorter is None else (results, clipped)
+    return results
 
 
 def naive_scan(prefix: Word, l: int, m_min: int, m_max: int) -> dict[int, frozenset]:
@@ -307,19 +303,14 @@ def naive_scan(prefix: Word, l: int, m_min: int, m_max: int) -> dict[int, frozen
     return out
 
 
-def _stability_levels(table: BlockTable, m_max: int) -> tuple[int, int, int]:
-    n = max(1, table.level_reaching(m_max + 1) - 1)
-    k = table.spec.k
-    return n, n + k + 3, n + k + 4
-
-
 def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1):
-    """Certify a prefix by scan stability across one level step at lengths m_min..m_max, returning its scans too.
+    """Certify a prefix by factor complexity and scan it once at lengths m_min..m_max: (certificate, {l: ScanResult}).
 
-    Each attempt scans only the larger block; the smaller block is its prefix,
-    so its scan is the same runs clipped (`scan_powers_multi(..., shorter=...)`).
-    The two scans are compared by their rotation classes (`same_bases`). The
-    levels and the cost guard depend on m_max alone.
+    Hash keys count the factors (`words.count_factors`): reaching (k-1)L + 1
+    is a proof, and more shows a word outside this family. Blocks are counted
+    from the least with k*L letters, the fewest that can hold them; one that
+    falls short is shorter than the complete prefix, so the scan guard reads
+    its length before the next block is built.
     """
     if m_max < 1:
         raise RangeError(f"m_max must be >= 1 (got {m_max})")
@@ -327,54 +318,41 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
         raise RangeError(f"m_min must be in 1..{m_max} (got {m_min})")
     if l_max < 2:
         raise RangeError(f"l_max must be >= 2 (got {l_max})")
-    lengths = range(m_min, m_max + 1)
-    named = f"length {m_max}" if m_min == m_max else f"lengths {m_min}..{m_max}"
-    window, low, high = _stability_levels(table, m_max)
-    orders = range(2, l_max + 1)
-    last_diff = None
-    for low, high in ((low, high), (low + 1, high + 1)):
-        cost = m_max * table.block_length(high)
-        if cost > _SCAN_GUARD:
-            raise GuardExceeded(
-                f"certifying lengths up to {m_max} scans {cost} letter-shifts, above the guard {_SCAN_GUARD}"
-            )
-        small = table.block(low)
-        large = table.block(high)
-        if not large.startswith(small):
-            raise VerificationError(f"block level {low} is not a prefix of block level {high}")
-        scans_large, scans_small = scan_powers_multi(large, orders, m_min, m_max, shorter=len(small))
-        diffs = [
-            (l, m)
-            for l in orders
-            for m in lengths
-            if not same_bases(scans_small[l].classes[m], scans_large[l].classes[m])
-        ]
-        if not diffs:
-            target = min(len(small), _PREFIX_CROSSCHECK_LETTERS)
-            checked = min(target, closure_reach(table.spec, CLOSURE_CHECK_WORK))
-            if closure_prefix(table.spec, checked) != small[:checked]:
-                raise VerificationError(
-                    f"block level {low} disagrees with the closure construction within {checked} letters"
-                )
-            method = (
-                f"scan counts for orders 2..{l_max} at {named} identical on "
-                f"block levels {low} ({len(small)} letters) and {high} ({len(large)} letters); "
-                f"window level {window}, visibility bound level {window} + alphabet size + 2"
-            )
-            if checked < target:
-                method += (
-                    f"; closure cross-check on {checked} of {target} letters, "
-                    f"cut by its cap of {CLOSURE_CHECK_WORK} scanned letters"
-                )
-            return PrefixCertificate(word=small, covered_m_max=m_max, method=method, covered_m_min=m_min), scans_small
-        last_diff = diffs[0]
-    raise VerificationError(
-        f"scan results still unstable after escalation: first difference at order/length {last_diff}"
-    )
+    spec = table.spec
+    if not spec.period:
+        raise RangeError("a finite directive has no infinite word to certify")
+    length = l_max * m_max
+    target = (spec.k - 1) * length + 1
+
+    def check_cost(letters: int) -> None:
+        """Refuse a scan of at least `letters` letters before paying for it or for the blocks it needs."""
+        if (l_max - 1) * m_max * letters > _SCAN_GUARD:
+            raise GuardExceeded(f"certifying lengths up to {m_max} at orders up to {l_max} scans at least "
+                                f"{(l_max - 1) * m_max * letters} letter-shifts, above the guard {_SCAN_GUARD}")
+
+    check_cost(spec.k * length)
+    level = table.level_reaching(spec.k * length)
+    while True:
+        block = table.block(level)
+        found, end = count_factors(block, length, target)
+        if found > target:
+            raise VerificationError(f"block level {level} has {found} factors of length {length}, "
+                                    f"more than the {target} of a strict episturmian word")
+        if found == target:
+            break
+        check_cost(len(block))
+        level += 1
+    check_cost(end)
+    prefix = block[:end]
+    checked = min(end, closure_reach(spec, CLOSURE_CHECK_WORK))
+    if closure_prefix(spec, checked) != prefix[:checked]:
+        raise VerificationError(f"block level {level} disagrees with the closure construction within {checked} letters")
+    scans = scan_powers_multi(prefix, range(2, l_max + 1), m_min, m_max)
+    return PrefixCertificate(block, m_min, m_max, length, target, level, end, checked), scans
 
 
 def certify_prefix(table: BlockTable, m_max: int, l_max: int) -> PrefixCertificate:
-    """A prefix whose repetition content up to m_max is stable under one more level of growth."""
+    """The certificate alone: a block holding every factor of length l_max * m_max."""
     return certified_scan(table, m_max, l_max)[0]
 
 

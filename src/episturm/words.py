@@ -101,13 +101,31 @@ def occurrences(text: Word, w: Word) -> list[int]:
     return found
 
 
-# Polynomial hashes mod the prime 2^31 - 1: a residue times a residue or a
-# letter code stays below 2^62, and a chunk's running sum of residues below
-# 2^47, so uint64 never wraps. The chunk bounds the arrays a long word needs.
+# Polynomial hashes mod primes below 2^31: a residue times a residue or a
+# letter code stays below 2^62, and a sum of fewer than 2^32 residues below
+# 2^63, so uint64 never wraps. The chunk bounds the arrays a long word needs.
 _HASH_MODULUS = (1 << 31) - 1
 _HASH_BASE = 48271
 _HASH_CHUNK = 1 << 16
-_hash_powers = None  # B^t for t < _HASH_CHUNK, as read-only uint64; built on first use
+_FACTOR_HASHES = ((_HASH_MODULUS, _HASH_BASE), ((1 << 31) - 249, 40692))
+_power_tables: dict = {}  # (modulus, base) -> B^t for t below its size, as read-only uint64
+
+
+def _hash_powers(modulus: int, base: int, count: int) -> np.ndarray:
+    """B^t mod modulus for t < count, sliced from a table shared by every call, which at least doubles when it grows."""
+    import numpy as np
+
+    powers = _power_tables.get((modulus, base), np.ones(1, dtype=np.uint64))
+    if len(powers) < count:
+        filled = len(powers)
+        powers = np.concatenate((powers, np.empty(max(count, 2 * filled) - filled, dtype=np.uint64)))
+        while filled < len(powers):
+            step = min(filled, len(powers) - filled)
+            powers[filled:filled + step] = powers[:step] * np.uint64(pow(base, filled, modulus)) % np.uint64(modulus)
+            filled += step
+        powers.flags.writeable = False
+        _power_tables[(modulus, base)] = powers
+    return powers[:count]
 
 
 def _palindromic_prefix_candidates(w: Word) -> np.ndarray:
@@ -119,20 +137,10 @@ def _palindromic_prefix_candidates(w: Word) -> np.ndarray:
     """
     import numpy as np
 
-    global _hash_powers
     modulus, base, n = _HASH_MODULUS, _HASH_BASE, len(w)
     width = max(1, min(n, _HASH_CHUNK))
     m = np.uint64(modulus)
-    powers = _hash_powers
-    if powers is None or len(powers) < _HASH_CHUNK:  # built by doubling, again only for a larger chunk; sliced by every call
-        powers = np.ones(_HASH_CHUNK, dtype=np.uint64)
-        filled = 1
-        while filled < _HASH_CHUNK:
-            step = min(filled, _HASH_CHUNK - filled)
-            powers[filled:filled + step] = powers[:step] * np.uint64(pow(base, filled, modulus)) % m
-            filled += step
-        powers.flags.writeable = False  # shared by every call in the process
-        _hash_powers = powers
+    powers = _hash_powers(modulus, base, width)
     forward_sum = backward_sum = np.uint64(0)
     found = []
     for start in range(0, n, width):
@@ -173,6 +181,42 @@ def two_palindrome_splits(w: Word) -> list[int]:
     suffix_starts = n - _palindromic_prefix_candidates(w[::-1])
     both = np.intersect1d(prefixes, suffix_starts).tolist()
     return [p for p in both if is_palindrome(w[:p]) and is_palindrome(w[p:])]
+
+
+
+def count_factors(w: Word, length: int, enough: int) -> tuple[int, int]:
+    """(distinct keys of the length-`length` factors of w counted, end of the shortest prefix of w holding them).
+
+    A key packs two polynomial hashes, sum_t w[i+t] B^(length-1-t) mod p for
+    two primes p, into 62 bits; equal factors get equal keys, so a collision
+    can only lower the count. Windows are keyed max(2^16, length) at a time,
+    in order, and counting stops after the batch that brings it to `enough`.
+    """
+    import numpy as np
+
+    windows = len(w) - length + 1
+    if length < 1 or windows < 1:
+        raise RangeError(f"no factors of length {length} in {len(w)} letters")
+    width = max(_HASH_CHUNK, length)
+    top = min(width, windows)  # the most windows in one batch
+    tables = [(np.uint64(modulus), _hash_powers(modulus, base, top + length - 1)) for modulus, base in _FACTOR_HASHES]
+    keys = np.zeros(0, dtype=np.uint64)  # distinct so far, ascending
+    starts = np.zeros(0, dtype=np.int64)  # where each first occurs
+    for lo in range(0, windows, width):
+        size = min(width, windows - lo)
+        codes = np.frombuffer(w[lo:lo + size + length - 1].encode("utf-32-le"), dtype="<u4").astype(np.uint64)
+        found = np.zeros(size, dtype=np.uint64)
+        for m, powers in tables:
+            sums = np.zeros(len(codes) + 1, dtype=np.uint64)
+            np.cumsum(codes * powers[len(codes) - 1::-1] % m, out=sums[1:])
+            # sums[i + length] - sums[i] is B^(size-1-i) times the hash of the factor at lo + i; every key gets B^(top-1)
+            found = found << np.uint64(31) | (sums[length:] - sums[:size]) % m * powers[top - size:top] % m
+        # the keys seen before come first, so each keeps its earliest start
+        keys, first = np.unique(np.concatenate((keys, found)), return_index=True)
+        starts = np.concatenate((starts, np.arange(lo, lo + size)))[first]
+        if len(keys) >= enough:
+            break
+    return len(keys), int(starts.max()) + length
 
 
 # No caller in the package: the tests' reference for the palindrome finder, and a name bench/layers.py traces.

@@ -74,8 +74,12 @@ class TestStepErrors:
         assert [name for name, _ in results] == [name for name, _ in ALL_CHECKS]
         failed = {name: error for name, error in results if error is not None}
         assert list(failed) == ["near-commutation", "tail-reversal-link", "tail-letters", "junction-products", "singular-forms"]
-        assert isinstance(failed["near-commutation"], CancellationError)
-        assert isinstance(failed["singular-forms"], InvariantViolation)
+        # each failure names its level, the step errors included
+        assert all(isinstance(error, VerificationError) for error in failed.values())
+        assert all(str(error).startswith(f"{name} at level 3: ") for name, error in failed.items())
+        assert str(failed["near-commutation"]).endswith("'cabb' is not a suffix of 'abacabacaba'")
+        assert isinstance(failed["near-commutation"].__context__, CancellationError)
+        assert isinstance(failed["singular-forms"].__context__, InvariantViolation)
 
 
 class _CorruptedClosures(PalindromicPrefixTable):

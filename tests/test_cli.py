@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -364,13 +365,13 @@ class TestCensus:
         assert code == 4 and out == "" and "letter-shifts" in err
 
     def test_long_exponent_certificate_names_its_crosscheck_cap(self, capsys):
-        # closing all 20,000 letters of a^20000 b would scan 2e8 letters (24 s)
+        # closing all 20,006 scanned letters, a^20000 b a^5, would scan 2e8 letters (24 s)
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "census", "--spec", "k=2; d=20000; 1", "--m", "3", "--verify", "--json")
         assert time.perf_counter() - start < 2.0
         verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
         assert code == 0 and verdict["ok"] is True
-        assert verdict["detail"].endswith("; closure cross-check on 1448 of 20000 letters, cut by its cap of 1048576 scanned letters")
+        assert (verdict["scanned_letters"], verdict["closure_checked_letters"], verdict["closure_cap"]) == (20006, 1448, 1048576)
 
     @pytest.mark.parametrize(
         "change",
@@ -388,7 +389,7 @@ class TestCensus:
         census, census_range = cli.census, cli.census_range
         monkeypatch.setattr(cli, "census", lambda table, m, l: change(census(table, m, l)))
         code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--m", "6", "--verify")
-        assert code == 3 and out.endswith("on length 6 over 149 certified letters: MISMATCH at [6]\n")
+        assert code == 3 and out.endswith("on length 6 over 55 letters holding all 25 factors of length 12: MISMATCH at [6]\n")
 
         def changed_range(table, m_max, l):
             found = census_range(table, m_max, l)
@@ -421,15 +422,34 @@ class TestCensus:
         code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--m", "24", "--verify", "--json")
         verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
         assert code == 0 and verdict["ok"] is True and calls == [{"m_min": 24}]
-        assert verdict["detail"].startswith("scan counts for orders 2..2 at length 24 identical")
+        assert (verdict["factor_length"], verdict["factors"], verdict["scanned_letters"]) == (48, 97, 196)
 
-    def test_uncut_certificate_detail_is_unchanged(self, capsys):
+    def test_uncut_certificate_fields(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "1795", "--verify", "--json")
         verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
-        assert code == 0 and verdict["detail"] == (
-            "scan counts for orders 2..2 at lengths 1..1795 identical on block levels 18 (66012 letters) "
-            "and 19 (121415 letters); window level 12, visibility bound level 12 + alphabet size + 2"
-        )
+        fields = ("factor_length", "factors", "block_level", "prefix_letters", "scanned_letters", "closure_checked_letters", "closure_cap")
+        assert code == 0 and "detail" not in verdict
+        assert {name: verdict[name] for name in fields} == {
+            "factor_length": 3590,
+            "factors": 7181,
+            "block_level": 16,
+            "prefix_letters": 19513,
+            "scanned_letters": 14198,
+            "closure_checked_letters": 14198,
+            "closure_cap": 1048576,
+        }
+
+    def test_finite_directive_cannot_verify(self, capsys):
+        code, out, err = run_cli(capsys, "census", "--spec", "k=2; d=" + ",".join(["1"] * 30), "--m", "3", "--verify")
+        assert code == 2 and out == "" and "finite directive" in err
+
+    def test_extra_factors_exit_three(self, capsys, monkeypatch):
+        # random letters give block 7 a factor of length 26 at each of its 56 windows, more than the 53 allowed
+        block = BlockTable.block
+        rng = random.Random(0)
+        monkeypatch.setattr(BlockTable, "block", lambda self, n: "".join(rng.choice("abc") for _ in block(self, n)))
+        code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "13", "--verify")
+        assert code == 3 and out == "" and "more than the 53 of a strict episturmian word" in err
 
 
 class TestVerify:
@@ -479,7 +499,7 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--spec", TRIB, "--n", "6")
         lines = out.splitlines()
         assert code == 3 and len(lines) == 21 and lines[-1] == "battery up to level 6: 5 checks FAILED"
-        assert "FAIL near-commutation: 'cabb' is not a suffix of 'abacabacaba'" in lines
+        assert "FAIL near-commutation: near-commutation at level 3: 'cabb' is not a suffix of 'abacabacaba'" in lines
         assert err == "episturm verify: 5 invariant checks failed\n"
 
     def test_battery_guard_reads_block_n_plus_two(self, capsys, monkeypatch):

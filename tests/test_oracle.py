@@ -1,5 +1,7 @@
 """Brute-force repetition scanning: the independent route the census is checked against."""
 
+import dataclasses
+import random
 from itertools import takewhile
 
 import pytest
@@ -22,7 +24,7 @@ from episturm.oracle import (
     scan_powers_multi,
 )
 from episturm.powers import block_index, census
-from episturm.words import RationalIndex, occurrences
+from episturm.words import RationalIndex, factors_of_length, occurrences
 
 from conftest import ALL_NAMES
 
@@ -76,8 +78,6 @@ class TestScan:
             scan_powers("abcabc", 2, 3, 2)
         with pytest.raises(RangeError):
             scan_powers("abc", 2, 1, 2)
-        with pytest.raises(RangeError):
-            scan_powers_multi("abcabcab", (2,), 1, 2, shorter=3)
 
     @given(st.text(alphabet="ab", min_size=4, max_size=120), st.integers(min_value=2, max_value=4))
     @settings(max_examples=60, deadline=None)
@@ -98,7 +98,7 @@ def _check_description(result):
 
 
 def _check_against_naive(w, l, m_min=1):
-    """The scan of w, and the scan of a prefix read off the same runs, match the naive double loop;
+    """The scans of w and of a prefix of w match the naive double loop;
     comparing the two scans by description agrees with comparing their word sets."""
     m_max = len(w) // l
     if m_max < m_min:
@@ -108,11 +108,11 @@ def _check_against_naive(w, l, m_min=1):
     assert full.per_length == naive_scan(w, l, m_min, m_max)
     shorter = len(w) * 2 // 3
     if shorter // l >= m_min:
-        _, clipped = scan_powers_multi(w, (l,), m_min, shorter // l, shorter=shorter)
-        _check_description(clipped[l])
-        assert clipped[l].per_length == naive_scan(w[:shorter], l, m_min, shorter // l)
-        for m, found in clipped[l].classes.items():
-            assert same_bases(found, full.classes[m]) == (clipped[l].per_length[m] == full.per_length[m])
+        part = scan_powers(w[:shorter], l, m_min, shorter // l)
+        _check_description(part)
+        assert part.per_length == naive_scan(w[:shorter], l, m_min, shorter // l)
+        for m, found in part.classes.items():
+            assert same_bases(found, full.classes[m]) == (part.per_length[m] == full.per_length[m])
 
 
 class TestRotationClasses:
@@ -135,10 +135,10 @@ class TestRotationClasses:
         assert len(got.classes[m]) == classes
         assert got.per_length == naive_scan(w, l, m, m)
         for shorter in range(l * m, len(w)):
-            _, clipped = scan_powers_multi(w, (l,), m, m, shorter=shorter)
-            _check_description(clipped[l])
-            assert clipped[l].per_length == naive_scan(w[:shorter], l, m, m)
-            assert same_bases(clipped[l].classes[m], got.classes[m]) == (clipped[l].per_length[m] == got.per_length[m])
+            part = scan_powers(w[:shorter], l, m, m)
+            _check_description(part)
+            assert part.per_length == naive_scan(w[:shorter], l, m, m)
+            assert same_bases(part.classes[m], got.classes[m]) == (part.per_length[m] == got.per_length[m])
 
     def test_period_reduces_offsets(self):
         assert RotationClass("aaaa", ((0, 3),)).spans == ((0, 1),)
@@ -218,7 +218,7 @@ class TestChunkFilter:
                     _check_against_naive(w, l, m_min=max(1, period - 3))
 
     @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_certified_low_scan_equals_a_direct_scan(self, certificates, name):
+    def test_certified_scan_equals_a_scan_of_the_whole_block(self, certificates, name):
         cert, scans = certificates[name]
         direct = scan_powers_multi(cert.word, (2, 3, 4), 1, cert.covered_m_max)
         assert {l: scans[l].per_length for l in scans} == {l: direct[l].per_length for l in direct}
@@ -226,19 +226,26 @@ class TestChunkFilter:
     def test_non_nested_blocks_are_refused(self, monkeypatch):
         table = BlockTable(DirectiveSpec.parse("k=3; d=; 1"))
         block = table.block
-        # a block's last letter differs from the previous block's, so no reversed block prefixes the next
+        # each block is built from reversed lower blocks and reversed again, which adds factors
         monkeypatch.setattr(table, "block", lambda n: block(n)[::-1])
-        with pytest.raises(VerificationError, match="not a prefix"):
+        with pytest.raises(VerificationError, match="block level 8 has 56 factors of length 26, more than the 53"):
             certified_scan(table, 13, 2)
 
 
 class TestCertificates:
-    def test_certificate_records_its_evidence(self, trib):
+    def test_certificate_records_its_evidence(self, trib, monkeypatch):
+        calls = []
+        scan = oracle.scan_powers_multi
+        monkeypatch.setattr(oracle, "scan_powers_multi", lambda *args: calls.append(args) or scan(*args))
         cert, scans = certified_scan(trib, 13, 3)
-        assert cert.covered_m_max == 13
-        assert "identical" in cert.method
-        assert set(scans) == {2, 3}
-        assert len(cert.word) == 504
+        assert (cert.covered_m_min, cert.covered_m_max, cert.factor_length, cert.factors) == (1, 13, 39, 79)
+        assert (cert.block_level, cert.scanned_letters, cert.closure_checked_letters) == (9, 187, 187)
+        assert cert.word == trib.block(9) and set(scans) == {2, 3}
+        # one scan, of the shortest prefix that holds every factor of length 39, and no other
+        assert [(len(args[0]), list(args[1]), args[2], args[3]) for args in calls] == [(187, [2, 3], 1, 13)]
+        every = factors_of_length(cert.word, 39)
+        assert len(every) == 79 and factors_of_length(cert.word[:187], 39) == every
+        assert len(factors_of_length(cert.word[:186], 39)) == 78
 
     def test_certificate_is_stable_when_rechecked(self, trib):
         cert, scans = certified_scan(trib, 13, 2)
@@ -253,36 +260,78 @@ class TestCertificates:
         monkeypatch.setattr(oracle, "scan_powers_multi", lambda *args, **kw: calls.append(args[2:4]) or scan(*args, **kw))
         cert, scans = certified_scan(trib, 13, 3, m_min=13)
         assert calls == [(13, 13)]
-        assert (cert.word, cert.covered_m_min, cert.covered_m_max) == (full_cert.word, 13, 13)
-        assert cert.method == full_cert.method.replace("at lengths 1..13", "at length 13")
+        assert cert == dataclasses.replace(full_cert, covered_m_min=13)
         assert {l: r.per_length for l, r in scans.items()} == {l: {13: r.per_length[13]} for l, r in full.items()}
-        assert certified_scan(trib, 13, 2, m_min=5)[0].method.startswith("scan counts for orders 2..2 at lengths 5..13 identical")
+        assert certified_scan(trib, 13, 2, m_min=5)[0].covered_m_min == 5
         for m_min in (0, 14):
             with pytest.raises(RangeError, match="m_min"):
                 certified_scan(trib, 13, 2, m_min=m_min)
 
     def test_single_length_keeps_the_range_guard(self, monkeypatch):
-        # the guard still reads m_max times the larger block, as for the whole range
-        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * 927 - 1)
+        # the guard still reads m_max times the scanned prefix, as for the whole range
+        spec = DirectiveSpec.parse("k=3; d=; 1")
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * 106)
+        assert certified_scan(BlockTable(spec), 13, 2, m_min=13)[0].scanned_letters == 106
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * 106 - 1)
         with pytest.raises(GuardExceeded, match="letter-shifts"):
-            certified_scan(BlockTable(DirectiveSpec.parse("k=3; d=; 1")), 13, 2, m_min=13)
+            certified_scan(BlockTable(spec), 13, 2, m_min=13)
 
     def test_certify_prefix_shortcut(self, trib):
         assert certify_prefix(trib, 13, 2).word == certified_scan(trib, 13, 2)[0].word
 
     def test_scan_cost_guard_trips_before_any_block_is_built(self, monkeypatch):
         table = BlockTable(DirectiveSpec.parse("k=3; d=; 1"))
-        # lengths up to 13 certify block 504 by scanning block 927: 13 * 927 letter-shifts
-        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * 927)
-        assert len(certified_scan(table, 13, 2)[0].word) == 504
-        fresh = BlockTable(DirectiveSpec.parse("k=3; d=; 1"))
-        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * 927 - 1)
-        monkeypatch.setattr(fresh, "block", lambda n: pytest.fail("built a block"))
+        # lengths up to 13 at order 2: L = 26, and a prefix with all 2L + 1 = 53 factors has at least 3L = 78 letters
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * 78 - 1)
+        monkeypatch.setattr(table, "block", lambda n: pytest.fail("built a block"))
         with pytest.raises(GuardExceeded, match="letter-shifts"):
-            certified_scan(fresh, 13, 2)
+            certified_scan(table, 13, 2)
+
+    @pytest.mark.parametrize(
+        "guard, highest_built",
+        [
+            (13 * 81 - 1, 7),  # block 7 (81 letters) lacks a factor, so the prefix is longer still
+            (13 * 106 - 1, 8),  # block 8 holds them all in its first 106 letters
+        ],
+    )
+    def test_scan_cost_guard_reads_each_short_block_and_the_prefix(self, monkeypatch, guard, highest_built):
+        spec = DirectiveSpec.parse("k=3; d=; 1")
+        cert = certified_scan(BlockTable(spec), 13, 2)[0]
+        assert (cert.block_level, cert.scanned_letters) == (8, 106)
+        table = BlockTable(spec)
+        built = []
+        block = table.block
+        monkeypatch.setattr(table, "block", lambda n: built.append(n) or block(n))
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", guard)
+        with pytest.raises(GuardExceeded, match="letter-shifts"):
+            certified_scan(table, 13, 2)
+        assert max(built) == highest_built
+
+    def test_scan_cost_guard_counts_every_order(self, monkeypatch):
+        # each order reads every run again: order 3 doubles the cost of order 2, and a millionth power trips at once
+        spec = DirectiveSpec.parse("k=3; d=; 1")
+        cert = certified_scan(BlockTable(spec), 13, 3)[0]
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", 2 * 13 * cert.scanned_letters)
+        assert certified_scan(BlockTable(spec), 13, 3)[0] == cert
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", 2 * 13 * cert.scanned_letters - 1)
+        with pytest.raises(GuardExceeded, match="orders up to 3"):
+            certified_scan(BlockTable(spec), 13, 3)
+        monkeypatch.undo()
+        table = BlockTable(spec)
+        monkeypatch.setattr(table, "block", lambda n: pytest.fail("built a block"))
+        with pytest.raises(GuardExceeded, match="letter-shifts"):
+            certified_scan(table, 1, 10**6)
+
+    def test_extra_factors_are_refused(self, monkeypatch):
+        # random letters give every window its own factor: 56 windows of length 26 in block 7, above 53
+        block = BlockTable.block
+        rng = random.Random(0)
+        monkeypatch.setattr(BlockTable, "block", lambda self, n: "".join(rng.choice("abc") for _ in block(self, n)))
+        with pytest.raises(VerificationError, match="block level 7 has 56 factors of length 26, more than the 53"):
+            certified_scan(BlockTable(DirectiveSpec.parse("k=3; d=; 1")), 13, 2)
 
     def test_crosscheck_stops_at_its_work_cap(self, monkeypatch):
-        # closing a^j scans j letters, so the first 20,000 letters of this word cost about 2e8
+        # closing a^j scans j letters, so the 20,006 letters that hold every factor of length 6 cost about 2e8
         spec = DirectiveSpec.parse("k=2; d=20000; 1")
         cap = CLOSURE_CHECK_WORK
         checked = closure_reach(spec, cap)
@@ -290,7 +339,7 @@ class TestCertificates:
         assert checked == 1448 and closed == list(range(checked + 1))
         assert sum(closed[:-1]) <= cap < sum(closed)  # building one letter more closes prefix `checked` too
         cert, _ = certified_scan(BlockTable(spec), 3, 2)
-        assert cert.method.endswith(f"; closure cross-check on {checked} of 20000 letters, cut by its cap of {cap} scanned letters")
+        assert (cert.scanned_letters, cert.closure_checked_letters) == (20006, checked)
         asked = []
 
         def corrupted(spec, length):
@@ -303,13 +352,15 @@ class TestCertificates:
         assert asked == [checked]
 
     @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_reference_directives_crosscheck_the_whole_prefix(self, tables, name):
-        assert closure_reach(tables[name].spec, CLOSURE_CHECK_WORK) >= oracle._PREFIX_CROSSCHECK_LETTERS
+    def test_reference_directives_crosscheck_the_whole_prefix(self, certificates, name):
+        cert = certificates[name][0]
+        assert cert.closure_checked_letters == cert.scanned_letters
 
     def test_finite_directive_cannot_certify(self):
-        table = BlockTable(DirectiveSpec.parse("k=2; d=1,1,1,1"))
-        with pytest.raises(RangeError):
-            certified_scan(table, 5, 2)
+        # the complexity bound holds for infinite words only, however many levels a finite directive defines
+        for text in ("k=2; d=1,1,1,1", "k=2; d=" + ",".join(["1"] * 30)):
+            with pytest.raises(RangeError, match="finite directive"):
+                certified_scan(BlockTable(DirectiveSpec.parse(text)), 5, 2)
 
 
 class TestIndexMeasurement:
@@ -404,7 +455,7 @@ class TestSoundnessSample:
 
 @st.composite
 def random_specs(draw):
-    k = draw(st.integers(min_value=2, max_value=4))
+    k = draw(st.integers(min_value=2, max_value=5))
     pre = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=4))
     per = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4))
     return DirectiveSpec.make(k, tuple(pre), tuple(per))
@@ -419,3 +470,14 @@ class TestRandomizedCensusAgreement:
         _, scans = certified_scan(table, m_max, l)
         for m in range(1, m_max + 1):
             assert frozenset(census(table, m, l).witnesses) == scans[l].per_length[m]
+
+
+class TestComplexityCertificate:
+    @given(random_specs(), st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=60))
+    @settings(max_examples=40, deadline=None)
+    def test_certified_scans_equal_a_scan_two_levels_up(self, spec, l_max, m_max):
+        table = BlockTable(spec)
+        cert, scans = certified_scan(table, m_max, l_max)
+        wider = scan_powers_multi(table.block(cert.block_level + 2), range(2, l_max + 1), 1, m_max)
+        for l, found in scans.items():
+            assert all(same_bases(found.classes[m], wider[l].classes[m]) for m in range(1, m_max + 1))
