@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import groupby, islice
 
 from .blocks import BlockTable
 from .checks import run_battery
@@ -41,9 +42,9 @@ _INLINE_WORD_LIMIT = 64
 # 45 us per closure step adds up (`k=2; d=8000; 1`, 16,000 letters out). A
 # `census --full` row costs about 20 us per length (2^20 lengths: 20 s; plain
 # census ranges visit only their carrying lengths, and the table's length guard
-# bounds their bases). A partition tile costs about 4 us and 280 bytes (2^20
-# tiles: 4 s, 300 MB); the battery about 0.17 us and 12 bytes per letter of its
-# largest block, block n + 2, above a 0.5 s floor (2^25 letters: 6 s, 440 MB).
+# bounds their bases). A partition tile costs about 2.7 us and 190 bytes with
+# --json --verify (2^20 tiles: 3 s, 200 MB); the battery 0.17 us and 12 bytes per
+# letter of block n + 2, its largest, above a 0.5 s floor (2^25: 6 s, 440 MB).
 _GENERATE_GUARD = 1 << 25
 _CENSUS_RANGE_GUARD = 1 << 20
 _PARTITION_TILE_GUARD = 1 << 20
@@ -186,16 +187,10 @@ def cmd_singular(args, rep: Reporter) -> int:
     return 0
 
 
-def _run_lengths(levels: list[int]) -> str:
-    runs: list[str] = []
-    i = 0
-    while i < len(levels):
-        j = i
-        while j < len(levels) and levels[j] == levels[i]:
-            j += 1
-        runs.append(f"{levels[i]}" if j - i == 1 else f"{levels[i]}x{j - i}")
-        i = j
-    return " ".join(runs[:40]) + (" ..." if len(runs) > 40 else "")
+def _run_lengths(levels) -> str:
+    """The first 40 runs of equal levels as `level` or `levelxcount`, and ` ...` when more follow."""
+    runs = [(level, sum(1 for _ in run)) for level, run in islice(groupby(levels), 41)]
+    return " ".join(f"{level}x{count}" if count > 1 else f"{level}" for level, count in runs[:40]) + (" ..." if len(runs) > 40 else "")
 
 
 def cmd_partition(args, rep: Reporter) -> int:
@@ -207,7 +202,6 @@ def cmd_partition(args, rep: Reporter) -> int:
     if tiles > _PARTITION_TILE_GUARD:
         raise GuardExceeded(f"level-{n} tiling of block {upto}: {tiles} tiles, above the guard {_PARTITION_TILE_GUARD}")
     view = level_partition(table, n, upto)
-    levels = [level for level, _, _ in view.items]
     rep.row(
         "partition",
         {
@@ -215,15 +209,15 @@ def cmd_partition(args, rep: Reporter) -> int:
             "upto": upto,
             "covered": view.covered_prefix_length,
             "piece_count": len(view.items),
-            "items": [list(item) for item in view.items],
+            "items": view.items,
         },
         [
             f"level-{n} tiling of the block at level {upto}: {len(view.items)} pieces, {view.covered_prefix_length} letters",
-            f"piece levels: {_run_lengths(levels)}",
+            f"piece levels: {_run_lengths(level for level, _, _ in view.items)}",
         ],
     )
     if args.verify:
-        ok = refined_levels(table, level_partition(table, n + 1, upto)) == levels
+        ok = refined_levels(table, level_partition(table, n + 1, upto)) == [level for level, _, _ in view.items]
         rep.row(
             "verification",
             {"target": "partition", "ok": ok, "detail": None if ok else "one-step regrouping disagrees"},

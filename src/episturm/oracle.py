@@ -50,6 +50,10 @@ if TYPE_CHECKING:  # numpy is imported inside the functions that use it, so the 
 # for under 7 s. Memory follows the runs, not the bases: each run's first m
 # letters while a length is scanned, and a few rotation classes per length kept.
 _SCAN_GUARD = 1 << 33
+# Windows the factor count may key. Only a long run of one directive letter makes
+# P much longer than k*L within the scan guard, and there a window costs about
+# 75 ns (2^25 windows: about 2.5 s; 180 to 400 ns each on the Tribonacci word).
+_COUNT_GUARD = 1 << 25
 _RUN_BATCH = 1 << 16
 _FOLD_MIN_NEED = 15  # 2c - 1 for the smallest chunk, one uint64 word of c = 8 letters
 
@@ -161,8 +165,6 @@ def _true_runs(mask: np.ndarray) -> np.ndarray:
     """Maximal True runs of a bool array as an (r, 2) array of [start, end) pairs."""
     import numpy as np
 
-    if mask.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
     padded = np.empty(mask.size + 2, dtype=bool)
     padded[0] = padded[-1] = False
     padded[1:-1] = mask
@@ -307,10 +309,12 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
     """Certify a prefix by factor complexity and scan it once at lengths m_min..m_max: (certificate, {l: ScanResult}).
 
     Hash keys count the factors (`words.count_factors`): reaching (k-1)L + 1
-    is a proof, and more shows a word outside this family. Blocks are counted
-    from the least with k*L letters, the fewest that can hold them; one that
+    is a proof, and more shows a word outside this family. Blocks are read
+    from the least with k*L letters, the fewest that can hold them, each from
+    where the one before stopped, since each is a prefix of the next; one that
     falls short is shorter than the complete prefix, so the scan guard reads
-    its length before the next block is built.
+    its length before the next block is built, and the count stops at its own
+    budget of windows.
     """
     if m_max < 1:
         raise RangeError(f"m_max must be >= 1 (got {m_max})")
@@ -330,19 +334,25 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
             raise GuardExceeded(f"certifying lengths up to {m_max} at orders up to {l_max} scans at least "
                                 f"{(l_max - 1) * m_max * letters} letter-shifts, above the guard {_SCAN_GUARD}")
 
+    def blocks():
+        """The blocks from the least with k*L letters up, each built once the one before fell short."""
+        level, block = table.level_reaching(spec.k * length), ""
+        while True:
+            shorter, block = block, table.block(level)
+            if not block.startswith(shorter):  # the count reads on from where the shorter block stopped
+                raise VerificationError(f"block level {level} does not begin with block level {level - 1}")
+            yield block
+            check_cost(len(block))  # it lacks a factor, so P is longer still
+            level += 1
+
     check_cost(spec.k * length)
-    level = table.level_reaching(spec.k * length)
-    while True:
-        block = table.block(level)
-        found, end = count_factors(block, length, target)
-        if found > target:
-            raise VerificationError(f"block level {level} has {found} factors of length {length}, "
-                                    f"more than the {target} of a strict episturmian word")
-        if found == target:
-            break
-        check_cost(len(block))
-        level += 1
+    found, end = count_factors(blocks(), length, target, _COUNT_GUARD)
+    level = table.level_reaching(end)
+    if found > target:
+        raise VerificationError(f"block level {level} has {found} factors of length {length}, "
+                                f"more than the {target} of a strict episturmian word")
     check_cost(end)
+    block = table.block(level)
     prefix = block[:end]
     checked = min(end, closure_reach(spec, CLOSURE_CHECK_WORK))
     if closure_prefix(spec, checked) != prefix[:checked]:

@@ -9,6 +9,7 @@ level-(n+1) tiling, which the tests use as the uniqueness round-trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 from .blocks import BlockTable
 from .errors import InsufficientDataError, InvariantViolation, RangeError
@@ -54,18 +55,14 @@ def tile_count(table: BlockTable, level: int, upto_level: int) -> int:
 def level_partition(table: BlockTable, level: int, upto_level: int) -> PartitionView:
     """Tiling of the level-`upto_level` block by blocks of levels level-k+1..level."""
     _check_levels(level, upto_level)
-    table.block_length(upto_level)  # surfaces guard violations before any expansion work
+    covered = table.block_length(upto_level)  # surfaces guard violations before any expansion work
     tiles = _expanded_levels(table, level, upto_level)
-    items: list[tuple[int, int, int]] = []
-    start = 0
-    for tile_level in tiles:
-        size = table.block_length(tile_level)
-        items.append((tile_level, start, size))
-        start += size
-    covered = table.block_length(upto_level)
-    if start != covered:
-        raise InvariantViolation(f"tiles cover {start} letters, block has {covered}")
-    return PartitionView(level=level, items=tuple(items), covered_prefix_length=covered)
+    size = {tile_level: table.block_length(tile_level) for tile_level in set(tiles)}
+    sizes = [size[tile_level] for tile_level in tiles]
+    starts = list(accumulate(sizes, initial=0))
+    if starts[-1] != covered:
+        raise InvariantViolation(f"tiles cover {starts[-1]} letters, block has {covered}")
+    return PartitionView(level=level, items=tuple(zip(tiles, starts, sizes)), covered_prefix_length=covered)
 
 
 def block_positions(view: PartitionView, level: int) -> list[int]:
@@ -78,14 +75,8 @@ def block_positions(view: PartitionView, level: int) -> list[int]:
 
 def refined_levels(table: BlockTable, view: PartitionView) -> list[int]:
     """Tile levels after one recurrence step on every top-level tile: the level-(view.level - 1) tiling."""
-    out: list[int] = []
-    for level, _, _ in view.items:
-        if level < view.level:
-            out.append(level)
-        else:
-            for lower, e in table.pieces(level):
-                out.extend([lower] * e)
-    return out
+    top = [lower for lower, e in table.pieces(view.level) for _ in range(e)]
+    return list(chain.from_iterable(top if level == view.level else (level,) for level, _, _ in view.items))
 
 
 def return_words(prefix: Word, w: Word) -> frozenset:

@@ -145,26 +145,31 @@ def _offset_base(table: BlockTable, n: int, depth: int, r: int) -> Word:
     return table.block(n) * r + "".join(table.block(level) * e for level, e in _offset_pieces(table, n, depth))
 
 
+def _carrying(table: BlockTable, n: int, depth: int, l: int, r_max: int) -> int:
+    """How many of the multiples 1..r_max at this depth of the level-n window carry an l-th power.
+
+    Depth 1 carries while l * r < d_{n+1} + 2, and at equality from level k on
+    (the palindromic prefix at n - k is formal below it); deeper depths carry
+    squares only.
+    """
+    if depth > 1:
+        return r_max if l == 2 else 0
+    return min(r_max, (table.exponent(n + 1) + 1 + (n >= table.spec.k)) // l)
+
+
 def _row(table: BlockTable, m: int, l: int, n: int, depth: int, r: int) -> PowerCensus:
     """The census row of length m at grid point (depth, r) of the level-n window."""
-    d_next = table.exponent(n + 1)
-    k = table.spec.k
-    if depth == 1:
-        if n == 0:
-            # orders beyond 2 at window 0 extend the small-length rule by the
-            # same run-of-first-letter argument; labeled so reports show it
-            kind = "short-length" if l == 2 else "extension"
-        else:
-            kind = "block-multiple"
-        if l * r < d_next + 2:
-            take = table.block_length(n)
-        elif l * r == d_next + 2:
-            take = table.palindromic_prefix_length(n - k) + 1
-        else:
-            take = 0
+    # orders beyond 2 at window 0 extend the small-length rule by the
+    # same run-of-first-letter argument; labeled so reports show it
+    kind = "block-offset" if depth > 1 else "block-multiple" if n > 0 else "short-length" if l == 2 else "extension"
+    if _carrying(table, n, depth, l, r) < r:
+        take = 0
+    elif depth > 1:
+        take = table.palindromic_prefix_length(n + 1 - depth) + 1
+    elif l * r < table.exponent(n + 1) + 2:
+        take = table.block_length(n)
     else:
-        kind = "block-offset"
-        take = table.palindromic_prefix_length(n + 1 - depth) + 1 if l == 2 else 0
+        take = table.palindromic_prefix_length(n - table.spec.k) + 1
     base = None
     if take:
         table.check_size(f"census base at m={m}", m)
@@ -196,10 +201,8 @@ def census(table: BlockTable, m: int, l: int) -> PowerCensus:
 def census_range(table: BlockTable, m_max: int, l: int) -> CensusRange:
     """census over 1..m_max, by a walk over the window grids that visits only the carrying grid points.
 
-    Depth 1 carries while l * r < d_{n+1} + 2, and at equality from level k
-    on (the palindromic prefix at n - k is formal below it); deeper depths
-    carry squares only. The letters of all the bases are checked against the
-    length guard before any is built.
+    The letters of all the bases are checked against the length guard
+    before any is built.
     """
     if m_max < 1:
         raise RangeError(f"m_max must be >= 1 (got {m_max})")
@@ -209,10 +212,7 @@ def census_range(table: BlockTable, m_max: int, l: int) -> CensusRange:
     for n in range(window_level(table, m_max) + 1):
         size = table.block_length(n)
         for depth, (offset, r_max) in _grid(table, n).items():
-            if depth == 1:
-                r_max = min(r_max, (table.exponent(n + 1) + 1 + (n >= table.spec.k)) // l)
-            elif l > 2:
-                continue
+            r_max = _carrying(table, n, depth, l, r_max)
             runs.append((n, depth, range(offset + size, min(m_max, offset + r_max * size) + 1, size)))
     letters = sum((lengths.start + lengths[-1]) * len(lengths) // 2 for _, _, lengths in runs if lengths)
     table.check_size(f"census range 1..{m_max}", letters)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import CancellationError, RangeError
+from .errors import CancellationError, GuardExceeded, RangeError
 
 if TYPE_CHECKING:  # numpy is imported inside the functions that use it, so the closed-form route starts without it
     import numpy as np
@@ -184,36 +184,40 @@ def two_palindrome_splits(w: Word) -> list[int]:
 
 
 
-def count_factors(w: Word, length: int, enough: int) -> tuple[int, int]:
-    """(distinct keys of the length-`length` factors of w counted, end of the shortest prefix of w holding them).
+def count_factors(words, length: int, enough: int, budget: int) -> tuple[int, int]:
+    """(distinct keys of the length-`length` factors counted, end of the shortest prefix holding them).
 
-    A key packs two polynomial hashes, sum_t w[i+t] B^(length-1-t) mod p for
-    two primes p, into 62 bits; equal factors get equal keys, so a collision
-    can only lower the count. Windows are keyed max(2^16, length) at a time,
-    in order, and counting stops after the batch that brings it to `enough`.
+    `words` yields ever longer prefixes of one word; each is read on from where
+    the one before stopped. A key packs two polynomial hashes, sum_t w[i+t]
+    B^(length-1-t) mod p for two primes p, into 62 bits; equal factors get equal
+    keys, so a collision can only lower the count. Windows are keyed max(2^16,
+    length) at a time, in order; counting stops after the batch that brings it
+    to `enough`, and one that would pass `budget` windows raises GuardExceeded.
     """
     import numpy as np
 
-    windows = len(w) - length + 1
-    if length < 1 or windows < 1:
-        raise RangeError(f"no factors of length {length} in {len(w)} letters")
-    width = max(_HASH_CHUNK, length)
-    top = min(width, windows)  # the most windows in one batch
-    tables = [(np.uint64(modulus), _hash_powers(modulus, base, top + length - 1)) for modulus, base in _FACTOR_HASHES]
+    width = max(_HASH_CHUNK, length)  # the most windows in one batch
     keys = np.zeros(0, dtype=np.uint64)  # distinct so far, ascending
     starts = np.zeros(0, dtype=np.int64)  # where each first occurs
-    for lo in range(0, windows, width):
-        size = min(width, windows - lo)
-        codes = np.frombuffer(w[lo:lo + size + length - 1].encode("utf-32-le"), dtype="<u4").astype(np.uint64)
-        found = np.zeros(size, dtype=np.uint64)
-        for m, powers in tables:
-            sums = np.zeros(len(codes) + 1, dtype=np.uint64)
-            np.cumsum(codes * powers[len(codes) - 1::-1] % m, out=sums[1:])
-            # sums[i + length] - sums[i] is B^(size-1-i) times the hash of the factor at lo + i; every key gets B^(top-1)
-            found = found << np.uint64(31) | (sums[length:] - sums[:size]) % m * powers[top - size:top] % m
-        # the keys seen before come first, so each keeps its earliest start
-        keys, first = np.unique(np.concatenate((keys, found)), return_index=True)
-        starts = np.concatenate((starts, np.arange(lo, lo + size)))[first]
+    lo = 0
+    for w in words:
+        while len(keys) < enough and lo <= len(w) - length:
+            size = min(width, len(w) - length + 1 - lo)
+            if lo + size > budget:
+                raise GuardExceeded(f"counting the factors of length {length} reads more than the budget of {budget} windows")
+            codes = np.frombuffer(w[lo:lo + size + length - 1].encode("utf-32-le"), dtype="<u4").astype(np.uint64)
+            found = np.zeros(size, dtype=np.uint64)
+            for modulus, base in _FACTOR_HASHES:
+                m, powers = np.uint64(modulus), _hash_powers(modulus, base, len(codes))
+                sums = np.zeros(len(codes) + 1, dtype=np.uint64)
+                np.cumsum(codes * powers[::-1] % m, out=sums[1:])
+                # sums[i + length] - sums[i] is B^(size-1-i) times the hash at lo + i; B^(width-size+i) lifts every key to B^(width-1)
+                lift = np.uint64(pow(base, width - size, modulus))
+                found = found << np.uint64(31) | (sums[length:] - sums[:size]) % m * powers[:size] % m * lift % m
+            # the keys seen before come first, so each keeps its earliest start
+            keys, first = np.unique(np.concatenate((keys, found)), return_index=True)
+            starts = np.concatenate((starts, np.arange(lo, lo + size)))[first]
+            lo += size
         if len(keys) >= enough:
             break
     return len(keys), int(starts.max()) + length

@@ -13,9 +13,11 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import episturm.cli as cli
+import episturm.oracle as oracle
 import episturm.powers as powers
 from episturm.blocks import BlockTable
 from episturm.directive import DirectiveSpec
+from episturm.words import RationalIndex
 
 TRIB = "k=3; d=; 1"
 MIX3 = "k=3; d=1,1,2; 2,1,2"
@@ -194,6 +196,18 @@ class TestPartition:
         verdict = next(r for r in rows if r["kind"] == "verification")
         assert verdict["ok"] is True
 
+    def test_verify_reports_a_regrouping_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "refined_levels", lambda table, view: [])
+        code, out, _ = run_cli(capsys, "partition", "--spec", MIX3, "--n", "2", "--verify", "--json")
+        assert code == 3
+        rows = json_rows(out)
+        verdict = next(r for r in rows if r["kind"] == "verification")
+        assert verdict["ok"] is False and verdict["detail"] == "one-step regrouping disagrees"
+        assert rows[-1]["error"] == "level-2 tiling does not regroup the level-3 tiling"
+        code, out, err = run_cli(capsys, "partition", "--spec", MIX3, "--n", "2", "--verify")
+        assert code == 3 and out.endswith("regrouping against the level-3 tiling: MISMATCH\n")
+        assert err == "episturm partition: level-2 tiling does not regroup the level-3 tiling\n"
+
     def test_default_host_is_two_levels_up(self, capsys):
         code, out, _ = run_cli(capsys, "partition", "--spec", TRIB, "--n", "1", "--json")
         rows = json_rows(out)
@@ -242,6 +256,16 @@ class TestIndex:
         rows = json_rows(out)
         verdict = next(r for r in rows if r["kind"] == "verification")
         assert verdict["ok"] is True and verdict["target"] == "index"
+
+    def test_verify_reports_an_oracle_disagreement(self, capsys, monkeypatch):
+        # the patched oracle measures the block as occurring once, against 2 + 3/4 by the closed form
+        monkeypatch.setattr(cli, "max_fractional_power", lambda host, base: RationalIndex(1, 0, len(base)))
+        code, out, _ = run_cli(capsys, "index", "--spec", TRIB, "--n", "2", "--verify", "--json")
+        assert code == 3
+        rows = json_rows(out)
+        verdict = next(r for r in rows if r["kind"] == "verification")
+        assert verdict["ok"] is False and verdict["oracle_block_index"]["text"] == "1"
+        assert rows[-1]["error"] == "oracle disagrees with the closed form at level 2"
 
     def test_rows_above_the_length_guard_need_no_witness(self, capsys):
         table = BlockTable(DirectiveSpec.parse(TRIB))
@@ -450,6 +474,16 @@ class TestCensus:
         monkeypatch.setattr(BlockTable, "block", lambda self, n: "".join(rng.choice("abc") for _ in block(self, n)))
         code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "13", "--verify")
         assert code == 3 and out == "" and "more than the 53 of a strict episturmian word" in err
+
+    def test_factor_count_budget_exits_four(self, capsys, monkeypatch):
+        # a^2000 b holds aa and ab in its 2000 windows; ba first appears in the next block, at window 2001
+        monkeypatch.setattr(oracle, "_COUNT_GUARD", 2001)
+        code, out, _ = run_cli(capsys, "census", "--spec", "k=2; d=2000; 1", "--m", "1", "--verify", "--json")
+        assert code == 0 and json_rows(out)[-2]["scanned_letters"] == 2002
+        monkeypatch.setattr(oracle, "_COUNT_GUARD", 2000)
+        code, out, err = run_cli(capsys, "census", "--spec", "k=2; d=2000; 1", "--m", "1", "--verify")
+        assert code == 4 and out == ""
+        assert err == "episturm census: counting the factors of length 2 reads more than the budget of 2000 windows\n"
 
 
 class TestVerify:

@@ -226,9 +226,10 @@ class TestChunkFilter:
     def test_non_nested_blocks_are_refused(self, monkeypatch):
         table = BlockTable(DirectiveSpec.parse("k=3; d=; 1"))
         block = table.block
-        # each block is built from reversed lower blocks and reversed again, which adds factors
+        # each block is built from reversed lower blocks and reversed again, so block 8 does not begin with
+        # block 7, and the count, which reads each block on from where the one before stopped, refuses it
         monkeypatch.setattr(table, "block", lambda n: block(n)[::-1])
-        with pytest.raises(VerificationError, match="block level 8 has 56 factors of length 26, more than the 53"):
+        with pytest.raises(VerificationError, match="block level 8 does not begin with block level 7"):
             certified_scan(table, 13, 2)
 
 
@@ -321,6 +322,26 @@ class TestCertificates:
         monkeypatch.setattr(table, "block", lambda n: pytest.fail("built a block"))
         with pytest.raises(GuardExceeded, match="letter-shifts"):
             certified_scan(table, 1, 10**6)
+
+    @pytest.mark.parametrize(
+        "budget, highest_built",
+        [
+            (55, 7),  # block 7 (81 letters) has 56 windows of length 26: none is read
+            (123, 8),  # block 8 completes the count at its 124th window, read on from the 57th
+        ],
+    )
+    def test_factor_count_stops_at_its_window_budget(self, monkeypatch, budget, highest_built):
+        spec = DirectiveSpec.parse("k=3; d=; 1")
+        monkeypatch.setattr(oracle, "_COUNT_GUARD", 124)  # windows 0..123, the last batch ending with block 8
+        assert certified_scan(BlockTable(spec), 13, 2)[0].scanned_letters == 106
+        table = BlockTable(spec)
+        built = []
+        block = table.block
+        monkeypatch.setattr(table, "block", lambda n: built.append(n) or block(n))
+        monkeypatch.setattr(oracle, "_COUNT_GUARD", budget)
+        with pytest.raises(GuardExceeded, match=f"reads more than the budget of {budget} windows"):
+            certified_scan(table, 13, 2)
+        assert max(built) == highest_built
 
     def test_extra_factors_are_refused(self, monkeypatch):
         # random letters give every window its own factor: 56 windows of length 26 in block 7, above 53

@@ -1,10 +1,15 @@
 """Tilings by one window of block levels, their uniqueness round-trip, return words."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import episturm.partition as partition
+from episturm.blocks import BlockTable
+from episturm.cli import _run_lengths
+from episturm.directive import DirectiveSpec
 from episturm.errors import InsufficientDataError, InvariantViolation, RangeError
 from episturm.oracle import generate_prefix
-from episturm.partition import block_positions, level_partition, return_words, tile_count
+from episturm.partition import block_positions, level_partition, refined_levels, return_words, tile_count
 
 from conftest import ALL_NAMES
 
@@ -153,3 +158,111 @@ class TestReturnWords:
             return_words("abc", "c")
         with pytest.raises(RangeError):
             return_words("abc", "")
+
+
+# -- per-tile references for the per-level tiling and run summary ---------------
+
+
+def reference_items(table, level, upto_level):
+    """Tile by tile: one block_length call and one running start per tile."""
+    items = []
+    start = 0
+    for tile_level in partition._expanded_levels(table, level, upto_level):
+        size = table.block_length(tile_level)
+        items.append((tile_level, start, size))
+        start += size
+    assert start == table.block_length(upto_level)
+    return tuple(items)
+
+
+def reference_refined_levels(table, view):
+    """Tile by tile: each top-level tile expands its own pieces."""
+    out = []
+    for level, _, _ in view.items:
+        if level < view.level:
+            out.append(level)
+        else:
+            for lower, e in table.pieces(level):
+                out.extend([lower] * e)
+    return out
+
+
+def reference_run_lengths(levels):
+    """Every run encoded by index arithmetic, then the first 40 printed."""
+    runs = []
+    i = 0
+    while i < len(levels):
+        j = i
+        while j < len(levels) and levels[j] == levels[i]:
+            j += 1
+        runs.append(f"{levels[i]}" if j - i == 1 else f"{levels[i]}x{j - i}")
+        i = j
+    return " ".join(runs[:40]) + (" ..." if len(runs) > 40 else "")
+
+
+@st.composite
+def tilings(draw):
+    """A random directive, a tiling level and a host level at most five above it."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    pre = draw(st.lists(st.integers(min_value=1, max_value=4), max_size=4))
+    per = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
+    level = draw(st.integers(min_value=0, max_value=5))
+    return BlockTable(DirectiveSpec.make(k, tuple(pre), tuple(per))), level, level + draw(st.integers(min_value=1, max_value=5))
+
+
+class TestPerLevelAgainstPerTile:
+    @given(tilings())
+    @settings(max_examples=80, deadline=None)
+    def test_items_match_the_per_tile_loop(self, case):
+        table, level, upto = case
+        view = level_partition(table, level, upto)
+        assert view.items == reference_items(table, level, upto)
+        assert view.covered_prefix_length == table.block_length(upto)
+
+    @given(tilings())
+    @settings(max_examples=80, deadline=None)
+    def test_refined_levels_match_the_per_tile_loop(self, case):
+        table, level, upto = case
+        if upto == level + 1:
+            upto += 1  # the coarser tiling needs a host above level + 1
+        coarse = level_partition(table, level + 1, upto)
+        refined = refined_levels(table, coarse)
+        assert refined == reference_refined_levels(table, coarse)
+        assert refined == [lv for lv, _, _ in level_partition(table, level, upto).items]
+
+    def test_a_wrong_length_is_a_coverage_violation(self, monkeypatch):
+        table = BlockTable(DirectiveSpec.parse("k=3; d=; 1"))
+        lengths = {level: table.block_length(level) for level in range(-2, 4)}
+        monkeypatch.setattr(table, "block_length", lambda n: lengths[n] + (n == 0))
+        with pytest.raises(InvariantViolation, match="tiles cover 9 letters, block has 7"):
+            level_partition(table, 1, 3)
+
+
+def run_lists():
+    """Level lists of 0 to 60 runs, each run 1 to 4 equal levels, neighbours always different."""
+    def build(draws):
+        levels = []
+        for level, count in draws:
+            if levels and levels[-1] == level:
+                level += 1
+            levels.extend([level] * count)
+        return levels
+
+    run = st.tuples(st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=4))
+    return st.lists(run, max_size=60).map(build)
+
+
+class TestRunLengths:
+    @given(run_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_index_loop(self, levels):
+        assert _run_lengths(levels) == reference_run_lengths(levels)
+        assert _run_lengths(iter(levels)) == reference_run_lengths(levels)
+
+    @pytest.mark.parametrize("runs, suffix", [(0, ""), (1, ""), (40, ""), (41, " ..."), (100, " ...")])
+    def test_forty_runs_then_an_ellipsis(self, runs, suffix):
+        levels = [lv for i in range(runs) for lv in [i % 2] * (1 + i % 3)]
+        text = _run_lengths(levels)
+        assert text == reference_run_lengths(levels)
+        assert text.endswith(suffix) and len(text.removesuffix(" ...").split()) == min(runs, 40)
+        assert text.split()[:2] == (["0", "1x2"] if runs > 1 else ["0"] * runs)

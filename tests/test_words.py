@@ -1,17 +1,18 @@
-"""Word primitives: rotations, palindromes, stripping, Z-array, the palindrome finder, rational exponents."""
+"""Word primitives: rotations, palindromes, stripping, Z-array, the palindrome finder, the factor count, rational exponents."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import episturm.words as words
 from episturm.blocks import BlockTable
 from episturm.checks import check_two_palindrome_split
 from episturm.directive import DirectiveSpec, PalindromicPrefixTable, palindromic_closure
-from episturm.errors import CancellationError, RangeError
+from episturm.errors import CancellationError, GuardExceeded, RangeError
 from episturm.words import (
     RationalIndex,
     conjugacy_class,
     conjugate,
+    count_factors,
     factors_of_length,
     is_palindrome,
     is_primitive,
@@ -152,6 +153,7 @@ class TestPalindromeFinder:
         assert two_palindrome_splits("ab") == [1]
 
     @given(RUN_WORDS, st.sampled_from([3, 64, 1 << 16]))
+    @settings(deadline=None)  # 2,490 letters of a in 3-letter chunks take 180 to 360 ms on a 2-CPU x86-64 VM
     def test_matches_the_z_array_reference(self, w, chunk):
         # small chunks carry the running hashes across many chunk boundaries
         with pytest.MonkeyPatch.context() as mp:
@@ -192,6 +194,47 @@ class TestPalindromeFinder:
         grown = w + "a"  # its palindromic suffixes are the 5,001 runs of a
         assert palindromic_closure(grown) == grown + "b" + "a" * 5000
         assert sum(verified) <= 2 * len(grown)
+
+
+class TestFactorCount:
+    @given(RUN_WORDS, st.lists(st.integers(min_value=0, max_value=4000), max_size=4),
+           st.integers(min_value=1, max_value=5), st.sampled_from([2, 7, 1 << 16]))
+    @settings(deadline=None)
+    def test_prefixes_read_on_match_the_literal_factors(self, w, cuts, length, chunk):
+        # each prefix is read on from where the one before stopped; small chunks split it into many batches
+        prefixes = [w[:cut] for cut in sorted(cuts)] + [w]
+        first = {}
+        for i in range(len(w) - length + 1):
+            first.setdefault(w[i:i + length], i)
+        if not first:
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(words, "_HASH_CHUNK", chunk)
+            found = count_factors(prefixes, length, len(first) + 1, len(w))
+        assert found == (len(factors_of_length(w, length)), max(first.values()) + length)
+
+    def test_stops_after_the_batch_that_has_enough(self, monkeypatch):
+        monkeypatch.setattr(words, "_HASH_CHUNK", 4)
+        # aab, aba and baa fill the first batch of four windows; the second would find bab
+        assert count_factors(["aabaababab"], 3, 3, 4) == (3, 5)
+        assert count_factors(["aabaababab"], 3, 4, 8) == (4, 8)
+
+    def test_each_window_is_read_once(self, monkeypatch):
+        class Spy(str):
+            def __getitem__(self, key):
+                reads.append((key.start, key.stop))
+                return str.__getitem__(self, key)
+
+        reads = []
+        monkeypatch.setattr(words, "_HASH_CHUNK", 4)
+        # windows of length 3: 0..2 from the first prefix, then one batch of 3..6 from the second
+        assert count_factors([Spy("aabaa"), Spy("aabaababab")], 3, 4, 7) == (4, 8)
+        assert reads == [(0, 5), (3, 9)]
+
+    def test_a_batch_past_the_budget_is_refused_before_it_is_read(self, monkeypatch):
+        monkeypatch.setattr(words, "_HASH_CHUNK", 4)
+        with pytest.raises(GuardExceeded, match="budget of 7 windows"):
+            count_factors(["aabaababab"], 3, 4, 7)
 
 
 class TestRotationProperties:
