@@ -14,8 +14,10 @@ import os
 import sys
 from itertools import groupby, islice
 
+# What the closed-form census, index and blocks run is imported here; checks, oracle,
+# partition and singular are imported inside the subcommands that call them, so a
+# start loads only the modules its subcommand runs.
 from .blocks import BlockTable
-from .checks import run_battery
 from .directive import CLOSURE_CHECK_WORK, DirectiveSpec, closure_prefix, closure_reach
 from .errors import (
     CancellationError,
@@ -26,10 +28,7 @@ from .errors import (
     RangeError,
     VerificationError,
 )
-from .oracle import RotationClass, certified_scan, greatest_power_prefix, max_fractional_power, same_bases
-from .partition import level_partition, refined_levels, tile_count
 from .powers import block_index, census, census_range, prefix_index
-from .singular import factor_partition
 from .words import RationalIndex, shorten
 
 _INLINE_WORD_LIMIT = 64
@@ -163,6 +162,8 @@ def cmd_blocks(args, rep: Reporter) -> int:
 
 
 def cmd_singular(args, rep: Reporter) -> int:
+    from .singular import factor_partition
+
     spec = DirectiveSpec.parse(args.spec)
     table = _build_table(spec)
     n = args.n
@@ -194,6 +195,8 @@ def _run_lengths(levels) -> str:
 
 
 def cmd_partition(args, rep: Reporter) -> int:
+    from .partition import level_partition, refined_levels, tile_count
+
     spec = DirectiveSpec.parse(args.spec)
     table = _build_table(spec)
     n = args.n
@@ -245,6 +248,8 @@ def cmd_index(args, rep: Reporter) -> int:
             f" / block index {p['block_index']['text']}",
         )
         if args.verify:
+            from .oracle import greatest_power_prefix, max_fractional_power
+
             host = table.block(n + spec.k + 3)
             measured = max_fractional_power(host, table.block(n))
             front = greatest_power_prefix(host, table.block(n))
@@ -311,6 +316,8 @@ def cmd_census(args, rep: Reporter) -> int:
     if args.full and ranged and m_max > _CENSUS_RANGE_GUARD:
         raise GuardExceeded(f"{m_max} lengths above the census range guard {_CENSUS_RANGE_GUARD}")
     if args.verify:
+        from .oracle import RotationClass, certified_scan, same_bases
+
         # certify first: its guards trip before any witness set is built
         certificate, scans = certified_scan(table, m_max, l, m_min=1 if ranged else m_max)
     rows = census_range(table, m_max, l).nonzero if ranged else [census(table, m_max, l)]
@@ -363,6 +370,8 @@ def cmd_census(args, rep: Reporter) -> int:
 
 
 def cmd_verify(args, rep: Reporter) -> int:
+    from .checks import run_battery
+
     spec = DirectiveSpec.parse(args.spec)
     table = _build_table(spec)
     n_max = args.n if args.n is not None else 8

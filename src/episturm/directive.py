@@ -13,8 +13,8 @@ import math
 import string
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ParseError, RangeError
 from .words import Word, longest_palindromic_suffix
@@ -22,31 +22,39 @@ from .words import Word, longest_palindromic_suffix
 _LETTER_POOL = string.ascii_lowercase
 
 
-@dataclass(frozen=True)
-class DirectiveSpec:
+class _SpecFields(NamedTuple):
+    alphabet: str
+    preperiod: tuple[int, ...]
+    period: tuple[int, ...]
+
+
+class DirectiveSpec(_SpecFields):
     """Alphabet plus the exponent list, split into a leading part and a repeating part.
 
     An empty period means the exponent list is finite; operations raise
     RangeError when asked to look past its end.
     """
 
-    alphabet: str
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        k = len(self.alphabet)
+    def __new__(cls, alphabet: str, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "DirectiveSpec":
+        k = len(alphabet)
         if k < 2:
             raise ParseError("need an alphabet of at least 2 letters")
         if k > len(_LETTER_POOL):
             raise ParseError(f"alphabets beyond {len(_LETTER_POOL)} letters are not supported")
-        if len(set(self.alphabet)) != k:
+        if len(set(alphabet)) != k:
             raise ParseError("alphabet letters must be distinct")
-        if not self.preperiod and not self.period:
+        if not preperiod and not period:
             raise ParseError("directive needs at least one exponent")
-        for d in self.preperiod + self.period:
+        for d in preperiod + period:
             if not isinstance(d, int) or d < 1:
                 raise ParseError(f"exponents must be positive integers, got {d!r}")
+        return super().__new__(cls, alphabet, preperiod, period)
+
+    @classmethod
+    def _make(cls, fields) -> "DirectiveSpec":  # through __new__, so _replace validates too
+        return cls(*fields)
 
     @property
     def k(self) -> int:

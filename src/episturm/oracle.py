@@ -32,8 +32,7 @@ its first occurrence, without numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .blocks import BlockTable
 from .directive import CLOSURE_CHECK_WORK, closure_prefix, closure_reach
@@ -85,7 +84,7 @@ class RotationClass:
     word + word and its offsets shifted by that amount.
     """
 
-    __slots__ = ("word", "spans", "period")  # a plain class: a dataclass would cost each CLI start about 0.3 ms
+    __slots__ = ("word", "spans", "period")  # not a NamedTuple: equality compares the words listed, not the fields
 
     def __init__(self, word: Word, spans) -> None:
         self.word = word
@@ -121,8 +120,7 @@ def same_bases(a: tuple[RotationClass, ...], b: tuple[RotationClass, ...]) -> bo
     return len(a) == len(b) and all(any(x == y for y in b) for x in a)
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Bases found by one scan: classes maps m to the rotation classes of the length-m words w with w**l inside the prefix."""
 
     l: int
@@ -134,8 +132,7 @@ class ScanResult:
         return {m: frozenset().union(*(c.rotations() for c in found)) for m, found in self.classes.items()}
 
 
-@dataclass(frozen=True)
-class PrefixCertificate:
+class PrefixCertificate(NamedTuple):
     """What a certified scan rests on.
 
     The block `word`, at level `block_level`, holds `factors` = (k-1)L + 1

@@ -8,16 +8,15 @@ level-(n+1) tiling, which the tests use as the uniqueness round-trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain
+from typing import NamedTuple
 
 from .blocks import BlockTable
 from .errors import InsufficientDataError, InvariantViolation, RangeError
 from .words import Word, occurrences
 
 
-@dataclass(frozen=True)
-class PartitionView:
+class PartitionView(NamedTuple):
     """One tiling: (block_level, start, length) per tile, 0-based starts, covering the prefix."""
 
     level: int

@@ -12,15 +12,14 @@ the result in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blocks import BlockTable
 from .errors import InvariantViolation, RangeError
 from .words import RationalIndex, Word
 
 
-@dataclass(frozen=True)
-class CensusProvenance:
+class CensusProvenance(NamedTuple):
     """How a census row was classified.
 
     kind: 'short-length' (window of level 0, order 2), 'extension' (window of
@@ -37,8 +36,7 @@ class CensusProvenance:
     base: Word | None = None
 
 
-@dataclass(frozen=True)
-class PowerCensus:
+class PowerCensus(NamedTuple):
     """Exact answer to: which length-m words have their l-th power inside the word?
 
     The witnesses are the first `count` rotations of provenance.base; they are
@@ -56,8 +54,7 @@ class PowerCensus:
         return tuple(base[j:] + base[:j] for j in range(self.count))
 
 
-@dataclass(frozen=True)
-class CensusRange:
+class CensusRange(NamedTuple):
     """census over 1..m_max: the carrying rows, from a walk over the window grids; every other length carries none."""
 
     l: int

@@ -8,15 +8,14 @@ source window): its sliding windows of block length, all distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blocks import BlockTable
 from .errors import InvariantViolation, RangeError
 from .words import Word, conjugacy_class, reversal, shorten
 
 
-@dataclass(frozen=True)
-class FactorPartition:
+class FactorPartition(NamedTuple):
     """All factors of one block length, split into the rotation class and k-1 singular kinds."""
 
     level: int

@@ -6,13 +6,13 @@ pure and returns new strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CancellationError, GuardExceeded, RangeError
 
-if TYPE_CHECKING:  # numpy is imported inside the functions that use it, so the closed-form route starts without it
+if TYPE_CHECKING:  # imported inside the functions that use them, so the closed-form route starts without either
+    from fractions import Fraction
+
     import numpy as np
 
 Word = str
@@ -183,7 +183,6 @@ def two_palindrome_splits(w: Word) -> list[int]:
     return [p for p in both if is_palindrome(w[:p]) and is_palindrome(w[p:])]
 
 
-
 def count_factors(words, length: int, enough: int, budget: int) -> tuple[int, int]:
     """(distinct keys of the length-`length` factors counted, end of the shortest prefix holding them).
 
@@ -242,27 +241,34 @@ def z_array(w: str) -> list[int]:
     return z
 
 
-@dataclass(frozen=True)
-class RationalIndex:
+class _IndexFields(NamedTuple):
+    whole: int
+    num: int
+    den: int
+
+
+class RationalIndex(_IndexFields):
     """Exponent of a fractional power: whole + num/den, normalized to 0 <= num < den.
 
     den is kept as given (the base word's length), never reduced, so two
     indices over the same base compare field by field.
     """
 
-    whole: int
-    num: int
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.den < 1:
+    def __new__(cls, whole: int, num: int, den: int) -> "RationalIndex":
+        if den < 1:
             raise RangeError("denominator must be positive")
-        if not 0 <= self.num < self.den:
-            carry, rem = divmod(self.num, self.den)
-            object.__setattr__(self, "whole", self.whole + carry)
-            object.__setattr__(self, "num", rem)
+        carry, num = divmod(num, den)
+        return super().__new__(cls, whole + carry, num, den)
+
+    @classmethod
+    def _make(cls, fields) -> "RationalIndex":  # through __new__, so _replace normalizes too
+        return cls(*fields)
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction  # only comparisons and --verify read the value, so a plain start skips the import
+
         return self.whole + Fraction(self.num, self.den)
 
     @property

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from episturm import blocks, powers
+from episturm import blocks, cli, powers
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -44,3 +44,22 @@ def test_tracer_wraps_and_restores_every_entry_point():
     finally:
         tracer.uninstall()
     assert (powers.census, powers.block_index_witness, blocks.BlockTable.power_prefix) == originals
+
+
+@pytest.mark.parametrize(
+    "argv, span",
+    [
+        (["census", "--spec", "k=3; d=; 1", "--m", "4", "--verify"], "oracle.certify"),
+        (["verify", "--spec", "k=3; d=; 1", "--n", "3"], "checks."),
+    ],
+    ids=["census-verify", "verify"],
+)
+def test_tracer_sees_entry_points_the_cli_imports_lazily(argv, span):
+    """The CLI imports the oracle and the battery inside its subcommands, so it must call the traced names."""
+    tracer = load("layers").Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert any(name.startswith(span) for name, *_ in tracer.spans)

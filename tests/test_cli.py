@@ -1,6 +1,5 @@
 """Command-line behavior: outputs, exit codes, JSON rows against the schema."""
 
-import dataclasses
 import json
 import os
 import random
@@ -14,6 +13,7 @@ from jsonschema import Draft202012Validator
 
 import episturm.cli as cli
 import episturm.oracle as oracle
+import episturm.partition as partition
 import episturm.powers as powers
 from episturm.blocks import BlockTable
 from episturm.directive import DirectiveSpec
@@ -197,7 +197,7 @@ class TestPartition:
         assert verdict["ok"] is True
 
     def test_verify_reports_a_regrouping_mismatch(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "refined_levels", lambda table, view: [])
+        monkeypatch.setattr(partition, "refined_levels", lambda table, view: [])
         code, out, _ = run_cli(capsys, "partition", "--spec", MIX3, "--n", "2", "--verify", "--json")
         assert code == 3
         rows = json_rows(out)
@@ -259,7 +259,7 @@ class TestIndex:
 
     def test_verify_reports_an_oracle_disagreement(self, capsys, monkeypatch):
         # the patched oracle measures the block as occurring once, against 2 + 3/4 by the closed form
-        monkeypatch.setattr(cli, "max_fractional_power", lambda host, base: RationalIndex(1, 0, len(base)))
+        monkeypatch.setattr(oracle, "max_fractional_power", lambda host, base: RationalIndex(1, 0, len(base)))
         code, out, _ = run_cli(capsys, "index", "--spec", TRIB, "--n", "2", "--verify", "--json")
         assert code == 3
         rows = json_rows(out)
@@ -400,11 +400,9 @@ class TestCensus:
     @pytest.mark.parametrize(
         "change",
         [
-            lambda row: dataclasses.replace(row, count=row.count + 1),
-            lambda row: dataclasses.replace(row, count=row.count - 1),
-            lambda row: dataclasses.replace(
-                row, provenance=dataclasses.replace(row.provenance, base=row.provenance.base[1:] + row.provenance.base[0])
-            ),
+            lambda row: row._replace(count=row.count + 1),
+            lambda row: row._replace(count=row.count - 1),
+            lambda row: row._replace(provenance=row.provenance._replace(base=row.provenance.base[1:] + row.provenance.base[0])),
         ],
         ids=["count+1", "count-1", "rotated-base"],
     )
@@ -417,7 +415,7 @@ class TestCensus:
 
         def changed_range(table, m_max, l):
             found = census_range(table, m_max, l)
-            return dataclasses.replace(found, nonzero=tuple(change(r) if r.m == 6 else r for r in found.nonzero))
+            return found._replace(nonzero=tuple(change(r) if r.m == 6 else r for r in found.nonzero))
 
         monkeypatch.setattr(cli, "census_range", changed_range)
         code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "13", "--verify", "--json")
@@ -432,7 +430,7 @@ class TestCensus:
             found = census_range(table, m_max, l)
             fake = powers.PowerCensus(5, l, 1, powers.CensusProvenance("off-grid", 2, base="abaca"))
             rows = sorted((*(r for r in found.nonzero if r.m != 6), fake), key=lambda r: r.m)
-            return dataclasses.replace(found, nonzero=tuple(rows))
+            return found._replace(nonzero=tuple(rows))
 
         monkeypatch.setattr(cli, "census_range", moved)
         code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "13", "--verify", "--json")
@@ -441,8 +439,8 @@ class TestCensus:
 
     def test_single_length_verify_scans_that_length_only(self, capsys, monkeypatch):
         calls = []
-        certified_scan = cli.certified_scan
-        monkeypatch.setattr(cli, "certified_scan", lambda *args, **kw: calls.append(kw) or certified_scan(*args, **kw))
+        certified_scan = oracle.certified_scan
+        monkeypatch.setattr(oracle, "certified_scan", lambda *args, **kw: calls.append(kw) or certified_scan(*args, **kw))
         code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--m", "24", "--verify", "--json")
         verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
         assert code == 0 and verdict["ok"] is True and calls == [{"m_min": 24}]
@@ -572,14 +570,19 @@ class TestArgparse:
         assert exc.value.code == 2
 
 
-# A fresh interpreter runs cli.main on argv and reports its exit code and whether numpy was loaded.
-_NUMPY_PROBE = """
+# A fresh interpreter runs cli.main on argv and reports its exit code, the package
+# modules it loaded, and whether numpy, dataclasses and fractions were loaded.
+_START_PROBE = """
 import contextlib, io, json, sys
 from episturm import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, "numpy" in sys.modules]))
+modules = sorted(name[len("episturm."):] for name in sys.modules if name.startswith("episturm."))
+print(json.dumps({"code": code, "modules": modules, **{name: name in sys.modules for name in ("numpy", "dataclasses", "fractions")}}))
 """
+
+# What every subcommand loads: the CLI, the block tables and the closed-form census and index.
+_CORE_MODULES = {"cli", "blocks", "directive", "errors", "powers", "words"}
 
 
 def _fresh_child(*args) -> str:
@@ -590,8 +593,23 @@ def _fresh_child(*args) -> str:
     return done.stdout
 
 
+def _start(*argv) -> dict:
+    return json.loads(_fresh_child("-c", _START_PROBE, *argv))
+
+
+def _own_modules(argv) -> set:
+    """Beyond the core: partition and singular load their own module; census and index load the oracle under --verify."""
+    own = {"partition": {"partition"}, "singular": {"singular"}}.get(argv[0], set())
+    return own | ({"oracle"} if argv[0] in ("census", "index") and "--verify" in argv else set())
+
+
 class TestNumpyStaysUnloaded:
-    """The closed forms never call numpy, so only the oracle's all-shift scan and the palindrome finder import it."""
+    """A start loads only what its subcommand runs.
+
+    The closed forms never call numpy, so only the oracle's all-shift scan and
+    the palindrome finder import it; no subcommand loads dataclasses, and only
+    a verification reads a RationalIndex as a fraction.
+    """
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -610,14 +628,20 @@ class TestNumpyStaysUnloaded:
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
     )
     def test_closed_form_answers_and_early_exits_run_without_numpy(self, argv, code):
-        assert json.loads(_fresh_child("-c", _NUMPY_PROBE, *argv)) == [code, False]
+        start = _start(*argv)
+        assert (start["code"], start["numpy"], start["dataclasses"]) == (code, False, False)
+        assert set(start["modules"]) == _CORE_MODULES | _own_modules(argv)
+        assert not start["fractions"] or "--verify" in argv
 
     def test_importing_the_package_loads_no_numpy(self):
-        assert _fresh_child("-c", "import sys, episturm; print('numpy' in sys.modules)").strip() == "False"
+        """Nor any submodule: each export is imported on first access."""
+        probe = "import json, sys, episturm; print(json.dumps([m for m in sys.modules if m == 'numpy' or m.startswith('episturm.')]))"
+        assert json.loads(_fresh_child("-c", probe)) == []
 
     def test_the_oracle_still_loads_numpy(self):
-        argv = ("census", "--spec", TRIB, "--m", "4", "--verify")
-        assert json.loads(_fresh_child("-c", _NUMPY_PROBE, *argv)) == [0, True]
+        start = _start("census", "--spec", TRIB, "--m", "4", "--verify")
+        assert (start["code"], start["numpy"], start["dataclasses"]) == (0, True, False)
+        assert set(start["modules"]) == _CORE_MODULES | {"oracle"}
 
 
 # Linux counts a parent's resident memory at spawn in the child's max RSS, so a

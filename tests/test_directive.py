@@ -121,6 +121,11 @@ class TestParsing:
         spec = DirectiveSpec.make(26, (), (1,))
         assert spec.alphabet[-1] == "z"
 
+    def test_replace_validates(self):
+        assert MIX3._replace(period=(1,)) == DirectiveSpec.parse("k=3; d=1,1,2; 1")
+        with pytest.raises(ParseError):
+            MIX3._replace(period=(2, 0))
+
 
 class TestExponents:
     def test_periodic_indexing(self):

@@ -1,6 +1,5 @@
 """Brute-force repetition scanning: the independent route the census is checked against."""
 
-import dataclasses
 import random
 from itertools import takewhile
 
@@ -261,7 +260,7 @@ class TestCertificates:
         monkeypatch.setattr(oracle, "scan_powers_multi", lambda *args, **kw: calls.append(args[2:4]) or scan(*args, **kw))
         cert, scans = certified_scan(trib, 13, 3, m_min=13)
         assert calls == [(13, 13)]
-        assert cert == dataclasses.replace(full_cert, covered_m_min=13)
+        assert cert == full_cert._replace(covered_m_min=13)
         assert {l: r.per_length for l, r in scans.items()} == {l: {13: r.per_length[13]} for l, r in full.items()}
         assert certified_scan(trib, 13, 2, m_min=5)[0].covered_m_min == 5
         for m_min in (0, 14):

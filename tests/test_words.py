@@ -275,3 +275,8 @@ class TestRationalIndex:
     def test_bad_denominator(self):
         with pytest.raises(RangeError):
             RationalIndex(1, 0, 0)
+
+    def test_replace_normalizes(self):
+        assert RationalIndex(2, 1, 4)._replace(num=5) == RationalIndex(3, 1, 4)
+        with pytest.raises(RangeError):
+            RationalIndex(2, 1, 4)._replace(den=0)
