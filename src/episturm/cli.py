@@ -36,9 +36,8 @@ _INLINE_WORD_LIMIT = 64
 # Guards derived from measured cost (2-CPU x86-64 VM, Python 3.11). `generate`
 # bounds the letters its closure steps scan, |u_j| summed over the steps from
 # the integer length recurrence, not the letters it prints: a long run of one
-# letter makes that sum quadratic in the output. At 2^25 letters it takes
-# about 1.5 s and 100 MB on the Tribonacci word (19M letters out) and 4 s where
-# 45 us per closure step adds up (`k=2; d=8000; 1`, 16,000 letters out). A
+# letter makes that sum quadratic in the output. At 2^25 letters a child takes 0.28 s
+# and 81 MB on the Tribonacci word (19M letters out), 0.23 s and 45 MB on `k=2; d=8000; 1` (16,000). A
 # `census --full` row costs about 20 us per length (2^20 lengths: 20 s; plain
 # census ranges visit only their carrying lengths, and the table's length guard
 # bounds their bases). A partition tile costs about 2.7 us and 190 bytes with

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CancellationError, GuardExceeded, RangeError
 
-if TYPE_CHECKING:  # imported inside the functions that use them, so the closed-form route starts without either
+if TYPE_CHECKING:  # imported inside the functions that use them: the closure and the closed forms need neither
     from fractions import Fraction
 
     import numpy as np
@@ -101,9 +101,9 @@ def occurrences(text: Word, w: Word) -> list[int]:
     return found
 
 
-# Polynomial hashes mod primes below 2^31: a residue times a residue or a
-# letter code stays below 2^62, and a sum of fewer than 2^32 residues below
-# 2^63, so uint64 never wraps. The chunk bounds the arrays a long word needs.
+# Polynomial hashes mod primes below 2^31 for the split check and the factor count:
+# a residue times a residue or a letter code stays below 2^62, and a sum of fewer
+# than 2^32 residues below 2^63, so uint64 never wraps. The chunk bounds the arrays.
 _HASH_MODULUS = (1 << 31) - 1
 _HASH_BASE = 48271
 _HASH_CHUNK = 1 << 16
@@ -129,7 +129,7 @@ def _hash_powers(modulus: int, base: int, count: int) -> np.ndarray:
 
 
 def _palindromic_prefix_candidates(w: Word) -> np.ndarray:
-    """Lengths p in 1..|w|, ascending, whose prefix w[:p] may be a palindrome.
+    """Lengths p in 1..|w|, ascending, whose prefix w[:p] may be a palindrome: the split check's candidates.
 
     Every palindromic prefix is listed; a hash collision may add others, so a
     caller verifies each candidate it relies on. With D_j = B^(|w|-1-j), w[:p]
@@ -156,16 +156,17 @@ def _palindromic_prefix_candidates(w: Word) -> np.ndarray:
 
 
 def longest_palindromic_suffix(w: Word) -> int:
-    """Length of the longest palindromic suffix of w, verified letter by letter (0 only for the empty word).
+    """Length of the longest palindromic suffix of w (0 only for the empty word), by halving mirror probes.
 
-    Candidates are tried longest first; the first that holds is the answer,
-    so a hash collision costs one literal comparison and never the result.
+    With r = w[::-1], q runs n, ceil(n/2), ... 1, and w.find(r[:q], n - q_prev + 1) reaches the starts s
+    whose suffix has q to q_prev - 1 <= 2q - 1 letters, all covered by its first q and last q: so w[s:] is a
+    palindrome exactly when its first q letters equal r[:q], the mirror of its last q. The first hit is the
+    answer, with no hash and no second comparison: O(q) letters a probe, O(n) over at most ceil(log2 n) + 1.
     """
-    n = len(w)
-    for p in _palindromic_prefix_candidates(w[::-1])[::-1].tolist():
-        if is_palindrome(w[n - p:]):
-            return p
-    return 0
+    n, r, q, lo = len(w), w[::-1], len(w), 0
+    while q and (s := w.find(r[:q], lo)) == -1:  # q = 1 always hits: the last letter mirrors itself
+        lo, q = n - q + 1, (q + 1) // 2
+    return n - s if q else 0
 
 
 def two_palindrome_splits(w: Word) -> list[int]:

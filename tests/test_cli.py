@@ -606,9 +606,10 @@ def _own_modules(argv) -> set:
 class TestNumpyStaysUnloaded:
     """A start loads only what its subcommand runs.
 
-    The closed forms never call numpy, so only the oracle's all-shift scan and
-    the palindrome finder import it; no subcommand loads dataclasses, and only
-    a verification reads a RationalIndex as a fraction.
+    The closed forms and the closure never call numpy: only the oracle's
+    all-shift scan, its factor count and the two-palindrome-split check import
+    it. No subcommand loads dataclasses, and only a verification reads a
+    RationalIndex as a fraction.
     """
 
     @pytest.mark.parametrize(
@@ -622,6 +623,7 @@ class TestNumpyStaysUnloaded:
             (("partition", "--spec", TRIB, "--n", "1", "--m", "4"), 0),
             (("partition", "--spec", TRIB, "--n", "1", "--m", "4", "--verify"), 0),
             (("singular", "--spec", TRIB, "--n", "2"), 0),
+            (("generate", "--spec", MIX3, "--length", "1000"), 0),
             (("census", "--spec", "k=1; d=; 1", "--m", "4"), 2),
             (("census", "--spec", TRIB, "--all-up-to", "40000", "--verify"), 4),
         ],
@@ -642,6 +644,11 @@ class TestNumpyStaysUnloaded:
         start = _start("census", "--spec", TRIB, "--m", "4", "--verify")
         assert (start["code"], start["numpy"], start["dataclasses"]) == (0, True, False)
         assert set(start["modules"]) == _CORE_MODULES | {"oracle"}
+
+    def test_the_split_check_still_loads_numpy(self):
+        start = _start("verify", "--spec", TRIB, "--n", "3")
+        assert (start["code"], start["numpy"], start["dataclasses"]) == (0, True, False)
+        assert set(start["modules"]) == _CORE_MODULES | {"checks", "partition", "singular"}
 
 
 # Linux counts a parent's resident memory at spawn in the child's max RSS, so a

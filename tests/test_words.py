@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import episturm.words as words
 from episturm.blocks import BlockTable
 from episturm.checks import check_two_palindrome_split
-from episturm.directive import DirectiveSpec, PalindromicPrefixTable, palindromic_closure
+from episturm.directive import DirectiveSpec, PalindromicPrefixTable, directive_letter
 from episturm.errors import CancellationError, GuardExceeded, RangeError
 from episturm.words import (
     RationalIndex,
@@ -166,16 +166,12 @@ class TestPalindromeFinder:
 
     @pytest.mark.parametrize("name", ["tribonacci", "k4_mixed"])
     def test_a_collision_on_every_position_changes_no_answer(self, name, monkeypatch):
-        spec = DirectiveSpec.parse(SPEC_TEXTS[name])
-        closures = PalindromicPrefixTable(spec)
-        table = BlockTable(spec)
+        # only the split check hashes; the closure's finder reads letters alone
+        table = BlockTable(DirectiveSpec.parse(SPEC_TEXTS[name]))
         levels = [n for n in range(1, 20) if table.block_length(n) <= 1_500]
-        prefixes = [closures.prefix(j) for j in range(1, 14) if len(closures.prefix(j)) <= 3_000]
         splits = [two_palindrome_splits(table.block(n)) for n in levels]
         monkeypatch.setattr(words, "_HASH_MODULUS", 1)  # every hash is 0, so every length is a candidate
         assert words._palindromic_prefix_candidates("abc").tolist() == [1, 2, 3]
-        rebuilt = PalindromicPrefixTable(spec)
-        assert [rebuilt.prefix(j) for j in range(1, len(prefixes) + 1)] == prefixes
         assert [two_palindrome_splits(table.block(n)) for n in levels] == splits
         check_two_palindrome_split(table, levels[-1])
 
@@ -190,10 +186,33 @@ class TestPalindromeFinder:
         w = "a" * 5000 + "b" + "a" * 5000  # 5,001 palindromic prefixes and as many suffixes
         assert two_palindrome_splits(w) == [0]
         assert sum(verified) <= 2 * len(w)
-        verified.clear()
-        grown = w + "a"  # its palindromic suffixes are the 5,001 runs of a
-        assert palindromic_closure(grown) == grown + "b" + "a" * 5000
-        assert sum(verified) <= 2 * len(grown)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: "a" * 3000 + "b" + "a" * 3000 + "c",
+            lambda: "ab" * 4000,
+            lambda: "aab" * 3000 + "c",
+            lambda: "a" * 5000 + "b" + "a" * 5001,
+            lambda: tribonacci_closure_step(23),  # 900,140 letters
+        ],
+        ids=["a^t b a^t c", "(ab)^t", "(aab)^t c", "a^5000 b a^5001", "tribonacci step"],
+    )
+    def test_the_suffix_takes_a_halving_number_of_probes(self, make):
+        class Probed(str):
+            def find(self, *args):
+                probes.append(args)
+                return str.find(self, *args)
+
+        w, probes = make(), []
+        assert longest_palindromic_suffix(Probed(w)) == reference_longest_suffix(w)
+        assert 1 <= len(probes) <= (len(w) - 1).bit_length() + 1  # at most ceil(log2 n) + 1, and the letters are read by find
+
+
+def tribonacci_closure_step(j: int) -> str:
+    """The j-th Tribonacci closure prefix and the directive letter its step closes."""
+    spec = DirectiveSpec.parse(SPEC_TEXTS["tribonacci"])
+    return PalindromicPrefixTable(spec).prefix(j) + directive_letter(spec, j)
 
 
 class TestFactorCount:
