@@ -295,6 +295,14 @@ def closure_reach(spec: DirectiveSpec, work: int) -> int | float:
 
 
 def closure_prefix(spec: DirectiveSpec, length: int) -> Word:
-    """Exactly the first `length` letters, built by iterated palindromic closure alone."""
-    table = PalindromicPrefixTable(spec)
-    return table.prefix_of_length(length)[:length]
+    """Exactly the first `length` letters, built by iterated palindromic closure alone.
+
+    Only the prefix being closed is kept, so memory follows the output, not the closure work.
+    """
+    if length < 0:
+        raise RangeError("length must be nonnegative")
+    u, j = "", 1
+    while len(u) < length:
+        u = palindromic_closure(u + directive_letter(spec, j))
+        j += 1
+    return u[:length]

@@ -1,20 +1,25 @@
 """Scanning oracle: literal repetition search over materialized prefixes.
 
 Everything here works by reading letters, never the closed forms, so its
-answers are an independent route for the census and index formulas.
+answers are an independent route for the census and index formulas. Nothing
+here imports numpy.
 
 `scan_powers_multi` compares the prefix with itself at every shift m and
 reads the bases of l-th powers off the maximal equality runs of at least
-need = (l-1)m letters. Its cost follows those long runs, not every
-mismatch: once need >= 15, a chunk filter (the sampling idea behind
-Main-Lorentz and Kolpakov-Kucherov) compares eight letters at a time as
-uint64 words and OR-folds the verdicts into aligned chunks of c letters,
-c the largest power of two with 2c - 1 <= need, so each long run holds an
-equal chunk and only groups of equal chunks are refined to exact runs.
-Shorter shifts read every run of the full equality mask. Every factor of a
-period-m run is a rotation of its first m letters, so a run with cnt
-qualifying starts contributes rotations 0..cnt-1 of one word, and each length
-keeps a few rotation classes, never the bases themselves.
+need = (l-1)m letters, with one of two kernels chosen by the chunk c, the
+largest power of two with 2c - 1 <= need. Below `_LONG_CHUNK` one XOR finds
+every run: the prefix is held as one int, XORed with itself shifted by m
+letters, and the runs of `need` zero bytes are found with `bytes.find` and a
+regex for the next nonzero byte. From there on, every long enough run holds
+an aligned chunk prefix[jc : jc + c], so the scan compares only the chunks:
+Karp-Miller-Rosenberg ranks (STOC 1972), built by doubling, label each
+length-c window exactly, one comparison decides a chunk, and each group of
+equal chunks is widened to its run by galloping slice comparisons. Every
+factor of a period-m run is a rotation of its first m letters, so a run with
+cnt qualifying starts contributes rotations 0..cnt-1 of one word, and each
+length keeps a few rotation classes, never the bases themselves. The orders
+share each length's runs, and each order reads only the runs that reached the
+need of the order before.
 
 `certified_scan` proves its prefix sufficient: a strict episturmian word on
 k letters has exactly (k-1)L + 1 factors of each length L (Arnoux & Rauzy
@@ -27,34 +32,36 @@ expands the classes into word sets for it.
 `max_fractional_power` and `greatest_power_prefix` read one shift only: the
 period-m run through an occurrence of the base ends where galloping slice
 comparisons find the first difference, and each run is measured once, from
-its first occurrence, without numpy.
+its first occurrence.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+import re
+from itertools import count
+from operator import eq
+from typing import NamedTuple
 
 from .blocks import BlockTable
 from .directive import CLOSURE_CHECK_WORK, closure_prefix, closure_reach
 from .errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
 from .words import RationalIndex, Word, count_factors
 
-if TYPE_CHECKING:  # numpy is imported inside the functions that use it, so the closed-form route starts without it
-    import numpy as np
-
-# Letter-shifts one certification scan may cost: m_max times the letters of the
-# scanned prefix, once per power order, since each order reads every run again.
-# Measured on a 2-CPU x86-64 VM (Python 3.11) at 0.3 to 0.8 ns each at order 2
-# (orders 3 and 4 add 15 to 25% each on the reference words), so the cap stands
-# for under 7 s. Memory follows the runs, not the bases: each run's first m
-# letters while a length is scanned, and a few rotation classes per length kept.
-_SCAN_GUARD = 1 << 33
+# The scan's work in letter-shifts: one letter at one shift of the XOR kernel, 4 to 8 ns
+# on a 2-CPU x86-64 VM (Python 3.11), as host load varies. There a chunk probe of the rank
+# kernel, with its share of widening runs, costs 90 to 115 ns, and one rank of a doubling
+# 145 to 255 ns, so they weigh 20 and 40 letter-shifts. An (order, length) pair's rotation
+# classes cost 1 to 2 us, and each order keeps a result of about 250 bytes, so a pair weighs
+# 1,000: a millionth power trips at once. The guard stands for 2 to 4.5 s of scanning.
+_SCAN_GUARD = 1 << 29
+_PROBE_WORK = 20
+_RANK_WORK = 40
+_RESULT_WORK = 1000
 # Windows the factor count may key. Only a long run of one directive letter makes
-# P much longer than k*L within the scan guard, and there a window costs about
-# 75 ns (2^25 windows: about 2.5 s; 180 to 400 ns each on the Tribonacci word).
-_COUNT_GUARD = 1 << 25
-_RUN_BATCH = 1 << 16
-_FOLD_MIN_NEED = 15  # 2c - 1 for the smallest chunk, one uint64 word of c = 8 letters
+# P much longer than k*L within the scan guard; a window costs 350 to 650 ns in pure
+# Python on the same VM (2^22 windows: 1.5 to 2.7 s).
+_COUNT_GUARD = 1 << 22
+_LONG_CHUNK = 128  # the smallest chunk the rank kernel reads: below it, one XOR per shift is cheaper
 
 
 def _spans(pieces, period: int) -> tuple[tuple[int, int], ...]:
@@ -158,91 +165,61 @@ def generate_prefix(table: BlockTable, min_length: int) -> Word:
     return table.block(table.level_reaching(min_length))
 
 
-def _true_runs(mask: np.ndarray) -> np.ndarray:
-    """Maximal True runs of a bool array as an (r, 2) array of [start, end) pairs."""
-    import numpy as np
+def _short_runs(whole: int, size: int, m: int, need: int) -> list[tuple[int, int]]:
+    """Maximal runs of prefix[i] == prefix[i + m] of at least `need` letters, as [start, end) pairs.
 
-    padded = np.empty(mask.size + 2, dtype=bool)
-    padded[0] = padded[-1] = False
-    padded[1:-1] = mask
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return edges.reshape(-1, 2)
-
-
-def _chunk_runs(buf: bytes, arr: np.ndarray, m: int, need: int) -> np.ndarray:
-    """Maximal runs of prefix[i] == prefix[i + m] as (r, 2) [start, end) pairs: every run of at
-    least `need` (>= 15) letters, perhaps with a few shorter ones.
-
-    With c the largest power of two such that 2c - 1 <= need, each such run covers an aligned
-    chunk of c letters. The prefix is compared with itself at offset m as uint64 words, eight
-    letters each; the per-word verdicts are OR-folded to one per chunk, and only groups of
-    equal chunks are refined, word by word and then letter by letter, to the run's edges.
-    Each edge lies in the unequal chunk next to its group, or in the last c - 1 letters,
-    past the whole chunks.
+    `whole` holds the prefix as one little-endian int, so byte i of whole ^ (whole >> 8m)
+    is zero exactly where letter i equals letter i + m, for i below size - m.
     """
-    import numpy as np
-
-    size = len(buf) - m
-    c = 1 << ((need + 1) // 2).bit_length() - 1
-    per_chunk = c // 8
-    chunks = size // c
-    words = chunks * per_chunk
-    unequal = np.frombuffer(buf, np.uint64, words) != np.frombuffer(buf, np.uint64, words, m)
-    folded = unequal.view(f"u{min(per_chunk, 8)}")
-    while folded.size > chunks:
-        folded = folded[0::2] | folded[1::2]
-    zero = np.flatnonzero(folded == 0)
-    if not zero.size:
-        return np.empty((0, 2), dtype=np.int64)
-    breaks = np.flatnonzero(zero[1:] != zero[:-1] + 1)
-    lo = zero[np.r_[0, breaks + 1]] * c
-    hi = zero[np.r_[breaks, zero.size - 1]] * c + c
-    span = np.arange(per_chunk)
-    octet = np.arange(8)
-    starts = lo.copy()
-    left = lo > 0
-    if left.any():
-        # the chunk before holds a mismatch: find its last unequal word, then that word's last unequal letter
-        word = lo[left] // 8 - 1 - np.argmax(unequal[lo[left, None] // 8 - 1 - span], axis=1)
-        letter = 8 * word[:, None] + 7 - octet
-        starts[left] = 8 * word + 8 - np.argmax(arr[letter] != arr[letter + m], axis=1)
-    ends = hi.copy()
-    right = hi < chunks * c
-    if right.any():
-        word = hi[right] // 8 + np.argmax(unequal[hi[right, None] // 8 + span], axis=1)
-        letter = 8 * word[:, None] + octet
-        ends[right] = 8 * word + np.argmax(arr[letter] != arr[letter + m], axis=1)
-    if not right[-1]:
-        last = hi[-1]
-        differs = np.flatnonzero(arr[last:size] != arr[last + m:])
-        ends[-1] = last + differs[0] if differs.size else size
-    return np.stack((starts, ends), axis=1)
+    diff = (whole ^ (whole >> 8 * m)).to_bytes(size, "little")
+    nonzero = re.compile(b"[^\x00]")  # compiled once, then read from re's cache, so importing the oracle stays cheap
+    zeros, stop, runs, lo = bytes(need), size - m, [], 0
+    while (start := diff.find(zeros, lo, stop)) >= 0:
+        differs = nonzero.search(diff, start + need, stop)
+        lo = differs.start() if differs else stop
+        runs.append((start, lo))
+    return runs
 
 
-def _classes_in_runs(prefix: Word, runs: np.ndarray, m: int, l: int) -> tuple[RotationClass, ...]:
-    """Rotation classes of the distinct bases whose l-th power fits in some period-m run.
+def _window_ranks(buf: bytes, width: int) -> list:
+    """A label for every length-width window of buf, equal exactly when the windows are: its first start."""
+    first: dict = {}
+    return list(map(first.setdefault, map(buf.__getitem__, map(slice, count(), range(width, len(buf) + 1))), count()))
+
+
+def _doubled(ranks: list, width: int) -> list:
+    """The labels of the windows twice as long (Karp, Miller & Rosenberg): a window is its two halves."""
+    first: dict = {}
+    return list(map(first.setdefault, zip(ranks, ranks[width:]), count()))
+
+
+def _long_runs(prefix: Word, ranks: list, c: int, m: int) -> list[tuple[int, int]]:
+    """Maximal runs of prefix[i] == prefix[i + m] that hold an aligned chunk prefix[jc : jc + c], as [start, end) pairs.
+
+    Every run of at least 2c - 1 letters holds one. ranks labels the length-c windows,
+    so one comparison decides a chunk; each group of equal chunks is widened to its run
+    by galloping slice comparisons, backward from its first chunk and forward from its last.
+    """
+    stop = len(prefix) - m - c + 1
+    equal = bytes(map(eq, ranks[0:stop:c], ranks[m:m + stop:c]))
+    return [(_run_start(prefix, group.start() * c, m), _run_end(prefix, group.end() * c, m))
+            for group in re.finditer(b"\x01+", equal)]
+
+
+def _classes_in_runs(prefix: Word, runs: list[tuple[int, int]], m: int, need: int) -> tuple[RotationClass, ...]:
+    """Rotation classes of the distinct bases whose power of need + m letters fits in some period-m run.
 
     Within one run [a, b) the qualifying starts are a..a+cnt-1 with
-    cnt = min(b - (l-1)m - a + 1, m), and the base at a + j is rotation j of
+    cnt = min(b - need - a + 1, m), and the base at a + j is rotation j of
     prefix[a : a+m]. Each distinct first word, with its largest cnt, joins the
     class whose representative it is a rotation of, found by str.find in the
     representative written twice, or starts a new class.
     """
-    import numpy as np
-
-    need = (l - 1) * m
-    picked = runs[runs[:, 1] - runs[:, 0] >= need]
-    if not picked.size:
-        return ()
-    a = picked[:, 0]
-    cnt = np.minimum(picked[:, 1] - need - a + 1, m)
     firsts: dict[Word, int] = {}
-    for lo in range(0, a.size, _RUN_BATCH):  # batches keep the Python int lists small
-        part = slice(lo, lo + _RUN_BATCH)
-        for i, c in zip(a[part].tolist(), cnt[part].tolist()):
-            u = prefix[i:i + m]
-            if firsts.get(u, 0) < c:
-                firsts[u] = c
+    for a, b in runs:
+        u, c = prefix[a:a + m], min(b - need - a + 1, m)
+        if firsts.get(u, 0) < c:
+            firsts[u] = c
     classes: list[tuple[Word, Word, list]] = []  # (representative, representative twice, [lo, hi) offsets)
     for u, c in firsts.items():
         for _, twice, pieces in classes:
@@ -255,6 +232,25 @@ def _classes_in_runs(prefix: Word, runs: np.ndarray, m: int, l: int) -> tuple[Ro
     return tuple(RotationClass(u, tuple(pieces)) for u, _, pieces in classes)
 
 
+def _scan_work(letters: int, m_min: int, m_max: int, l_max: int) -> int:
+    """What `scan_powers_multi` costs at orders 2..l_max and lengths m_min..m_max on `letters` letters, in letter-shifts.
+
+    At order 2 the need is m, so the shifts of chunk c are 2c - 1..4c - 2: below
+    `_LONG_CHUNK` each reads every letter, from there each probes one chunk in c,
+    and the ranks are doubled from `_LONG_CHUNK` letters up to the largest chunk.
+    """
+    work = (l_max - 1) * (m_max - m_min + 1) * _RESULT_WORK
+    c = 1
+    while 2 * c - 1 <= m_max:
+        shifts = max(0, min(m_max, 4 * c - 2) - max(m_min, 2 * c - 1) + 1)
+        if c < _LONG_CHUNK:
+            work += shifts * letters
+        else:
+            work += shifts * (letters // c) * _PROBE_WORK + letters * _RANK_WORK
+        c *= 2
+    return work
+
+
 def scan_powers(prefix: Word, l: int, m_min: int, m_max: int) -> ScanResult:
     """All bases with base**l inside prefix, for every base length in m_min..m_max."""
     return scan_powers_multi(prefix, (l,), m_min, m_max)[l]
@@ -262,8 +258,6 @@ def scan_powers(prefix: Word, l: int, m_min: int, m_max: int) -> ScanResult:
 
 def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int) -> dict[int, ScanResult]:
     """Scan several power orders at once, sharing the per-length run decomposition."""
-    import numpy as np
-
     orders = sorted(set(orders))
     if not orders or orders[0] < 2:
         raise RangeError("power orders must all be >= 2")
@@ -272,16 +266,24 @@ def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int) -> dict[int,
     if m_max * orders[-1] > len(prefix):
         raise RangeError(f"prefix of {len(prefix)} letters is too short for order {orders[-1]} at length {m_max}")
     buf = prefix.encode("ascii")
-    arr = np.frombuffer(buf, dtype=np.uint8)
+    whole = int.from_bytes(buf, "little")
+    ranks, width = None, 0
     results = {l: ScanResult(l, {}) for l in orders}
     for m in range(m_min, m_max + 1):
         need = (orders[0] - 1) * m
-        if need < _FOLD_MIN_NEED:
-            runs = _true_runs(arr[m:] == arr[:-m])
+        c = 1 << ((need + 1) // 2).bit_length() - 1  # the largest power of two with 2c - 1 <= need
+        if c < _LONG_CHUNK:
+            runs = _short_runs(whole, len(buf), m, need)
         else:
-            runs = _chunk_runs(buf, arr, m, need)
-        for l in orders:
-            results[l].classes[m] = _classes_in_runs(prefix, runs, m, l)
+            if ranks is None:
+                ranks, width = _window_ranks(buf, _LONG_CHUNK), _LONG_CHUNK
+            while width < c:
+                ranks, width = _doubled(ranks, width), 2 * width
+            runs = _long_runs(prefix, ranks, c, m)
+        for l in orders:  # ascending, so each order reads only the runs that reached the one before
+            need = (l - 1) * m
+            runs = [run for run in runs if run[1] - run[0] >= need]
+            results[l].classes[m] = _classes_in_runs(prefix, runs, m, need) if runs else ()
     return results
 
 
@@ -327,9 +329,10 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
 
     def check_cost(letters: int) -> None:
         """Refuse a scan of at least `letters` letters before paying for it or for the blocks it needs."""
-        if (l_max - 1) * m_max * letters > _SCAN_GUARD:
-            raise GuardExceeded(f"certifying lengths up to {m_max} at orders up to {l_max} scans at least "
-                                f"{(l_max - 1) * m_max * letters} letter-shifts, above the guard {_SCAN_GUARD}")
+        work = _scan_work(letters, m_min, m_max, l_max)
+        if work > _SCAN_GUARD:
+            raise GuardExceeded(f"certifying lengths {m_min}..{m_max} at orders up to {l_max} scans at least "
+                                f"{work} letter-shifts, above the guard {_SCAN_GUARD}")
 
     def blocks():
         """The blocks from the least with k*L letters up, each built once the one before fell short."""
@@ -361,6 +364,31 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
 def certify_prefix(table: BlockTable, m_max: int, l_max: int) -> PrefixCertificate:
     """The certificate alone: a block holding every factor of length l_max * m_max."""
     return certified_scan(table, m_max, l_max)[0]
+
+
+def _run_start(w: Word, i: int, m: int) -> int:
+    """The start of the period-m run ending at i: the least s <= i with w[s:i] == w[s + m:i + m].
+
+    The backward twin of `_run_end`: slices doubling leftward from i until one
+    differs, then halving onto its last difference.
+    """
+    step = 1
+    while i > 0:
+        step = min(step, i)
+        if w[i - step:i] != w[i - step + m:i + m]:
+            break
+        i -= step
+        step *= 2
+    else:
+        return 0
+    while step > 1:  # the last difference lies in w[i - step : i]
+        half = step // 2
+        if w[i - half:i] == w[i - half + m:i + m]:
+            i -= half
+            step -= half
+        else:
+            step = half
+    return i
 
 
 def _run_end(w: Word, i: int, m: int) -> int:

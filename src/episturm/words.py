@@ -6,6 +6,9 @@ pure and returns new strings.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CancellationError, GuardExceeded, RangeError
@@ -101,13 +104,16 @@ def occurrences(text: Word, w: Word) -> list[int]:
     return found
 
 
-# Polynomial hashes mod primes below 2^31 for the split check and the factor count:
-# a residue times a residue or a letter code stays below 2^62, and a sum of fewer
-# than 2^32 residues below 2^63, so uint64 never wraps. The chunk bounds the arrays.
+# A polynomial hash mod a prime below 2^31 for the split check: a residue times a
+# residue or a letter code stays below 2^62, and a sum of fewer than 2^32 residues
+# below 2^63, so uint64 never wraps. The chunk bounds the arrays, and the factor
+# count's batches too. The count keys windows mod the Mersenne prime 2^61 - 1 in
+# Python ints.
 _HASH_MODULUS = (1 << 31) - 1
 _HASH_BASE = 48271
-_HASH_CHUNK = 1 << 16
-_FACTOR_HASHES = ((_HASH_MODULUS, _HASH_BASE), ((1 << 31) - 249, 40692))
+_HASH_CHUNK = 1 << 12
+_FACTOR_MODULUS = (1 << 61) - 1
+_FACTOR_BASE = 1_000_003
 _power_tables: dict = {}  # (modulus, base) -> B^t for t below its size, as read-only uint64
 
 
@@ -188,39 +194,47 @@ def count_factors(words, length: int, enough: int, budget: int) -> tuple[int, in
     """(distinct keys of the length-`length` factors counted, end of the shortest prefix holding them).
 
     `words` yields ever longer prefixes of one word; each is read on from where
-    the one before stopped. A key packs two polynomial hashes, sum_t w[i+t]
-    B^(length-1-t) mod p for two primes p, into 62 bits; equal factors get equal
-    keys, so a collision can only lower the count. Windows are keyed max(2^16,
-    length) at a time, in order; counting stops after the batch that brings it
-    to `enough`, and one that would pass `budget` windows raises GuardExceeded.
+    the one before stopped. A factor's key is its polynomial hash
+    sum_t w[i+t] B^(length-1-t) mod the Mersenne prime 2^61 - 1, rolled from
+    window to window in pure Python; equal factors get equal keys, so a
+    collision can only lower the count. Windows are keyed max(2^12, length) at
+    a time, in order, each batch encoding only the letters it reads; counting
+    stops after the batch that brings it to `enough`, and one that would pass
+    `budget` windows raises GuardExceeded.
     """
-    import numpy as np
+    modulus, base = _FACTOR_MODULUS, _FACTOR_BASE
+    drop = modulus - pow(base, length, modulus)  # adding drop * w[i] removes w[i] from the window after it
+
+    def roll(key: int, change: int) -> int:
+        return (key * base + change) % modulus
 
     width = max(_HASH_CHUNK, length)  # the most windows in one batch
-    keys = np.zeros(0, dtype=np.uint64)  # distinct so far, ascending
-    starts = np.zeros(0, dtype=np.int64)  # where each first occurs
-    lo = 0
+    seen: set[int] = set()
+    lo, latest = 0, None  # latest: (start, keys, new keys) of the last batch that found a factor
     for w in words:
-        while len(keys) < enough and lo <= len(w) - length:
+        while len(seen) < enough and lo <= len(w) - length:
             size = min(width, len(w) - length + 1 - lo)
             if lo + size > budget:
                 raise GuardExceeded(f"counting the factors of length {length} reads more than the budget of {budget} windows")
-            codes = np.frombuffer(w[lo:lo + size + length - 1].encode("utf-32-le"), dtype="<u4").astype(np.uint64)
-            found = np.zeros(size, dtype=np.uint64)
-            for modulus, base in _FACTOR_HASHES:
-                m, powers = np.uint64(modulus), _hash_powers(modulus, base, len(codes))
-                sums = np.zeros(len(codes) + 1, dtype=np.uint64)
-                np.cumsum(codes * powers[::-1] % m, out=sums[1:])
-                # sums[i + length] - sums[i] is B^(size-1-i) times the hash at lo + i; B^(width-size+i) lifts every key to B^(width-1)
-                lift = np.uint64(pow(base, width - size, modulus))
-                found = found << np.uint64(31) | (sums[length:] - sums[:size]) % m * powers[:size] % m * lift % m
-            # the keys seen before come first, so each keeps its earliest start
-            keys, first = np.unique(np.concatenate((keys, found)), return_index=True)
-            starts = np.concatenate((starts, np.arange(lo, lo + size)))[first]
+            codes = memoryview(w[lo:lo + size + length - 1].encode("utf-32-le")).cast("I")
+            # window i + 1 keys B * key(i) - B^length w[i] + w[i + length]; the batch before left key(lo - 1) and w[lo - 1]
+            first = roll(keys[-1], drop * leaving + codes[length - 1]) if lo else reduce(roll, codes[:length], 0)
+            keys = list(accumulate(map(add, map(mul, codes[:size - 1], repeat(drop)), codes[length:]), roll, initial=first))
+            new = set(keys)
+            new -= seen
+            if new:
+                seen |= new
+                latest = lo, keys, new
+            leaving = codes[size - 1]
             lo += size
-        if len(keys) >= enough:
+        if len(seen) >= enough:
             break
-    return len(keys), int(starts.max()) + length
+    if latest is None:
+        return 0, 0
+    start, keys, new = latest
+    # the factor met last is the new key whose first occurrence comes last
+    last = next(filter(new.__contains__, reversed(dict.fromkeys(keys))))
+    return len(seen), start + keys.index(last) + length
 
 
 # No caller in the package: the tests' reference for the palindrome finder, and a name bench/layers.py traces.

@@ -382,9 +382,10 @@ class TestCensus:
         assert code == 4 and out == "" and "guard" in err
 
     def test_costly_certification_trips_the_guard_at_once(self, capsys):
-        # scanning a 2.6M-letter block at 40,000 shifts ran out of memory before
+        # scanning a 2.6M-letter block at 40,000 shifts ran out of memory before; 100,000 shifts of the
+        # least 600,000 letters that can hold every factor cost more than the scan guard
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "40000", "--verify")
+        code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "100000", "--verify")
         assert time.perf_counter() - start < 1.0
         assert code == 4 and out == "" and "letter-shifts" in err
 
@@ -606,10 +607,10 @@ def _own_modules(argv) -> set:
 class TestNumpyStaysUnloaded:
     """A start loads only what its subcommand runs.
 
-    The closed forms and the closure never call numpy: only the oracle's
-    all-shift scan, its factor count and the two-palindrome-split check import
-    it. No subcommand loads dataclasses, and only a verification reads a
-    RationalIndex as a fraction.
+    The closed forms, the closure and the oracle never call numpy: the
+    oracle's all-shift scan and its factor count run in pure Python, and only
+    the two-palindrome-split check of `verify` imports it. No subcommand loads
+    dataclasses, and only a verification reads a RationalIndex as a fraction.
     """
 
     @pytest.mark.parametrize(
@@ -625,7 +626,7 @@ class TestNumpyStaysUnloaded:
             (("singular", "--spec", TRIB, "--n", "2"), 0),
             (("generate", "--spec", MIX3, "--length", "1000"), 0),
             (("census", "--spec", "k=1; d=; 1", "--m", "4"), 2),
-            (("census", "--spec", TRIB, "--all-up-to", "40000", "--verify"), 4),
+            (("census", "--spec", TRIB, "--all-up-to", "100000", "--verify"), 4),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
     )
@@ -640,9 +641,11 @@ class TestNumpyStaysUnloaded:
         probe = "import json, sys, episturm; print(json.dumps([m for m in sys.modules if m == 'numpy' or m.startswith('episturm.')]))"
         assert json.loads(_fresh_child("-c", probe)) == []
 
-    def test_the_oracle_still_loads_numpy(self):
-        start = _start("census", "--spec", TRIB, "--m", "4", "--verify")
-        assert (start["code"], start["numpy"], start["dataclasses"]) == (0, True, False)
+    @pytest.mark.parametrize("lengths", [("--m", "4"), ("--all-up-to", "1795")])
+    def test_verified_census_loads_the_oracle_without_numpy(self, lengths):
+        # 1,795 lengths reach the rank kernel of the all-shift scan, one length only its XOR kernel
+        start = _start("census", "--spec", TRIB, *lengths, "--verify")
+        assert (start["code"], start["numpy"], start["dataclasses"]) == (0, False, False)
         assert set(start["modules"]) == _CORE_MODULES | {"oracle"}
 
     def test_the_split_check_still_loads_numpy(self):
@@ -670,3 +673,12 @@ def test_dense_verified_census_stays_small():
     assert code == 0 and rows[-1]["ok"] is True
     assert next(r for r in rows if r["kind"] == "verification")["ok"] is True
     assert max_rss_kb < 100 * 1024
+
+
+def test_long_exponent_generate_keeps_one_closure_prefix():
+    """a^8000 b closes 8,000 prefixes of up to 16,000 letters (about 3.2e7 in all); only the one being closed is kept."""
+    out = _fresh_child("-c", _RSS_PROBE, "generate", "--spec", "k=2; d=8000; 1", "--length", "16000")
+    *lines, last = out.splitlines()
+    code, max_rss_kb = json.loads(last)
+    assert code == 0 and lines == ["a" * 8000 + "b" + "a" * 7999]
+    assert max_rss_kb < 25 * 1024

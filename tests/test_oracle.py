@@ -178,18 +178,19 @@ class TestRotationClasses:
 
 
 @st.composite
-def periodic_words(draw):
-    """h u^r v cut to any length: runs of period |u| (chunks of 8 to 128 letters for |u| >= 15)
-    that start anywhere and end at the prefix end or just before the tail v."""
+def periodic_words(draw, limit=700, period=140):
+    """h u^r v cut to at most `limit` letters: runs of period |u| that start anywhere and end at the prefix end or
+    just before the tail v."""
     h = draw(st.text(alphabet="abc", max_size=40))
-    u = draw(st.text(alphabet="abc", min_size=1, max_size=140))
-    size = draw(st.integers(min_value=2 * len(u), max_value=700))
+    u = draw(st.text(alphabet="abc", min_size=1, max_size=period))
+    size = draw(st.integers(min_value=2 * len(u), max_value=limit))
     v = draw(st.text(alphabet="abc", max_size=20))
-    return (h + (u * (size // len(u) + 1))[:size] + v)[:700]
+    return (h + (u * (size // len(u) + 1))[:size] + v)[:limit]
 
 
 class TestChunkFilter:
-    """Once (l-1)m >= 15 the all-shift scan finds long runs through chunks of 8 or more letters; it must stay exact."""
+    """Once the smallest order's need (l-1)m reaches 255, the all-shift scan finds long runs through ranked chunks of
+    128 or more letters; it must stay exact."""
 
     @given(st.text(alphabet="ab", min_size=32, max_size=700), st.integers(min_value=2, max_value=3))
     @settings(max_examples=40, deadline=None)
@@ -232,6 +233,56 @@ class TestChunkFilter:
             certified_scan(table, 13, 2)
 
 
+def _sweep(w, l_max, windows):
+    """One multi-order scan per window of lengths equals the naive double loop at every order 2..l_max."""
+    for m_min, m_max in windows:
+        m_min, m_max = max(m_min, 1), min(m_max, len(w) // l_max)
+        if m_min > m_max:
+            continue
+        multi = scan_powers_multi(w, range(2, l_max + 1), m_min, m_max)
+        for l in range(2, l_max + 1):
+            _check_description(multi[l])
+            assert multi[l].per_length == naive_scan(w, l, m_min, m_max), (l, m_min, m_max)
+
+
+# order 2 reads shift m by ranks once its chunk, the largest power of two c with 2c - 1 <= m, reaches _LONG_CHUNK
+_CUTOFF_SHIFT = 2 * oracle._LONG_CHUNK - 1
+
+
+class TestKernelSweep:
+    """The XOR kernel below the cutoff and the rank kernel above it, against the naive double loop.
+
+    Windows of lengths straddle the cutoff, most shifts are not multiples of their
+    chunk, every order 2..l_max shares one scan, and a smaller cutoff sends short
+    shifts through the rank kernel too.
+    """
+
+    @given(periodic_words(limit=1100, period=300), st.integers(min_value=2, max_value=4), st.sampled_from([1, 2, 8, oracle._LONG_CHUNK]))
+    @settings(max_examples=60, deadline=None)
+    def test_periodic_words(self, w, l_max, cutoff):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_LONG_CHUNK", cutoff)
+            _sweep(w, l_max, [(1, 12), (_CUTOFF_SHIFT - 12, _CUTOFF_SHIFT + 12), (len(w) // l_max - 15, len(w))])
+
+    @given(st.text(alphabet="abc", min_size=500, max_size=1100), st.integers(min_value=2, max_value=4),
+           st.sampled_from([1, 4, oracle._LONG_CHUNK]))
+    @settings(max_examples=30, deadline=None)
+    def test_random_words(self, w, l_max, cutoff):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_LONG_CHUNK", cutoff)
+            _sweep(w, l_max, [(1, 20), (_CUTOFF_SHIFT - 8, _CUTOFF_SHIFT + 8)])
+
+    @given(st.integers(min_value=1, max_value=1100), st.integers(min_value=2, max_value=5),
+           st.sampled_from([1, 8, oracle._LONG_CHUNK]))
+    @settings(max_examples=30, deadline=None)
+    def test_one_long_exponent(self, n, l_max, cutoff):
+        # a^n b a^n ...: one run of n - m letters at every shift m < n, and the a^m bases of orders up to n/m
+        w = generate_prefix(BlockTable(DirectiveSpec.parse(f"k=2; d={n}; 1")), 2 * n + 40)[:2 * n + 40]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_LONG_CHUNK", cutoff)
+            _sweep(w, l_max, [(1, 10), (_CUTOFF_SHIFT - 6, _CUTOFF_SHIFT + 6), (n // l_max - 3, n // l_max + 3)])
+
+
 class TestCertificates:
     def test_certificate_records_its_evidence(self, trib, monkeypatch):
         calls = []
@@ -267,12 +318,12 @@ class TestCertificates:
             with pytest.raises(RangeError, match="m_min"):
                 certified_scan(trib, 13, 2, m_min=m_min)
 
-    def test_single_length_keeps_the_range_guard(self, monkeypatch):
-        # the guard still reads m_max times the scanned prefix, as for the whole range
+    def test_single_length_guard_reads_that_shift_only(self, monkeypatch):
+        # one XOR shift of the 106 scanned letters and one (order, length) result
         spec = DirectiveSpec.parse("k=3; d=; 1")
-        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * 106)
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", 106 + oracle._RESULT_WORK)
         assert certified_scan(BlockTable(spec), 13, 2, m_min=13)[0].scanned_letters == 106
-        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * 106 - 1)
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", 106 + oracle._RESULT_WORK - 1)
         with pytest.raises(GuardExceeded, match="letter-shifts"):
             certified_scan(BlockTable(spec), 13, 2, m_min=13)
 
@@ -281,8 +332,9 @@ class TestCertificates:
 
     def test_scan_cost_guard_trips_before_any_block_is_built(self, monkeypatch):
         table = BlockTable(DirectiveSpec.parse("k=3; d=; 1"))
-        # lengths up to 13 at order 2: L = 26, and a prefix with all 2L + 1 = 53 factors has at least 3L = 78 letters
-        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * 78 - 1)
+        # lengths up to 13 at order 2: L = 26, and a prefix with all 2L + 1 = 53 factors has at least 3L = 78 letters,
+        # each read at 13 XOR shifts, with 13 (order, length) results
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * 78 + 13 * oracle._RESULT_WORK - 1)
         monkeypatch.setattr(table, "block", lambda n: pytest.fail("built a block"))
         with pytest.raises(GuardExceeded, match="letter-shifts"):
             certified_scan(table, 13, 2)
@@ -295,6 +347,7 @@ class TestCertificates:
         ],
     )
     def test_scan_cost_guard_reads_each_short_block_and_the_prefix(self, monkeypatch, guard, highest_built):
+        guard += 13 * oracle._RESULT_WORK  # the 13 (order, length) results, on top of 13 XOR shifts of each length
         spec = DirectiveSpec.parse("k=3; d=; 1")
         cert = certified_scan(BlockTable(spec), 13, 2)[0]
         assert (cert.block_level, cert.scanned_letters) == (8, 106)
@@ -308,12 +361,13 @@ class TestCertificates:
         assert max(built) == highest_built
 
     def test_scan_cost_guard_counts_every_order(self, monkeypatch):
-        # each order reads every run again: order 3 doubles the cost of order 2, and a millionth power trips at once
+        # the orders share the XOR shifts, but each keeps a result per length, and a millionth power trips at once
         spec = DirectiveSpec.parse("k=3; d=; 1")
         cert = certified_scan(BlockTable(spec), 13, 3)[0]
-        monkeypatch.setattr(oracle, "_SCAN_GUARD", 2 * 13 * cert.scanned_letters)
+        work = 13 * cert.scanned_letters + 2 * 13 * oracle._RESULT_WORK
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", work)
         assert certified_scan(BlockTable(spec), 13, 3)[0] == cert
-        monkeypatch.setattr(oracle, "_SCAN_GUARD", 2 * 13 * cert.scanned_letters - 1)
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", work - 1)
         with pytest.raises(GuardExceeded, match="orders up to 3"):
             certified_scan(BlockTable(spec), 13, 3)
         monkeypatch.undo()

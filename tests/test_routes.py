@@ -2,7 +2,7 @@
 
 Imports are read from the source with `ast`, the lazy ones inside functions
 included, and followed through the package, so an indirect import through a
-shared module counts too.
+shared module counts too. The same reading keeps numpy out of the oracle.
 """
 
 import ast
@@ -51,3 +51,20 @@ def test_the_oracle_reaches_no_closed_form():
 def test_no_closed_form_reaches_the_oracle(module):
     assert "oracle" not in reachable(module)
     assert "blocks" in reachable(module)
+
+
+def numpy_imports(tree: ast.AST) -> list[int]:
+    """Lines under `tree` that import numpy, lazily or not."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+    ]
+
+
+def test_the_oracle_never_imports_numpy():
+    assert numpy_imports(ast.parse((PACKAGE / "oracle.py").read_text())) == []
+    words = ast.parse((PACKAGE / "words.py").read_text())
+    count = next(node for node in words.body if isinstance(node, ast.FunctionDef) and node.name == "count_factors")
+    assert numpy_imports(count) == []
+    assert numpy_imports(words) != []  # the split check's hashes still import it, so the reading sees numpy
