@@ -197,7 +197,7 @@ def morphism(a: str, w: Word, times: int = 1) -> Word:
     if len(a) != 1:
         raise RangeError("morphism seed must be a single letter")
     run = a * times
-    return "".join(c if c == a else run + c for c in w)
+    return w.translate({ord(c): run + c for c in set(w) if c != a})
 
 
 def prefix_increment(spec: DirectiveSpec, n: int) -> Word:

@@ -1,8 +1,7 @@
 """Scanning oracle: literal repetition search over materialized prefixes.
 
 Everything here works by reading letters, never the closed forms, so its
-answers are an independent route for the census and index formulas. Nothing
-here imports numpy.
+answers are an independent route for the census and index formulas.
 
 `scan_powers_multi` compares the prefix with itself at every shift m and
 reads the bases of l-th powers off the maximal equality runs of at least
@@ -304,16 +303,32 @@ def naive_scan(prefix: Word, l: int, m_min: int, m_max: int) -> dict[int, frozen
     return out
 
 
+def _longest_admitted(m_min: int, m_max: int, l_max: int) -> int:
+    """The most letters a scan at these lengths and orders may read within `_SCAN_GUARD` (0 for none), by bisection.
+
+    `_scan_work` never falls as the letters grow, and each letter adds at least one
+    letter-shift, so no more than `_SCAN_GUARD` letters are admitted.
+    """
+    lo, hi = 0, _SCAN_GUARD + 1  # hi is never admitted; lo is, or lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _scan_work(mid, m_min, m_max, l_max) <= _SCAN_GUARD:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1):
     """Certify a prefix by factor complexity and scan it once at lengths m_min..m_max: (certificate, {l: ScanResult}).
 
     Hash keys count the factors (`words.count_factors`): reaching (k-1)L + 1
     is a proof, and more shows a word outside this family. Blocks are read
     from the least with k*L letters, the fewest that can hold them, each from
-    where the one before stopped, since each is a prefix of the next; one that
-    falls short is shorter than the complete prefix, so the scan guard reads
-    its length before the next block is built, and the count stops at its own
-    budget of windows.
+    where the one before stopped, since each is a prefix of the next. The
+    count reads no window past the longest prefix the scan guard admits, nor
+    more than its own budget, so a prefix too long to scan is refused before
+    its factors are counted.
     """
     if m_max < 1:
         raise RangeError(f"m_max must be >= 1 (got {m_max})")
@@ -327,12 +342,10 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
     length = l_max * m_max
     target = (spec.k - 1) * length + 1
 
-    def check_cost(letters: int) -> None:
-        """Refuse a scan of at least `letters` letters before paying for it or for the blocks it needs."""
-        work = _scan_work(letters, m_min, m_max, l_max)
-        if work > _SCAN_GUARD:
-            raise GuardExceeded(f"certifying lengths {m_min}..{m_max} at orders up to {l_max} scans at least "
-                                f"{work} letter-shifts, above the guard {_SCAN_GUARD}")
+    def too_costly(letters: int) -> GuardExceeded:
+        """The refusal of a scan of at least `letters` letters, which the guard does not admit."""
+        return GuardExceeded(f"certifying lengths {m_min}..{m_max} at orders up to {l_max} scans at least "
+                             f"{_scan_work(letters, m_min, m_max, l_max)} letter-shifts, above the guard {_SCAN_GUARD}")
 
     def blocks():
         """The blocks from the least with k*L letters up, each built once the one before fell short."""
@@ -342,16 +355,22 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
             if not block.startswith(shorter):  # the count reads on from where the shorter block stopped
                 raise VerificationError(f"block level {level} does not begin with block level {level - 1}")
             yield block
-            check_cost(len(block))  # it lacks a factor, so P is longer still
             level += 1
 
-    check_cost(spec.k * length)
-    found, end = count_factors(blocks(), length, target, _COUNT_GUARD)
+    admitted = _longest_admitted(m_min, m_max, l_max)
+    if admitted < spec.k * length:
+        raise too_costly(spec.k * length)
+    windows = admitted - length + 1
+    try:
+        found, end = count_factors(blocks(), length, target, min(windows, _COUNT_GUARD))
+    except GuardExceeded:
+        if windows >= _COUNT_GUARD:
+            raise
+        raise too_costly(admitted + 1) from None  # every admitted window lacked a factor, so P is longer still
     level = table.level_reaching(end)
     if found > target:
         raise VerificationError(f"block level {level} has {found} factors of length {length}, "
                                 f"more than the {target} of a strict episturmian word")
-    check_cost(end)
     block = table.block(level)
     prefix = block[:end]
     checked = min(end, closure_reach(spec, CLOSURE_CHECK_WORK))

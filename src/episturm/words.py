@@ -13,10 +13,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CancellationError, GuardExceeded, RangeError
 
-if TYPE_CHECKING:  # imported inside the functions that use them: the closure and the closed forms need neither
+if TYPE_CHECKING:  # imported inside as_fraction: only comparisons and verifications read the value
     from fractions import Fraction
-
-    import numpy as np
 
 Word = str
 
@@ -104,61 +102,11 @@ def occurrences(text: Word, w: Word) -> list[int]:
     return found
 
 
-# A polynomial hash mod a prime below 2^31 for the split check: a residue times a
-# residue or a letter code stays below 2^62, and a sum of fewer than 2^32 residues
-# below 2^63, so uint64 never wraps. The chunk bounds the arrays, and the factor
-# count's batches too. The count keys windows mod the Mersenne prime 2^61 - 1 in
-# Python ints.
-_HASH_MODULUS = (1 << 31) - 1
-_HASH_BASE = 48271
-_HASH_CHUNK = 1 << 12
+# The factor count keys windows mod the Mersenne prime 2^61 - 1 in Python ints,
+# at most `_COUNT_BATCH` (or the factor length) windows at a time.
+_COUNT_BATCH = 1 << 12
 _FACTOR_MODULUS = (1 << 61) - 1
 _FACTOR_BASE = 1_000_003
-_power_tables: dict = {}  # (modulus, base) -> B^t for t below its size, as read-only uint64
-
-
-def _hash_powers(modulus: int, base: int, count: int) -> np.ndarray:
-    """B^t mod modulus for t < count, sliced from a table shared by every call, which at least doubles when it grows."""
-    import numpy as np
-
-    powers = _power_tables.get((modulus, base), np.ones(1, dtype=np.uint64))
-    if len(powers) < count:
-        filled = len(powers)
-        powers = np.concatenate((powers, np.empty(max(count, 2 * filled) - filled, dtype=np.uint64)))
-        while filled < len(powers):
-            step = min(filled, len(powers) - filled)
-            powers[filled:filled + step] = powers[:step] * np.uint64(pow(base, filled, modulus)) % np.uint64(modulus)
-            filled += step
-        powers.flags.writeable = False
-        _power_tables[(modulus, base)] = powers
-    return powers[:count]
-
-
-def _palindromic_prefix_candidates(w: Word) -> np.ndarray:
-    """Lengths p in 1..|w|, ascending, whose prefix w[:p] may be a palindrome: the split check's candidates.
-
-    Every palindromic prefix is listed; a hash collision may add others, so a
-    caller verifies each candidate it relies on. With D_j = B^(|w|-1-j), w[:p]
-    is a palindrome only if sum_{j<p} w_j B^j * D_{p-1} == sum_{j<p} w_j D_j.
-    """
-    import numpy as np
-
-    modulus, base, n = _HASH_MODULUS, _HASH_BASE, len(w)
-    width = max(1, min(n, _HASH_CHUNK))
-    m = np.uint64(modulus)
-    powers = _hash_powers(modulus, base, width)
-    forward_sum = backward_sum = np.uint64(0)
-    found = []
-    for start in range(0, n, width):
-        codes = np.frombuffer(w[start:start + width].encode("utf-32-le"), dtype="<u4").astype(np.uint64)
-        size = len(codes)
-        ascending = powers[:size] * np.uint64(pow(base, start, modulus)) % m  # B^j
-        descending = powers[size - 1::-1] * np.uint64(pow(base, n - start - size, modulus)) % m  # D_j
-        forward = (np.cumsum(codes * ascending % m) + forward_sum) % m
-        backward = (np.cumsum(codes * descending % m) + backward_sum) % m
-        found.append(np.flatnonzero(forward * descending % m == backward) + (start + 1))
-        forward_sum, backward_sum = forward[-1], backward[-1]
-    return np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
 
 
 def longest_palindromic_suffix(w: Word) -> int:
@@ -175,19 +123,30 @@ def longest_palindromic_suffix(w: Word) -> int:
     return n - s if q else 0
 
 
-def two_palindrome_splits(w: Word) -> list[int]:
-    """Every p in 0..|w|-1 with w[:p] and w[p:] both palindromes, verified letter by letter.
+def _palindromic_prefix_progressions(w: Word) -> list[tuple[int, int, int]]:
+    """The lengths p >= 1 with w[:p] a palindrome, as (largest, step, smallest) progressions, longest first.
 
-    Only positions where both halves are hash candidates are compared, so a
-    word with many palindromic prefixes costs no more than one with few.
+    They are P, the longest, and the borders of P, since a prefix of a palindrome is one exactly when it is
+    a border. A palindrome of L letters has its longest proper border b = its longest palindromic suffix
+    after the first letter, and least period d = L - b; by Fine and Wilf its borders of at least d letters
+    are exactly L - jd, and the shorter ones are the proper borders of the smallest of those. The next
+    largest is below d and below L/2, so there are at most floor(log2 |w|) + 1 progressions.
     """
-    import numpy as np
+    progressions, top = [], longest_palindromic_suffix(w[::-1])
+    while top:
+        step = top - longest_palindromic_suffix(w[1:top])
+        low = step + top % step  # the smallest member of at least step letters: top itself when b < d
+        progressions.append((top, step, low))
+        top = top - step if low == top else longest_palindromic_suffix(w[1:low])
+    return progressions
 
+
+def two_palindrome_splits(w: Word) -> list[int]:
+    """Every p in 0..|w|-1 with w[:p] and w[p:] both palindromes: w[:p] is a palindromic prefix, w[p:] reversed one of w[::-1]."""
     n = len(w)
-    prefixes = np.concatenate(([0], _palindromic_prefix_candidates(w)))
-    suffix_starts = n - _palindromic_prefix_candidates(w[::-1])
-    both = np.intersect1d(prefixes, suffix_starts).tolist()
-    return [p for p in both if is_palindrome(w[:p]) and is_palindrome(w[p:])]
+    prefixes = {0}.union(*(range(low, top + 1, step) for top, step, low in _palindromic_prefix_progressions(w)))
+    return sorted(n - q for top, step, low in _palindromic_prefix_progressions(w[::-1])
+                  for q in range(low, top + 1, step) if n - q in prefixes)
 
 
 def count_factors(words, length: int, enough: int, budget: int) -> tuple[int, int]:
@@ -199,8 +158,9 @@ def count_factors(words, length: int, enough: int, budget: int) -> tuple[int, in
     window to window in pure Python; equal factors get equal keys, so a
     collision can only lower the count. Windows are keyed max(2^12, length) at
     a time, in order, each batch encoding only the letters it reads; counting
-    stops after the batch that brings it to `enough`, and one that would pass
-    `budget` windows raises GuardExceeded.
+    stops after the batch that brings it to `enough`. At most `budget` windows
+    are read: the batch that reaches it is cut there, and needing one more
+    raises GuardExceeded.
     """
     modulus, base = _FACTOR_MODULUS, _FACTOR_BASE
     drop = modulus - pow(base, length, modulus)  # adding drop * w[i] removes w[i] from the window after it
@@ -208,13 +168,13 @@ def count_factors(words, length: int, enough: int, budget: int) -> tuple[int, in
     def roll(key: int, change: int) -> int:
         return (key * base + change) % modulus
 
-    width = max(_HASH_CHUNK, length)  # the most windows in one batch
+    width = max(_COUNT_BATCH, length)  # the most windows in one batch
     seen: set[int] = set()
     lo, latest = 0, None  # latest: (start, keys, new keys) of the last batch that found a factor
     for w in words:
         while len(seen) < enough and lo <= len(w) - length:
-            size = min(width, len(w) - length + 1 - lo)
-            if lo + size > budget:
+            size = min(width, len(w) - length + 1 - lo, budget - lo)
+            if size <= 0:
                 raise GuardExceeded(f"counting the factors of length {length} reads more than the budget of {budget} windows")
             codes = memoryview(w[lo:lo + size + length - 1].encode("utf-32-le")).cast("I")
             # window i + 1 keys B * key(i) - B^length w[i] + w[i + length]; the batch before left key(lo - 1) and w[lo - 1]

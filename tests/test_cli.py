@@ -607,10 +607,10 @@ def _own_modules(argv) -> set:
 class TestNumpyStaysUnloaded:
     """A start loads only what its subcommand runs.
 
-    The closed forms, the closure and the oracle never call numpy: the
-    oracle's all-shift scan and its factor count run in pure Python, and only
-    the two-palindrome-split check of `verify` imports it. No subcommand loads
-    dataclasses, and only a verification reads a RationalIndex as a fraction.
+    No subcommand loads numpy: the oracle's all-shift scan and its factor
+    count, and the split check of `verify`, run in pure Python. No subcommand
+    loads dataclasses, and only a verification reads a RationalIndex as a
+    fraction.
     """
 
     @pytest.mark.parametrize(
@@ -648,9 +648,10 @@ class TestNumpyStaysUnloaded:
         assert (start["code"], start["numpy"], start["dataclasses"]) == (0, False, False)
         assert set(start["modules"]) == _CORE_MODULES | {"oracle"}
 
-    def test_the_split_check_still_loads_numpy(self):
+    def test_verify_loads_no_numpy(self):
+        # the two-palindrome-split check reads border progressions, with no hash
         start = _start("verify", "--spec", TRIB, "--n", "3")
-        assert (start["code"], start["numpy"], start["dataclasses"]) == (0, True, False)
+        assert (start["code"], start["numpy"], start["dataclasses"]) == (0, False, False)
         assert set(start["modules"]) == _CORE_MODULES | {"checks", "partition", "singular"}
 
 

@@ -379,13 +379,13 @@ class TestCertificates:
     @pytest.mark.parametrize(
         "budget, highest_built",
         [
-            (55, 7),  # block 7 (81 letters) has 56 windows of length 26: none is read
-            (123, 8),  # block 8 completes the count at its 124th window, read on from the 57th
+            (55, 7),  # block 7 (81 letters) has 56 windows of length 26: the count reads 55 and refuses the 56th
+            (80, 8),  # block 8 holds the last new factor at window 80, read on from the 57th, one past the budget
         ],
     )
     def test_factor_count_stops_at_its_window_budget(self, monkeypatch, budget, highest_built):
         spec = DirectiveSpec.parse("k=3; d=; 1")
-        monkeypatch.setattr(oracle, "_COUNT_GUARD", 124)  # windows 0..123, the last batch ending with block 8
+        monkeypatch.setattr(oracle, "_COUNT_GUARD", 81)  # windows 0..80: the batch is cut at the budget, not refused
         assert certified_scan(BlockTable(spec), 13, 2)[0].scanned_letters == 106
         table = BlockTable(spec)
         built = []
@@ -395,6 +395,29 @@ class TestCertificates:
         with pytest.raises(GuardExceeded, match=f"reads more than the budget of {budget} windows"):
             certified_scan(table, 13, 2)
         assert max(built) == highest_built
+
+    @pytest.mark.parametrize("letters", [106, 105])
+    def test_the_count_reads_no_letter_past_what_the_scan_guard_admits(self, monkeypatch, letters):
+        # 13 XOR shifts of each letter and 13 (order, length) results: the guard admits `letters` letters, so the
+        # count may key windows 0..letters - 26; the certificate needs 106 letters, the last new factor at window 80
+        class Spy(str):
+            def __getitem__(self, key):
+                read.append(key.stop)
+                return str.__getitem__(self, key)
+
+        read, budgets = [], []
+        table = BlockTable(DirectiveSpec.parse("k=3; d=; 1"))
+        block, count = table.block, oracle.count_factors
+        monkeypatch.setattr(table, "block", lambda n: Spy(block(n)))
+        monkeypatch.setattr(oracle, "count_factors", lambda *args: budgets.append(args[-1]) or count(*args))
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * letters + 13 * oracle._RESULT_WORK)
+        if letters == 106:
+            assert certified_scan(table, 13, 2)[0].scanned_letters == 106
+        else:
+            with pytest.raises(GuardExceeded, match="letter-shifts"):
+                certified_scan(table, 13, 2)
+        assert budgets == [letters - 25]
+        assert max(read) == letters
 
     def test_extra_factors_are_refused(self, monkeypatch):
         # random letters give every window its own factor: 56 windows of length 26 in block 7, above 53

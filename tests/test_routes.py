@@ -2,7 +2,7 @@
 
 Imports are read from the source with `ast`, the lazy ones inside functions
 included, and followed through the package, so an indirect import through a
-shared module counts too. The same reading keeps numpy out of the oracle.
+shared module counts too. The same reading keeps numpy out of the package.
 """
 
 import ast
@@ -62,9 +62,6 @@ def numpy_imports(tree: ast.AST) -> list[int]:
     ]
 
 
-def test_the_oracle_never_imports_numpy():
-    assert numpy_imports(ast.parse((PACKAGE / "oracle.py").read_text())) == []
-    words = ast.parse((PACKAGE / "words.py").read_text())
-    count = next(node for node in words.body if isinstance(node, ast.FunctionDef) and node.name == "count_factors")
-    assert numpy_imports(count) == []
-    assert numpy_imports(words) != []  # the split check's hashes still import it, so the reading sees numpy
+@pytest.mark.parametrize("name", sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py")))
+def test_no_module_imports_numpy(name):
+    assert numpy_imports(ast.parse((PACKAGE / name).read_text())) == []

@@ -1,4 +1,4 @@
-"""Word primitives: rotations, palindromes, stripping, Z-array, the palindrome finder, the factor count, rational exponents."""
+"""Word primitives: rotations, palindromes, stripping, Z-array, the palindrome finders, the factor count, rational exponents."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +33,12 @@ NONEMPTY = st.text(alphabet="abc", min_size=1, max_size=40)
 RUN_WORDS = st.integers(min_value=1, max_value=6).flatmap(
     lambda k: st.lists(st.tuples(st.sampled_from("abcdef"[:k]), st.integers(min_value=1, max_value=300)), max_size=12)
 ).map(lambda runs: "".join(letter * count for letter, count in runs))
+# a power of a short word, cut anywhere, then mirrored onto itself about its last letter or after it:
+# palindromic prefixes in long arithmetic progressions, and borders whose least period changes
+PERIODIC_WORDS = st.builds(
+    lambda u, cut, centre: (u * 400)[:cut] + (u * 400)[:cut][::-1][centre:],
+    st.text(alphabet="abc", min_size=1, max_size=7), st.integers(min_value=0, max_value=400), st.integers(0, 1),
+)
 
 
 class TestBasics:
@@ -152,40 +158,48 @@ class TestPalindromeFinder:
         assert two_palindrome_splits("abaab") == [1]
         assert two_palindrome_splits("ab") == [1]
 
-    @given(RUN_WORDS, st.sampled_from([3, 64, 1 << 16]))
-    @settings(deadline=None)  # 2,490 letters of a in 3-letter chunks take 180 to 360 ms on a 2-CPU x86-64 VM
-    def test_matches_the_z_array_reference(self, w, chunk):
-        # small chunks carry the running hashes across many chunk boundaries
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(words, "_HASH_CHUNK", chunk)
-            assert longest_palindromic_suffix(w) == reference_longest_suffix(w)
-            assert two_palindrome_splits(w) == reference_splits(w)
-            flags = palindromic_prefix_flags(w)
-            candidates = words._palindromic_prefix_candidates(w).tolist()
-        assert set(candidates) >= {p for p in range(1, len(w) + 1) if flags[p]}
+    @given(st.one_of(RUN_WORDS, PERIODIC_WORDS))
+    @settings(deadline=None)
+    def test_matches_the_z_array_reference(self, w):
+        assert longest_palindromic_suffix(w) == reference_longest_suffix(w)
+        assert two_palindrome_splits(w) == reference_splits(w)
+        flags = palindromic_prefix_flags(w)
+        progressions = words._palindromic_prefix_progressions(w)
+        members = [p for top, step, low in progressions for p in range(top, low - 1, -step)]
+        assert members == [p for p in range(len(w), 0, -1) if flags[p]]  # each once, longest first
+        for (top, step, low), below in zip(progressions, [*progressions[1:], (0,)]):
+            assert step <= low <= top and (top - low) % step == 0
+            assert 2 * below[0] < top  # the next largest at most halves, so floor(log2 n) + 1 progressions at most
+        assert len(progressions) <= len(w).bit_length()
 
     @pytest.mark.parametrize("name", ["tribonacci", "k4_mixed"])
-    def test_a_collision_on_every_position_changes_no_answer(self, name, monkeypatch):
-        # only the split check hashes; the closure's finder reads letters alone
+    def test_blocks_split_where_the_reference_says(self, name):
         table = BlockTable(DirectiveSpec.parse(SPEC_TEXTS[name]))
         levels = [n for n in range(1, 20) if table.block_length(n) <= 1_500]
-        splits = [two_palindrome_splits(table.block(n)) for n in levels]
-        monkeypatch.setattr(words, "_HASH_MODULUS", 1)  # every hash is 0, so every length is a candidate
-        assert words._palindromic_prefix_candidates("abc").tolist() == [1, 2, 3]
-        assert [two_palindrome_splits(table.block(n)) for n in levels] == splits
+        assert [two_palindrome_splits(table.block(n)) for n in levels] == [reference_splits(table.block(n)) for n in levels]
         check_two_palindrome_split(table, levels[-1])
 
-    def test_literal_verification_stays_linear(self, monkeypatch):
-        verified = []
-
-        def counting(w):
-            verified.append(len(w))
-            return w == w[::-1]
-
-        monkeypatch.setattr(words, "is_palindrome", counting)
-        w = "a" * 5000 + "b" + "a" * 5000  # 5,001 palindromic prefixes and as many suffixes
-        assert two_palindrome_splits(w) == [0]
-        assert sum(verified) <= 2 * len(w)
+    @pytest.mark.parametrize(
+        "w, splits",
+        [
+            ("a" * 200_000, list(range(200_000))),  # 200,001 palindromic prefixes in one progression
+            ("ab" * 100_000 + "b", [199_999]),  # (ab)^(n-1) a, then bb
+            ("a" * 5000 + "b" + "a" * 5000, [0]),  # 5,001 palindromic prefixes and as many suffixes
+            # the reversal's abaaba has borders 6 and 3 of period 3, and aba's border is 1, not 3 - 3
+            ("baababaaba", [4, 9]),
+        ],
+        ids=["a^n", "(ab)^n b", "a^5000 b a^5000", "baababaaba"],
+    )
+    def test_few_progressions_whatever_the_palindromic_prefixes(self, w, splits, monkeypatch):
+        calls = []
+        finder = words.longest_palindromic_suffix
+        monkeypatch.setattr(words, "longest_palindromic_suffix", lambda u: calls.append(len(u)) or finder(u))
+        assert two_palindrome_splits(w) == splits
+        probes = len(calls)
+        progressions = words._palindromic_prefix_progressions(w) + words._palindromic_prefix_progressions(w[::-1])
+        assert len(progressions) <= 2 * (len(w) - 1).bit_length() + 2  # 2 ceil(log2 n) + 2 over w and its reversal
+        # each side finds its longest palindromic prefix, then the border of each progression's largest and smallest
+        assert probes <= 2 * len(progressions) + 2
 
     @pytest.mark.parametrize(
         "make",
@@ -228,12 +242,12 @@ class TestFactorCount:
         if not first:
             return
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(words, "_HASH_CHUNK", chunk)
+            mp.setattr(words, "_COUNT_BATCH", chunk)
             found = count_factors(prefixes, length, len(first) + 1, len(w))
         assert found == (len(factors_of_length(w, length)), max(first.values()) + length)
 
     def test_stops_after_the_batch_that_has_enough(self, monkeypatch):
-        monkeypatch.setattr(words, "_HASH_CHUNK", 4)
+        monkeypatch.setattr(words, "_COUNT_BATCH", 4)
         # aab, aba and baa fill the first batch of four windows; the second would find bab
         assert count_factors(["aabaababab"], 3, 3, 4) == (3, 5)
         assert count_factors(["aabaababab"], 3, 4, 8) == (4, 8)
@@ -245,15 +259,27 @@ class TestFactorCount:
                 return str.__getitem__(self, key)
 
         reads = []
-        monkeypatch.setattr(words, "_HASH_CHUNK", 4)
+        monkeypatch.setattr(words, "_COUNT_BATCH", 4)
         # windows of length 3: 0..2 from the first prefix, then one batch of 3..6 from the second
         assert count_factors([Spy("aabaa"), Spy("aabaababab")], 3, 4, 7) == (4, 8)
         assert reads == [(0, 5), (3, 9)]
 
-    def test_a_batch_past_the_budget_is_refused_before_it_is_read(self, monkeypatch):
-        monkeypatch.setattr(words, "_HASH_CHUNK", 4)
-        with pytest.raises(GuardExceeded, match="budget of 7 windows"):
-            count_factors(["aabaababab"], 3, 4, 7)
+    def test_the_budget_cuts_the_batch_that_reaches_it(self, monkeypatch):
+        class Spy(str):
+            def __getitem__(self, key):
+                reads.append((key.start, key.stop))
+                return str.__getitem__(self, key)
+
+        monkeypatch.setattr(words, "_COUNT_BATCH", 4)
+        # bab first starts at window 5: a budget of 6 windows cuts the second batch to windows 4..5 and finds it
+        reads = []
+        assert count_factors([Spy("aabaababab")], 3, 4, 6) == (4, 8)
+        assert reads == [(0, 6), (4, 8)]
+        # a budget of 5 reads window 4 alone, then refuses window 5 before reading it
+        reads = []
+        with pytest.raises(GuardExceeded, match="budget of 5 windows"):
+            count_factors([Spy("aabaababab")], 3, 4, 5)
+        assert reads == [(0, 6), (4, 7)]
 
 
 class TestRotationProperties:
