@@ -32,13 +32,14 @@ from .partition import level_partition, refined_levels
 from .powers import block_index, block_index_witness, census, length_sets, prefix_index
 from .singular import factor_partition, singular_window
 from .words import (
+    Word,
     conjugate,
     is_palindrome,
     is_primitive,
+    longest_palindromic_suffix,
     reversal,
     shorten,
     strip_suffix,
-    two_palindrome_splits,
 )
 
 _CLOSURE_CHECK_CAP = 200_000
@@ -157,6 +158,32 @@ def check_reversal_rotation(table: BlockTable, n_max: int) -> None:
             _fail("reversal-rotation", n, f"rotation by {j} is not the reversal")
         if len(w) == 1 and reversal(w) != w:
             _fail("reversal-rotation", n, "single letter not fixed")
+
+
+def _palindromic_prefix_progressions(w: Word) -> list[tuple[int, int, int]]:
+    """The lengths p >= 1 with w[:p] a palindrome, as (largest, step, smallest) progressions, longest first.
+
+    They are P, the longest, and the borders of P, since a prefix of a palindrome is one exactly when it is
+    a border. A palindrome of L letters has its longest proper border b = its longest palindromic suffix
+    after the first letter, and least period d = L - b; by Fine and Wilf its borders of at least d letters
+    are exactly L - jd, and the shorter ones are the proper borders of the smallest of those. The next
+    largest is below d and below L/2, so there are at most floor(log2 |w|) + 1 progressions.
+    """
+    progressions, top = [], longest_palindromic_suffix(w[::-1])
+    while top:
+        step = top - longest_palindromic_suffix(w[1:top])
+        low = step + top % step  # the smallest member of at least step letters: top itself when b < d
+        progressions.append((top, step, low))
+        top = top - step if low == top else longest_palindromic_suffix(w[1:low])
+    return progressions
+
+
+def two_palindrome_splits(w: Word) -> list[int]:
+    """Every p in 0..|w|-1 with w[:p] and w[p:] both palindromes: w[:p] is a palindromic prefix, w[p:] reversed one of w[::-1]."""
+    n = len(w)
+    prefixes = {0}.union(*(range(low, top + 1, step) for top, step, low in _palindromic_prefix_progressions(w)))
+    return sorted(n - q for top, step, low in _palindromic_prefix_progressions(w[::-1])
+                  for q in range(low, top + 1, step) if n - q in prefixes)
 
 
 def check_two_palindrome_split(table: BlockTable, n_max: int) -> None:

@@ -1,0 +1,124 @@
+"""`census`: which words of a given length have an l-th power in the word, checked against the oracle under --verify."""
+
+from __future__ import annotations
+
+from ..blocks import BlockTable
+from ..directive import CLOSURE_CHECK_WORK, DirectiveSpec
+from ..errors import GuardExceeded, ParseError, RangeError, VerificationError
+from ..powers import census, census_range
+from ..words import shorten
+from . import INLINE_WORD_LIMIT, Reporter, build_table
+
+# A `census --full` row costs about 20 us per length (2^20 lengths: 20 s) on a
+# 2-CPU x86-64 VM (Python 3.11); plain census ranges visit only their carrying
+# lengths, and the table's length guard bounds their bases.
+_CENSUS_RANGE_GUARD = 1 << 20
+
+
+def _check_lengths(ranged: bool, m_max: int, l: int) -> None:
+    """The closed forms' own refusals of a length or order, in their order, for a caller that certifies first."""
+    if ranged and m_max < 1:
+        raise RangeError(f"m_max must be >= 1 (got {m_max})")
+    if l < 2:
+        raise RangeError(f"power order must be >= 2 (got {l})")
+    if m_max < 1:
+        raise RangeError(f"length must be >= 1 (got {m_max})")
+
+
+def _census_rule(table: BlockTable, row) -> str | None:
+    if row.count == 0:
+        return None
+    if row.count == table.block_length(row.provenance.level):
+        return f"all {row.count} conjugates of {shorten(row.provenance.base)}"
+    return f"first {row.count} conjugates of {shorten(row.provenance.base)}"
+
+
+def _census_payload(table: BlockTable, row, full: bool) -> tuple[dict, str]:
+    """The census row without its witnesses, which the caller adds under --full."""
+    prov = row.provenance
+    payload = {
+        "m": row.m,
+        "l": row.l,
+        "count": row.count,
+        "provenance": {"kind": prov.kind, "level": prov.level, "depth": prov.depth, "multiplier": prov.multiplier},
+        "rule": _census_rule(table, row),
+    }
+    if prov.base is not None:
+        payload["base_preview"] = shorten(prov.base)
+        if full or len(prov.base) <= INLINE_WORD_LIMIT:
+            payload["base"] = prov.base
+    where = f"window {prov.level}"
+    if prov.kind == "off-grid":
+        where += ", off-grid"
+    else:
+        where += f", depth {prov.depth}, multiple {prov.multiplier}"
+    text = f"m={row.m} l={row.l}: {row.count}  [{where}]"
+    if payload.get("rule"):
+        text += f"  {payload['rule']}"
+    return payload, text
+
+
+def run(args, rep: Reporter) -> int:
+    spec = DirectiveSpec.parse(args.spec)
+    table = build_table(spec, args.level_guard)
+    if (args.m is None) == (args.all_up_to is None):
+        raise ParseError("pass exactly one of --m or --all-up-to")
+    l = args.l
+    ranged = args.all_up_to is not None
+    m_max = args.all_up_to if ranged else args.m
+    if args.full and ranged and m_max > _CENSUS_RANGE_GUARD:
+        raise GuardExceeded(f"{m_max} lengths above the census range guard {_CENSUS_RANGE_GUARD}")
+    if args.verify:
+        from ..oracle import RotationClass, certified_scan, same_bases
+
+        # certify first: its guards trip before any witness set is built, and with the
+        # closed forms' messages for a bad length or order, not the certificate's
+        _check_lengths(ranged, m_max, l)
+        certificate, scans = certified_scan(table, m_max, l, m_min=1 if ranged else m_max)
+    rows = census_range(table, m_max, l).nonzero if ranged else [census(table, m_max, l)]
+    carrying = {row.m: row for row in rows if row.count}
+    if args.full:
+        table.check_size(f"census witness lists to m={m_max}", sum(row.count * row.m for row in carrying.values()))
+        if ranged:
+            rows = (carrying[m] if m in carrying else census(table, m, l) for m in range(1, m_max + 1))
+    for row in rows:
+        payload, text = _census_payload(table, row, args.full)
+        if args.full:
+            payload["witnesses"] = witnesses = sorted(row.witnesses)
+        rep.row("census-row", payload, text)
+        if args.full and witnesses:
+            rep.row("witness-list", {"m": row.m, "l": l, "witnesses": witnesses}, [f"  {w}" for w in witnesses])
+    if ranged:
+        rep.row(
+            "census-summary",
+            {"l": l, "m_max": m_max, "nonzero_lengths": list(carrying), "zero_count": m_max - len(carrying)},
+            f"order {l}: {len(carrying)} carrying lengths up to {m_max}: {' '.join(map(str, carrying))}",
+        )
+    if args.verify:
+        # a row's witnesses are rotations 0..count-1 of its base: one class, compared without building them
+        expected = {m: (RotationClass(row.provenance.base, ((0, row.count),)),) for m, row in carrying.items()}
+        mismatches = [m for m, found in scans[l].classes.items() if not same_bases(found, expected.get(m, ()))]
+        ok = not mismatches
+        rep.row(
+            "verification",
+            {
+                "target": "census",
+                "l": l,
+                "m_max": m_max,
+                "ok": ok,
+                "factor_length": certificate.factor_length,
+                "factors": certificate.factors,
+                "block_level": certificate.block_level,
+                "prefix_letters": len(certificate.word),
+                "scanned_letters": certificate.scanned_letters,
+                "closure_checked_letters": certificate.closure_checked_letters,
+                "closure_cap": CLOSURE_CHECK_WORK,
+                "mismatched_lengths": mismatches,
+            },
+            f"oracle agreement at order {l} on {'lengths 1..' if ranged else 'length '}{m_max} over {certificate.scanned_letters} letters"
+            f" holding all {certificate.factors} factors of length {certificate.factor_length}: "
+            + ("OK" if ok else f"MISMATCH at {mismatches}"),
+        )
+        if not ok:
+            raise VerificationError("closed-form census disagrees with the oracle scan")
+    return 0

@@ -10,7 +10,6 @@ that sequence builds the word this whole package studies.
 from __future__ import annotations
 
 import math
-import string
 import threading
 from collections.abc import Iterator
 from functools import lru_cache
@@ -19,7 +18,7 @@ from typing import NamedTuple
 from .errors import ParseError, RangeError
 from .words import Word, longest_palindromic_suffix
 
-_LETTER_POOL = string.ascii_lowercase
+_LETTER_POOL = "abcdefghijklmnopqrstuvwxyz"
 
 
 class _SpecFields(NamedTuple):

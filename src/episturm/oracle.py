@@ -37,14 +37,15 @@ its first occurrence.
 from __future__ import annotations
 
 import re
-from itertools import count
-from operator import eq
+from functools import reduce
+from itertools import accumulate, count, repeat
+from operator import add, eq, mul
 from typing import NamedTuple
 
 from .blocks import BlockTable
 from .directive import CLOSURE_CHECK_WORK, closure_prefix, closure_reach
 from .errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
-from .words import RationalIndex, Word, count_factors
+from .words import RationalIndex, Word
 
 # The scan's work in letter-shifts: one letter at one shift of the XOR kernel, 4 to 8 ns
 # on a 2-CPU x86-64 VM (Python 3.11), as host load varies. There a chunk probe of the rank
@@ -60,6 +61,11 @@ _RESULT_WORK = 1000
 # P much longer than k*L within the scan guard; a window costs 350 to 650 ns in pure
 # Python on the same VM (2^22 windows: 1.5 to 2.7 s).
 _COUNT_GUARD = 1 << 22
+# The factor count keys windows mod the Mersenne prime 2^61 - 1 in Python ints,
+# at most `_COUNT_BATCH` (or the factor length) windows at a time.
+_COUNT_BATCH = 1 << 12
+_FACTOR_MODULUS = (1 << 61) - 1
+_FACTOR_BASE = 1_000_003
 _LONG_CHUNK = 128  # the smallest chunk the rank kernel reads: below it, one XOR per shift is cheaper
 
 
@@ -303,6 +309,54 @@ def naive_scan(prefix: Word, l: int, m_min: int, m_max: int) -> dict[int, frozen
     return out
 
 
+def count_factors(words, length: int, enough: int, budget: int) -> tuple[int, int]:
+    """(distinct keys of the length-`length` factors counted, end of the shortest prefix holding them).
+
+    `words` yields ever longer prefixes of one word; each is read on from where
+    the one before stopped. A factor's key is its polynomial hash
+    sum_t w[i+t] B^(length-1-t) mod the Mersenne prime 2^61 - 1, rolled from
+    window to window in pure Python; equal factors get equal keys, so a
+    collision can only lower the count. Windows are keyed max(2^12, length) at
+    a time, in order, each batch encoding only the letters it reads; counting
+    stops after the batch that brings it to `enough`. At most `budget` windows
+    are read: the batch that reaches it is cut there, and needing one more
+    raises GuardExceeded.
+    """
+    modulus, base = _FACTOR_MODULUS, _FACTOR_BASE
+    drop = modulus - pow(base, length, modulus)  # adding drop * w[i] removes w[i] from the window after it
+
+    def roll(key: int, change: int) -> int:
+        return (key * base + change) % modulus
+
+    width = max(_COUNT_BATCH, length)  # the most windows in one batch
+    seen: set[int] = set()
+    lo, latest = 0, None  # latest: (start, keys, new keys) of the last batch that found a factor
+    for w in words:
+        while len(seen) < enough and lo <= len(w) - length:
+            size = min(width, len(w) - length + 1 - lo, budget - lo)
+            if size <= 0:
+                raise GuardExceeded(f"counting the factors of length {length} reads more than the budget of {budget} windows")
+            codes = memoryview(w[lo:lo + size + length - 1].encode("utf-32-le")).cast("I")
+            # window i + 1 keys B * key(i) - B^length w[i] + w[i + length]; the batch before left key(lo - 1) and w[lo - 1]
+            first = roll(keys[-1], drop * leaving + codes[length - 1]) if lo else reduce(roll, codes[:length], 0)
+            keys = list(accumulate(map(add, map(mul, codes[:size - 1], repeat(drop)), codes[length:]), roll, initial=first))
+            new = set(keys)
+            new -= seen
+            if new:
+                seen |= new
+                latest = lo, keys, new
+            leaving = codes[size - 1]
+            lo += size
+        if len(seen) >= enough:
+            break
+    if latest is None:
+        return 0, 0
+    start, keys, new = latest
+    # the factor met last is the new key whose first occurrence comes last
+    last = next(filter(new.__contains__, reversed(dict.fromkeys(keys))))
+    return len(seen), start + keys.index(last) + length
+
+
 def _longest_admitted(m_min: int, m_max: int, l_max: int) -> int:
     """The most letters a scan at these lengths and orders may read within `_SCAN_GUARD` (0 for none), by bisection.
 
@@ -322,7 +376,7 @@ def _longest_admitted(m_min: int, m_max: int, l_max: int) -> int:
 def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1):
     """Certify a prefix by factor complexity and scan it once at lengths m_min..m_max: (certificate, {l: ScanResult}).
 
-    Hash keys count the factors (`words.count_factors`): reaching (k-1)L + 1
+    Hash keys count the factors (`count_factors`): reaching (k-1)L + 1
     is a proof, and more shows a word outside this family. Blocks are read
     from the least with k*L letters, the fewest that can hold them, each from
     where the one before stopped, since each is a prefix of the next. The

@@ -6,12 +6,9 @@ pure and returns new strings.
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import accumulate, repeat
-from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import CancellationError, GuardExceeded, RangeError
+from .errors import CancellationError, RangeError
 
 if TYPE_CHECKING:  # imported inside as_fraction: only comparisons and verifications read the value
     from fractions import Fraction
@@ -102,13 +99,6 @@ def occurrences(text: Word, w: Word) -> list[int]:
     return found
 
 
-# The factor count keys windows mod the Mersenne prime 2^61 - 1 in Python ints,
-# at most `_COUNT_BATCH` (or the factor length) windows at a time.
-_COUNT_BATCH = 1 << 12
-_FACTOR_MODULUS = (1 << 61) - 1
-_FACTOR_BASE = 1_000_003
-
-
 def longest_palindromic_suffix(w: Word) -> int:
     """Length of the longest palindromic suffix of w (0 only for the empty word), by halving mirror probes.
 
@@ -121,80 +111,6 @@ def longest_palindromic_suffix(w: Word) -> int:
     while q and (s := w.find(r[:q], lo)) == -1:  # q = 1 always hits: the last letter mirrors itself
         lo, q = n - q + 1, (q + 1) // 2
     return n - s if q else 0
-
-
-def _palindromic_prefix_progressions(w: Word) -> list[tuple[int, int, int]]:
-    """The lengths p >= 1 with w[:p] a palindrome, as (largest, step, smallest) progressions, longest first.
-
-    They are P, the longest, and the borders of P, since a prefix of a palindrome is one exactly when it is
-    a border. A palindrome of L letters has its longest proper border b = its longest palindromic suffix
-    after the first letter, and least period d = L - b; by Fine and Wilf its borders of at least d letters
-    are exactly L - jd, and the shorter ones are the proper borders of the smallest of those. The next
-    largest is below d and below L/2, so there are at most floor(log2 |w|) + 1 progressions.
-    """
-    progressions, top = [], longest_palindromic_suffix(w[::-1])
-    while top:
-        step = top - longest_palindromic_suffix(w[1:top])
-        low = step + top % step  # the smallest member of at least step letters: top itself when b < d
-        progressions.append((top, step, low))
-        top = top - step if low == top else longest_palindromic_suffix(w[1:low])
-    return progressions
-
-
-def two_palindrome_splits(w: Word) -> list[int]:
-    """Every p in 0..|w|-1 with w[:p] and w[p:] both palindromes: w[:p] is a palindromic prefix, w[p:] reversed one of w[::-1]."""
-    n = len(w)
-    prefixes = {0}.union(*(range(low, top + 1, step) for top, step, low in _palindromic_prefix_progressions(w)))
-    return sorted(n - q for top, step, low in _palindromic_prefix_progressions(w[::-1])
-                  for q in range(low, top + 1, step) if n - q in prefixes)
-
-
-def count_factors(words, length: int, enough: int, budget: int) -> tuple[int, int]:
-    """(distinct keys of the length-`length` factors counted, end of the shortest prefix holding them).
-
-    `words` yields ever longer prefixes of one word; each is read on from where
-    the one before stopped. A factor's key is its polynomial hash
-    sum_t w[i+t] B^(length-1-t) mod the Mersenne prime 2^61 - 1, rolled from
-    window to window in pure Python; equal factors get equal keys, so a
-    collision can only lower the count. Windows are keyed max(2^12, length) at
-    a time, in order, each batch encoding only the letters it reads; counting
-    stops after the batch that brings it to `enough`. At most `budget` windows
-    are read: the batch that reaches it is cut there, and needing one more
-    raises GuardExceeded.
-    """
-    modulus, base = _FACTOR_MODULUS, _FACTOR_BASE
-    drop = modulus - pow(base, length, modulus)  # adding drop * w[i] removes w[i] from the window after it
-
-    def roll(key: int, change: int) -> int:
-        return (key * base + change) % modulus
-
-    width = max(_COUNT_BATCH, length)  # the most windows in one batch
-    seen: set[int] = set()
-    lo, latest = 0, None  # latest: (start, keys, new keys) of the last batch that found a factor
-    for w in words:
-        while len(seen) < enough and lo <= len(w) - length:
-            size = min(width, len(w) - length + 1 - lo, budget - lo)
-            if size <= 0:
-                raise GuardExceeded(f"counting the factors of length {length} reads more than the budget of {budget} windows")
-            codes = memoryview(w[lo:lo + size + length - 1].encode("utf-32-le")).cast("I")
-            # window i + 1 keys B * key(i) - B^length w[i] + w[i + length]; the batch before left key(lo - 1) and w[lo - 1]
-            first = roll(keys[-1], drop * leaving + codes[length - 1]) if lo else reduce(roll, codes[:length], 0)
-            keys = list(accumulate(map(add, map(mul, codes[:size - 1], repeat(drop)), codes[length:]), roll, initial=first))
-            new = set(keys)
-            new -= seen
-            if new:
-                seen |= new
-                latest = lo, keys, new
-            leaving = codes[size - 1]
-            lo += size
-        if len(seen) >= enough:
-            break
-    if latest is None:
-        return 0, 0
-    start, keys, new = latest
-    # the factor met last is the new key whose first occurrence comes last
-    last = next(filter(new.__contains__, reversed(dict.fromkeys(keys))))
-    return len(seen), start + keys.index(last) + length
 
 
 # No caller in the package: the tests' reference for the palindrome finder, and a name bench/layers.py traces.

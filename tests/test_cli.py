@@ -12,6 +12,10 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import episturm.cli as cli
+import episturm.commands.census as census_cmd
+import episturm.commands.generate as generate_cmd
+import episturm.commands.partition as partition_cmd
+import episturm.commands.verify as verify_cmd
 import episturm.oracle as oracle
 import episturm.partition as partition
 import episturm.powers as powers
@@ -69,7 +73,7 @@ class TestGenerate:
 
     def test_length_just_over_the_guard_exits_at_once(self, capsys):
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "generate", "--spec", TRIB, "--length", str(cli._GENERATE_GUARD + 1))
+        code, out, err = run_cli(capsys, "generate", "--spec", TRIB, "--length", str(generate_cmd._GENERATE_GUARD + 1))
         assert time.perf_counter() - start < 1.0
         assert code == 4 and out == "" and "guard" in err
 
@@ -92,17 +96,17 @@ class TestGenerate:
 
     def test_a_finite_directive_above_the_guard_trips_it(self, capsys, monkeypatch):
         # building 3 letters of aa.. closes prefixes of 0, 1 and 2 letters before the directive runs out
-        monkeypatch.setattr(cli, "_GENERATE_GUARD", 1)
+        monkeypatch.setattr(generate_cmd, "_GENERATE_GUARD", 1)
         assert run_cli(capsys, "generate", "--spec", "k=2; d=2", "--length", "2")[0] == 0
         assert run_cli(capsys, "generate", "--spec", "k=2; d=2", "--length", "3")[0] == 4
-        monkeypatch.setattr(cli, "_GENERATE_GUARD", 3)
+        monkeypatch.setattr(generate_cmd, "_GENERATE_GUARD", 3)
         assert run_cli(capsys, "generate", "--spec", "k=2; d=2", "--length", "3")[0] == 2
 
     def test_guard_counts_the_letters_the_closure_scans(self, capsys, monkeypatch):
         # 31 letters of the Tribonacci word close prefixes of 0, 1, 3, 7, 14 and 27 letters
-        monkeypatch.setattr(cli, "_GENERATE_GUARD", 52)
+        monkeypatch.setattr(generate_cmd, "_GENERATE_GUARD", 52)
         assert run_cli(capsys, "generate", "--spec", TRIB, "--length", "31")[0] == 0
-        monkeypatch.setattr(cli, "_GENERATE_GUARD", 51)
+        monkeypatch.setattr(generate_cmd, "_GENERATE_GUARD", 51)
         assert run_cli(capsys, "generate", "--spec", TRIB, "--length", "31")[0] == 4
 
 
@@ -222,10 +226,10 @@ class TestPartition:
 
     def test_tiles_just_under_the_guard_are_accepted(self, capsys, monkeypatch):
         # the level-1 tiling of block 8 has 105 tiles
-        monkeypatch.setattr(cli, "_PARTITION_TILE_GUARD", 105)
+        monkeypatch.setattr(partition_cmd, "_PARTITION_TILE_GUARD", 105)
         code, _, _ = run_cli(capsys, "partition", "--spec", TRIB, "--n", "1", "--m", "8")
         assert code == 0
-        monkeypatch.setattr(cli, "_PARTITION_TILE_GUARD", 104)
+        monkeypatch.setattr(partition_cmd, "_PARTITION_TILE_GUARD", 104)
         code, _, _ = run_cli(capsys, "partition", "--spec", TRIB, "--n", "1", "--m", "8")
         assert code == 4
 
@@ -343,12 +347,12 @@ class TestCensus:
 
     def test_range_just_over_the_guard_exits_at_once(self, capsys):
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", str(cli._CENSUS_RANGE_GUARD + 1), "--full")
+        code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", str(census_cmd._CENSUS_RANGE_GUARD + 1), "--full")
         assert time.perf_counter() - start < 1.0
         assert code == 4 and out == "" and "guard" in err
 
     def test_only_full_ranges_read_the_range_guard(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_CENSUS_RANGE_GUARD", 57)
+        monkeypatch.setattr(census_cmd, "_CENSUS_RANGE_GUARD", 57)
         assert run_cli(capsys, "census", "--spec", MIX3, "--all-up-to", "58")[0] == 0
         assert run_cli(capsys, "census", "--spec", MIX3, "--all-up-to", "58", "--l", "3", "--verify")[0] == 0
         assert run_cli(capsys, "census", "--spec", MIX3, "--all-up-to", "58", "--full")[0] == 4
@@ -409,8 +413,8 @@ class TestCensus:
     )
     def test_verify_catches_a_changed_row(self, capsys, monkeypatch, change):
         # m = 6 carries rotations 0 and 1 of abacab: any change of count or base changes the set
-        census, census_range = cli.census, cli.census_range
-        monkeypatch.setattr(cli, "census", lambda table, m, l: change(census(table, m, l)))
+        census, census_range = census_cmd.census, census_cmd.census_range
+        monkeypatch.setattr(census_cmd, "census", lambda table, m, l: change(census(table, m, l)))
         code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--m", "6", "--verify")
         assert code == 3 and out.endswith("on length 6 over 55 letters holding all 25 factors of length 12: MISMATCH at [6]\n")
 
@@ -418,13 +422,13 @@ class TestCensus:
             found = census_range(table, m_max, l)
             return found._replace(nonzero=tuple(change(r) if r.m == 6 else r for r in found.nonzero))
 
-        monkeypatch.setattr(cli, "census_range", changed_range)
+        monkeypatch.setattr(census_cmd, "census_range", changed_range)
         code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "13", "--verify", "--json")
         verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
         assert code == 3 and verdict["ok"] is False and verdict["mismatched_lengths"] == [6]
 
     def test_verify_needs_empty_scans_off_the_grid(self, capsys, monkeypatch):
-        census_range = cli.census_range
+        census_range = census_cmd.census_range
 
         def moved(table, m_max, l):
             # drop the row at m = 6 and claim one at the off-grid m = 5
@@ -433,7 +437,7 @@ class TestCensus:
             rows = sorted((*(r for r in found.nonzero if r.m != 6), fake), key=lambda r: r.m)
             return found._replace(nonzero=tuple(rows))
 
-        monkeypatch.setattr(cli, "census_range", moved)
+        monkeypatch.setattr(census_cmd, "census_range", moved)
         code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "13", "--verify", "--json")
         verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
         assert code == 3 and verdict["mismatched_lengths"] == [5, 6]
@@ -461,6 +465,22 @@ class TestCensus:
             "closure_checked_letters": 14198,
             "closure_cap": 1048576,
         }
+
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            (("--m", "3", "--l", "1"), "power order must be >= 2 (got 1)"),
+            (("--m", "0"), "length must be >= 1 (got 0)"),
+            (("--m", "0", "--l", "1"), "power order must be >= 2 (got 1)"),
+            (("--all-up-to", "5", "--l", "1"), "power order must be >= 2 (got 1)"),
+            (("--all-up-to", "0", "--l", "1"), "m_max must be >= 1 (got 0)"),
+        ],
+    )
+    def test_verify_refuses_a_length_or_order_as_the_closed_form_does(self, capsys, lengths, message):
+        # the certificate used to refuse first, in its own terms: "l_max must be >= 2", "m_max must be >= 1"
+        plain = run_cli(capsys, "census", "--spec", TRIB, *lengths)
+        verified = run_cli(capsys, "census", "--spec", TRIB, *lengths, "--verify")
+        assert plain == verified == (2, "", f"episturm census: {message}\n")
 
     def test_finite_directive_cannot_verify(self, capsys):
         code, out, err = run_cli(capsys, "census", "--spec", "k=2; d=" + ",".join(["1"] * 30), "--m", "3", "--verify")
@@ -537,9 +557,9 @@ class TestVerify:
 
     def test_battery_guard_reads_block_n_plus_two(self, capsys, monkeypatch):
         # block 5 of the Tribonacci word has 24 letters
-        monkeypatch.setattr(cli, "_BATTERY_LETTER_GUARD", 24)
+        monkeypatch.setattr(verify_cmd, "_BATTERY_LETTER_GUARD", 24)
         assert run_cli(capsys, "verify", "--spec", TRIB, "--n", "3")[0] == 0
-        monkeypatch.setattr(cli, "_BATTERY_LETTER_GUARD", 23)
+        monkeypatch.setattr(verify_cmd, "_BATTERY_LETTER_GUARD", 23)
         assert run_cli(capsys, "verify", "--spec", TRIB, "--n", "3")[0] == 4
 
 
@@ -557,6 +577,27 @@ class TestVerify:
 def test_nonpositive_ranges_exit_two_before_any_row(capsys, argv, message):
     code, out, err = run_cli(capsys, argv[0], "--spec", TRIB, *argv[1:])
     assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--length", "10"),
+        ("blocks", "--n", "2"),
+        ("singular", "--n", "2"),
+        ("partition", "--n", "1"),
+        ("index", "--n", "2"),
+        ("census", "--m", "4"),
+        ("verify", "--n", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("raw, message", [("not-a-number", "must be an integer (got 'not-a-number')"), ("0", "must be >= 1 (got 0)")])
+def test_every_subcommand_refuses_a_malformed_env_guard(capsys, monkeypatch, argv, raw, message):
+    # generate builds no block table, and used to run under any EPISTURM_GUARD
+    monkeypatch.setenv("EPISTURM_GUARD", raw)
+    code, out, err = run_cli(capsys, argv[0], "--spec", TRIB, *argv[1:])
+    assert (code, out, err) == (2, "", f"episturm {argv[0]}: EPISTURM_GUARD {message}\n")
 
 
 class TestArgparse:
@@ -582,8 +623,18 @@ modules = sorted(name[len("episturm."):] for name in sys.modules if name.startsw
 print(json.dumps({"code": code, "modules": modules, **{name: name in sys.modules for name in ("numpy", "dataclasses", "fractions")}}))
 """
 
-# What every subcommand loads: the CLI, the block tables and the closed-form census and index.
-_CORE_MODULES = {"cli", "blocks", "directive", "errors", "powers", "words"}
+# What every start loads: the dispatcher, the helpers its handlers share, and the errors.
+_START_MODULES = {"cli", "commands", "errors"}
+# What each subcommand adds besides its handler, `commands.<subcommand>`: the modules that handler calls.
+_SUBCOMMAND_MODULES = {
+    "generate": {"directive", "words"},
+    "blocks": {"blocks", "directive", "powers", "words"},
+    "singular": {"blocks", "directive", "singular", "words"},
+    "partition": {"blocks", "directive", "partition", "words"},
+    "index": {"blocks", "directive", "powers", "words"},
+    "census": {"blocks", "directive", "powers", "words"},
+    "verify": {"blocks", "checks", "directive", "partition", "powers", "singular", "words"},
+}
 
 
 def _fresh_child(*args) -> str:
@@ -598,10 +649,10 @@ def _start(*argv) -> dict:
     return json.loads(_fresh_child("-c", _START_PROBE, *argv))
 
 
-def _own_modules(argv) -> set:
-    """Beyond the core: partition and singular load their own module; census and index load the oracle under --verify."""
-    own = {"partition": {"partition"}, "singular": {"singular"}}.get(argv[0], set())
-    return own | ({"oracle"} if argv[0] in ("census", "index") and "--verify" in argv else set())
+def _expected_modules(argv) -> set:
+    """The start's modules, the handler's and its callees'; census and index load the oracle under --verify only."""
+    oracle = {"oracle"} if argv[0] in ("census", "index") and "--verify" in argv else set()
+    return _START_MODULES | {f"commands.{argv[0]}"} | _SUBCOMMAND_MODULES[argv[0]] | oracle
 
 
 class TestNumpyStaysUnloaded:
@@ -633,7 +684,7 @@ class TestNumpyStaysUnloaded:
     def test_closed_form_answers_and_early_exits_run_without_numpy(self, argv, code):
         start = _start(*argv)
         assert (start["code"], start["numpy"], start["dataclasses"]) == (code, False, False)
-        assert set(start["modules"]) == _CORE_MODULES | _own_modules(argv)
+        assert set(start["modules"]) == _expected_modules(argv)
         assert not start["fractions"] or "--verify" in argv
 
     def test_importing_the_package_loads_no_numpy(self):
@@ -646,13 +697,52 @@ class TestNumpyStaysUnloaded:
         # 1,795 lengths reach the rank kernel of the all-shift scan, one length only its XOR kernel
         start = _start("census", "--spec", TRIB, *lengths, "--verify")
         assert (start["code"], start["numpy"], start["dataclasses"]) == (0, False, False)
-        assert set(start["modules"]) == _CORE_MODULES | {"oracle"}
+        assert set(start["modules"]) == _expected_modules(("census", "--verify"))
 
     def test_verify_loads_no_numpy(self):
         # the two-palindrome-split check reads border progressions, with no hash
         start = _start("verify", "--spec", TRIB, "--n", "3")
         assert (start["code"], start["numpy"], start["dataclasses"]) == (0, False, False)
-        assert set(start["modules"]) == _CORE_MODULES | {"checks", "partition", "singular"}
+        assert set(start["modules"]) == _expected_modules(("verify",))
+
+    def test_importing_the_cli_loads_no_math_module(self):
+        """The handlers' shared helpers import what they read when they are called."""
+        probe = "import json, sys, episturm.cli; print(json.dumps(sorted(m for m in sys.modules if m.startswith('episturm.'))))"
+        assert json.loads(_fresh_child("-c", probe)) == [f"episturm.{name}" for name in sorted(_START_MODULES)]
+
+
+# A fresh interpreter runs the CLI as `python -m episturm.cli` does, as __main__, and reports
+# its exit code and whether any handler imported `episturm.cli`, which would compile and run it again.
+_MAIN_PROBE = """
+import contextlib, io, json, runpy, sys
+sys.argv[0] = "episturm"
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        runpy.run_module("episturm.cli", run_name="__main__")
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "second_cli": "episturm.cli" in sys.modules,
+                  "handlers": sorted(m for m in sys.modules if m.startswith("episturm.commands."))}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--spec", TRIB, "--length", "10"),
+        ("blocks", "--spec", TRIB, "--n", "3"),
+        ("singular", "--spec", TRIB, "--n", "2"),
+        ("partition", "--spec", TRIB, "--n", "1", "--verify"),
+        ("index", "--spec", TRIB, "--n", "2", "--verify"),
+        ("census", "--spec", TRIB, "--m", "4", "--verify"),
+        ("verify", "--spec", TRIB, "--n", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_running_as_main_compiles_the_cli_once(argv):
+    done = json.loads(_fresh_child("-c", _MAIN_PROBE, *argv))
+    assert done == {"code": 0, "second_cli": False, "handlers": [f"episturm.commands.{argv[0]}"]}
 
 
 # Linux counts a parent's resident memory at spawn in the child's max RSS, so a

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import episturm.partition as partition
 from episturm.blocks import BlockTable
-from episturm.cli import _run_lengths
+from episturm.commands.partition import _run_lengths
 from episturm.directive import DirectiveSpec
 from episturm.errors import InsufficientDataError, InvariantViolation, RangeError
 from episturm.oracle import generate_prefix

@@ -1,18 +1,22 @@
-"""Word primitives: rotations, palindromes, stripping, Z-array, the palindrome finders, the factor count, rational exponents."""
+"""Word primitives: rotations, palindromes, stripping, Z-array, the palindrome finders, rational exponents.
+
+Also the two-palindrome splits of `checks` and the factor count of `oracle`, their only users.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import episturm.words as words
+import episturm.checks as checks
+import episturm.oracle as oracle
 from episturm.blocks import BlockTable
-from episturm.checks import check_two_palindrome_split
+from episturm.checks import check_two_palindrome_split, two_palindrome_splits
 from episturm.directive import DirectiveSpec, PalindromicPrefixTable, directive_letter
 from episturm.errors import CancellationError, GuardExceeded, RangeError
+from episturm.oracle import count_factors
 from episturm.words import (
     RationalIndex,
     conjugacy_class,
     conjugate,
-    count_factors,
     factors_of_length,
     is_palindrome,
     is_primitive,
@@ -21,7 +25,6 @@ from episturm.words import (
     strip_prefix,
     strip_suffix,
     longest_palindromic_suffix,
-    two_palindrome_splits,
     z_array,
 )
 
@@ -164,7 +167,7 @@ class TestPalindromeFinder:
         assert longest_palindromic_suffix(w) == reference_longest_suffix(w)
         assert two_palindrome_splits(w) == reference_splits(w)
         flags = palindromic_prefix_flags(w)
-        progressions = words._palindromic_prefix_progressions(w)
+        progressions = checks._palindromic_prefix_progressions(w)
         members = [p for top, step, low in progressions for p in range(top, low - 1, -step)]
         assert members == [p for p in range(len(w), 0, -1) if flags[p]]  # each once, longest first
         for (top, step, low), below in zip(progressions, [*progressions[1:], (0,)]):
@@ -192,11 +195,11 @@ class TestPalindromeFinder:
     )
     def test_few_progressions_whatever_the_palindromic_prefixes(self, w, splits, monkeypatch):
         calls = []
-        finder = words.longest_palindromic_suffix
-        monkeypatch.setattr(words, "longest_palindromic_suffix", lambda u: calls.append(len(u)) or finder(u))
+        finder = checks.longest_palindromic_suffix
+        monkeypatch.setattr(checks, "longest_palindromic_suffix", lambda u: calls.append(len(u)) or finder(u))
         assert two_palindrome_splits(w) == splits
         probes = len(calls)
-        progressions = words._palindromic_prefix_progressions(w) + words._palindromic_prefix_progressions(w[::-1])
+        progressions = checks._palindromic_prefix_progressions(w) + checks._palindromic_prefix_progressions(w[::-1])
         assert len(progressions) <= 2 * (len(w) - 1).bit_length() + 2  # 2 ceil(log2 n) + 2 over w and its reversal
         # each side finds its longest palindromic prefix, then the border of each progression's largest and smallest
         assert probes <= 2 * len(progressions) + 2
@@ -242,12 +245,12 @@ class TestFactorCount:
         if not first:
             return
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(words, "_COUNT_BATCH", chunk)
+            mp.setattr(oracle, "_COUNT_BATCH", chunk)
             found = count_factors(prefixes, length, len(first) + 1, len(w))
         assert found == (len(factors_of_length(w, length)), max(first.values()) + length)
 
     def test_stops_after_the_batch_that_has_enough(self, monkeypatch):
-        monkeypatch.setattr(words, "_COUNT_BATCH", 4)
+        monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
         # aab, aba and baa fill the first batch of four windows; the second would find bab
         assert count_factors(["aabaababab"], 3, 3, 4) == (3, 5)
         assert count_factors(["aabaababab"], 3, 4, 8) == (4, 8)
@@ -259,7 +262,7 @@ class TestFactorCount:
                 return str.__getitem__(self, key)
 
         reads = []
-        monkeypatch.setattr(words, "_COUNT_BATCH", 4)
+        monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
         # windows of length 3: 0..2 from the first prefix, then one batch of 3..6 from the second
         assert count_factors([Spy("aabaa"), Spy("aabaababab")], 3, 4, 7) == (4, 8)
         assert reads == [(0, 5), (3, 9)]
@@ -270,7 +273,7 @@ class TestFactorCount:
                 reads.append((key.start, key.stop))
                 return str.__getitem__(self, key)
 
-        monkeypatch.setattr(words, "_COUNT_BATCH", 4)
+        monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
         # bab first starts at window 5: a budget of 6 windows cuts the second batch to windows 4..5 and finds it
         reads = []
         assert count_factors([Spy("aabaababab")], 3, 4, 6) == (4, 8)
