@@ -4,14 +4,14 @@ Each check raises VerificationError naming the first failing level. The
 battery is exact string or integer equality throughout; callers choose how
 far up the level ladder to push. Checks that would materialize quadratic or
 deep data (singular classes, occurrence sub-checks) cap themselves by size,
-and the closure comparisons also by the letters the closure scans, never by
-weakening an equality.
+and the closure comparisons by the letters the closure steps scan
+(`closure_reach(spec, CLOSURE_CHECK_WORK)`), never by weakening an equality.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from itertools import islice
+from itertools import islice, pairwise
 from typing import Callable
 
 from .blocks import BlockTable
@@ -42,7 +42,6 @@ from .words import (
     strip_suffix,
 )
 
-_CLOSURE_CHECK_CAP = 200_000
 _COMPOSED_LETTER_CAP = 1 << 19
 _POSITION_CAP = 1 << 12
 _WITNESS_OCCURRENCE_CAP = 2_000_000
@@ -62,15 +61,6 @@ def _at_level(name: str, level):
         yield
     except (CancellationError, InvariantViolation) as exc:
         _fail(name, level, str(exc))
-
-
-def _closure_reach(table: BlockTable) -> int | float:
-    """The longest prefix a closure comparison may build: within the prefix cap and the closure's work cap.
-
-    A long run of one directive letter makes the closure's work quadratic in
-    its output, so the prefix cap alone does not bound it.
-    """
-    return min(_CLOSURE_CHECK_CAP, closure_reach(table.spec, CLOSURE_CHECK_WORK))
 
 
 def check_block_letters(table: BlockTable, n_max: int) -> None:
@@ -100,7 +90,7 @@ def check_palindromic_prefixes(table: BlockTable, n_max: int) -> None:
     """Palindromic prefixes are palindromes, sized by the recurrence, nested, and literal prefixes."""
     k = table.spec.k
     closures = PalindromicPrefixTable(table.spec)
-    reach = _closure_reach(table)
+    reach = closure_reach(table.spec, CLOSURE_CHECK_WORK)
     for n in range(0, n_max + 1):
         p = table.palindromic_prefix(n)
         if not is_palindrome(p):
@@ -250,18 +240,16 @@ def check_increment_words(table: BlockTable, n_max: int) -> None:
     spec = table.spec
     closures = PalindromicPrefixTable(spec)
     cap = exponent_sum(spec, min(n_max, 8))
-    lengths = list(islice(closure_lengths(spec), cap + 2))
+    steps = pairwise(islice(closure_lengths(spec), 1, None))  # (|u_{i+1}|, |u_{i+2}|) for i = 1, 2, ...
     reach = closure_reach(spec, CLOSURE_CHECK_WORK)
     composed = 0
     previous = prefix_increment(spec, 0)
-    for i in range(1, cap + 1):
+    for i, (closed, grown) in zip(range(1, cap + 1), steps):
         # increment i has |u_{i+2}| - |u_{i+1}| letters; closure prefix i + 1 has |u_{i+1}|
-        composed += lengths[i + 1] - lengths[i]
-        if composed > _COMPOSED_LETTER_CAP or lengths[i] > reach:
+        composed += grown - closed
+        if composed > _COMPOSED_LETTER_CAP or closed > reach:
             break
         current = prefix_increment(spec, i)
-        if len(current) > _CLOSURE_CHECK_CAP:
-            break
         same_letter = directive_letter(spec, i + 1) == directive_letter(spec, i)
         if (current == previous) != same_letter:
             _fail("increment-words", i, f"repeat={current == previous} but letters repeat={same_letter}")
@@ -318,7 +306,7 @@ def check_power_prefixes(table: BlockTable, n_max: int) -> None:
     """Power prefixes are palindromic prefixes of the word with the predicted lengths."""
     k = table.spec.k
     closures = PalindromicPrefixTable(table.spec)
-    reach = _closure_reach(table)
+    reach = closure_reach(table.spec, CLOSURE_CHECK_WORK)
     for n in range(1, n_max + 1):
         r = table.power_prefix(n)
         if not is_palindrome(r):
@@ -416,7 +404,7 @@ def check_partition_tilings(table: BlockTable, n_max: int) -> None:
 def check_closure_equivalence(table: BlockTable, n_max: int) -> None:
     """The closure construction and the block recurrence build the same prefix."""
     target = min(10_000, table.block_length(min(n_max + 1, 12)))
-    if target > _closure_reach(table):
+    if target > closure_reach(table.spec, CLOSURE_CHECK_WORK):
         return
     by_closure = closure_prefix(table.spec, target)
     by_blocks = table.block(table.level_reaching(target))[:target]

@@ -47,20 +47,21 @@ from .directive import CLOSURE_CHECK_WORK, closure_prefix, closure_reach
 from .errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
 from .words import RationalIndex, Word
 
-# The scan's work in letter-shifts: one letter at one shift of the XOR kernel, 4 to 8 ns
-# on a 2-CPU x86-64 VM (Python 3.11), as host load varies. There a chunk probe of the rank
-# kernel, with its share of widening runs, costs 90 to 115 ns, and one rank of a doubling
-# 145 to 255 ns, so they weigh 20 and 40 letter-shifts. An (order, length) pair's rotation
-# classes cost 1 to 2 us, and each order keeps a result of about 250 bytes, so a pair weighs
-# 1,000: a millionth power trips at once. The guard stands for 2 to 4.5 s of scanning.
+# A certified scan's work in letter-shifts: one letter at one shift of the XOR kernel. On a
+# 2-CPU x86-64 VM (Python 3.11), as host load varies, a chunk probe of the rank kernel, with
+# its share of widening runs, costs 68 to 108 ns, and one rank of a doubling 119 to 214 ns,
+# so they weigh 20 and 40 letter-shifts, and a letter-shift stands for 3 to 5 ns. (The XOR
+# kernel itself takes 1.5 to 4.4 ns a letter-shift from m = 50 on, but 25 to 62 ns at m = 3
+# on the Tribonacci word, whose many short runs it loops over.) An (order, length) pair's
+# rotation classes cost 1 to 2 us, and each order keeps a result of about 250 bytes, so a
+# pair weighs 1,000: a millionth power trips at once. A window the factor count keys costs
+# 320 to 750 ns (L = 2 to 1,000, on Tribonacci and on a^n b), 5 to 6.5 probes or 2.7 to 3.2
+# ranks, so it weighs 128. The guard stands for 1.5 to 3 s of counting and scanning.
 _SCAN_GUARD = 1 << 29
 _PROBE_WORK = 20
 _RANK_WORK = 40
 _RESULT_WORK = 1000
-# Windows the factor count may key. Only a long run of one directive letter makes
-# P much longer than k*L within the scan guard; a window costs 350 to 650 ns in pure
-# Python on the same VM (2^22 windows: 1.5 to 2.7 s).
-_COUNT_GUARD = 1 << 22
+_COUNT_WORK = 128
 # The factor count keys windows mod the Mersenne prime 2^61 - 1 in Python ints,
 # at most `_COUNT_BATCH` (or the factor length) windows at a time.
 _COUNT_BATCH = 1 << 12
@@ -238,13 +239,15 @@ def _classes_in_runs(prefix: Word, runs: list[tuple[int, int]], m: int, need: in
 
 
 def _scan_work(letters: int, m_min: int, m_max: int, l_max: int) -> int:
-    """What `scan_powers_multi` costs at orders 2..l_max and lengths m_min..m_max on `letters` letters, in letter-shifts.
+    """What a certified scan of `letters` letters at orders 2..l_max and lengths m_min..m_max costs, in letter-shifts.
 
-    At order 2 the need is m, so the shifts of chunk c are 2c - 1..4c - 2: below
-    `_LONG_CHUNK` each reads every letter, from there each probes one chunk in c,
-    and the ranks are doubled from `_LONG_CHUNK` letters up to the largest chunk.
+    The factor count keys the prefix's windows of length L = l_max * m_max, and
+    `scan_powers_multi` reads its shifts. At order 2 the need is m, so the shifts
+    of chunk c are 2c - 1..4c - 2: below `_LONG_CHUNK` each reads every letter,
+    from there each probes one chunk in c, and the ranks are doubled from
+    `_LONG_CHUNK` letters up to the largest chunk.
     """
-    work = (l_max - 1) * (m_max - m_min + 1) * _RESULT_WORK
+    work = (l_max - 1) * (m_max - m_min + 1) * _RESULT_WORK + max(0, letters - l_max * m_max + 1) * _COUNT_WORK
     c = 1
     while 2 * c - 1 <= m_max:
         shifts = max(0, min(m_max, 4 * c - 2) - max(m_min, 2 * c - 1) + 1)
@@ -358,7 +361,7 @@ def count_factors(words, length: int, enough: int, budget: int) -> tuple[int, in
 
 
 def _longest_admitted(m_min: int, m_max: int, l_max: int) -> int:
-    """The most letters a scan at these lengths and orders may read within `_SCAN_GUARD` (0 for none), by bisection.
+    """The most letters a certified scan at these lengths and orders may read within `_SCAN_GUARD` (0 for none), by bisection.
 
     `_scan_work` never falls as the letters grow, and each letter adds at least one
     letter-shift, so no more than `_SCAN_GUARD` letters are admitted.
@@ -380,9 +383,9 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
     is a proof, and more shows a word outside this family. Blocks are read
     from the least with k*L letters, the fewest that can hold them, each from
     where the one before stopped, since each is a prefix of the next. The
-    count reads no window past the longest prefix the scan guard admits, nor
-    more than its own budget, so a prefix too long to scan is refused before
-    its factors are counted.
+    count and the scan share one guard: the count keys no window past the
+    longest prefix whose count and scan the guard admits, so a prefix too long
+    is refused before its factors are counted.
     """
     if m_max < 1:
         raise RangeError(f"m_max must be >= 1 (got {m_max})")
@@ -397,8 +400,8 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
     target = (spec.k - 1) * length + 1
 
     def too_costly(letters: int) -> GuardExceeded:
-        """The refusal of a scan of at least `letters` letters, which the guard does not admit."""
-        return GuardExceeded(f"certifying lengths {m_min}..{m_max} at orders up to {l_max} scans at least "
+        """The refusal of a prefix of at least `letters` letters, which the guard does not admit."""
+        return GuardExceeded(f"certifying lengths {m_min}..{m_max} at orders up to {l_max} costs at least "
                              f"{_scan_work(letters, m_min, m_max, l_max)} letter-shifts, above the guard {_SCAN_GUARD}")
 
     def blocks():
@@ -414,12 +417,9 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
     admitted = _longest_admitted(m_min, m_max, l_max)
     if admitted < spec.k * length:
         raise too_costly(spec.k * length)
-    windows = admitted - length + 1
     try:
-        found, end = count_factors(blocks(), length, target, min(windows, _COUNT_GUARD))
+        found, end = count_factors(blocks(), length, target, admitted - length + 1)
     except GuardExceeded:
-        if windows >= _COUNT_GUARD:
-            raise
         raise too_costly(admitted + 1) from None  # every admitted window lacked a factor, so P is longer still
     level = table.level_reaching(end)
     if found > target:

@@ -1,13 +1,14 @@
 """The invariant battery: registry shape, healthy runs, and failure reporting."""
 
 import re
+import tracemalloc
 
 import pytest
 
 import episturm.checks as checks
 from episturm.blocks import BlockTable
 from episturm.checks import ALL_CHECKS, check_block_letters, run_battery
-from episturm.directive import DirectiveSpec, PalindromicPrefixTable, closure_prefix
+from episturm.directive import CLOSURE_CHECK_WORK, DirectiveSpec, PalindromicPrefixTable, closure_prefix, closure_reach
 from episturm.errors import CancellationError, InvariantViolation, VerificationError
 
 from conftest import SPEC_TEXTS
@@ -112,6 +113,29 @@ class TestClosureCaps:
         # only increment-words still compares closure prefixes, and it stops before prefix 1,450
         assert self.failing("k=2; d=4000; 1", 3, monkeypatch) == ["increment-words"]
         assert self.failing("k=2; d=4000; 1", 3, monkeypatch, first=1450) == []
+
+    def test_palindromic_prefixes_compare_up_to_the_closure_reach(self, monkeypatch):
+        # Tribonacci's palindromic prefix 20 (closure prefix 21) has 266,078 letters, within the closure's reach
+        spec = DirectiveSpec.parse(SPEC_TEXTS["tribonacci"])
+        table = BlockTable(spec)
+        assert table.palindromic_prefix_length(20) == 266_078 < closure_reach(spec, CLOSURE_CHECK_WORK)
+        monkeypatch.setattr(_CorruptedClosures, "first", 21)
+        monkeypatch.setattr(checks, "PalindromicPrefixTable", _CorruptedClosures)
+        checks.check_palindromic_prefixes(table, 19)
+        with pytest.raises(VerificationError, match="palindromic-prefixes at level 20: disagrees with the iterated-closure"):
+            checks.check_palindromic_prefixes(table, 20)
+
+    def test_increment_words_reads_the_closure_lengths_as_a_stream(self):
+        # the first directive entry of a^4000000 b closes 4,000,000 prefixes, but the closure's reach stops the
+        # check at prefix 1,449, so it keeps no list of their lengths
+        table = BlockTable(DirectiveSpec.parse("k=2; d=4000000; 1"))
+        tracemalloc.start()
+        try:
+            checks.check_increment_words(table, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_increment_words_stops_at_the_composed_letter_cap(self, monkeypatch):
         # Tribonacci increments 1..7 add up to 175 letters, and increment 7 is the

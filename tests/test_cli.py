@@ -495,14 +495,22 @@ class TestCensus:
         assert code == 3 and out == "" and "more than the 53 of a strict episturmian word" in err
 
     def test_factor_count_budget_exits_four(self, capsys, monkeypatch):
-        # a^2000 b holds aa and ab in its 2000 windows; ba first appears in the next block, at window 2001
-        monkeypatch.setattr(oracle, "_COUNT_GUARD", 2001)
+        # a^2000 b holds aa and ab in its 2000 windows; ba first appears in the next block, at window 2001, so
+        # P = a^2000 b a costs one XOR shift of each of its 2002 letters, one result and 2001 keyed windows
+        scan = 2002 + oracle._RESULT_WORK
+        work = scan + 2001 * oracle._COUNT_WORK
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", work)
         code, out, _ = run_cli(capsys, "census", "--spec", "k=2; d=2000; 1", "--m", "1", "--verify", "--json")
         assert code == 0 and json_rows(out)[-2]["scanned_letters"] == 2002
-        monkeypatch.setattr(oracle, "_COUNT_GUARD", 2000)
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", work - 1)
         code, out, err = run_cli(capsys, "census", "--spec", "k=2; d=2000; 1", "--m", "1", "--verify")
         assert code == 4 and out == ""
-        assert err == "episturm census: counting the factors of length 2 reads more than the budget of 2000 windows\n"
+        assert err == (f"episturm census: certifying lengths 1..1 at orders up to 2 costs at least {work} letter-shifts,"
+                       f" above the guard {work - 1}\n")
+        # one guard prices the count and the scan: covering the scan of P alone is not enough
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", scan)
+        code, out, err = run_cli(capsys, "census", "--spec", "k=2; d=2000; 1", "--m", "1", "--verify")
+        assert code == 4 and out == "" and "letter-shifts, above the guard" in err
 
 
 class TestVerify:

@@ -318,12 +318,18 @@ class TestCertificates:
             with pytest.raises(RangeError, match="m_min"):
                 certified_scan(trib, 13, 2, m_min=m_min)
 
+    @staticmethod
+    def work(letters: int, shifts: int, results: int, length: int) -> int:
+        """A certified scan's price: `shifts` XOR shifts of each letter, `results` (order, length) results, and a
+        keyed window per length-`length` window of the `letters` letters: the guard that admits exactly them."""
+        return shifts * letters + results * oracle._RESULT_WORK + (letters - length + 1) * oracle._COUNT_WORK
+
     def test_single_length_guard_reads_that_shift_only(self, monkeypatch):
-        # one XOR shift of the 106 scanned letters and one (order, length) result
+        # one XOR shift of the 106 scanned letters, one (order, length) result and 81 keyed windows of length 26
         spec = DirectiveSpec.parse("k=3; d=; 1")
-        monkeypatch.setattr(oracle, "_SCAN_GUARD", 106 + oracle._RESULT_WORK)
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", self.work(106, 1, 1, 26))
         assert certified_scan(BlockTable(spec), 13, 2, m_min=13)[0].scanned_letters == 106
-        monkeypatch.setattr(oracle, "_SCAN_GUARD", 106 + oracle._RESULT_WORK - 1)
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", self.work(106, 1, 1, 26) - 1)
         with pytest.raises(GuardExceeded, match="letter-shifts"):
             certified_scan(BlockTable(spec), 13, 2, m_min=13)
 
@@ -333,21 +339,21 @@ class TestCertificates:
     def test_scan_cost_guard_trips_before_any_block_is_built(self, monkeypatch):
         table = BlockTable(DirectiveSpec.parse("k=3; d=; 1"))
         # lengths up to 13 at order 2: L = 26, and a prefix with all 2L + 1 = 53 factors has at least 3L = 78 letters,
-        # each read at 13 XOR shifts, with 13 (order, length) results
-        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * 78 + 13 * oracle._RESULT_WORK - 1)
+        # each read at 13 XOR shifts, with 13 (order, length) results and 53 keyed windows
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", self.work(78, 13, 13, 26) - 1)
         monkeypatch.setattr(table, "block", lambda n: pytest.fail("built a block"))
-        with pytest.raises(GuardExceeded, match="letter-shifts"):
+        with pytest.raises(GuardExceeded, match=f"costs at least {self.work(78, 13, 13, 26)} letter-shifts"):
             certified_scan(table, 13, 2)
 
     @pytest.mark.parametrize(
-        "guard, highest_built",
+        "letters, highest_built",
         [
-            (13 * 81 - 1, 7),  # block 7 (81 letters) lacks a factor, so the prefix is longer still
-            (13 * 106 - 1, 8),  # block 8 holds them all in its first 106 letters
+            (81, 7),  # block 7 (81 letters) lacks a factor, so the prefix is longer still
+            (106, 8),  # block 8 holds them all in its first 106 letters
         ],
     )
-    def test_scan_cost_guard_reads_each_short_block_and_the_prefix(self, monkeypatch, guard, highest_built):
-        guard += 13 * oracle._RESULT_WORK  # the 13 (order, length) results, on top of 13 XOR shifts of each length
+    def test_scan_cost_guard_reads_each_short_block_and_the_prefix(self, monkeypatch, letters, highest_built):
+        # one letter-shift short of `letters` letters: 13 XOR shifts of each, 13 results, a keyed window of each
         spec = DirectiveSpec.parse("k=3; d=; 1")
         cert = certified_scan(BlockTable(spec), 13, 2)[0]
         assert (cert.block_level, cert.scanned_letters) == (8, 106)
@@ -355,16 +361,17 @@ class TestCertificates:
         built = []
         block = table.block
         monkeypatch.setattr(table, "block", lambda n: built.append(n) or block(n))
-        monkeypatch.setattr(oracle, "_SCAN_GUARD", guard)
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", self.work(letters, 13, 13, 26) - 1)
         with pytest.raises(GuardExceeded, match="letter-shifts"):
             certified_scan(table, 13, 2)
         assert max(built) == highest_built
 
     def test_scan_cost_guard_counts_every_order(self, monkeypatch):
-        # the orders share the XOR shifts, but each keeps a result per length, and a millionth power trips at once
+        # the orders share the XOR shifts and the count, but each keeps a result per length, and a millionth power
+        # trips at once
         spec = DirectiveSpec.parse("k=3; d=; 1")
         cert = certified_scan(BlockTable(spec), 13, 3)[0]
-        work = 13 * cert.scanned_letters + 2 * 13 * oracle._RESULT_WORK
+        work = self.work(cert.scanned_letters, 13, 2 * 13, 39)
         monkeypatch.setattr(oracle, "_SCAN_GUARD", work)
         assert certified_scan(BlockTable(spec), 13, 3)[0] == cert
         monkeypatch.setattr(oracle, "_SCAN_GUARD", work - 1)
@@ -377,29 +384,33 @@ class TestCertificates:
             certified_scan(table, 1, 10**6)
 
     @pytest.mark.parametrize(
-        "budget, highest_built",
+        "windows, highest_built",
         [
             (55, 7),  # block 7 (81 letters) has 56 windows of length 26: the count reads 55 and refuses the 56th
             (80, 8),  # block 8 holds the last new factor at window 80, read on from the 57th, one past the budget
         ],
     )
-    def test_factor_count_stops_at_its_window_budget(self, monkeypatch, budget, highest_built):
+    def test_factor_count_stops_at_its_window_budget(self, monkeypatch, windows, highest_built):
+        # a guard that admits windows + 25 letters gives the count exactly `windows` windows of length 26
         spec = DirectiveSpec.parse("k=3; d=; 1")
-        monkeypatch.setattr(oracle, "_COUNT_GUARD", 81)  # windows 0..80: the batch is cut at the budget, not refused
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", self.work(106, 13, 13, 26))  # windows 0..80: the batch is cut there
         assert certified_scan(BlockTable(spec), 13, 2)[0].scanned_letters == 106
         table = BlockTable(spec)
-        built = []
-        block = table.block
+        built, budgets = [], []
+        block, count = table.block, oracle.count_factors
         monkeypatch.setattr(table, "block", lambda n: built.append(n) or block(n))
-        monkeypatch.setattr(oracle, "_COUNT_GUARD", budget)
-        with pytest.raises(GuardExceeded, match=f"reads more than the budget of {budget} windows"):
+        monkeypatch.setattr(oracle, "count_factors", lambda *args: budgets.append(args[-1]) or count(*args))
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", self.work(windows + 25, 13, 13, 26))
+        with pytest.raises(GuardExceeded, match=f"costs at least {self.work(windows + 26, 13, 13, 26)} letter-shifts"):
             certified_scan(table, 13, 2)
+        assert budgets == [windows]
         assert max(built) == highest_built
 
     @pytest.mark.parametrize("letters", [106, 105])
     def test_the_count_reads_no_letter_past_what_the_scan_guard_admits(self, monkeypatch, letters):
-        # 13 XOR shifts of each letter and 13 (order, length) results: the guard admits `letters` letters, so the
-        # count may key windows 0..letters - 26; the certificate needs 106 letters, the last new factor at window 80
+        # 13 XOR shifts of each letter, 13 (order, length) results and a keyed window of each: the guard admits
+        # `letters` letters, so the count may key windows 0..letters - 26; the certificate needs 106 letters, the
+        # last new factor at window 80
         class Spy(str):
             def __getitem__(self, key):
                 read.append(key.stop)
@@ -410,7 +421,7 @@ class TestCertificates:
         block, count = table.block, oracle.count_factors
         monkeypatch.setattr(table, "block", lambda n: Spy(block(n)))
         monkeypatch.setattr(oracle, "count_factors", lambda *args: budgets.append(args[-1]) or count(*args))
-        monkeypatch.setattr(oracle, "_SCAN_GUARD", 13 * letters + 13 * oracle._RESULT_WORK)
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", self.work(letters, 13, 13, 26))
         if letters == 106:
             assert certified_scan(table, 13, 2)[0].scanned_letters == 106
         else:
