@@ -31,7 +31,7 @@ def run(args, rep: Reporter) -> int:
             measured = max_fractional_power(host, table.block(n))
             front = greatest_power_prefix(host, table.block(n))
             blk = block_index(table, n)
-            ok = measured.as_fraction() == blk.as_fraction() and front == table.power_prefix(n + 1)
+            ok = measured == blk and front == table.power_prefix(n + 1)
             rep.row(
                 "verification",
                 {

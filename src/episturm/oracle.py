@@ -13,7 +13,8 @@ regex for the next nonzero byte. From there on, every long enough run holds
 an aligned chunk prefix[jc : jc + c], so the scan compares only the chunks:
 Karp-Miller-Rosenberg ranks (STOC 1972), built by doubling, label each
 length-c window exactly, one comparison decides a chunk, and each group of
-equal chunks is widened to its run by galloping slice comparisons. Every
+equal chunks is widened to its run by forward galloping slice comparisons,
+on the prefix for its end and on the prefix reversed for its start. Every
 factor of a period-m run is a rotation of its first m letters, so a run with
 cnt qualifying starts contributes rotations 0..cnt-1 of one word, and each
 length keeps a few rotation classes, never the bases themselves. The orders
@@ -199,16 +200,18 @@ def _doubled(ranks: list, width: int) -> list:
     return list(map(first.setdefault, zip(ranks, ranks[width:]), count()))
 
 
-def _long_runs(prefix: Word, ranks: list, c: int, m: int) -> list[tuple[int, int]]:
+def _long_runs(prefix: Word, mirror: Word, ranks: list, c: int, m: int) -> list[tuple[int, int]]:
     """Maximal runs of prefix[i] == prefix[i + m] that hold an aligned chunk prefix[jc : jc + c], as [start, end) pairs.
 
     Every run of at least 2c - 1 letters holds one. ranks labels the length-c windows,
     so one comparison decides a chunk; each group of equal chunks is widened to its run
-    by galloping slice comparisons, backward from its first chunk and forward from its last.
+    by forward gallops of `_run_end`: on the prefix from its last chunk for the run's end,
+    and on mirror = prefix[::-1] from its first chunk for its start, since a run [s, e)
+    of the prefix is the run [back - e, back - s) of the mirror, with back = len(prefix) - m.
     """
-    stop = len(prefix) - m - c + 1
+    stop, back = len(prefix) - m - c + 1, len(prefix) - m
     equal = bytes(map(eq, ranks[0:stop:c], ranks[m:m + stop:c]))
-    return [(_run_start(prefix, group.start() * c, m), _run_end(prefix, group.end() * c, m))
+    return [(back - _run_end(mirror, back - group.start() * c, m), _run_end(prefix, group.end() * c, m))
             for group in re.finditer(b"\x01+", equal)]
 
 
@@ -275,7 +278,7 @@ def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int) -> dict[int,
         raise RangeError(f"prefix of {len(prefix)} letters is too short for order {orders[-1]} at length {m_max}")
     buf = prefix.encode("ascii")
     whole = int.from_bytes(buf, "little")
-    ranks, width = None, 0
+    ranks, width, mirror = None, 0, None
     results = {l: ScanResult(l, {}) for l in orders}
     for m in range(m_min, m_max + 1):
         need = (orders[0] - 1) * m
@@ -283,11 +286,11 @@ def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int) -> dict[int,
         if c < _LONG_CHUNK:
             runs = _short_runs(whole, len(buf), m, need)
         else:
-            if ranks is None:
-                ranks, width = _window_ranks(buf, _LONG_CHUNK), _LONG_CHUNK
+            if ranks is None:  # the XOR kernel reads neither, so a scan below the rank kernel builds neither
+                ranks, width, mirror = _window_ranks(buf, _LONG_CHUNK), _LONG_CHUNK, prefix[::-1]
             while width < c:
                 ranks, width = _doubled(ranks, width), 2 * width
-            runs = _long_runs(prefix, ranks, c, m)
+            runs = _long_runs(prefix, mirror, ranks, c, m)
         for l in orders:  # ascending, so each order reads only the runs that reached the one before
             need = (l - 1) * m
             runs = [run for run in runs if run[1] - run[0] >= need]
@@ -437,31 +440,6 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
 def certify_prefix(table: BlockTable, m_max: int, l_max: int) -> PrefixCertificate:
     """The certificate alone: a block holding every factor of length l_max * m_max."""
     return certified_scan(table, m_max, l_max)[0]
-
-
-def _run_start(w: Word, i: int, m: int) -> int:
-    """The start of the period-m run ending at i: the least s <= i with w[s:i] == w[s + m:i + m].
-
-    The backward twin of `_run_end`: slices doubling leftward from i until one
-    differs, then halving onto its last difference.
-    """
-    step = 1
-    while i > 0:
-        step = min(step, i)
-        if w[i - step:i] != w[i - step + m:i + m]:
-            break
-        i -= step
-        step *= 2
-    else:
-        return 0
-    while step > 1:  # the last difference lies in w[i - step : i]
-        half = step // 2
-        if w[i - half:i] == w[i - half + m:i + m]:
-            i -= half
-            step -= half
-        else:
-            step = half
-    return i
 
 
 def _run_end(w: Word, i: int, m: int) -> int:

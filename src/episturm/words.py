@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CancellationError, RangeError
 
-if TYPE_CHECKING:  # imported inside as_fraction: only comparisons and verifications read the value
+if TYPE_CHECKING:  # imported inside as_fraction, the one reader of the value as a Fraction
     from fractions import Fraction
 
 Word = str
@@ -158,7 +158,7 @@ class RationalIndex(_IndexFields):
         return cls(*fields)
 
     def as_fraction(self) -> Fraction:
-        from fractions import Fraction  # only comparisons and --verify read the value, so a plain start skips the import
+        from fractions import Fraction  # no comparison reads it, so no CLI start imports fractions
 
         return self.whole + Fraction(self.num, self.den)
 
@@ -170,22 +170,22 @@ class RationalIndex(_IndexFields):
     def __lt__(self, other: "RationalIndex"):
         if not isinstance(other, RationalIndex):
             return NotImplemented
-        return self.as_fraction() < other.as_fraction()
+        return self.length * other.den < other.length * self.den
 
     def __le__(self, other: "RationalIndex"):
         if not isinstance(other, RationalIndex):
             return NotImplemented
-        return self.as_fraction() <= other.as_fraction()
+        return self.length * other.den <= other.length * self.den
 
     def __gt__(self, other: "RationalIndex"):
         if not isinstance(other, RationalIndex):
             return NotImplemented
-        return self.as_fraction() > other.as_fraction()
+        return self.length * other.den > other.length * self.den
 
     def __ge__(self, other: "RationalIndex"):
         if not isinstance(other, RationalIndex):
             return NotImplemented
-        return self.as_fraction() >= other.as_fraction()
+        return self.length * other.den >= other.length * self.den
 
     def __str__(self) -> str:
         if self.num == 0:

@@ -6,7 +6,9 @@ tracer fails here, in the test suite, when one of those names is deleted or
 renamed.
 """
 
+import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -55,7 +57,13 @@ def test_tracer_wraps_and_restores_every_entry_point():
     ids=["census-verify", "verify"],
 )
 def test_tracer_sees_entry_points_the_cli_imports_lazily(argv, span):
-    """The CLI imports the oracle and the battery inside its subcommands, so it must call the traced names."""
+    """The CLI imports the oracle and the battery inside its subcommands, so it must call the traced names.
+
+    The tracer rebinds only names in modules already loaded, so the handler is
+    imported first: one imported under the tracer would keep its wrappers after
+    uninstall and feed spans to a dead tracer.
+    """
+    importlib.import_module(f"episturm.commands.{argv[0]}")
     tracer = load("layers").Tracer()
     tracer.install()
     try:
@@ -63,3 +71,15 @@ def test_tracer_sees_entry_points_the_cli_imports_lazily(argv, span):
     finally:
         tracer.uninstall()
     assert any(name.startswith(span) for name, *_ in tracer.spans)
+    leaks = [f"{name}.{attr}" for name, module in list(sys.modules.items()) if name.startswith("episturm.commands")
+             for attr in wrapped(module)]
+    assert leaks == []
+    spans = len(tracer.spans)
+    assert cli.main(argv) == 0
+    assert len(tracer.spans) == spans
+
+
+def wrapped(module) -> list[str]:
+    """The module's function attributes that are not the function their defining module holds under that name."""
+    return [attr for attr, value in vars(module).items()
+            if inspect.isfunction(value) and getattr(sys.modules.get(value.__module__), value.__name__, None) is not value]

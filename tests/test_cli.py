@@ -628,7 +628,7 @@ from episturm import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
 modules = sorted(name[len("episturm."):] for name in sys.modules if name.startswith("episturm."))
-print(json.dumps({"code": code, "modules": modules, **{name: name in sys.modules for name in ("numpy", "dataclasses", "fractions")}}))
+print(json.dumps({"code": code, "modules": modules, **{name: name in sys.modules for name in ("numpy", "dataclasses", "fractions", "decimal")}}))
 """
 
 # What every start loads: the dispatcher, the helpers its handlers share, and the errors.
@@ -668,8 +668,9 @@ class TestNumpyStaysUnloaded:
 
     No subcommand loads numpy: the oracle's all-shift scan and its factor
     count, and the split check of `verify`, run in pure Python. No subcommand
-    loads dataclasses, and only a verification reads a RationalIndex as a
-    fraction.
+    loads dataclasses, nor fractions and the decimal module it imports: the
+    index checks compare a RationalIndex's integer fields, never its value as
+    a fraction.
     """
 
     @pytest.mark.parametrize(
@@ -693,7 +694,7 @@ class TestNumpyStaysUnloaded:
         start = _start(*argv)
         assert (start["code"], start["numpy"], start["dataclasses"]) == (code, False, False)
         assert set(start["modules"]) == _expected_modules(argv)
-        assert not start["fractions"] or "--verify" in argv
+        assert (start["fractions"], start["decimal"]) == (False, False)
 
     def test_importing_the_package_loads_no_numpy(self):
         """Nor any submodule: each export is imported on first access."""
@@ -706,12 +707,14 @@ class TestNumpyStaysUnloaded:
         start = _start("census", "--spec", TRIB, *lengths, "--verify")
         assert (start["code"], start["numpy"], start["dataclasses"]) == (0, False, False)
         assert set(start["modules"]) == _expected_modules(("census", "--verify"))
+        assert (start["fractions"], start["decimal"]) == (False, False)
 
     def test_verify_loads_no_numpy(self):
         # the two-palindrome-split check reads border progressions, with no hash
         start = _start("verify", "--spec", TRIB, "--n", "3")
         assert (start["code"], start["numpy"], start["dataclasses"]) == (0, False, False)
         assert set(start["modules"]) == _expected_modules(("verify",))
+        assert (start["fractions"], start["decimal"]) == (False, False)
 
     def test_importing_the_cli_loads_no_math_module(self):
         """The handlers' shared helpers import what they read when they are called."""

@@ -307,11 +307,17 @@ class TestRationalIndex:
         assert RationalIndex(2, 1, 4) == RationalIndex(2, 1, 4)
         assert RationalIndex(2, 1, 4) != RationalIndex(2, 1, 8)
 
-    def test_ordering_is_by_value(self):
+    @given(*2 * (st.integers(-3, 3), st.integers(-30, 30), st.integers(1, 12)))
+    @settings(max_examples=300, deadline=None)
+    def test_ordering_is_by_value(self, w1, n1, d1, w2, n2, d2):
+        """Negative numerators, mixed denominators, equal values over different bases: all four operators as Fractions."""
         assert RationalIndex(2, 1, 4) < RationalIndex(2, 3, 4)
         assert RationalIndex(2, 1, 4) <= RationalIndex(2, 2, 8)
         assert RationalIndex(2, 2, 8) >= RationalIndex(2, 1, 4)
         assert RationalIndex(3, 0, 1) > RationalIndex(2, 3, 4)
+        a, b = RationalIndex(w1, n1, d1), RationalIndex(w2, n2, d2)
+        x, y = a.as_fraction(), b.as_fraction()
+        assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
 
     def test_as_fraction_and_str(self):
         from fractions import Fraction
