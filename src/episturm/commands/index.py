@@ -16,6 +16,8 @@ def run(args, rep: Reporter) -> int:
     if args.all_up_to is not None and args.all_up_to < 1:
         raise RangeError(f"index levels start at 1 (got --all-up-to {args.all_up_to})")
     levels = [args.n] if args.n is not None else range(1, args.all_up_to + 1)
+    if args.verify:
+        from ..oracle import greatest_power_prefix, max_fractional_power
     for n in levels:
         p = index_payload(table, n)
         rep.row(
@@ -25,11 +27,9 @@ def run(args, rep: Reporter) -> int:
             f" / block index {p['block_index']['text']}",
         )
         if args.verify:
-            from ..oracle import greatest_power_prefix, max_fractional_power
-
-            host = table.block(n + spec.k + 3)
-            measured = max_fractional_power(host, table.block(n))
-            front = greatest_power_prefix(host, table.block(n))
+            host, block = table.block(n + spec.k + 3), table.block(n)
+            measured = max_fractional_power(host, block)
+            front = greatest_power_prefix(host, block)
             blk = block_index(table, n)
             ok = measured == blk and front == table.power_prefix(n + 1)
             rep.row(

@@ -31,8 +31,10 @@ expands the classes into word sets for it.
 
 `max_fractional_power` and `greatest_power_prefix` read one shift only: the
 period-m run through an occurrence of the base ends where galloping slice
-comparisons find the first difference, and each run is measured once, from
-its first occurrence.
+comparisons find the first difference. `max_fractional_power` measures only
+runs that beat the longest so far: after a run of best letters it searches,
+from that run's end, for the first best + 1 letters of base^∞, until that
+needle grows past a share of the letters left.
 """
 
 from __future__ import annotations
@@ -69,6 +71,13 @@ _COUNT_BATCH = 1 << 12
 _FACTOR_MODULUS = (1 << 61) - 1
 _FACTOR_BASE = 1_000_003
 _LONG_CHUNK = 128  # the smallest chunk the rank kernel reads: below it, one XOR per shift is cheaper
+# `str.find` preprocesses its needle in time linear in its length (two-way's critical factorization,
+# about 4 ns a letter on a 2-CPU x86-64 VM), so `max_fractional_power` searches for base itself once
+# its longer needle would pass an eighth of the letters left. On the Fibonacci word's index hosts,
+# where the best run of block n spans about a third of block n + 5, the longer needles took 1.7 times
+# as long as base searches; with the cap they take the same, and k5 levels 1..15 still take a quarter
+# of the time.
+_NEEDLE_SHARE = 8
 
 
 def _spans(pieces, period: int) -> tuple[tuple[int, int], ...]:
@@ -469,19 +478,34 @@ def _run_end(w: Word, i: int, m: int) -> int:
 
 
 def max_fractional_power(prefix: Word, base: Word) -> RationalIndex:
-    """Largest exponent (possibly fractional) with base**exponent a factor of prefix."""
+    """Largest exponent (possibly fractional) with base**exponent a factor of prefix.
+
+    The host is read left to right once. A power longer than the best run so
+    far, of best letters, begins with the first best + 1 letters of base^∞,
+    so the next search looks for that needle, the best run and the letter
+    base[best % m] that continues it, and `str.find` skips the shorter runs
+    at C speed. A found needle gives period m over its letters, so the
+    gallop for the run's end starts past them. Once that needle would pass a
+    `_NEEDLE_SHARE`-th of the letters left, the search is for base itself
+    and measures every run. Each search restarts at max(end, i + 1): an
+    occurrence j with i < j < end lies inside the run just measured and
+    reaches only its end, m + end - j letters.
+    """
     if not base:
         raise RangeError("base must be nonempty")
-    i = prefix.find(base)
+    m = len(base)
+    needle = base
+    i = prefix.find(needle)
     if i < 0:
         raise NotAFactorError("base does not occur in the prefix")
-    m = len(base)
-    best = 0
+    best = start = 0
     while i >= 0:
-        end = _run_end(prefix, i, m)
-        best = max(best, m + end - i)
-        # an occurrence before `end` lies in the run just measured and reaches only as far
-        i = prefix.find(base, max(end, i + 1))
+        end = _run_end(prefix, i + len(needle) - m, m)
+        if m + end - i > best:
+            best, start = m + end - i, i
+        i = max(end, i + 1)
+        needle = prefix[start:start + best] + base[best % m] if _NEEDLE_SHARE * best < len(prefix) - i else base
+        i = prefix.find(needle, i)
     return RationalIndex(best // m, best % m, m)
 
 

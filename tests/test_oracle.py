@@ -4,7 +4,7 @@ import random
 from itertools import takewhile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from episturm.blocks import BlockTable
 from episturm.directive import CLOSURE_CHECK_WORK, DirectiveSpec, closure_lengths, closure_prefix, closure_reach
@@ -186,6 +186,25 @@ def periodic_words(draw, limit=700, period=140):
     size = draw(st.integers(min_value=2 * len(u), max_value=limit))
     v = draw(st.text(alphabet="abc", max_size=20))
     return (h + (u * (size // len(u) + 1))[:size] + v)[:limit]
+
+
+@st.composite
+def run_hosts(draw):
+    """(host, base): runs of period |base| cut from base^∞ at a drawn phase and length, in rising, falling or drawn
+    order of length; a letter outside the base parts them or, in some hosts, nothing does, so a run may begin
+    inside the last m letters of the one before. The host may end inside its last run."""
+    base = draw(st.text(alphabet="ab", min_size=1, max_size=6))
+    m = len(base)
+    lengths = draw(st.lists(st.integers(min_value=0, max_value=5 * m + 3), min_size=1, max_size=40))
+    order = draw(st.sampled_from(("rising", "falling", "drawn")))
+    if order != "drawn":
+        lengths.sort(reverse=order == "falling")
+    power = base * (max(lengths) // m + 2)
+    runs = []
+    for r in lengths:
+        phase = draw(st.integers(0, m - 1))
+        runs.append(power[phase:phase + r])
+    return draw(st.sampled_from(("", "c"))).join(runs) + draw(st.sampled_from(("", "c"))), base
 
 
 class TestChunkFilter:
@@ -517,6 +536,28 @@ class TestIndexMeasurement:
         for m in (1, 2, 5, 17, 64):
             _check_one_shift(w, w[len(w) // 3:len(w) // 3 + m])
             _check_one_shift(w, w[:m])
+
+    @given(run_hosts())
+    @example(("ababaa", "aba"))  # the longer run begins inside the last m letters of the first
+    @example(("a" + "c" * 9 + "aa", "a"))  # a run just one letter longer than the best, found by the longer needle
+    @settings(max_examples=200, deadline=None)
+    def test_runs_of_one_base_match_a_letter_loop(self, host_and_base):
+        _check_one_shift(*host_and_base)
+
+    @pytest.mark.parametrize(
+        "prefix, measured, answer",
+        [
+            ("abc" * 100_000, 1, RationalIndex(1, 0, 2)),  # 100,000 runs of "ab", none longer than the first
+            ("abc" * 50_000 + "abababc" + "abc" * 50_000, 2, RationalIndex(3, 0, 2)),  # one longer run, midway
+        ],
+        ids=["no-longer-run", "one-longer-run"],
+    )
+    def test_only_runs_longer_than_the_best_are_measured(self, monkeypatch, prefix, measured, answer):
+        calls = []
+        run_end = oracle._run_end
+        monkeypatch.setattr(oracle, "_run_end", lambda *args: calls.append(args) or run_end(*args))
+        assert max_fractional_power(prefix, "ab") == answer
+        assert len(calls) == measured
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_never_exceeds_the_closed_form_on_certified_prefixes(self, tables, certificates, name):
