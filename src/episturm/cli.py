@@ -6,8 +6,8 @@ Exit codes: 0 success, 2 usage or parse problem, 3 verification mismatch,
 4 resource guard. EPISTURM_GUARD overrides the block-level guard.
 
 This module only parses and dispatches: each subcommand's handler is a module
-of `episturm.commands`, imported once the arguments name it, so a start
-compiles only that handler and the modules it calls.
+of `episturm.commands`, imported once the arguments name it and handed the
+parsed --spec, so a start compiles only that handler and the modules it calls.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ def _parser() -> argparse.ArgumentParser:
     common(p, n=True, full=True)
 
     p = sub.add_parser("partition", help="tiling of a block by the level-n window blocks")
-    common(p, n=True, verify=True)
+    common(p, n=True)
+    p.add_argument("--verify", action="store_true", help="check that splitting each level-(n+1) tile one level down gives this tiling")
     p.add_argument("--m", type=int, help="host block level to tile (default: two above --n)")
 
     p = sub.add_parser("index", help="prefix and block indices with witnesses")
@@ -104,7 +105,9 @@ def main(argv=None) -> int:
         if required_n and args.n is None:
             raise ParseError(f"{args.command} needs --n")
         args.level_guard = _level_guard()
-        code = importlib.import_module(f"{__package__}.commands.{args.command}").run(args, rep)
+        handler = importlib.import_module(f"{__package__}.commands.{args.command}")
+        from .directive import DirectiveSpec  # every handler loads it; importing the CLI alone loads no math module
+        code = handler.run(args, DirectiveSpec.parse(args.spec), rep)
         rep.status(True)
         return code
     except _USAGE_ERRORS as exc:

@@ -1,10 +1,11 @@
 """The CLI's subcommand handlers, one module each, and the helpers they share.
 
-`episturm.cli` parses the arguments, then imports only the chosen
-subcommand's module, whose `run(args, rep)` prints its rows through a
-`Reporter` and returns the exit code. This module imports no math module
-when it loads: each helper below imports what it reads when it is called,
-so a start compiles only its handler and the modules that handler calls.
+`episturm.cli` parses the arguments, imports only the chosen subcommand's
+module and parses the directive, and that module's `run(args, spec, rep)`
+prints its rows through a `Reporter` and returns the exit code. This module
+imports no math module when it loads: each helper below imports what it
+reads when it is called, so a start compiles only its handler and the
+modules that handler calls.
 """
 
 from __future__ import annotations

@@ -7,10 +7,12 @@ from ..words import shorten
 from . import Reporter, build_table, index_payload, word_fields
 
 
-def run(args, rep: Reporter) -> int:
-    spec = DirectiveSpec.parse(args.spec)
+def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
     table = build_table(spec, args.level_guard)
     n = args.n
+    if n >= 0:  # refuse the block and its palindromic prefix, in the order they are built, before building either
+        table.check_size(f"block at level {n}", table.block_length(n))
+        table.check_size(f"palindromic prefix at level {n}", table.palindromic_prefix_length(n))
     w = table.block(n)
     first = table.first_letter_count(n)
     rep.row(

@@ -58,8 +58,7 @@ def _census_payload(table: BlockTable, row, full: bool) -> tuple[dict, str]:
     return payload, text
 
 
-def run(args, rep: Reporter) -> int:
-    spec = DirectiveSpec.parse(args.spec)
+def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
     table = build_table(spec, args.level_guard)
     if (args.m is None) == (args.all_up_to is None):
         raise ParseError("pass exactly one of --m or --all-up-to")

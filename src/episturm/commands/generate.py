@@ -14,10 +14,9 @@ from . import Reporter
 _GENERATE_GUARD = 1 << 25
 
 
-def run(args, rep: Reporter) -> int:
+def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
     if args.length < 0:
         raise RangeError(f"length must be >= 0 (got {args.length})")
-    spec = DirectiveSpec.parse(args.spec)
     if args.length > closure_reach(spec, _GENERATE_GUARD):
         raise GuardExceeded(f"length {args.length}: the closure steps scan more than the guard of {_GENERATE_GUARD} letters")
     word = closure_prefix(spec, args.length)

@@ -8,8 +8,7 @@ from ..powers import block_index
 from . import Reporter, build_table, index_payload, rational_fields
 
 
-def run(args, rep: Reporter) -> int:
-    spec = DirectiveSpec.parse(args.spec)
+def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
     table = build_table(spec, args.level_guard)
     if (args.n is None) == (args.all_up_to is None):
         raise ParseError("pass exactly one of --n or --all-up-to")

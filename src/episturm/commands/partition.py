@@ -19,10 +19,9 @@ def _run_lengths(levels) -> str:
     return " ".join(f"{level}x{count}" if count > 1 else f"{level}" for level, count in runs[:40]) + (" ..." if len(runs) > 40 else "")
 
 
-def run(args, rep: Reporter) -> int:
+def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
     from ..partition import level_partition, refined_levels, tile_count
 
-    spec = DirectiveSpec.parse(args.spec)
     table = build_table(spec, args.level_guard)
     n = args.n
     upto = args.m if args.m is not None else n + 2

@@ -8,8 +8,7 @@ from ..words import shorten
 from . import Reporter, build_table
 
 
-def run(args, rep: Reporter) -> int:
-    spec = DirectiveSpec.parse(args.spec)
+def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
     table = build_table(spec, args.level_guard)
     n = args.n
     size = table.block_length(n)

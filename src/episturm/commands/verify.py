@@ -13,8 +13,7 @@ from . import Reporter, build_table
 _BATTERY_LETTER_GUARD = 1 << 25
 
 
-def run(args, rep: Reporter) -> int:
-    spec = DirectiveSpec.parse(args.spec)
+def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
     table = build_table(spec, args.level_guard)
     n_max = args.n if args.n is not None else 8
     if n_max < 0:

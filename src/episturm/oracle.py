@@ -59,7 +59,8 @@ from .words import RationalIndex, Word
 # rotation classes cost 1 to 2 us, and each order keeps a result of about 250 bytes, so a
 # pair weighs 1,000: a millionth power trips at once. A window the factor count keys costs
 # 320 to 750 ns (L = 2 to 1,000, on Tribonacci and on a^n b), 5 to 6.5 probes or 2.7 to 3.2
-# ranks, so it weighs 128. The guard stands for 1.5 to 3 s of counting and scanning.
+# ranks, so it weighs 128. The guard stands for 2.5 to 4 s of counting and scanning: at the
+# Tribonacci limit (lengths 1..46,438, 503,619 letters) `certified_scan` took 2.5 to 3.9 s.
 _SCAN_GUARD = 1 << 29
 _PROBE_WORK = 20
 _RANK_WORK = 40
@@ -324,7 +325,7 @@ def naive_scan(prefix: Word, l: int, m_min: int, m_max: int) -> dict[int, frozen
     return out
 
 
-def count_factors(words, length: int, enough: int, budget: int) -> tuple[int, int]:
+def count_factors(words, length: int, enough: int) -> tuple[int, int]:
     """(distinct keys of the length-`length` factors counted, end of the shortest prefix holding them).
 
     `words` yields ever longer prefixes of one word; each is read on from where
@@ -333,9 +334,8 @@ def count_factors(words, length: int, enough: int, budget: int) -> tuple[int, in
     window to window in pure Python; equal factors get equal keys, so a
     collision can only lower the count. Windows are keyed max(2^12, length) at
     a time, in order, each batch encoding only the letters it reads; counting
-    stops after the batch that brings it to `enough`. At most `budget` windows
-    are read: the batch that reaches it is cut there, and needing one more
-    raises GuardExceeded.
+    stops after the batch that brings it to `enough`, or when `words` runs out,
+    short of it: the caller decides what a short count means.
     """
     modulus, base = _FACTOR_MODULUS, _FACTOR_BASE
     drop = modulus - pow(base, length, modulus)  # adding drop * w[i] removes w[i] from the window after it
@@ -348,9 +348,7 @@ def count_factors(words, length: int, enough: int, budget: int) -> tuple[int, in
     lo, latest = 0, None  # latest: (start, keys, new keys) of the last batch that found a factor
     for w in words:
         while len(seen) < enough and lo <= len(w) - length:
-            size = min(width, len(w) - length + 1 - lo, budget - lo)
-            if size <= 0:
-                raise GuardExceeded(f"counting the factors of length {length} reads more than the budget of {budget} windows")
+            size = min(width, len(w) - length + 1 - lo)
             codes = memoryview(w[lo:lo + size + length - 1].encode("utf-32-le")).cast("I")
             # window i + 1 keys B * key(i) - B^length w[i] + w[i + length]; the batch before left key(lo - 1) and w[lo - 1]
             first = roll(keys[-1], drop * leaving + codes[length - 1]) if lo else reduce(roll, codes[:length], 0)
@@ -395,9 +393,9 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
     is a proof, and more shows a word outside this family. Blocks are read
     from the least with k*L letters, the fewest that can hold them, each from
     where the one before stopped, since each is a prefix of the next. The
-    count and the scan share one guard: the count keys no window past the
-    longest prefix whose count and scan the guard admits, so a prefix too long
-    is refused before its factors are counted.
+    count and the scan share one guard, and the blocks stop at the longest
+    prefix it admits, the last one cut there: a count that runs out short of
+    (k-1)L + 1 is refused here, before a longer block is built.
     """
     if m_max < 1:
         raise RangeError(f"m_max must be >= 1 (got {m_max})")
@@ -417,22 +415,21 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
                              f"{_scan_work(letters, m_min, m_max, l_max)} letter-shifts, above the guard {_SCAN_GUARD}")
 
     def blocks():
-        """The blocks from the least with k*L letters up, each built once the one before fell short."""
+        """The blocks from the least with k*L letters up, each built once the one before fell short, cut at `admitted` letters."""
         level, block = table.level_reaching(spec.k * length), ""
-        while True:
+        while len(block) < admitted:
             shorter, block = block, table.block(level)
             if not block.startswith(shorter):  # the count reads on from where the shorter block stopped
                 raise VerificationError(f"block level {level} does not begin with block level {level - 1}")
-            yield block
+            yield block[:admitted]
             level += 1
 
     admitted = _longest_admitted(m_min, m_max, l_max)
     if admitted < spec.k * length:
         raise too_costly(spec.k * length)
-    try:
-        found, end = count_factors(blocks(), length, target, admitted - length + 1)
-    except GuardExceeded:
-        raise too_costly(admitted + 1) from None  # every admitted window lacked a factor, so P is longer still
+    found, end = count_factors(blocks(), length, target)
+    if found < target:  # the admitted prefix lacks a factor, so P is longer still
+        raise too_costly(admitted + 1)
     level = table.level_reaching(end)
     if found > target:
         raise VerificationError(f"block level {level} has {found} factors of length {length}, "

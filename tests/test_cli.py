@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -143,6 +144,14 @@ class TestBlocks:
         code, _, err = run_cli(capsys, "blocks", "--spec", "k=2; d=; 1000", "--n", "2")
         assert time.perf_counter() - start < 1.0
         assert code == 4 and "palindromic prefix at level 2" in err
+
+    def test_a_palindromic_prefix_above_the_length_guard_is_refused_before_any_block_is_built(self, capsys, monkeypatch):
+        # Fibonacci block 38 (102,334,155 letters) fits the length guard, and its palindromic prefix does not
+        monkeypatch.setattr(BlockTable, "block", lambda self, n: pytest.fail("built a block"))
+        code, out, _ = run_cli(capsys, "blocks", "--spec", "k=2; d=; 1", "--n", "38", "--json")
+        assert code == 4
+        assert json_rows(out) == [{"kind": "status", "command": "blocks", "spec": "k=2; d=; 1", "ok": False,
+                                   "error": "palindromic prefix at level 38 has 165580139 letters, above the length guard 134217728"}]
 
     def test_env_guard_overrides_level_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("EPISTURM_GUARD", "4")
@@ -775,6 +784,41 @@ def test_dense_verified_census_stays_small():
     assert code == 0 and rows[-1]["ok"] is True
     assert next(r for r in rows if r["kind"] == "verification")["ok"] is True
     assert max_rss_kb < 100 * 1024
+
+
+# A guard must refuse (exit 4) before its real cost in time or memory is paid, and an answer at a guard must fit the
+# same limits. Measured as children on a 2-CPU x86-64 VM (Python 3.11.7), the rows below take at most 2.7 s of CPU
+# and need at most 72 MB of address space; Fibonacci `blocks --n 38` needed between 256 and 288 MB when it built
+# block 38 before refusing. The limits leave at least twice that as headroom and are set in the child only.
+_CONTRACT_CPU_S = 10
+_CONTRACT_AS_MB = 160
+
+
+def _contract_limits():
+    resource.setrlimit(resource.RLIMIT_CPU, (_CONTRACT_CPU_S, _CONTRACT_CPU_S))
+    resource.setrlimit(resource.RLIMIT_AS, (_CONTRACT_AS_MB << 20, _CONTRACT_AS_MB << 20))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("census", "--spec", TRIB, "--all-up-to", "46439", "--verify"), 4),  # one length past the scan guard's limit
+        (("census", "--spec", "k=2; d=4000000; 1", "--all-up-to", "200", "--verify"), 4),  # the count runs out at the cut
+        (("census", "--spec", "k=2; d=4000000; 1", "--m", "1", "--verify"), 0),  # P = a^4000000 b a, 4% under the scan guard
+        (("blocks", "--spec", "k=2; d=; 1", "--n", "38"), 4),  # the palindromic prefix is above the length guard
+        (("index", "--spec", "k=26; d=; 1", "--all-up-to", "5", "--verify"), 4),  # the first host is above the length guard
+        (("generate", "--spec", TRIB, "--length", "18947743"), 0),  # the longest prefix the closure guard admits
+        (("generate", "--spec", TRIB, "--length", "18947744"), 4),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_inputs_at_the_guards_keep_the_exit_code_contract(argv, code):
+    env = {key: value for key, value in os.environ.items() if key != "EPISTURM_GUARD"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "episturm.cli", *argv], env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, preexec_fn=_contract_limits, timeout=120)
+    assert done.returncode == code, done.stderr[-500:]
+    assert ("guard" in done.stderr) == (code == 4)
 
 
 def test_long_exponent_generate_keeps_one_closure_prefix():

@@ -403,26 +403,26 @@ class TestCertificates:
             certified_scan(table, 1, 10**6)
 
     @pytest.mark.parametrize(
-        "windows, highest_built",
+        "windows, given, highest_built",
         [
-            (55, 7),  # block 7 (81 letters) has 56 windows of length 26: the count reads 55 and refuses the 56th
-            (80, 8),  # block 8 holds the last new factor at window 80, read on from the 57th, one past the budget
+            (55, [80], 7),  # block 7 (81 letters) is cut to 80, 55 windows of length 26: the count runs out one short
+            (80, [81, 105], 8),  # block 8 holds the last new factor at window 80, and is cut one letter before it
         ],
     )
-    def test_factor_count_stops_at_its_window_budget(self, monkeypatch, windows, highest_built):
+    def test_the_block_stream_stops_at_the_admitted_prefix(self, monkeypatch, windows, given, highest_built):
         # a guard that admits windows + 25 letters gives the count exactly `windows` windows of length 26
         spec = DirectiveSpec.parse("k=3; d=; 1")
-        monkeypatch.setattr(oracle, "_SCAN_GUARD", self.work(106, 13, 13, 26))  # windows 0..80: the batch is cut there
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", self.work(106, 13, 13, 26))  # windows 0..80: block 8 is cut there
         assert certified_scan(BlockTable(spec), 13, 2)[0].scanned_letters == 106
         table = BlockTable(spec)
-        built, budgets = [], []
+        built, lengths = [], []
         block, count = table.block, oracle.count_factors
         monkeypatch.setattr(table, "block", lambda n: built.append(n) or block(n))
-        monkeypatch.setattr(oracle, "count_factors", lambda *args: budgets.append(args[-1]) or count(*args))
+        monkeypatch.setattr(oracle, "count_factors", lambda words, *args: count((lengths.append(len(w)) or w for w in words), *args))
         monkeypatch.setattr(oracle, "_SCAN_GUARD", self.work(windows + 25, 13, 13, 26))
         with pytest.raises(GuardExceeded, match=f"costs at least {self.work(windows + 26, 13, 13, 26)} letter-shifts"):
             certified_scan(table, 13, 2)
-        assert budgets == [windows]
+        assert lengths == given and given[-1] - 25 == windows
         assert max(built) == highest_built
 
     @pytest.mark.parametrize("letters", [106, 105])
@@ -433,20 +433,20 @@ class TestCertificates:
         class Spy(str):
             def __getitem__(self, key):
                 read.append(key.stop)
-                return str.__getitem__(self, key)
+                return Spy(str.__getitem__(self, key))  # a cut block is a Spy too, so the count's reads are seen
 
-        read, budgets = [], []
+        read, lengths = [], []
         table = BlockTable(DirectiveSpec.parse("k=3; d=; 1"))
         block, count = table.block, oracle.count_factors
         monkeypatch.setattr(table, "block", lambda n: Spy(block(n)))
-        monkeypatch.setattr(oracle, "count_factors", lambda *args: budgets.append(args[-1]) or count(*args))
+        monkeypatch.setattr(oracle, "count_factors", lambda words, *args: count((lengths.append(len(w)) or w for w in words), *args))
         monkeypatch.setattr(oracle, "_SCAN_GUARD", self.work(letters, 13, 13, 26))
         if letters == 106:
             assert certified_scan(table, 13, 2)[0].scanned_letters == 106
         else:
             with pytest.raises(GuardExceeded, match="letter-shifts"):
                 certified_scan(table, 13, 2)
-        assert budgets == [letters - 25]
+        assert lengths == [81, letters]  # block 7 whole, then block 8 cut at the admitted prefix
         assert max(read) == letters
 
     def test_extra_factors_are_refused(self, monkeypatch):

@@ -11,7 +11,7 @@ import episturm.oracle as oracle
 from episturm.blocks import BlockTable
 from episturm.checks import check_two_palindrome_split, two_palindrome_splits
 from episturm.directive import DirectiveSpec, PalindromicPrefixTable, directive_letter
-from episturm.errors import CancellationError, GuardExceeded, RangeError
+from episturm.errors import CancellationError, RangeError
 from episturm.oracle import count_factors
 from episturm.words import (
     RationalIndex,
@@ -246,14 +246,14 @@ class TestFactorCount:
             return
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_COUNT_BATCH", chunk)
-            found = count_factors(prefixes, length, len(first) + 1, len(w))
+            found = count_factors(prefixes, length, len(first) + 1)
         assert found == (len(factors_of_length(w, length)), max(first.values()) + length)
 
     def test_stops_after_the_batch_that_has_enough(self, monkeypatch):
         monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
         # aab, aba and baa fill the first batch of four windows; the second would find bab
-        assert count_factors(["aabaababab"], 3, 3, 4) == (3, 5)
-        assert count_factors(["aabaababab"], 3, 4, 8) == (4, 8)
+        assert count_factors(["aabaababab"], 3, 3) == (3, 5)
+        assert count_factors(["aabaababab"], 3, 4) == (4, 8)
 
     def test_each_window_is_read_once(self, monkeypatch):
         class Spy(str):
@@ -264,24 +264,23 @@ class TestFactorCount:
         reads = []
         monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
         # windows of length 3: 0..2 from the first prefix, then one batch of 3..6 from the second
-        assert count_factors([Spy("aabaa"), Spy("aabaababab")], 3, 4, 7) == (4, 8)
+        assert count_factors([Spy("aabaa"), Spy("aabaababab")], 3, 4) == (4, 8)
         assert reads == [(0, 5), (3, 9)]
 
-    def test_the_budget_cuts_the_batch_that_reaches_it(self, monkeypatch):
+    def test_a_last_prefix_that_runs_out_cuts_the_batch(self, monkeypatch):
         class Spy(str):
             def __getitem__(self, key):
                 reads.append((key.start, key.stop))
                 return str.__getitem__(self, key)
 
         monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
-        # bab first starts at window 5: a budget of 6 windows cuts the second batch to windows 4..5 and finds it
+        # bab first starts at window 5: 8 letters hold windows 0..5, so the second batch is cut to windows 4..5 and finds it
         reads = []
-        assert count_factors([Spy("aabaababab")], 3, 4, 6) == (4, 8)
+        assert count_factors([Spy("aabaababab"[:8])], 3, 4) == (4, 8)
         assert reads == [(0, 6), (4, 8)]
-        # a budget of 5 reads window 4 alone, then refuses window 5 before reading it
+        # 7 letters end at window 4: the count reads it alone and returns its 3 factors, short of 4, without raising
         reads = []
-        with pytest.raises(GuardExceeded, match="budget of 5 windows"):
-            count_factors([Spy("aabaababab")], 3, 4, 5)
+        assert count_factors([Spy("aabaababab"[:7])], 3, 4) == (3, 5)
         assert reads == [(0, 6), (4, 7)]
 
 
