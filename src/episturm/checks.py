@@ -36,7 +36,6 @@ from .words import (
     conjugate,
     is_palindrome,
     is_primitive,
-    longest_palindromic_suffix,
     reversal,
     shorten,
     strip_suffix,
@@ -47,7 +46,6 @@ _POSITION_CAP = 1 << 12
 _WITNESS_OCCURRENCE_CAP = 2_000_000
 _PARTITION_SIZE_CAP = 2_000
 _CENSUS_LENGTH_CAP = 2_000
-_SPLIT_SIZE_CAP = 1_000_000
 
 
 def _fail(name: str, level, detail: str):
@@ -148,38 +146,26 @@ def check_reversal_rotation(table: BlockTable, n_max: int) -> None:
             _fail("reversal-rotation", n, f"rotation by {j} is not the reversal")
 
 
-def _palindromic_prefix_progressions(w: Word) -> list[tuple[int, int, int]]:
-    """The lengths p >= 1 with w[:p] a palindrome, as (largest, step, smallest) progressions, longest first.
-
-    They are P, the longest, and the borders of P, since a prefix of a palindrome is one exactly when it is
-    a border. A palindrome of L letters has its longest proper border b = its longest palindromic suffix
-    after the first letter, and least period d = L - b; by Fine and Wilf its borders of at least d letters
-    are exactly L - jd, and the shorter ones are the proper borders of the smallest of those. The next
-    largest is below d and below L/2, so there are at most floor(log2 |w|) + 1 progressions.
-    """
-    progressions, top = [], longest_palindromic_suffix(w[::-1])
-    while top:
-        step = top - longest_palindromic_suffix(w[1:top])
-        low = step + top % step  # the smallest member of at least step letters: top itself when b < d
-        progressions.append((top, step, low))
-        top = top - step if low == top else longest_palindromic_suffix(w[1:low])
-    return progressions
-
-
 def two_palindrome_splits(w: Word) -> list[int]:
-    """Every p in 0..|w|-1 with w[:p] and w[p:] both palindromes: w[:p] is a palindromic prefix, w[p:] reversed one of w[::-1]."""
-    n = len(w)
-    prefixes = {0}.union(*(range(low, top + 1, step) for top, step, low in _palindromic_prefix_progressions(w)))
-    return sorted(n - q for top, step, low in _palindromic_prefix_progressions(w[::-1])
-                  for q in range(low, top + 1, step) if n - q in prefixes)
+    """Every p in 0..|w|-1 with w[:p] and w[p:] both palindromes.
+
+    Both halves are palindromes exactly when rotating w by p gives its reversal. With q = |root|, the
+    length of w's primitive root, the rotations by p and p + q are equal, and the root equals none of its
+    own q - 1 other rotations, so at most one p below q works: the first occurrence of the reversed root
+    in w·w, if there is one.
+    """
+    if not w:
+        return []
+    ww = w + w
+    q = ww.find(w, 1)
+    s = ww.find(w[:q][::-1])
+    return list(range(s, len(w), q)) if s >= 0 else []
 
 
 def check_two_palindrome_split(table: BlockTable, n_max: int) -> None:
     """Each block splits into two palindromes in exactly one way, the predicted one."""
     k = table.spec.k
     for n in range(1, n_max + 1):
-        if table.block_length(n) > _SPLIT_SIZE_CAP:
-            break
         w = table.block(n)
         splits = two_palindrome_splits(w)
         if n >= k:

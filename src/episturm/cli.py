@@ -121,9 +121,5 @@ def main(argv=None) -> int:
         return 4
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

@@ -59,6 +59,50 @@ class TestFailureReporting:
         assert "level 2" in str(error)
 
 
+class _CorruptedBlock(BlockTable):
+    """Returns corrupt(w) in place of the block w at one level."""
+
+    level = 2
+
+    @staticmethod
+    def corrupt(w: str) -> str:
+        return w
+
+    def block(self, n: int) -> str:
+        w = super().block(n)
+        return self.corrupt(w) if n == self.level else w
+
+
+class TestTwoPalindromeSplit:
+    @pytest.mark.parametrize(
+        "level, corrupt, message",
+        [
+            # a^4 splits at every p
+            (2, lambda w: w[0] * len(w), "two-palindrome-split at level 2: splits at [0, 1, 2, 3], expected [3]"),
+            # abacabaabacab with its second letter made an a: aaacabaabacab splits nowhere
+            (4, lambda w: w[0] * 2 + w[2:], "two-palindrome-split at level 4: splits at [], expected [1]"),
+        ],
+        ids=["every split", "no split"],
+    )
+    def test_a_wrong_split_fails_the_check_and_the_battery_runs_on(self, level, corrupt, message, monkeypatch):
+        monkeypatch.setattr(_CorruptedBlock, "level", level)
+        monkeypatch.setattr(_CorruptedBlock, "corrupt", staticmethod(corrupt))
+        table = _CorruptedBlock(DirectiveSpec.parse(SPEC_TEXTS["tribonacci"]))
+        results = list(run_battery(table, 6))
+        assert [name for name, _ in results] == [name for name, _ in ALL_CHECKS]
+        error = dict(results)["two-palindrome-split"]
+        assert isinstance(error, VerificationError) and str(error) == message
+
+    def test_the_split_checks_every_level_up_to_n_max(self, monkeypatch):
+        # Fibonacci block 30 has 2,178,309 letters, twice the 10^6 the check once stopped at
+        table = BlockTable(DirectiveSpec.parse(SPEC_TEXTS["fibonacci"]))
+        split, lengths = checks.two_palindrome_splits, []
+        monkeypatch.setattr(checks, "two_palindrome_splits", lambda w: lengths.append(len(w)) or split(w))
+        checks.check_two_palindrome_split(table, 30)
+        assert lengths == [table.block_length(n) for n in range(1, 31)]
+        assert lengths[-1] == 2_178_309
+
+
 class _CorruptedTails(BlockTable):
     """Returns every level-3 tail with its last letter changed."""
 

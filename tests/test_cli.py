@@ -719,7 +719,7 @@ class TestNumpyStaysUnloaded:
         assert (start["fractions"], start["decimal"]) == (False, False)
 
     def test_verify_loads_no_numpy(self):
-        # the two-palindrome-split check reads border progressions, with no hash
+        # the two-palindrome-split check searches the doubled block for its reversal, with no hash
         start = _start("verify", "--spec", TRIB, "--n", "3")
         assert (start["code"], start["numpy"], start["dataclasses"]) == (0, False, False)
         assert set(start["modules"]) == _expected_modules(("verify",))
@@ -787,16 +787,18 @@ def test_dense_verified_census_stays_small():
 
 
 # A guard must refuse (exit 4) before its real cost in time or memory is paid, and an answer at a guard must fit the
-# same limits. Measured as children on a 2-CPU x86-64 VM (Python 3.11.7), the rows below take at most 2.7 s of CPU
-# and need at most 72 MB of address space; Fibonacci `blocks --n 38` needed between 256 and 288 MB when it built
-# block 38 before refusing. The limits leave at least twice that as headroom and are set in the child only.
+# same limits. Measured as children on a 2-CPU x86-64 VM (Python 3.11.7), the rows below take at most 3.5 s of CPU
+# and, but for the battery's, need at most 72 MB of address space; Fibonacci `blocks --n 38` needed between 256 and
+# 288 MB when it built block 38 before refusing. Tribonacci `verify --n 26`, the battery's largest, needs 192 to
+# 196 MB, so it has its own limit. The limits leave at least twice that as headroom and are set in the child only.
 _CONTRACT_CPU_S = 10
 _CONTRACT_AS_MB = 160
+_BATTERY_AS_MB = 400
 
 
-def _contract_limits():
+def _contract_limits(as_mb: int):
     resource.setrlimit(resource.RLIMIT_CPU, (_CONTRACT_CPU_S, _CONTRACT_CPU_S))
-    resource.setrlimit(resource.RLIMIT_AS, (_CONTRACT_AS_MB << 20, _CONTRACT_AS_MB << 20))
+    resource.setrlimit(resource.RLIMIT_AS, (as_mb << 20, as_mb << 20))
 
 
 @pytest.mark.parametrize(
@@ -809,14 +811,18 @@ def _contract_limits():
         (("index", "--spec", "k=26; d=; 1", "--all-up-to", "5", "--verify"), 4),  # the first host is above the length guard
         (("generate", "--spec", TRIB, "--length", "18947743"), 0),  # the longest prefix the closure guard admits
         (("generate", "--spec", TRIB, "--length", "18947744"), 4),
+        (("census", "--spec", "k=26; d=; 1", "--m", "2000", "--verify"), 4),  # the scan guard, on 26 letters
+        (("verify", "--spec", TRIB, "--n", "26"), 0),  # block 28 has 29,249,425 letters, within the battery's guard
+        (("verify", "--spec", TRIB, "--n", "27"), 4),  # block 29 has 53,798,080
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
 )
 def test_inputs_at_the_guards_keep_the_exit_code_contract(argv, code):
     env = {key: value for key, value in os.environ.items() if key != "EPISTURM_GUARD"}
     env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    as_mb = _BATTERY_AS_MB if argv[0] == "verify" else _CONTRACT_AS_MB
     done = subprocess.run([sys.executable, "-m", "episturm.cli", *argv], env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True, preexec_fn=_contract_limits, timeout=120)
+                          stderr=subprocess.PIPE, text=True, preexec_fn=lambda: _contract_limits(as_mb), timeout=120)
     assert done.returncode == code, done.stderr[-500:]
     assert ("guard" in done.stderr) == (code == 4)
 

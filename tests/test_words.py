@@ -1,4 +1,4 @@
-"""Word primitives: rotations, palindromes, stripping, Z-array, the palindrome finders, rational exponents.
+"""Word primitives: rotations, palindromes, stripping, Z-array, the palindrome finder, rational exponents.
 
 Also the two-palindrome splits of `checks` and the factor count of `oracle`, their only users.
 """
@@ -6,7 +6,6 @@ Also the two-palindrome splits of `checks` and the factor count of `oracle`, the
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import episturm.checks as checks
 import episturm.oracle as oracle
 from episturm.blocks import BlockTable
 from episturm.checks import check_two_palindrome_split, two_palindrome_splits
@@ -42,6 +41,8 @@ PERIODIC_WORDS = st.builds(
     lambda u, cut, centre: (u * 400)[:cut] + (u * 400)[:cut][::-1][centre:],
     st.text(alphabet="abc", min_size=1, max_size=7), st.integers(min_value=0, max_value=400), st.integers(0, 1),
 )
+# exact powers: the words whose primitive root is shorter than themselves
+POWERS = st.builds(lambda u, r: u * r, st.text(alphabet="abc", min_size=1, max_size=7), st.integers(min_value=1, max_value=50))
 
 
 class TestBasics:
@@ -161,19 +162,11 @@ class TestPalindromeFinder:
         assert two_palindrome_splits("abaab") == [1]
         assert two_palindrome_splits("ab") == [1]
 
-    @given(st.one_of(RUN_WORDS, PERIODIC_WORDS))
+    @given(st.one_of(RUN_WORDS, PERIODIC_WORDS, POWERS))
     @settings(deadline=None)
     def test_matches_the_z_array_reference(self, w):
         assert longest_palindromic_suffix(w) == reference_longest_suffix(w)
         assert two_palindrome_splits(w) == reference_splits(w)
-        flags = palindromic_prefix_flags(w)
-        progressions = checks._palindromic_prefix_progressions(w)
-        members = [p for top, step, low in progressions for p in range(top, low - 1, -step)]
-        assert members == [p for p in range(len(w), 0, -1) if flags[p]]  # each once, longest first
-        for (top, step, low), below in zip(progressions, [*progressions[1:], (0,)]):
-            assert step <= low <= top and (top - low) % step == 0
-            assert 2 * below[0] < top  # the next largest at most halves, so floor(log2 n) + 1 progressions at most
-        assert len(progressions) <= len(w).bit_length()
 
     @pytest.mark.parametrize("name", ["tribonacci", "k4_mixed"])
     def test_blocks_split_where_the_reference_says(self, name):
@@ -185,24 +178,15 @@ class TestPalindromeFinder:
     @pytest.mark.parametrize(
         "w, splits",
         [
-            ("a" * 200_000, list(range(200_000))),  # 200,001 palindromic prefixes in one progression
+            ("a" * 200_000, list(range(200_000))),  # a root of one letter: every p splits
             ("ab" * 100_000 + "b", [199_999]),  # (ab)^(n-1) a, then bb
             ("a" * 5000 + "b" + "a" * 5000, [0]),  # 5,001 palindromic prefixes and as many suffixes
-            # the reversal's abaaba has borders 6 and 3 of period 3, and aba's border is 1, not 3 - 3
-            ("baababaaba", [4, 9]),
+            ("baababaaba", [4, 9]),  # (baaba)^2: one split in each copy of the root
         ],
         ids=["a^n", "(ab)^n b", "a^5000 b a^5000", "baababaaba"],
     )
-    def test_few_progressions_whatever_the_palindromic_prefixes(self, w, splits, monkeypatch):
-        calls = []
-        finder = checks.longest_palindromic_suffix
-        monkeypatch.setattr(checks, "longest_palindromic_suffix", lambda u: calls.append(len(u)) or finder(u))
+    def test_few_progressions_whatever_the_palindromic_prefixes(self, w, splits):
         assert two_palindrome_splits(w) == splits
-        probes = len(calls)
-        progressions = checks._palindromic_prefix_progressions(w) + checks._palindromic_prefix_progressions(w[::-1])
-        assert len(progressions) <= 2 * (len(w) - 1).bit_length() + 2  # 2 ceil(log2 n) + 2 over w and its reversal
-        # each side finds its longest palindromic prefix, then the border of each progression's largest and smallest
-        assert probes <= 2 * len(progressions) + 2
 
     @pytest.mark.parametrize(
         "make",
