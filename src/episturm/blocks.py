@@ -130,6 +130,21 @@ class BlockTable:
                 self._blocks[n] = got
             return got
 
+    def head(self, n: int, size: int) -> Word:
+        """The first `size` letters of block n, built from its pieces when the block is longer, so it is never built whole."""
+        if n <= 0 or self.block_length(n) <= size:
+            return self.block(n)[:size]
+        self.check_size(f"head of the block at level {n}", size)
+        parts, got = [], 0
+        for level, e in self.pieces(n):
+            if got >= size:
+                break
+            piece = self.head(level, size - got)
+            times = min(e, -(-(size - got) // len(piece)))
+            parts.append(piece * times)
+            got += len(piece) * times
+        return "".join(parts)[:size]
+
     def palindromic_prefix(self, n: int) -> Word:
         """The palindromic prefix paired with level n (empty at level 0 when the first exponent is 1)."""
         k = self._spec.k

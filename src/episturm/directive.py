@@ -196,7 +196,9 @@ def morphism(a: str, w: Word, times: int = 1) -> Word:
     if len(a) != 1:
         raise RangeError("morphism seed must be a single letter")
     run = a * times
-    return w.translate({ord(c): run + c for c in set(w) if c != a})
+    for c in set(w) - {a}:  # each pass inserts only a's, which no later pass replaces
+        w = w.replace(c, run + c)
+    return w
 
 
 def prefix_increment(spec: DirectiveSpec, n: int) -> Word:

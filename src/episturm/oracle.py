@@ -394,8 +394,8 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
     from the least with k*L letters, the fewest that can hold them, each from
     where the one before stopped, since each is a prefix of the next. The
     count and the scan share one guard, and the blocks stop at the longest
-    prefix it admits, the last one cut there: a count that runs out short of
-    (k-1)L + 1 is refused here, before a longer block is built.
+    prefix it admits, the last one built only that far: a count that runs out
+    short of (k-1)L + 1 is refused here, before a longer block is built.
     """
     if m_max < 1:
         raise RangeError(f"m_max must be >= 1 (got {m_max})")
@@ -415,13 +415,13 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
                              f"{_scan_work(letters, m_min, m_max, l_max)} letter-shifts, above the guard {_SCAN_GUARD}")
 
     def blocks():
-        """The blocks from the least with k*L letters up, each built once the one before fell short, cut at `admitted` letters."""
+        """The blocks from the least with k*L letters up, each built up to `admitted` letters once the one before fell short."""
         level, block = table.level_reaching(spec.k * length), ""
         while len(block) < admitted:
-            shorter, block = block, table.block(level)
+            shorter, block = block, table.head(level, admitted)
             if not block.startswith(shorter):  # the count reads on from where the shorter block stopped
                 raise VerificationError(f"block level {level} does not begin with block level {level - 1}")
-            yield block[:admitted]
+            yield block
             level += 1
 
     admitted = _longest_admitted(m_min, m_max, l_max)

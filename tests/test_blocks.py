@@ -78,6 +78,25 @@ class TestPieces:
             joined = "".join(table.block(level) * e for level, e in pieces)
             assert table.block(n) == joined
             assert table.block_length(n) == sum(e * table.block_length(level) for level, e in pieces) == len(joined)
+
+    @pytest.mark.parametrize("text", ["k=3; d=; 1", "k=4; d=2,1,3,1; 2,2", "k=2; d=40; 1"])
+    def test_head_is_the_prefix_and_builds_no_longer_block(self, text):
+        whole = BlockTable(DirectiveSpec.parse(text))
+        for n in range(-1, 8):
+            for size in sorted({0, 1, 2, 5, 17, whole.block_length(n) - 1, whole.block_length(n), 1000}):
+                table = BlockTable(whole.spec)
+                built = []
+                block = table.block
+                table.block = lambda m: built.append(m) or block(m)
+                assert table.head(n, size) == whole.block(n)[:size]
+                assert all(table.block_length(m) <= max(size, 1) for m in built)
+
+    def test_head_of_a_block_above_the_length_guard(self):
+        # block 1 of a^130000000 b has 130,000,001 letters; its head is built from block 0 and the seed
+        table = BlockTable(DirectiveSpec.parse("k=2; d=130000000; 1"), length_guard=1 << 20)
+        assert table.head(1, 5) == "aaaaa" and table.head(2, 1 << 20) == "a" * (1 << 20)
+        with pytest.raises(GuardExceeded, match="head of the block at level 1"):
+            table.head(1, (1 << 20) + 1)
             others = sum(e * table.other_letter_count(level) for level, e in pieces)
             assert table.other_letter_count(n) == others == len(joined) - joined.count(first)
         with pytest.raises(RangeError):

@@ -2,13 +2,21 @@
 
 import re
 import tracemalloc
+from itertools import islice
 
 import pytest
 
 import episturm.checks as checks
 from episturm.blocks import BlockTable
 from episturm.checks import ALL_CHECKS, check_block_letters, run_battery
-from episturm.directive import CLOSURE_CHECK_WORK, DirectiveSpec, PalindromicPrefixTable, closure_prefix, closure_reach
+from episturm.directive import (
+    CLOSURE_CHECK_WORK,
+    DirectiveSpec,
+    PalindromicPrefixTable,
+    closure_lengths,
+    closure_prefix,
+    closure_reach,
+)
 from episturm.errors import CancellationError, InvariantViolation, VerificationError
 
 from conftest import SPEC_TEXTS
@@ -152,11 +160,21 @@ class TestClosureCaps:
     def test_closure_checks_compare_within_their_caps(self, monkeypatch):
         assert self.failing(SPEC_TEXTS["tribonacci"], 8, monkeypatch) == list(CLOSURE_CHECKS)
 
-    def test_closure_checks_skip_a_closure_whose_work_passes_the_cap(self, monkeypatch):
-        # closing a^j for j up to 4,000 scans about 8 * 10^6 letters, above the work cap, so
-        # only increment-words still compares closure prefixes, and it stops before prefix 1,450
-        assert self.failing("k=2; d=4000; 1", 3, monkeypatch) == ["increment-words"]
-        assert self.failing("k=2; d=4000; 1", 3, monkeypatch, first=1450) == []
+    @pytest.mark.parametrize("text, n, compared", [(SPEC_TEXTS["tribonacci"], 8, 274), ("k=2; d=4000; 1", 3, 1_448)])
+    def test_closure_equivalence_compares_the_letters_within_the_reach(self, monkeypatch, text, n, compared):
+        # Tribonacci block 9 has 274 letters, within the reach; closing a^j for j up to 4,000 scans about 8 * 10^6
+        # letters, above the work cap, so only the first 1,448 letters of the word are compared
+        spec = DirectiveSpec.parse(text)
+        table = BlockTable(spec)
+        assert compared == min(table.block_length(n + 1), closure_reach(spec, CLOSURE_CHECK_WORK))
+        asked = []
+        monkeypatch.setattr(checks, "closure_prefix", lambda spec, length: asked.append(length) or closure_prefix(spec, length))
+        checks.check_closure_equivalence(table, n)
+        assert asked == [compared]
+        # on a^4000 b, the palindromic and power prefixes are past the reach, and increment-words stops before prefix 1,450
+        if compared == 1_448:
+            assert self.failing(text, n, monkeypatch) == ["increment-words", "closure-equivalence"]
+            assert self.failing(text, n, monkeypatch, first=1450) == ["closure-equivalence"]
 
     def test_palindromic_prefixes_compare_up_to_the_closure_reach(self, monkeypatch):
         # Tribonacci's palindromic prefix 20 (closure prefix 21) has 266,078 letters, within the closure's reach
@@ -181,10 +199,61 @@ class TestClosureCaps:
             tracemalloc.stop()
         assert peak < 4 << 20
 
-    def test_increment_words_stops_at_the_composed_letter_cap(self, monkeypatch):
-        # Tribonacci increments 1..7 add up to 175 letters, and increment 7 is the
-        # first step that compares the corrupted closure prefix 8
-        monkeypatch.setattr(checks, "_COMPOSED_LETTER_CAP", 175)
-        assert "increment-words" in self.failing(SPEC_TEXTS["tribonacci"], 8, monkeypatch)
-        monkeypatch.setattr(checks, "_COMPOSED_LETTER_CAP", 174)
-        assert "increment-words" not in self.failing(SPEC_TEXTS["tribonacci"], 8, monkeypatch)
+    def test_increment_words_compares_up_to_the_closure_reach(self, monkeypatch):
+        # Tribonacci increment 7 is the first step that compares the corrupted closure prefix 8 (95 letters); the
+        # reach admits it exactly when the work budget covers closing prefixes 1..7
+        spec = DirectiveSpec.parse(SPEC_TEXTS["tribonacci"])
+        lengths = list(islice(closure_lengths(spec), 8))
+        work = sum(lengths[:7])
+        monkeypatch.setattr(_CorruptedClosures, "first", 8)
+        monkeypatch.setattr(checks, "PalindromicPrefixTable", _CorruptedClosures)
+        monkeypatch.setattr(checks, "CLOSURE_CHECK_WORK", work)
+        assert closure_reach(spec, work) == lengths[7] == 95
+        with pytest.raises(VerificationError, match="^increment-words at level 7: closure recurrence via the increment"):
+            checks.check_increment_words(BlockTable(spec), 8)
+        monkeypatch.setattr(checks, "CLOSURE_CHECK_WORK", work - 1)
+        assert closure_reach(spec, work - 1) == lengths[6]
+        checks.check_increment_words(BlockTable(spec), 8)
+
+
+def _wrong_at(real, at, wrong):
+    """`real` with its result replaced by wrong(result) when its second argument is `at` (always, for None)."""
+    return lambda first, second, *rest: (
+        wrong(real(first, second, *rest)) if at in (None, second) else real(first, second, *rest)
+    )
+
+
+FAILURE_LINES = [  # (what is patched, at which level, how its result goes wrong, the failure)
+    # Tribonacci directive letters cycle abc, so position 5 (b) has its neighbours at 2 and 8
+    ("previous_same_letter", 5, lambda j: None, "position-functions at level 5: previous: None vs brute 2"),
+    ("next_same_letter", 5, lambda j: j + 1, "position-functions at level 5: next: 9 vs brute 8"),
+    # the level-1 window holds 2..3: length 2 carries a square at depth 1, length 3 at depth 2
+    ("length_sets", 1, lambda grid: {1: (3, 2), 2: (), 3: ()}, "length-grids at level 1: depth 1 not sorted"),
+    ("length_sets", 1, lambda grid: {1: (2, 4), 2: (), 3: ()}, "length-grids at level 1: member 4 outside window 2..3"),
+    ("length_sets", 1, lambda grid: {1: (2,), 2: (2,), 3: ()}, "length-grids at level 1: member 2 appears at two depths"),
+    ("length_sets", 1, lambda grid: {1: (3,), 2: (2,), 3: ()},
+     "length-grids at level 1: census classifies 3 at depth 2, grid says 1"),
+    ("singular_window", 1, lambda w: w + "a", "singular-forms at level 1: kind 1: window forms disagree"),
+    # increments 2 and 3 are abac and abacaba
+    ("prefix_increment", 3, lambda w: w[:4], "increment-words at level 3: repeat=True but letters repeat=False"),
+    ("prefix_increment", 3, lambda w: w[1:],
+     "increment-words at level 3: previous increment is not a proper prefix of the next"),
+    ("refined_levels", None, lambda levels: levels + [0],
+     "partition-tilings at level 1: one-step expansion disagrees with the finer tiling"),
+    # block 4, abacabaabacab, with its tenth letter made a c
+    ("block", 4, lambda w: w[:9] + "c" + w[10:], "near-commutation at level 4: 'abacabaabccaba' != 'abacabaabacaba'"),
+]
+
+
+class TestFailureLines:
+    @pytest.mark.parametrize("name, at, wrong, message", FAILURE_LINES, ids=[message for *_, message in FAILURE_LINES])
+    def test_each_failure_line_names_its_level_and_the_battery_runs_on(self, monkeypatch, name, at, wrong, message):
+        if name == "block":
+            monkeypatch.setattr(_CorruptedBlock, "level", at)
+            monkeypatch.setattr(_CorruptedBlock, "corrupt", staticmethod(wrong))
+        else:
+            monkeypatch.setattr(checks, name, _wrong_at(getattr(checks, name), at, wrong))
+        results = list(run_battery(_CorruptedBlock(DirectiveSpec.parse(SPEC_TEXTS["tribonacci"])), 6))
+        assert [check for check, _ in results] == [check for check, _ in ALL_CHECKS]
+        error = dict(results)[message.split(" at level ")[0]]
+        assert isinstance(error, VerificationError) and str(error) == message

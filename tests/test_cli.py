@@ -812,6 +812,9 @@ def _contract_limits(as_mb: int):
         (("generate", "--spec", TRIB, "--length", "18947743"), 0),  # the longest prefix the closure guard admits
         (("generate", "--spec", TRIB, "--length", "18947744"), 4),
         (("census", "--spec", "k=26; d=; 1", "--m", "2000", "--verify"), 4),  # the scan guard, on 26 letters
+        # the count runs out in the first 4,161,783 letters of block 1, which has 130,000,001
+        (("census", "--spec", "k=2; d=130000000; 1", "--m", "1", "--verify"), 4),
+        (("census", "--spec", "k=2; d=; 1", "--all-up-to", "27000", "--verify"), 0),  # P has 129,024 letters
         (("verify", "--spec", TRIB, "--n", "26"), 0),  # block 28 has 29,249,425 letters, within the battery's guard
         (("verify", "--spec", TRIB, "--n", "27"), 4),  # block 29 has 53,798,080
     ],

@@ -206,6 +206,11 @@ class TestClosure:
         with pytest.raises(RangeError):
             morphism("ab", "a")
 
+    @given(st.sampled_from("abcde"), st.text(alphabet="abcd", max_size=30), st.integers(0, 4))
+    def test_morphism_maps_letter_by_letter(self, a, w, times):
+        # the seed may be absent from w (e), and w may be empty
+        assert morphism(a, w, times) == "".join(c if c == a else a * times + c for c in w)
+
     @pytest.mark.parametrize("text", ["k=2; d=1,2; 3", "k=4; d=2,1,3,1; 2,2", "k=2; d=40; 1"])
     def test_increment_composes_each_run_as_one_power(self, text):
         spec = DirectiveSpec.parse(text)

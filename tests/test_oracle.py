@@ -367,8 +367,8 @@ class TestCertificates:
     @pytest.mark.parametrize(
         "letters, highest_built",
         [
-            (81, 7),  # block 7 (81 letters) lacks a factor, so the prefix is longer still
-            (106, 8),  # block 8 holds them all in its first 106 letters
+            (81, 6),  # block 7 (81 letters) lacks a factor in its first 80, built from blocks 6, 5 and 4
+            (106, 7),  # block 8 holds them all in its first 106 letters, but only 105 are built, from blocks 7, 6 and 5
         ],
     )
     def test_scan_cost_guard_reads_each_short_block_and_the_prefix(self, monkeypatch, letters, highest_built):
@@ -383,7 +383,7 @@ class TestCertificates:
         monkeypatch.setattr(oracle, "_SCAN_GUARD", self.work(letters, 13, 13, 26) - 1)
         with pytest.raises(GuardExceeded, match="letter-shifts"):
             certified_scan(table, 13, 2)
-        assert max(built) == highest_built
+        assert max(built) == highest_built  # the block that reaches the admitted prefix is never built whole
 
     def test_scan_cost_guard_counts_every_order(self, monkeypatch):
         # the orders share the XOR shifts and the count, but each keeps a result per length, and a millionth power
@@ -405,8 +405,8 @@ class TestCertificates:
     @pytest.mark.parametrize(
         "windows, given, highest_built",
         [
-            (55, [80], 7),  # block 7 (81 letters) is cut to 80, 55 windows of length 26: the count runs out one short
-            (80, [81, 105], 8),  # block 8 holds the last new factor at window 80, and is cut one letter before it
+            (55, [80], 6),  # block 7 (81 letters) is built to 80, 55 windows of length 26: the count runs out one short
+            (80, [81, 105], 7),  # block 8 holds the last new factor at window 80, and is built to one letter before it
         ],
     )
     def test_the_block_stream_stops_at_the_admitted_prefix(self, monkeypatch, windows, given, highest_built):
@@ -423,7 +423,7 @@ class TestCertificates:
         with pytest.raises(GuardExceeded, match=f"costs at least {self.work(windows + 26, 13, 13, 26)} letter-shifts"):
             certified_scan(table, 13, 2)
         assert lengths == given and given[-1] - 25 == windows
-        assert max(built) == highest_built
+        assert max(built) == highest_built  # the block that reaches the admitted prefix is never built whole
 
     @pytest.mark.parametrize("letters", [106, 105])
     def test_the_count_reads_no_letter_past_what_the_scan_guard_admits(self, monkeypatch, letters):
