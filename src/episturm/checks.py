@@ -246,7 +246,9 @@ def check_increment_words(table: BlockTable, n_max: int) -> None:
 def check_position_functions(table: BlockTable, n_max: int) -> None:
     """previous/next same-letter positions match a brute scan of the expanded directive."""
     spec = table.spec
-    horizon = min(exponent_sum(spec, n_max + spec.k), _POSITION_CAP)
+    # next_same_letter reads entry b + k - 1, so on a finite directive of L exponents b stops at L - k + 1
+    entries = n_max + spec.k if spec.period else min(n_max + spec.k, max(len(spec.preperiod) - spec.k + 1, 0))
+    horizon = min(exponent_sum(spec, entries), _POSITION_CAP)
     letters = [directive_letter(spec, i) for i in range(1, horizon + 1)]
     for i in range(1, horizon + 1):
         target = letters[i - 1]
@@ -316,8 +318,9 @@ def check_index_consistency(table: BlockTable, n_max: int) -> None:
             _fail("index-consistency", n, f"witness length {len(witness)}, predicted {blk.length}")
         if not witness.startswith(table.block(n) * blk.whole):
             _fail("index-consistency", n, "witness does not start with the full power")
-        host_level = n + k + 2
-        if table.block_length(host_level) <= _WITNESS_OCCURRENCE_CAP:
+        host_level = n + k + 2  # a finite directive has no block past its last exponent
+        exists = table.spec.period or host_level <= len(table.spec.preperiod)
+        if exists and table.block_length(host_level) <= _WITNESS_OCCURRENCE_CAP:
             host = table.block(host_level)
             if host.find(witness) == -1:
                 _fail("index-consistency", n, "maximal power not visible at the predicted level")

@@ -78,6 +78,10 @@ class TestPieces:
             joined = "".join(table.block(level) * e for level, e in pieces)
             assert table.block(n) == joined
             assert table.block_length(n) == sum(e * table.block_length(level) for level, e in pieces) == len(joined)
+            others = sum(e * table.other_letter_count(level) for level, e in pieces)
+            assert table.other_letter_count(n) == others == len(joined) - joined.count(first)
+        with pytest.raises(RangeError):
+            table.pieces(0)
 
     @pytest.mark.parametrize("text", ["k=3; d=; 1", "k=4; d=2,1,3,1; 2,2", "k=2; d=40; 1"])
     def test_head_is_the_prefix_and_builds_no_longer_block(self, text):
@@ -97,10 +101,6 @@ class TestPieces:
         assert table.head(1, 5) == "aaaaa" and table.head(2, 1 << 20) == "a" * (1 << 20)
         with pytest.raises(GuardExceeded, match="head of the block at level 1"):
             table.head(1, (1 << 20) + 1)
-            others = sum(e * table.other_letter_count(level) for level, e in pieces)
-            assert table.other_letter_count(n) == others == len(joined) - joined.count(first)
-        with pytest.raises(RangeError):
-            table.pieces(0)
 
 
 class TestPalindromicPrefixes:

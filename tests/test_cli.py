@@ -21,6 +21,7 @@ import episturm.oracle as oracle
 import episturm.partition as partition
 import episturm.powers as powers
 from episturm.blocks import BlockTable
+from episturm.checks import ALL_CHECKS
 from episturm.directive import DirectiveSpec
 from episturm.words import RationalIndex
 
@@ -556,6 +557,19 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--n", n)
         assert time.perf_counter() - start < 2.0
         assert code == 0 and "all checks pass" in out
+
+    @pytest.mark.parametrize(
+        "spec", ["k=3; d=" + ",".join(["1"] * 14), "k=4; d=2,1,1,3,1,2,1,1,1,1,1,1", "k=3; d=1,2,1,3,1,1,2,1,1,2"]
+    )
+    def test_a_finite_directive_reports_every_check_up_to_its_last_level(self, capsys, spec):
+        # verify reads block n + 2, so n runs to L - 2; position-functions and index-consistency
+        # used to sum exponents past the end and stop the battery with a usage error (exit 2)
+        last = len(DirectiveSpec.parse(spec).preperiod) - 2
+        for n in range(0, last + 1):
+            code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--n", str(n), "--json")
+            checks = [r for r in json_rows(out) if r["kind"] == "check"]
+            assert code == 0 and [c["name"] for c in checks] == [name for name, _ in ALL_CHECKS]
+            assert all(c["ok"] for c in checks)
 
     def test_a_step_error_inside_a_check_is_that_check_failing(self, capsys, monkeypatch):
         # a wrong level-3 tail used to end the battery after 7 rows with a usage error (exit 2)
