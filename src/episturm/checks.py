@@ -272,19 +272,45 @@ def check_junction_products(table: BlockTable, n_max: int) -> None:
     alphabet = table.spec.alphabet
     for n in range(1, n_max + 1):
         with _at_level("junction-products", n):
-            product = table.block(n + 1) + table.block(n)
-            via_tail = table.power_prefix(n + 1) + table.block_tail(n, k - 1)
-            if product != via_tail:
+            product = [table.block(n + 1), table.block(n)]
+            if not _same_join(product, [table.power_prefix(n + 1), table.block_tail(n, k - 1)]):
                 _fail("junction-products", n, "power-prefix factorization fails")
             if n >= k:
-                via_junction = table.block(n) * (table.exponent(n + 1) + 1) + table.junction(n - 1)
-                if product != via_junction:
+                if not _same_join(product, [table.block(n)] * (table.exponent(n + 1) + 1) + [table.junction(n - 1)]):
                     _fail("junction-products", n, "junction factorization fails")
             else:
                 power = table.block(n) * (table.exponent(n + 1) + 1)
-                resolved = strip_suffix(power, alphabet[n % k]) + table.block_tail(n, k - 1)
-                if product != resolved:
+                if not _same_join(product, [strip_suffix(power, alphabet[n % k]), table.block_tail(n, k - 1)]):
                     _fail("junction-products", n, "resolved formal junction fails")
+
+
+def _same_join(left: list[Word], right: list[Word]) -> bool:
+    """Whether the words of `left` and those of `right` join to the same word, compared without joining either.
+
+    Step by step, `startswith` compares the stretch up to the nearer end of a piece at its offsets. A piece
+    the stretch covers whole is the needle, so only a stretch that starts and ends inside pieces is copied.
+    """
+    left, right = [w for w in left if w], [w for w in right if w]
+    if sum(map(len, left)) != sum(map(len, right)):
+        return False
+    x = y = i = j = 0  # piece left[x] is read from i, piece right[y] from j
+    while x < len(left):
+        a, b = left[x], right[y]
+        size = min(len(a) - i, len(b) - j)
+        if size == len(b):
+            same = a.startswith(b, i)
+        elif size == len(a):
+            same = b.startswith(a, j)
+        else:
+            same = a.startswith(b[j:j + size], i)
+        if not same:
+            return False
+        i, j = i + size, j + size
+        if i == len(a):
+            x, i = x + 1, 0
+        if j == len(b):
+            y, j = y + 1, 0
+    return True
 
 
 def check_power_prefixes(table: BlockTable, n_max: int) -> None:

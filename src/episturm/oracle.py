@@ -10,11 +10,15 @@ largest power of two with 2c - 1 <= need. Below `_LONG_CHUNK` one XOR finds
 every run: the prefix is held as one int, XORed with itself shifted by m
 letters, and the runs of `need` zero bytes are found with `bytes.find` and a
 regex for the next nonzero byte. From there on, every long enough run holds
-an aligned chunk prefix[jc : jc + c], so the scan compares only the chunks:
-Karp-Miller-Rosenberg ranks (STOC 1972), built by doubling, label each
-length-c window exactly, one comparison decides a chunk, and each group of
-equal chunks is widened to its run by forward galloping slice comparisons,
-on the prefix for its end and on the prefix reversed for its start. Every
+an aligned chunk prefix[jc : jc + c], so the scan searches only for the
+chunks: the shifts of one chunk size form one range lo..hi, each chunk is
+looked up once with `str.find` in prefix[jc + lo : jc + hi + c], and a hit
+at jc + m outside the runs already found at m is widened to its run by
+forward galloping slice comparisons, on the prefix for its end and on the
+prefix reversed for its start. A chunk that recurs less than c letters
+later is periodic: its periodic stretch is measured once and gives the runs
+of the shifts that are multiples of its period, so a long periodic stretch
+costs its runs, not one search per (chunk, shift) pair. Every
 factor of a period-m run is a rotation of its first m letters, so a run with
 cnt qualifying starts contributes rotations 0..cnt-1 of one word, and each
 length keeps a few rotation classes, never the bases themselves. The orders
@@ -41,8 +45,8 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import accumulate, count, repeat
-from operator import add, eq, mul
+from itertools import accumulate, repeat
+from operator import add, mul
 from typing import NamedTuple
 
 from .blocks import BlockTable
@@ -50,20 +54,23 @@ from .directive import CLOSURE_CHECK_WORK, closure_prefix, closure_reach
 from .errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
 from .words import RationalIndex, Word
 
-# A certified scan's work in letter-shifts: one letter at one shift of the XOR kernel. On a
-# 2-CPU x86-64 VM (Python 3.11), as host load varies, a chunk probe of the rank kernel, with
-# its share of widening runs, costs 68 to 108 ns, and one rank of a doubling 119 to 214 ns,
-# so they weigh 20 and 40 letter-shifts, and a letter-shift stands for 3 to 5 ns. (The XOR
-# kernel itself takes 1.5 to 4.4 ns a letter-shift from m = 50 on, but 25 to 62 ns at m = 3
-# on the Tribonacci word, whose many short runs it loops over.) An (order, length) pair's
-# rotation classes cost 1 to 2 us, and each order keeps a result of about 250 bytes, so a
-# pair weighs 1,000: a millionth power trips at once. A window the factor count keys costs
-# 320 to 750 ns (L = 2 to 1,000, on Tribonacci and on a^n b), 5 to 6.5 probes or 2.7 to 3.2
-# ranks, so it weighs 128. The guard stands for 2.5 to 4 s of counting and scanning: at the
-# Tribonacci limit (lengths 1..46,438, 503,619 letters) `certified_scan` took 2.5 to 3.9 s.
+# A certified scan's work in letter-shifts: one letter at one shift of the XOR kernel. A long
+# shift pays a (chunk, shift) pair 20 and each chunk size a pass of 40 a letter: weights set,
+# on a 2-CPU x86-64 VM (Python 3.11), for a rank kernel whose chunk probe cost 68 to 108 ns and
+# whose rank cost 119 to 214 ns, so a letter-shift stands for 3 to 5 ns. They are kept so that
+# the guard admits the same inputs, and the chunk search that replaced that kernel costs far
+# less than they price: at the Tribonacci limit below, the 3.1e8 letter-shifts they charge
+# took 0.15 to 0.23 s, under 1 ns each. (The XOR kernel itself takes 1.5 to 4.4 ns a
+# letter-shift from m = 50 on, but 25 to 62 ns at m = 3 on the Tribonacci word, whose many
+# short runs it loops over.) An (order, length) pair's rotation classes cost 1 to 2 us, and
+# each order keeps a result of about 250 bytes, so a pair weighs 1,000: a millionth power
+# trips at once. A window the factor count keys costs 320 to 750 ns (L = 2 to 1,000, on
+# Tribonacci and on a^n b), so it weighs 128. The guard stands for 1 to 2 s of counting and
+# scanning: at the Tribonacci limit (lengths 1..46,438, 503,619 letters) `certified_scan`
+# took 1.05 to 1.71 s in process, against 2.4 to 3.2 s with the rank kernel.
 _SCAN_GUARD = 1 << 29
 _PROBE_WORK = 20
-_RANK_WORK = 40
+_PASS_WORK = 40
 _RESULT_WORK = 1000
 _COUNT_WORK = 128
 # The factor count keys windows mod the Mersenne prime 2^61 - 1 in Python ints,
@@ -71,7 +78,7 @@ _COUNT_WORK = 128
 _COUNT_BATCH = 1 << 12
 _FACTOR_MODULUS = (1 << 61) - 1
 _FACTOR_BASE = 1_000_003
-_LONG_CHUNK = 128  # the smallest chunk the rank kernel reads: below it, one XOR per shift is cheaper
+_LONG_CHUNK = 128  # the smallest chunk searched for: below it, one XOR per shift reads every run
 # `str.find` preprocesses its needle in time linear in its length (two-way's critical factorization,
 # about 4 ns a letter on a 2-CPU x86-64 VM), so `max_fractional_power` searches for base itself once
 # its longer needle would pass an eighth of the letters left. On the Fibonacci word's index hosts,
@@ -198,31 +205,61 @@ def _short_runs(whole: int, size: int, m: int, need: int) -> list[tuple[int, int
     return runs
 
 
-def _window_ranks(buf: bytes, width: int) -> list:
-    """A label for every length-width window of buf, equal exactly when the windows are: its first start."""
-    first: dict = {}
-    return list(map(first.setdefault, map(buf.__getitem__, map(slice, count(), range(width, len(buf) + 1))), count()))
+def _long_runs(prefix: Word, c: int, lo: int, hi: int) -> list[list[tuple[int, int]]]:
+    """Per shift m in lo..hi, the maximal runs of prefix[i] == prefix[i + m] that hold an aligned chunk, as ordered [start, end) pairs.
 
-
-def _doubled(ranks: list, width: int) -> list:
-    """The labels of the windows twice as long (Karp, Miller & Rosenberg): a window is its two halves."""
-    first: dict = {}
-    return list(map(first.setdefault, zip(ranks, ranks[width:]), count()))
-
-
-def _long_runs(prefix: Word, mirror: Word, ranks: list, c: int, m: int) -> list[tuple[int, int]]:
-    """Maximal runs of prefix[i] == prefix[i + m] that hold an aligned chunk prefix[jc : jc + c], as [start, end) pairs.
-
-    Every run of at least 2c - 1 letters holds one. ranks labels the length-c windows,
-    so one comparison decides a chunk; each group of equal chunks is widened to its run
-    by forward gallops of `_run_end`: on the prefix from its last chunk for the run's end,
-    and on mirror = prefix[::-1] from its first chunk for its start, since a run [s, e)
+    Every run of at least 2c - 1 letters holds a chunk prefix[x : x + c]. Each chunk is searched for
+    at every shift at once, by `str.find` in prefix[x + lo : x + hi + c]; a hit at x + m outside the
+    last run found at m is widened to its run by forward gallops of `_run_end`: on the prefix from
+    the chunk's end for the run's end, and on mirror = prefix[::-1] for its start, since a run [s, e)
     of the prefix is the run [back - e, back - s) of the mirror, with back = len(prefix) - m.
+
+    Two consecutive hits q < c letters apart give the chunk period q, and prefix[i : i + q] is
+    primitive, so inside a period-q stretch the chunk recurs exactly every q letters. The chunk's own
+    stretch [s, e) is measured once: the run of each shift kq that it holds the chunk at is
+    [s, e - kq), with no gallop, and every later chunk inside it searches only from e - c + 1, past
+    those runs. A stretch of hits further on is measured once too, and its hits are read off without
+    a search each. So a long periodic stretch costs its runs, not its (chunk, shift) pairs.
     """
-    stop, back = len(prefix) - m - c + 1, len(prefix) - m
-    equal = bytes(map(eq, ranks[0:stop:c], ranks[m:m + stop:c]))
-    return [(back - _run_end(mirror, back - group.start() * c, m), _run_end(prefix, group.end() * c, m))
-            for group in re.finditer(b"\x01+", equal)]
+    size = len(prefix)
+    mirror = prefix[::-1]
+    runs: list[list[tuple[int, int]]] = [[] for _ in range(lo, hi + 1)]
+    reach = [0] * (hi - lo + 1)  # the end of the last run found at each shift
+
+    def widen(x: int, m: int) -> None:
+        """The run at shift m through the chunk at x, unless the last run found at m holds the chunk."""
+        if reach[m - lo] < x + c:
+            back, end = size - m, _run_end(prefix, x + c, m)
+            runs[m - lo].append((back - _run_end(mirror, back - x, m), end))
+            reach[m - lo] = end
+
+    s = e = 0  # the last periodic stretch measured
+    for x in range(0, size - lo - c + 1, c):
+        chunk, stop = prefix[x:x + c], min(x + hi + c, size)
+        inside = s <= x and x + c <= e
+        i = prefix.find(chunk, max(x + lo, e - c + 1) if inside else x + lo, stop)
+        while i >= 0:
+            after = prefix.find(chunk, i + 1, stop)
+            if 0 <= after - i < c:
+                q = after - i
+                if not inside:  # the chunk's own period-q stretch, and the runs of the shifts kq it holds the chunk at
+                    back = size - q
+                    s, e, inside = back - _run_end(mirror, back - x, q), _run_end(prefix, x + c - q, q) + q, True
+                    for m in range(-(-lo // q) * q, min(hi, e - x - c) + 1, q):
+                        if reach[m - lo] < e - m:
+                            runs[m - lo].append((s, e - m))
+                            reach[m - lo] = e - m
+                    if i <= e - c:
+                        i = prefix.find(chunk, e - c + 1, stop)
+                        continue
+                last = min(_run_end(prefix, i + c, q) + q, stop) - c  # the last hit in the period-q stretch through i
+                for h in range(i, last + 1, q):
+                    widen(x, h - x)
+                after = prefix.find(chunk, last + 1, stop)
+            else:
+                widen(x, i - x)
+            i = after
+    return runs
 
 
 def _classes_in_runs(prefix: Word, runs: list[tuple[int, int]], m: int, need: int) -> tuple[RotationClass, ...]:
@@ -257,8 +294,8 @@ def _scan_work(letters: int, m_min: int, m_max: int, l_max: int) -> int:
     The factor count keys the prefix's windows of length L = l_max * m_max, and
     `scan_powers_multi` reads its shifts. At order 2 the need is m, so the shifts
     of chunk c are 2c - 1..4c - 2: below `_LONG_CHUNK` each reads every letter,
-    from there each probes one chunk in c, and the ranks are doubled from
-    `_LONG_CHUNK` letters up to the largest chunk.
+    and from there each pays its (chunk, shift) pairs and each chunk size one
+    pass over the letters, at the weights the comment above `_SCAN_GUARD` gives.
     """
     work = (l_max - 1) * (m_max - m_min + 1) * _RESULT_WORK + max(0, letters - l_max * m_max + 1) * _COUNT_WORK
     c = 1
@@ -267,7 +304,7 @@ def _scan_work(letters: int, m_min: int, m_max: int, l_max: int) -> int:
         if c < _LONG_CHUNK:
             work += shifts * letters
         else:
-            work += shifts * (letters // c) * _PROBE_WORK + letters * _RANK_WORK
+            work += shifts * (letters // c) * _PROBE_WORK + letters * _PASS_WORK
         c *= 2
     return work
 
@@ -286,21 +323,21 @@ def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int) -> dict[int,
         raise RangeError(f"bad length range {m_min}..{m_max}")
     if m_max * orders[-1] > len(prefix):
         raise RangeError(f"prefix of {len(prefix)} letters is too short for order {orders[-1]} at length {m_max}")
-    buf = prefix.encode("ascii")
-    whole = int.from_bytes(buf, "little")
-    ranks, width, mirror = None, 0, None
+    whole = None
+    chunk, first, long = 0, 0, []
     results = {l: ScanResult(l, {}) for l in orders}
     for m in range(m_min, m_max + 1):
         need = (orders[0] - 1) * m
         c = 1 << ((need + 1) // 2).bit_length() - 1  # the largest power of two with 2c - 1 <= need
         if c < _LONG_CHUNK:
-            runs = _short_runs(whole, len(buf), m, need)
+            if whole is None:  # only the XOR kernel reads it
+                whole = int.from_bytes(prefix.encode("ascii"), "little")
+            runs = _short_runs(whole, len(prefix), m, need)
         else:
-            if ranks is None:  # the XOR kernel reads neither, so a scan below the rank kernel builds neither
-                ranks, width, mirror = _window_ranks(buf, _LONG_CHUNK), _LONG_CHUNK, prefix[::-1]
-            while width < c:
-                ranks, width = _doubled(ranks, width), 2 * width
-            runs = _long_runs(prefix, mirror, ranks, c, m)
+            if c != chunk:  # the first shift of chunk c: one search finds the runs of all its shifts
+                chunk, first = c, m
+                long = _long_runs(prefix, c, m, min(m_max, (4 * c - 2) // (orders[0] - 1)))
+            runs = long[m - first]
         for l in orders:  # ascending, so each order reads only the runs that reached the one before
             need = (l - 1) * m
             runs = [run for run in runs if run[1] - run[0] >= need]

@@ -802,9 +802,10 @@ def test_dense_verified_census_stays_small():
 
 # A guard must refuse (exit 4) before its real cost in time or memory is paid, and an answer at a guard must fit the
 # same limits. Measured as children on a 2-CPU x86-64 VM (Python 3.11.7), the rows below take at most 3.5 s of CPU
-# and, but for the battery's, need at most 72 MB of address space; Fibonacci `blocks --n 38` needed between 256 and
-# 288 MB when it built block 38 before refusing. Tribonacci `verify --n 26`, the battery's largest, needs 192 to
-# 196 MB, so it has its own limit. The limits leave at least twice that as headroom and are set in the child only.
+# and, but for the battery's, need at most 88 MB of address space (the long run of `d=400000`; the others at most
+# 72 MB); Fibonacci `blocks --n 38` needed between 256 and 288 MB when it built block 38 before refusing. Tribonacci
+# `verify --n 26`, the battery's largest, needs 163 MB, so it has its own limit. The limits leave at least 1.8 times
+# that as headroom and are set in the child only.
 _CONTRACT_CPU_S = 10
 _CONTRACT_AS_MB = 160
 _BATTERY_AS_MB = 400
@@ -829,6 +830,8 @@ def _contract_limits(as_mb: int):
         # the count runs out in the first 4,161,783 letters of block 1, which has 130,000,001
         (("census", "--spec", "k=2; d=130000000; 1", "--m", "1", "--verify"), 4),
         (("census", "--spec", "k=2; d=; 1", "--all-up-to", "27000", "--verify"), 0),  # P has 129,024 letters
+        # P = a^400000 b a^15999: at each of the 7,746 shifts of the chunk search, a run of about 400,000 letters
+        (("census", "--spec", "k=2; d=400000; 1", "--all-up-to", "8000", "--verify"), 0),
         (("verify", "--spec", TRIB, "--n", "26"), 0),  # block 28 has 29,249,425 letters, within the battery's guard
         (("verify", "--spec", TRIB, "--n", "27"), 4),  # block 29 has 53,798,080
     ],

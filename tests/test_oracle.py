@@ -264,7 +264,7 @@ def _sweep(w, l_max, windows):
             assert multi[l].per_length == naive_scan(w, l, m_min, m_max), (l, m_min, m_max)
 
 
-# order 2 reads shift m by ranks once its chunk, the largest power of two c with 2c - 1 <= m, reaches _LONG_CHUNK
+# order 2 reads shift m by chunk search once its chunk, the largest power of two c with 2c - 1 <= m, reaches _LONG_CHUNK
 _CUTOFF_SHIFT = 2 * oracle._LONG_CHUNK - 1
 
 
@@ -300,6 +300,36 @@ class TestKernelSweep:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_LONG_CHUNK", cutoff)
             _sweep(w, l_max, [(1, 10), (_CUTOFF_SHIFT - 6, _CUTOFF_SHIFT + 6), (n // l_max - 3, n // l_max + 3)])
+
+
+class _Searched(str):
+    """A word that counts the `find` calls made on it."""
+
+    finds = 0
+
+    def find(self, *args):
+        type(self).finds += 1
+        return super().find(*args)
+
+
+class TestChunkSearchWork:
+    def test_periodic_chunks_are_not_walked_hit_by_hit(self, monkeypatch):
+        # a^n b a^n has three runs at each shift m of the chunk search: [0, n - m) and [n + 1, 2n + 1 - m) lie in the
+        # two blocks' period-1 stretches, measured once per chunk size, and [n - m + 1, n) crosses the b; only that one
+        # is widened by gallops. The chunks just before the b find their hits past it in one more stretch each, also
+        # measured once. Walking the a^c chunks hit by hit instead would search every (chunk, shift) pair, about 2n
+        # per chunk size, and gallop for all three runs.
+        n, m_max = 5000, 2000
+        sizes = [c for c in (128, 256, 512, 1024) if 2 * c - 1 <= m_max]
+        gallops = []
+        run_end = oracle._run_end
+        monkeypatch.setattr(oracle, "_run_end", lambda *args: gallops.append(args[1:]) or run_end(*args))
+        monkeypatch.setattr(_Searched, "finds", 0)
+        scan = scan_powers(_Searched("a" * n + "b" + "a" * n), 2, _CUTOFF_SHIFT, m_max)
+        assert scan.per_length == {m: frozenset({"a" * m}) for m in range(_CUTOFF_SHIFT, m_max + 1)}
+        shifts, chunks = m_max - _CUTOFF_SHIFT + 1, sum((2 * n + 1) // c for c in sizes)
+        assert len(gallops) <= 2 * shifts + 8 * len(sizes)
+        assert _Searched.finds <= 2 * chunks
 
 
 class TestCertificates:
