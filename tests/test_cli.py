@@ -726,7 +726,7 @@ class TestNumpyStaysUnloaded:
 
     @pytest.mark.parametrize("lengths", [("--m", "4"), ("--all-up-to", "1795")])
     def test_verified_census_loads_the_oracle_without_numpy(self, lengths):
-        # 1,795 lengths reach the rank kernel of the all-shift scan, one length only its XOR kernel
+        # 1,795 lengths reach the chunk search of the all-shift scan, one length only its XOR kernel
         start = _start("census", "--spec", TRIB, *lengths, "--verify")
         assert (start["code"], start["numpy"], start["dataclasses"]) == (0, False, False)
         assert set(start["modules"]) == _expected_modules(("census", "--verify"))

@@ -320,7 +320,7 @@ class TestChunkSearchWork:
         # measured once. Walking the a^c chunks hit by hit instead would search every (chunk, shift) pair, about 2n
         # per chunk size, and gallop for all three runs.
         n, m_max = 5000, 2000
-        sizes = [c for c in (128, 256, 512, 1024) if 2 * c - 1 <= m_max]
+        sizes = [c for c in (oracle._LONG_CHUNK << j for j in range(4)) if 2 * c - 1 <= m_max]
         gallops = []
         run_end = oracle._run_end
         monkeypatch.setattr(oracle, "_run_end", lambda *args: gallops.append(args[1:]) or run_end(*args))
