@@ -67,7 +67,7 @@ from .words import RationalIndex, Word
 # trips at once. A window the factor count keys costs 320 to 750 ns (L = 2 to 1,000, on
 # Tribonacci and on a^n b), so it weighs 128. The guard stands for 1 to 2 s of counting and
 # scanning: at the Tribonacci limit (lengths 1..46,438, 503,619 letters) `certified_scan`
-# took 1.05 to 1.71 s in process, against 2.4 to 3.2 s with the rank kernel.
+# took 1.05 to 1.71 s in process.
 _SCAN_GUARD = 1 << 29
 _PROBE_WORK = 20
 _PASS_WORK = 40
