@@ -5,25 +5,26 @@ answers are an independent route for the census and index formulas.
 
 `scan_powers_multi` compares the prefix with itself at every shift m and
 reads the bases of l-th powers off the maximal equality runs of at least
-need = (l-1)m letters, with one of two kernels chosen by the chunk c, the
-largest power of two with 2c - 1 <= need. Below `_LONG_CHUNK` one XOR finds
-every run: the prefix is held as one int, XORed with itself shifted by m
-letters, and the runs of `need` zero bytes are found with `bytes.find` and a
-regex for the next nonzero byte. From there on, every long enough run holds
-an aligned chunk prefix[jc : jc + c], so the scan searches only for the
-chunks: the shifts of one chunk size form one range lo..hi, each chunk is
-looked up once with `str.find` in prefix[jc + lo : jc + hi + c], and a hit
-at jc + m outside the runs already found at m is widened to its run by
-forward galloping slice comparisons, on the prefix for its end and on the
-prefix reversed for its start. A chunk that recurs less than c letters
-later is periodic: its periodic stretch is measured once and gives the runs
-of the shifts that are multiples of its period, so a long periodic stretch
-costs its runs, not one search per (chunk, shift) pair. Every
-factor of a period-m run is a rotation of its first m letters, so a run with
-cnt qualifying starts contributes rotations 0..cnt-1 of one word, and each
-length keeps a few rotation classes, never the bases themselves. The orders
-share each length's runs, and each order reads only the runs that reached the
-need of the order before.
+need = (l-1)m letters. One chunk plan, `_chunks`, gives each shift its chunk
+c, the largest power of two with 2c - 1 <= need, and groups the shifts of one
+chunk size into a range lo..hi; the scan picks its kernel by it and the guard
+prices it. Below `_LONG_CHUNK` one XOR per shift finds every run: the prefix
+is held as one int, XORed with itself shifted by m letters, and the runs of
+`need` zero bytes are found with `bytes.find` and a regex for the next
+nonzero byte. From there on, every long enough run holds an aligned chunk
+prefix[jc : jc + c], so the scan searches only for the chunks, once for all
+the shifts lo..hi: each chunk is looked up with `str.find` in
+prefix[jc + lo : jc + hi + c], and a hit at jc + m outside the runs already
+found at m is widened to its run by forward galloping slice comparisons, on
+the prefix for its end and on the prefix reversed for its start. A chunk that
+recurs less than c letters later is periodic: its periodic stretch is
+measured once and gives the runs of the shifts that are multiples of its
+period, so a long periodic stretch costs its runs, not one search per
+(chunk, shift) pair. Every factor of a period-m run is a rotation of its
+first m letters, so a run with cnt qualifying starts contributes rotations
+0..cnt-1 of one word, and each length keeps a few rotation classes, never the
+bases themselves. The orders share each length's runs, and each order reads
+only the runs that reached the need of the order before.
 
 `certified_scan` proves its prefix sufficient: a strict episturmian word on
 k letters has exactly (k-1)L + 1 factors of each length L (Arnoux & Rauzy
@@ -54,23 +55,22 @@ from .directive import CLOSURE_CHECK_WORK, closure_prefix, closure_reach
 from .errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
 from .words import RationalIndex, Word
 
-# A certified scan's work in letter-shifts: one letter at one shift of the XOR kernel. A long
-# shift pays a (chunk, shift) pair 20 and each chunk size a pass of 40 a letter: weights set,
-# on a 2-CPU x86-64 VM (Python 3.11), for a rank kernel whose chunk probe cost 68 to 108 ns and
-# whose rank cost 119 to 214 ns, so a letter-shift stands for 3 to 5 ns. They are kept so that
-# the guard admits the same inputs, and the chunk search that replaced that kernel costs far
-# less than they price: at the Tribonacci limit below, the 3.1e8 letter-shifts they charge
-# took 0.15 to 0.23 s, under 1 ns each. (The XOR kernel itself takes 1.5 to 4.4 ns a
-# letter-shift from m = 50 on, but 25 to 62 ns at m = 3 on the Tribonacci word, whose many
-# short runs it loops over.) An (order, length) pair's rotation classes cost 1 to 2 us, and
-# each order keeps a result of about 250 bytes, so a pair weighs 1,000: a millionth power
-# trips at once. A window the factor count keys costs 320 to 750 ns (L = 2 to 1,000, on
-# Tribonacci and on a^n b), so it weighs 128. The guard stands for 1 to 2 s of counting and
-# scanning: at the Tribonacci limit (lengths 1..46,438, 503,619 letters) `certified_scan`
-# took 1.05 to 1.71 s in process.
+# A certified scan's work in letter-shifts, each standing for 3 to 5 ns on a 2-CPU x86-64 VM (Python 3.11): a
+# letter at a shift of the XOR kernel, which takes 1.5 to 4.4 ns a letter-shift from m = 50 on, but 25 to 62 ns at
+# m = 3 on the Tribonacci word, whose many short runs it loops over. The chunk search's Python work follows its
+# chunks, shifts and runs, each at most a multiple of the letters per chunk size (a word of n letters has fewer
+# than n maximal runs: Bannai et al., "The 'Runs' Theorem", SIAM J. Comput. 46(5), 2017), so each chunk size costs
+# `_PASS_WORK` = 32 a letter: on the prefixes certified at the limits of six reference words it took 17 to 49 ns a
+# letter per chunk size on average, and 174 ns at most (k2_mixed, chunk 128). Gallops through runs that are long
+# at every shift cost more: on a^400000 b a^r the run through the b has m - 1 letters at shift m, and a letter cost
+# 10 ns at chunk 128 but 3.3 us at chunk 32,768. An (order, length) pair's rotation classes cost 1 to 2 us, and
+# each order keeps a result of about 250 bytes, so a pair weighs 1,000: a millionth power trips at once. A window
+# the factor count keys costs 320 to 750 ns (L = 2 to 1,000, on Tribonacci and on a^n b), so it weighs 128. The
+# guard stands for 1 to 2 s of counting and scanning: at the Tribonacci limit (lengths 1..72,332, 555,407 letters)
+# `certified_scan` took 0.91 to 1.15 s in process, and at the Fibonacci limit (lengths 1..146,074, 609,958
+# letters) 1.30 to 1.56 s, 3 runs each.
 _SCAN_GUARD = 1 << 29
-_PROBE_WORK = 20
-_PASS_WORK = 40
+_PASS_WORK = 32
 _RESULT_WORK = 1000
 _COUNT_WORK = 128
 # The factor count keys windows mod the Mersenne prime 2^61 - 1 in Python ints,
@@ -288,24 +288,32 @@ def _classes_in_runs(prefix: Word, runs: list[tuple[int, int]], m: int, need: in
     return tuple(RotationClass(u, tuple(pieces)) for u, _, pieces in classes)
 
 
+def _chunks(m_min: int, m_max: int, order: int):
+    """The chunk plan of a scan at lengths m_min..m_max whose least order is `order`: (c, lo, hi) per chunk size c.
+
+    Shift m has need (order - 1)m and chunk c, the largest power of two with 2c - 1 <= need, so the
+    shifts lo..hi of one c are those with 2c - 1 <= (order - 1)m <= 4c - 2, cut to m_min..m_max.
+    """
+    m = m_min
+    while m <= m_max:
+        c = 1 << (((order - 1) * m + 1) // 2).bit_length() - 1
+        hi = min(m_max, (4 * c - 2) // (order - 1))
+        yield c, m, hi
+        m = hi + 1
+
+
 def _scan_work(letters: int, m_min: int, m_max: int, l_max: int) -> int:
     """What a certified scan of `letters` letters at orders 2..l_max and lengths m_min..m_max costs, in letter-shifts.
 
-    The factor count keys the prefix's windows of length L = l_max * m_max, and
-    `scan_powers_multi` reads its shifts. At order 2 the need is m, so the shifts
-    of chunk c are 2c - 1..4c - 2: below `_LONG_CHUNK` each reads every letter,
-    and from there each pays its (chunk, shift) pairs and each chunk size one
-    pass over the letters, at the weights the comment above `_SCAN_GUARD` gives.
+    The factor count keys the prefix's letters - L + 1 windows of length L = l_max * m_max,
+    and `scan_powers_multi` reads its shifts by the chunk plan of order 2: below
+    `_LONG_CHUNK` each shift reads every letter, and from there each chunk size pays
+    `_PASS_WORK` a letter. So the price is linear in the letters, for any prefix of at
+    least L - 1 letters: a fixed part and a price per letter.
     """
-    work = (l_max - 1) * (m_max - m_min + 1) * _RESULT_WORK + max(0, letters - l_max * m_max + 1) * _COUNT_WORK
-    c = 1
-    while 2 * c - 1 <= m_max:
-        shifts = max(0, min(m_max, 4 * c - 2) - max(m_min, 2 * c - 1) + 1)
-        if c < _LONG_CHUNK:
-            work += shifts * letters
-        else:
-            work += shifts * (letters // c) * _PROBE_WORK + letters * _PASS_WORK
-        c *= 2
+    work = (l_max - 1) * (m_max - m_min + 1) * _RESULT_WORK + (letters - l_max * m_max + 1) * _COUNT_WORK
+    for c, lo, hi in _chunks(m_min, m_max, 2):
+        work += letters * (hi - lo + 1 if c < _LONG_CHUNK else _PASS_WORK)
     return work
 
 
@@ -324,24 +332,19 @@ def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int) -> dict[int,
     if m_max * orders[-1] > len(prefix):
         raise RangeError(f"prefix of {len(prefix)} letters is too short for order {orders[-1]} at length {m_max}")
     whole = None
-    chunk, first, long = 0, 0, []
     results = {l: ScanResult(l, {}) for l in orders}
-    for m in range(m_min, m_max + 1):
-        need = (orders[0] - 1) * m
-        c = 1 << ((need + 1) // 2).bit_length() - 1  # the largest power of two with 2c - 1 <= need
-        if c < _LONG_CHUNK:
+    for c, lo, hi in _chunks(m_min, m_max, orders[0]):
+        if c >= _LONG_CHUNK:  # one search finds the runs of all the shifts of chunk c
+            found = _long_runs(prefix, c, lo, hi)
+        else:
             if whole is None:  # only the XOR kernel reads it
                 whole = int.from_bytes(prefix.encode("ascii"), "little")
-            runs = _short_runs(whole, len(prefix), m, need)
-        else:
-            if c != chunk:  # the first shift of chunk c: one search finds the runs of all its shifts
-                chunk, first = c, m
-                long = _long_runs(prefix, c, m, min(m_max, (4 * c - 2) // (orders[0] - 1)))
-            runs = long[m - first]
-        for l in orders:  # ascending, so each order reads only the runs that reached the one before
-            need = (l - 1) * m
-            runs = [run for run in runs if run[1] - run[0] >= need]
-            results[l].classes[m] = _classes_in_runs(prefix, runs, m, need) if runs else ()
+            found = (_short_runs(whole, len(prefix), m, (orders[0] - 1) * m) for m in range(lo, hi + 1))
+        for m, runs in zip(range(lo, hi + 1), found):
+            for l in orders:  # ascending, so each order reads only the runs that reached the one before
+                need = (l - 1) * m
+                runs = [run for run in runs if run[1] - run[0] >= need]
+                results[l].classes[m] = _classes_in_runs(prefix, runs, m, need) if runs else ()
     return results
 
 
@@ -407,22 +410,6 @@ def count_factors(words, length: int, enough: int) -> tuple[int, int]:
     return len(seen), start + keys.index(last) + length
 
 
-def _longest_admitted(m_min: int, m_max: int, l_max: int) -> int:
-    """The most letters a certified scan at these lengths and orders may read within `_SCAN_GUARD` (0 for none), by bisection.
-
-    `_scan_work` never falls as the letters grow, and each letter adds at least one
-    letter-shift, so no more than `_SCAN_GUARD` letters are admitted.
-    """
-    lo, hi = 0, _SCAN_GUARD + 1  # hi is never admitted; lo is, or lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _scan_work(mid, m_min, m_max, l_max) <= _SCAN_GUARD:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1):
     """Certify a prefix by factor complexity and scan it once at lengths m_min..m_max: (certificate, {l: ScanResult}).
 
@@ -461,7 +448,8 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
             yield block
             level += 1
 
-    admitted = _longest_admitted(m_min, m_max, l_max)
+    fixed = _scan_work(0, m_min, m_max, l_max)  # the price is linear in the letters, so one division finds the most admitted
+    admitted = (_SCAN_GUARD - fixed) // (_scan_work(1, m_min, m_max, l_max) - fixed)
     if admitted < spec.k * length:
         raise too_costly(spec.k * length)
     found, end = count_factors(blocks(), length, target)

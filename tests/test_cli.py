@@ -3,7 +3,6 @@
 import json
 import os
 import random
-import resource
 import subprocess
 import sys
 import time
@@ -396,10 +395,10 @@ class TestCensus:
         assert code == 4 and out == "" and "guard" in err
 
     def test_costly_certification_trips_the_guard_at_once(self, capsys):
-        # scanning a 2.6M-letter block at 40,000 shifts ran out of memory before; 100,000 shifts of the
-        # least 600,000 letters that can hold every factor cost more than the scan guard
+        # lengths up to 200,000: scanning the least 1,200,000 letters that can hold every factor of length 400,000
+        # costs more than the scan guard, so no block is built
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "100000", "--verify")
+        code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "200000", "--verify")
         assert time.perf_counter() - start < 1.0
         assert code == 4 and out == "" and "letter-shifts" in err
 
@@ -811,15 +810,25 @@ _CONTRACT_AS_MB = 160
 _BATTERY_AS_MB = 400
 
 
-def _contract_limits(as_mb: int):
-    resource.setrlimit(resource.RLIMIT_CPU, (_CONTRACT_CPU_S, _CONTRACT_CPU_S))
-    resource.setrlimit(resource.RLIMIT_AS, (as_mb << 20, as_mb << 20))
+# A fresh small interpreter (see _RSS_PROBE) sets the limits on itself, spawns the CLI under them with its output
+# discarded, and prints the CLI's exit code, CPU seconds and max RSS in KB.
+_CONTRACT_PROBE = """
+import json, os, resource, sys
+cpu_s, as_mb = int(sys.argv[1]), int(sys.argv[2])
+resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s))
+resource.setrlimit(resource.RLIMIT_AS, (as_mb << 20, as_mb << 20))
+out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "episturm.cli", *sys.argv[3:]], os.environ, file_actions=out)
+_, status, usage = os.wait4(pid, 0)
+print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_stime, usage.ru_maxrss]))
+"""
 
 
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (("census", "--spec", TRIB, "--all-up-to", "46439", "--verify"), 4),  # one length past the scan guard's limit
+        (("census", "--spec", TRIB, "--all-up-to", "72332", "--verify"), 0),  # the scan guard's limit: P has 555,407 letters
+        (("census", "--spec", TRIB, "--all-up-to", "72333", "--verify"), 4),
         (("census", "--spec", "k=2; d=4000000; 1", "--all-up-to", "200", "--verify"), 4),  # the count runs out at the cut
         (("census", "--spec", "k=2; d=4000000; 1", "--m", "1", "--verify"), 0),  # P = a^4000000 b a, 4% under the scan guard
         (("blocks", "--spec", "k=2; d=; 1", "--n", "38"), 4),  # the palindromic prefix is above the length guard
@@ -841,10 +850,12 @@ def test_inputs_at_the_guards_keep_the_exit_code_contract(argv, code):
     env = {key: value for key, value in os.environ.items() if key != "EPISTURM_GUARD"}
     env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
     as_mb = _BATTERY_AS_MB if argv[0] == "verify" else _CONTRACT_AS_MB
-    done = subprocess.run([sys.executable, "-m", "episturm.cli", *argv], env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True, preexec_fn=lambda: _contract_limits(as_mb), timeout=120)
-    assert done.returncode == code, done.stderr[-500:]
-    assert ("guard" in done.stderr) == (code == 4)
+    done = subprocess.run([sys.executable, "-c", _CONTRACT_PROBE, str(_CONTRACT_CPU_S), str(as_mb), *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    exit_code, cpu_s, max_rss_kb = json.loads(done.stdout)
+    cost = f"{cpu_s:.2f} s of CPU and {max_rss_kb >> 10} MB max RSS, under {_CONTRACT_CPU_S} s and {as_mb} MB of address space"
+    assert exit_code == code, f"{cost}\n{done.stderr[-500:]}"
+    assert ("guard" in done.stderr) == (code == 4), cost
 
 
 def test_long_exponent_generate_keeps_one_closure_prefix():

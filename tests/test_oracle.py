@@ -208,8 +208,8 @@ def run_hosts(draw):
 
 
 class TestChunkFilter:
-    """Once the smallest order's need (l-1)m reaches 255, the all-shift scan finds long runs through ranked chunks of
-    128 or more letters; it must stay exact."""
+    """Once the smallest order's need (l-1)m reaches 255, the all-shift scan finds long runs by searching for chunks
+    of 128 or more letters; it must stay exact."""
 
     @given(st.text(alphabet="ab", min_size=32, max_size=700), st.integers(min_value=2, max_value=3))
     @settings(max_examples=40, deadline=None)
@@ -269,12 +269,23 @@ _CUTOFF_SHIFT = 2 * oracle._LONG_CHUNK - 1
 
 
 class TestKernelSweep:
-    """The XOR kernel below the cutoff and the rank kernel above it, against the naive double loop.
+    """The XOR kernel below the cutoff and the chunk search above it, against the naive double loop.
 
     Windows of lengths straddle the cutoff, most shifts are not multiples of their
     chunk, every order 2..l_max shares one scan, and a smaller cutoff sends short
-    shifts through the rank kernel too.
+    shifts through the chunk search too.
     """
+
+    @given(st.integers(min_value=1, max_value=5000), st.integers(min_value=0, max_value=5000), st.integers(min_value=2, max_value=5))
+    @settings(max_examples=100, deadline=None)
+    def test_the_chunk_plan_sends_each_shift_to_its_chunk(self, m_min, extra, order):
+        # every shift once, in order, under the largest power of two c with 2c - 1 <= (order - 1)m, each c once
+        plan = list(oracle._chunks(m_min, m_min + extra, order))
+        assert [m for _, lo, hi in plan for m in range(lo, hi + 1)] == list(range(m_min, m_min + extra + 1))
+        assert len({c for c, _, _ in plan}) == len(plan)
+        for c, lo, hi in plan:
+            assert c & (c - 1) == 0
+            assert all(2 * c - 1 <= (order - 1) * m < 4 * c - 1 for m in range(lo, hi + 1))
 
     @given(periodic_words(limit=1100, period=300), st.integers(min_value=2, max_value=4), st.sampled_from([1, 2, 8, oracle._LONG_CHUNK]))
     @settings(max_examples=60, deadline=None)
@@ -381,6 +392,27 @@ class TestCertificates:
         monkeypatch.setattr(oracle, "_SCAN_GUARD", self.work(106, 1, 1, 26) - 1)
         with pytest.raises(GuardExceeded, match="letter-shifts"):
             certified_scan(BlockTable(spec), 13, 2, m_min=13)
+
+    @given(st.integers(min_value=1, max_value=120_000), st.integers(min_value=0, max_value=120_000),
+           st.integers(min_value=2, max_value=5))
+    @settings(max_examples=60, deadline=None)
+    def test_the_count_reads_exactly_the_longest_prefix_the_guard_admits(self, m_min, extra, l_max):
+        # a stub count that finds no factor is handed the admitted prefix, or nothing when it is shorter than k * L
+        m_max = m_min + extra
+        table = BlockTable(DirectiveSpec.parse("k=2; d=; 1"))
+        read = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(table, "head", lambda level, size: "a" * size)
+            mp.setattr(oracle, "count_factors", lambda words, *args: (read.extend(map(len, words)), (0, 0))[1])
+            with pytest.raises(GuardExceeded) as refusal:
+                certified_scan(table, m_max, l_max, m_min=m_min)
+        if read:
+            admitted = read[-1]
+            assert oracle._scan_work(admitted, m_min, m_max, l_max) <= oracle._SCAN_GUARD
+        else:
+            admitted = 2 * l_max * m_max - 1
+        past = oracle._scan_work(admitted + 1, m_min, m_max, l_max)
+        assert past > oracle._SCAN_GUARD and f"costs at least {past} letter-shifts" in str(refusal.value)
 
     def test_certify_prefix_shortcut(self, trib):
         assert certify_prefix(trib, 13, 2).word == certified_scan(trib, 13, 2)[0].word
