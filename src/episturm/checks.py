@@ -342,7 +342,8 @@ def check_index_consistency(table: BlockTable, n_max: int) -> None:
         witness = block_index_witness(table, n)
         if len(witness) != blk.length:
             _fail("index-consistency", n, f"witness length {len(witness)}, predicted {blk.length}")
-        if not witness.startswith(table.block(n) * blk.whole):
+        block = table.block(n)
+        if not all(witness.startswith(block, i * len(block)) for i in range(blk.whole)):
             _fail("index-consistency", n, "witness does not start with the full power")
         host_level = n + k + 2  # a finite directive has no block past its last exponent
         exists = table.spec.period or host_level <= len(table.spec.preperiod)

@@ -110,6 +110,7 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
                 "block_level": certificate.block_level,
                 "prefix_letters": len(certificate.word),
                 "scanned_letters": certificate.scanned_letters,
+                "short_shift_letters": certificate.short_shift_letters,
                 "closure_checked_letters": certificate.closure_checked_letters,
                 "closure_cap": CLOSURE_CHECK_WORK,
                 "mismatched_lengths": mismatches,

@@ -30,7 +30,11 @@ only the runs that reached the need of the order before.
 k letters has exactly (k-1)L + 1 factors of each length L (Arnoux & Rauzy
 1991; Droubay, Justin & Pirillo, TCS 255, 2001), so a prefix holding that
 many, with L = l_max * m_max, holds every power of order up to l_max with a
-base of at most m_max letters that the infinite word has. A naive double loop
+base of at most m_max letters that the infinite word has. The chunk search
+reads all of that prefix P. The XOR shifts look only for powers of at most
+L' = l_max * (the last XOR shift, at most 254) letters, so once 2L' <= L they
+read only the shortest prefix P' of P that holds the (k-1)L' + 1 factors of
+length L', found by a second count on P by the same theorem. A naive double loop
 stays available as the meta-oracle for small inputs, and `ScanResult.per_length`
 expands the classes into word sets for it.
 
@@ -57,7 +61,10 @@ from .words import RationalIndex, Word
 
 # A certified scan's work in letter-shifts, each standing for 3 to 5 ns on a 2-CPU x86-64 VM (Python 3.11): a
 # letter at a shift of the XOR kernel, which takes 1.5 to 4.4 ns a letter-shift from m = 50 on, but 25 to 62 ns at
-# m = 3 on the Tribonacci word, whose many short runs it loops over. The chunk search's Python work follows its
+# m = 3 on the Tribonacci word, whose many short runs it loops over; the XOR shifts read P, or P' once a second
+# count has found it, and that count is priced at a window per letter of P, before it runs, in place of the XOR
+# shifts (`_short_length`, `_scan_work`). At order 2, Tribonacci's P' has 2,212 letters from m_max = 508 on, so
+# its XOR shifts cost 254 * 2,212 letter-shifts, not 254 * |P|. The chunk search's Python work follows its
 # chunks, shifts and runs, each at most a multiple of the letters per chunk size (a word of n letters has fewer
 # than n maximal runs: Bannai et al., "The 'Runs' Theorem", SIAM J. Comput. 46(5), 2017), so each chunk size costs
 # `_PASS_WORK` = 32 a letter: on the prefixes certified at the limits of six reference words it took 17 to 49 ns a
@@ -66,9 +73,10 @@ from .words import RationalIndex, Word
 # 10 ns at chunk 128 but 3.3 us at chunk 32,768. An (order, length) pair's rotation classes cost 1 to 2 us, and
 # each order keeps a result of about 250 bytes, so a pair weighs 1,000: a millionth power trips at once. A window
 # the factor count keys costs 320 to 750 ns (L = 2 to 1,000, on Tribonacci and on a^n b), so it weighs 128. The
-# guard stands for 1 to 2 s of counting and scanning: at the Tribonacci limit (lengths 1..72,332, 555,407 letters)
-# `certified_scan` took 0.91 to 1.15 s in process, and at the Fibonacci limit (lengths 1..146,074, 609,958
-# letters) 1.30 to 1.56 s, 3 runs each.
+# guard stands for at most 1 to 2 s of counting and scanning: in process, `certified_scan` took 0.45 to 0.53 s at
+# the Tribonacci limit (lengths 1..72,332; P = 555,407 letters, P' = 2,212), 0.68 to 0.76 s at the Fibonacci limit
+# (lengths 1..158,905; P = 635,620, P' = 1,117) and 1.07 to 1.24 s on a^400000 b a^15999 (lengths 1..8,000, whose
+# P' holds 400,508 of P's 416,000 letters), best of 3 in each of 2 processes.
 _SCAN_GUARD = 1 << 29
 _PASS_WORK = 32
 _RESULT_WORK = 1000
@@ -170,6 +178,9 @@ class PrefixCertificate(NamedTuple):
     distinct factors of length L = `factor_length`: all the word has. Its
     first `scanned_letters` letters already hold them, and the closure
     construction built the first `closure_checked_letters` of those too.
+    The XOR shifts read only the first `short_shift_letters`: all of those
+    letters, or, after a second count, the fewest that hold every factor of
+    l_max times the last XOR shift letters.
     """
 
     word: Word
@@ -180,6 +191,7 @@ class PrefixCertificate(NamedTuple):
     block_level: int
     scanned_letters: int
     closure_checked_letters: int
+    short_shift_letters: int
 
 
 def generate_prefix(table: BlockTable, min_length: int) -> Word:
@@ -302,18 +314,35 @@ def _chunks(m_min: int, m_max: int, order: int):
         m = hi + 1
 
 
-def _scan_work(letters: int, m_min: int, m_max: int, l_max: int) -> int:
+def _short_length(m_min: int, m_max: int, l_max: int) -> int:
+    """L' = l_max times the last XOR shift of the order-2 chunk plan, when 2L' <= L = l_max * m_max; else 0.
+
+    Every power that an XOR shift looks for is a factor of at most L' letters, so the shortest
+    prefix P' holding the (k-1)L' + 1 factors of that length holds them all. Nearer to L, P' is
+    nearly all of P, and a second count would cost more than it saves: at order 3 and lengths
+    1..256, k3_mixed's P' holds 7,529 of P's 7,535 letters.
+    """
+    last = max((hi for c, lo, hi in _chunks(m_min, m_max, 2) if c < _LONG_CHUNK), default=0)
+    return l_max * last if 2 * last <= m_max else 0
+
+
+def _scan_work(letters: int, m_min: int, m_max: int, l_max: int, short_letters: int = 0) -> int:
     """What a certified scan of `letters` letters at orders 2..l_max and lengths m_min..m_max costs, in letter-shifts.
 
     The factor count keys the prefix's letters - L + 1 windows of length L = l_max * m_max,
     and `scan_powers_multi` reads its shifts by the chunk plan of order 2: below
     `_LONG_CHUNK` each shift reads every letter, and from there each chunk size pays
-    `_PASS_WORK` a letter. So the price is linear in the letters, for any prefix of at
-    least L - 1 letters: a fixed part and a price per letter.
+    `_PASS_WORK` a letter. When a short count is planned (`_short_length`), it keys at most
+    a window per letter, and the XOR shifts read only the `short_letters` letters of P',
+    0 until that count has found them. So the price is linear in the letters, for any
+    prefix of at least L - 1 letters: a fixed part and a price per letter.
     """
+    short = _short_length(m_min, m_max, l_max)
+    xor_letters = short_letters if short else letters
     work = (l_max - 1) * (m_max - m_min + 1) * _RESULT_WORK + (letters - l_max * m_max + 1) * _COUNT_WORK
+    work += letters * _COUNT_WORK if short else 0
     for c, lo, hi in _chunks(m_min, m_max, 2):
-        work += letters * (hi - lo + 1 if c < _LONG_CHUNK else _PASS_WORK)
+        work += xor_letters * (hi - lo + 1) if c < _LONG_CHUNK else letters * _PASS_WORK
     return work
 
 
@@ -322,8 +351,13 @@ def scan_powers(prefix: Word, l: int, m_min: int, m_max: int) -> ScanResult:
     return scan_powers_multi(prefix, (l,), m_min, m_max)[l]
 
 
-def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int) -> dict[int, ScanResult]:
-    """Scan several power orders at once, sharing the per-length run decomposition."""
+def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int, short_letters: int | None = None) -> dict[int, ScanResult]:
+    """Scan several power orders at once, sharing the per-length run decomposition.
+
+    The XOR shifts (those below `_LONG_CHUNK`) read only prefix[:short_letters], all of
+    it by default: a caller that knows a shorter prefix holds every power those shifts look
+    for passes its length, and the chunk search still reads the whole prefix.
+    """
     orders = sorted(set(orders))
     if not orders or orders[0] < 2:
         raise RangeError("power orders must all be >= 2")
@@ -331,6 +365,10 @@ def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int) -> dict[int,
         raise RangeError(f"bad length range {m_min}..{m_max}")
     if m_max * orders[-1] > len(prefix):
         raise RangeError(f"prefix of {len(prefix)} letters is too short for order {orders[-1]} at length {m_max}")
+    if short_letters is None:
+        short_letters = len(prefix)
+    elif not 0 <= short_letters <= len(prefix):
+        raise RangeError(f"the XOR shifts cannot read {short_letters} letters of a prefix of {len(prefix)}")
     whole = None
     results = {l: ScanResult(l, {}) for l in orders}
     for c, lo, hi in _chunks(m_min, m_max, orders[0]):
@@ -338,8 +376,8 @@ def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int) -> dict[int,
             found = _long_runs(prefix, c, lo, hi)
         else:
             if whole is None:  # only the XOR kernel reads it
-                whole = int.from_bytes(prefix.encode("ascii"), "little")
-            found = (_short_runs(whole, len(prefix), m, (orders[0] - 1) * m) for m in range(lo, hi + 1))
+                whole = int.from_bytes(prefix[:short_letters].encode("ascii"), "little")
+            found = (_short_runs(whole, short_letters, m, (orders[0] - 1) * m) for m in range(lo, hi + 1))
         for m, runs in zip(range(lo, hi + 1), found):
             for l in orders:  # ascending, so each order reads only the runs that reached the one before
                 need = (l - 1) * m
@@ -420,6 +458,11 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
     count and the scan share one guard, and the blocks stop at the longest
     prefix it admits, the last one built only that far: a count that runs out
     short of (k-1)L + 1 is refused here, before a longer block is built.
+    When `_short_length` plans a second count, it counts the factors of
+    L' < L letters on the certified prefix P, which holds them all, and the
+    XOR shifts read only the prefix P' that holds them; the guard, which
+    admitted P with that count in place of the XOR shifts, then prices them
+    on P' and refuses before the scan if the total is over.
     """
     if m_max < 1:
         raise RangeError(f"m_max must be >= 1 (got {m_max})")
@@ -433,10 +476,10 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
     length = l_max * m_max
     target = (spec.k - 1) * length + 1
 
-    def too_costly(letters: int) -> GuardExceeded:
+    def too_costly(letters: int, short_letters: int = 0) -> GuardExceeded:
         """The refusal of a prefix of at least `letters` letters, which the guard does not admit."""
         return GuardExceeded(f"certifying lengths {m_min}..{m_max} at orders up to {l_max} costs at least "
-                             f"{_scan_work(letters, m_min, m_max, l_max)} letter-shifts, above the guard {_SCAN_GUARD}")
+                             f"{_scan_work(letters, m_min, m_max, l_max, short_letters)} letter-shifts, above the guard {_SCAN_GUARD}")
 
     def blocks():
         """The blocks from the least with k*L letters up, each built up to `admitted` letters once the one before fell short."""
@@ -461,11 +504,20 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
                                 f"more than the {target} of a strict episturmian word")
     block = table.block(level)
     prefix = block[:end]
+    short, short_end = _short_length(m_min, m_max, l_max), end
+    if short:  # P holds every factor of L' < L letters, so counting them on P finds P'
+        short_target = (spec.k - 1) * short + 1
+        found, short_end = count_factors([prefix], short, short_target)
+        if found != short_target:
+            raise VerificationError(f"block level {level} has {found} factors of length {short} in its first {end} "
+                                    f"letters, not the {short_target} of a strict episturmian word")
+        if _scan_work(end, m_min, m_max, l_max, short_end) > _SCAN_GUARD:
+            raise too_costly(end, short_end)
     checked = min(end, closure_reach(spec, CLOSURE_CHECK_WORK))
     if closure_prefix(spec, checked) != prefix[:checked]:
         raise VerificationError(f"block level {level} disagrees with the closure construction within {checked} letters")
-    scans = scan_powers_multi(prefix, range(2, l_max + 1), m_min, m_max)
-    return PrefixCertificate(block, m_min, m_max, length, target, level, end, checked), scans
+    scans = scan_powers_multi(prefix, range(2, l_max + 1), m_min, m_max, short_end)
+    return PrefixCertificate(block, m_min, m_max, length, target, level, end, checked, short_end), scans
 
 
 def certify_prefix(table: BlockTable, m_max: int, l_max: int) -> PrefixCertificate:

@@ -476,6 +476,22 @@ class TestCensus:
         }
 
     @pytest.mark.parametrize(
+        "lengths, scanned, short",
+        [
+            (("--all-up-to", "1795"), 14198, 2212),  # lengths 1..1,795: the XOR shifts read P' of L' = 508
+            (("--all-up-to", "507"), 4149, 4149),  # L' = 508 is more than half of L = 1,014: no second count
+            (("--m", "1795"), 14198, 14198),  # no XOR shift
+        ],
+    )
+    def test_the_verification_row_names_the_letters_the_short_shifts_read(self, capsys, lengths, scanned, short):
+        code, out, _ = run_cli(capsys, "census", "--spec", TRIB, *lengths, "--verify", "--json")
+        verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
+        assert code == 0 and (verdict["scanned_letters"], verdict["short_shift_letters"]) == (scanned, short)
+        for dropped in ({}, {"short_shift_letters": 0}):
+            row = {name: value for name, value in verdict.items() if name != "short_shift_letters"} | dropped
+            assert not VALIDATOR.is_valid(row)
+
+    @pytest.mark.parametrize(
         "lengths, message",
         [
             (("--m", "3", "--l", "1"), "power order must be >= 2 (got 1)"),

@@ -552,6 +552,85 @@ class TestCertificates:
                 certified_scan(BlockTable(DirectiveSpec.parse(text)), 5, 2)
 
 
+# the last shift the XOR kernel reads at order 2: the chunk plan's last shift under _LONG_CHUNK
+_LAST_XOR_SHIFT = _CUTOFF_SHIFT - 1
+
+
+class TestShortShifts:
+    """From m_max = 2 * 254 on, the XOR shifts read only P', the shortest prefix of P holding every factor of l_max * 254 letters."""
+
+    @pytest.mark.parametrize("m_max", [2 * _LAST_XOR_SHIFT - 1, 2 * _LAST_XOR_SHIFT])
+    @pytest.mark.parametrize("l_max", [2, 3, 4])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_certified_scans_equal_a_scan_of_all_of_the_prefix(self, tables, name, l_max, m_max):
+        cert, scans = certified_scan(tables[name], m_max, l_max)
+        short = m_max >= 2 * _LAST_XOR_SHIFT
+        assert (cert.short_shift_letters < cert.scanned_letters) == short
+        if not short:
+            assert cert.short_shift_letters == cert.scanned_letters
+        whole = scan_powers_multi(cert.word[:cert.scanned_letters], range(2, l_max + 1), 1, m_max)
+        assert {l: r.per_length for l, r in scans.items()} == {l: r.per_length for l, r in whole.items()}
+
+    @pytest.mark.parametrize(
+        "spec, m_max, counts",
+        [
+            ("k=3; d=1,1,2; 2,1,2", 256, 1),  # verified-census op A: L' = 508 of L = 512, so no second count
+            ("k=3; d=; 1", 1795, 2),  # op C: L' = 508 of L = 3,590
+        ],
+    )
+    def test_a_second_count_reads_only_the_certified_prefix(self, monkeypatch, spec, m_max, counts):
+        calls, scanned = [], []
+        count, scan = oracle.count_factors, oracle.scan_powers_multi
+        monkeypatch.setattr(oracle, "count_factors", lambda words, *args: calls.append((words, args)) or count(words, *args))
+        monkeypatch.setattr(oracle, "scan_powers_multi", lambda *args: scanned.append(args[4]) or scan(*args))
+        cert, _ = certified_scan(BlockTable(DirectiveSpec.parse(spec)), m_max, 2)
+        assert len(calls) == counts and calls[0][1] == (cert.factor_length, cert.factors)
+        assert scanned == [cert.short_shift_letters]
+        prefix = cert.word[:cert.scanned_letters]
+        if counts == 1:
+            assert cert.short_shift_letters == cert.scanned_letters
+            return
+        k = DirectiveSpec.parse(spec).k
+        length = 2 * _LAST_XOR_SHIFT
+        assert calls[1] == ([prefix], (length, (k - 1) * length + 1))
+        # P' is the shortest prefix holding every factor of L' letters
+        assert len(factors_of_length(prefix[:cert.short_shift_letters], length)) == (k - 1) * length + 1
+        assert len(factors_of_length(prefix[:cert.short_shift_letters - 1], length)) == (k - 1) * length
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_a_second_count_off_the_complexity_is_refused(self, monkeypatch, change):
+        count = oracle.count_factors
+
+        def miscount(words, length, enough):
+            found, end = count(words, length, enough)
+            return (found + change, end) if length == 2 * _LAST_XOR_SHIFT else (found, end)
+
+        monkeypatch.setattr(oracle, "count_factors", miscount)
+        monkeypatch.setattr(oracle, "scan_powers_multi", lambda *args: pytest.fail("scanned"))
+        with pytest.raises(VerificationError, match=f"has {1017 + change} factors of length 508 in its first 14198 letters"):
+            certified_scan(BlockTable(DirectiveSpec.parse("k=3; d=; 1")), 1795, 2)
+
+    def test_the_guard_prices_the_second_count_then_the_short_shifts(self, monkeypatch):
+        # op C: P = 14,198 letters and P' = 2,212. Admission prices the second count at a window per letter of P in
+        # place of the 254 XOR shifts; once P' is known, each XOR shift reads its letters. On top: 1,795 results,
+        # the main count's windows of length 3,590, and the chunk search's three chunk sizes, 128 to 512
+        p, short = 14198, 2212
+        fixed = 1795 * oracle._RESULT_WORK + (p - 3590 + 1) * oracle._COUNT_WORK + 3 * oracle._PASS_WORK * p
+        admission = fixed + p * oracle._COUNT_WORK
+        total = admission + _LAST_XOR_SHIFT * short
+        table = BlockTable(DirectiveSpec.parse("k=3; d=; 1"))
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", total)
+        cert = certified_scan(table, 1795, 2)[0]
+        assert (cert.scanned_letters, cert.short_shift_letters) == (p, short)
+        monkeypatch.setattr(oracle, "scan_powers_multi", lambda *args: pytest.fail("scanned"))
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", total - 1)  # P is admitted and counted, then refused
+        with pytest.raises(GuardExceeded, match=f"costs at least {total} letter-shifts, above the guard {total - 1}"):
+            certified_scan(table, 1795, 2)
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", admission - 1)  # the count runs out one letter short of P
+        with pytest.raises(GuardExceeded, match=f"costs at least {admission} letter-shifts"):
+            certified_scan(table, 1795, 2)
+
+
 class TestIndexMeasurement:
     def test_max_fractional_power_small(self):
         assert max_fractional_power("aaaa", "a") == RationalIndex(4, 0, 1)
