@@ -31,7 +31,7 @@ from .directive import (
     previous_same_letter,
 )
 from .errors import CancellationError, InvariantViolation, VerificationError
-from .partition import level_partition, refined_levels
+from .partition import level_partition, refined_levels, tile_levels
 from .powers import block_index, block_index_witness, census, length_sets, prefix_index
 from .singular import factor_partition, singular_window
 from .words import (
@@ -339,19 +339,20 @@ def check_index_consistency(table: BlockTable, n_max: int) -> None:
         blk = block_index(table, n)
         if pre._replace(whole=pre.whole + 1) != blk:
             _fail("index-consistency", n, f"{pre} + 1 != {blk}")
-        witness = block_index_witness(table, n)
-        if len(witness) != blk.length:
-            _fail("index-consistency", n, f"witness length {len(witness)}, predicted {blk.length}")
-        block = table.block(n)
-        if not all(witness.startswith(block, i * len(block)) for i in range(blk.whole)):
+        # the witness is block n followed by the power prefix n + 1, checked from its two parts
+        block, power = table.block(n), table.power_prefix(n + 1)
+        length = table.block_length(n) + len(power)
+        if length != blk.length:
+            _fail("index-consistency", n, f"witness length {length}, predicted {blk.length}")
+        if not all(power.startswith(block, i * len(block)) for i in range(blk.whole - 1)):
             _fail("index-consistency", n, "witness does not start with the full power")
         host_level = n + k + 2  # a finite directive has no block past its last exponent
         exists = table.spec.period or host_level <= len(table.spec.preperiod)
         if exists and table.block_length(host_level) <= _WITNESS_OCCURRENCE_CAP:
             host = table.block(host_level)
-            if host.find(witness) == -1:
+            if host.find(block_index_witness(table, n)) == -1:
                 _fail("index-consistency", n, "maximal power not visible at the predicted level")
-            if not host.startswith(table.power_prefix(n + 1)):
+            if not host.startswith(power):
                 _fail("index-consistency", n, "prefix witness is not a prefix")
 
 
@@ -403,13 +404,13 @@ def check_partition_tilings(table: BlockTable, n_max: int) -> None:
     for n in range(0, n_max + 1):
         upto = n + 2
         view = level_partition(table, n, upto)
-        rebuilt = "".join(table.block(level) for level, _, _ in view.items)
-        if rebuilt != table.block(upto):
+        host = table.block(upto)
+        # compared in place: each tile's block sits at its start and ends at the next, the last at the block's end
+        tiles = zip(map(table.block, view.levels), view.starts, view.starts[1:])
+        if view.starts[-1] != len(host) or not all(host.startswith(tile, a) and a + len(tile) == b for tile, a, b in tiles):
             _fail("partition-tilings", n, "tiles do not rebuild the block")
-        if n >= 1:
-            finer = level_partition(table, n - 1, upto)
-            if refined_levels(table, view) != [level for level, _, _ in finer.items]:
-                _fail("partition-tilings", n, "one-step expansion disagrees with the finer tiling")
+        if n >= 1 and tuple(refined_levels(table, view)) != tile_levels(table, n - 1, upto):
+            _fail("partition-tilings", n, "one-step expansion disagrees with the finer tiling")
 
 
 def check_closure_equivalence(table: BlockTable, n_max: int) -> None:

@@ -30,9 +30,19 @@ class Reporter:
         self.spec_text = spec_text
         self.as_json = as_json
 
-    def row(self, kind: str, payload: dict, text=None) -> None:
+    def row(self, kind: str, payload: dict, text=None, last=None) -> None:
+        """Print one row as a JSON line, or as its text lines.
+
+        `last`, a (key, encode) pair, ends the JSON object with one more field
+        whose JSON text encode() returns; it is called under --json only.
+        """
         if self.as_json:
-            print(json.dumps({"kind": kind, **payload}, ensure_ascii=True))
+            line = json.dumps({"kind": kind, **payload}, ensure_ascii=True)
+            if last is None:
+                print(line)
+            else:
+                key, encode = last
+                print(line[:-1], ", ", json.dumps(key), ": ", encode(), "}", sep="")
         elif text is not None:
             lines = [text] if isinstance(text, str) else text
             for line in lines:

@@ -9,6 +9,7 @@ level-(n+1) tiling, which the tests use as the uniqueness round-trip.
 from __future__ import annotations
 
 from itertools import accumulate, chain
+from operator import sub
 from typing import NamedTuple
 
 from .blocks import BlockTable
@@ -17,11 +18,23 @@ from .words import Word, occurrences
 
 
 class PartitionView(NamedTuple):
-    """One tiling: (block_level, start, length) per tile, 0-based starts, covering the prefix."""
+    """One tiling: the level of each tile in order, and the running starts (0-based), one more than the tiles.
+
+    The last start is the covered prefix length. `items`, one (block_level,
+    start, length) triple per tile, is rebuilt on each access.
+    """
 
     level: int
-    items: tuple[tuple[int, int, int], ...]
-    covered_prefix_length: int
+    levels: tuple[int, ...]
+    starts: tuple[int, ...]
+
+    @property
+    def covered_prefix_length(self) -> int:
+        return self.starts[-1]
+
+    @property
+    def items(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(zip(self.levels, self.starts, map(sub, self.starts[1:], self.starts)))
 
 
 def _check_levels(level: int, upto_level: int) -> None:
@@ -51,31 +64,41 @@ def tile_count(table: BlockTable, level: int, upto_level: int) -> int:
     return counts[upto_level]
 
 
+def tile_levels(table: BlockTable, level: int, upto_level: int) -> tuple[int, ...]:
+    """The level of each tile of level_partition(table, level, upto_level), in order, without their starts."""
+    _check_levels(level, upto_level)
+    return _expanded_levels(table, level, upto_level)
+
+
 def level_partition(table: BlockTable, level: int, upto_level: int) -> PartitionView:
     """Tiling of the level-`upto_level` block by blocks of levels level-k+1..level."""
     _check_levels(level, upto_level)
     covered = table.block_length(upto_level)  # surfaces guard violations before any expansion work
-    tiles = _expanded_levels(table, level, upto_level)
-    size = {tile_level: table.block_length(tile_level) for tile_level in set(tiles)}
-    sizes = [size[tile_level] for tile_level in tiles]
-    starts = list(accumulate(sizes, initial=0))
+    levels = _expanded_levels(table, level, upto_level)
+    size = {tile_level: table.block_length(tile_level) for tile_level in set(levels)}
+    starts = tuple(accumulate(map(size.__getitem__, levels), initial=0))
     if starts[-1] != covered:
         raise InvariantViolation(f"tiles cover {starts[-1]} letters, block has {covered}")
-    return PartitionView(level=level, items=tuple(zip(tiles, starts, sizes)), covered_prefix_length=covered)
+    return PartitionView(level, levels, starts)
 
 
 def block_positions(view: PartitionView, level: int) -> list[int]:
     """Start positions (0-based) of the level-`level` tiles in the tiling."""
-    window_low = min(item[0] for item in view.items)
+    window_low = min(view.levels)
     if not window_low <= level <= view.level:
         raise RangeError(f"level {level} outside the tiling window {window_low}..{view.level}")
-    return [start for tile_level, start, _ in view.items if tile_level == level]
+    return [start for tile_level, start in zip(view.levels, view.starts) if tile_level == level]
 
 
-def refined_levels(table: BlockTable, view: PartitionView) -> list[int]:
-    """Tile levels after one recurrence step on every top-level tile: the level-(view.level - 1) tiling."""
-    top = [lower for lower, e in table.pieces(view.level) for _ in range(e)]
-    return list(chain.from_iterable(top if level == view.level else (level,) for level, _, _ in view.items))
+def refined_levels(table: BlockTable, tiling: PartitionView | tuple[int, tuple[int, ...]]) -> list[int]:
+    """Tile levels after one recurrence step on every top-level tile: the tiling one level down.
+
+    `tiling` is a PartitionView or just its first two fields, (level, levels):
+    no start is read.
+    """
+    level, levels = tiling[:2]
+    top = [lower for lower, e in table.pieces(level) for _ in range(e)]
+    return list(chain.from_iterable(top if tile_level == level else (tile_level,) for tile_level in levels))
 
 
 def return_words(prefix: Word, w: Word) -> frozenset:

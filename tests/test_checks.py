@@ -240,6 +240,10 @@ FAILURE_LINES = [  # (what is patched, at which level, how its result goes wrong
      "increment-words at level 3: previous increment is not a proper prefix of the next"),
     ("refined_levels", None, lambda levels: levels + [0],
      "partition-tilings at level 1: one-step expansion disagrees with the finer tiling"),
+    # the level-1 tiling of block 3 is ab a c ab a: reversed, its tiles no longer sit at their starts
+    ("level_partition", 1, lambda view: view._replace(levels=view.levels[::-1]),
+     "partition-tilings at level 1: tiles do not rebuild the block"),
+    ("block_index_witness", 1, lambda w: w + "d", "index-consistency at level 1: maximal power not visible at the predicted level"),
     # block 4, abacabaabacab, with its tenth letter made a c
     ("block", 4, lambda w: w[:9] + "c" + w[10:], "near-commutation at level 4: 'abacabaabccaba' != 'abacabaabacaba'"),
 ]

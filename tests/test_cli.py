@@ -202,6 +202,34 @@ class TestPartition:
         assert part["items"] == [[1, 0, 2], [0, 2, 1], [-1, 3, 1], [1, 4, 2], [0, 6, 1]]
         assert part["covered"] == 7
 
+    @pytest.mark.parametrize(
+        "spec, n, m",
+        [
+            ("k=2; d=; 1", 3, 14),
+            (TRIB, 2, 12),
+            ("k=4; d=2,1,3,1; 2,2", 1, 9),
+            ("k=26; d=; 1", 2, 8),
+            (TRIB, 0, 9),  # tiles of levels -2..0
+            ("k=4; d=2,1,3,1; 2,2", 0, None),  # the default host, two levels up; tiles of levels -3..0
+        ],
+    )
+    def test_rows_match_the_per_tile_items(self, capsys, spec, n, m):
+        """The --json line is json.dumps of the tiles' triples, and the text lines are read off the same triples."""
+        upto = n + 2 if m is None else m
+        view = partition.level_partition(BlockTable(DirectiveSpec.parse(spec)), n, upto)
+        items = view.items
+        argv = ("partition", "--spec", spec, "--n", str(n)) + (() if m is None else ("--m", str(m)))
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        payload = {"level": n, "upto": upto, "covered": view.covered_prefix_length, "piece_count": len(items), "items": items}
+        assert code == 0
+        assert out.splitlines()[0] == json.dumps({"kind": "partition", **payload}, ensure_ascii=True)
+        assert n > 0 or min(level for level, _, _ in items) < 0
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.splitlines() == [
+            f"level-{n} tiling of the block at level {upto}: {len(items)} pieces, {view.covered_prefix_length} letters",
+            f"piece levels: {partition_cmd._run_lengths(level for level, _, _ in items)}",
+        ]
+
     def test_verify_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "partition", "--spec", MIX3, "--n", "2", "--verify", "--json")
         assert code == 0
@@ -817,10 +845,12 @@ def test_dense_verified_census_stays_small():
 
 # A guard must refuse (exit 4) before its real cost in time or memory is paid, and an answer at a guard must fit the
 # same limits. Measured as children on a 2-CPU x86-64 VM (Python 3.11.7), the rows below take at most 3.5 s of CPU
-# and, but for the battery's, need at most 88 MB of address space (the long run of `d=400000`; the others at most
-# 72 MB); Fibonacci `blocks --n 38` needed between 256 and 288 MB when it built block 38 before refusing. Tribonacci
-# `verify --n 26`, the battery's largest, needs 163 MB, so it has its own limit. The limits leave at least 1.8 times
-# that as headroom and are set in the child only.
+# and, but for the battery's and the two tilings at the tile guard, need at most 88 MB of address space (the long run
+# of `d=400000`; the others at most 72 MB); Fibonacci `blocks --n 38` needed between 256 and 288 MB when it built
+# block 38 before refusing. The two tilings take 0.5 to 0.6 s of CPU and 104 MB (Tribonacci) and 113 MB (`k=26`) max
+# RSS; with a Python tuple per tile, both died with MemoryError at 152 to 156 MB. Tribonacci `verify --n 26`, the
+# battery's largest, needs 137 MB, so it has its own limit. The limits leave at least 1.8 times that as headroom, the
+# tilings 1.4 times, and are set in the child only.
 _CONTRACT_CPU_S = 10
 _CONTRACT_AS_MB = 160
 _BATTERY_AS_MB = 400
@@ -857,6 +887,10 @@ print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_s
         (("census", "--spec", "k=2; d=; 1", "--all-up-to", "27000", "--verify"), 0),  # P has 129,024 letters
         # P = a^400000 b a^15999: at each of the 7,746 shifts of the chunk search, a run of about 400,000 letters
         (("census", "--spec", "k=2; d=400000; 1", "--all-up-to", "8000", "--verify"), 0),
+        # the level-0 tiling of block 20 has exactly the tile guard's 2^20 tiles, each printed as JSON
+        (("partition", "--spec", "k=26; d=; 1", "--n", "0", "--m", "20", "--json", "--verify"), 0),
+        (("partition", "--spec", "k=26; d=; 1", "--n", "0", "--m", "21", "--verify"), 4),  # text, so the refusal is on stderr
+        (("partition", "--spec", TRIB, "--n", "2", "--m", "24", "--json", "--verify"), 0),  # 978,793 tiles
         (("verify", "--spec", TRIB, "--n", "26"), 0),  # block 28 has 29,249,425 letters, within the battery's guard
         (("verify", "--spec", TRIB, "--n", "27"), 4),  # block 29 has 53,798,080
     ],
