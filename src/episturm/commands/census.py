@@ -108,7 +108,7 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
                 "factor_length": certificate.factor_length,
                 "factors": certificate.factors,
                 "block_level": certificate.block_level,
-                "prefix_letters": len(certificate.word),
+                "prefix_letters": table.block_length(certificate.block_level),
                 "scanned_letters": certificate.scanned_letters,
                 "short_shift_letters": certificate.short_shift_letters,
                 "closure_checked_letters": certificate.closure_checked_letters,

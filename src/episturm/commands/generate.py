@@ -8,9 +8,9 @@ from . import Reporter
 
 # The guard bounds the letters the closure steps scan, |u_j| summed over the steps
 # from the integer length recurrence, not the letters printed: a long run of one
-# letter makes that sum quadratic in the output. At 2^25 letters a child takes 0.28 s
-# and 81 MB on the Tribonacci word (19M letters out), 0.23 s and 45 MB on
-# `k=2; d=8000; 1` (16,000), on a 2-CPU x86-64 VM (Python 3.11).
+# letter makes that sum quadratic in the output. At 2^25 letters a child takes 0.38 s
+# and 69 MB on the Tribonacci word (19M letters out, to a file), 0.32 s and 15 MB on
+# `k=2; d=8000; 1` (16,000): medians of 4 on a 2-CPU x86-64 VM (Python 3.11).
 _GENERATE_GUARD = 1 << 25
 
 

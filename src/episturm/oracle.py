@@ -82,7 +82,7 @@ _PASS_WORK = 32
 _RESULT_WORK = 1000
 _COUNT_WORK = 128
 # The factor count keys windows mod the Mersenne prime 2^61 - 1 in Python ints,
-# at most `_COUNT_BATCH` (or the factor length) windows at a time.
+# at most `_COUNT_BATCH` windows at a time, whatever the factor length.
 _COUNT_BATCH = 1 << 12
 _FACTOR_MODULUS = (1 << 61) - 1
 _FACTOR_BASE = 1_000_003
@@ -174,13 +174,13 @@ class ScanResult(NamedTuple):
 class PrefixCertificate(NamedTuple):
     """What a certified scan rests on.
 
-    The block `word`, at level `block_level`, holds `factors` = (k-1)L + 1
-    distinct factors of length L = `factor_length`: all the word has. Its
-    first `scanned_letters` letters already hold them, and the closure
-    construction built the first `closure_checked_letters` of those too.
-    The XOR shifts read only the first `short_shift_letters`: all of those
-    letters, or, after a second count, the fewest that hold every factor of
-    l_max times the last XOR shift letters.
+    The block `word` at level `block_level`, built no further than the scan
+    guard admits, holds `factors` = (k-1)L + 1 distinct factors of length L =
+    `factor_length`: all the word has. Its first `scanned_letters` letters
+    already hold them, and the closure construction built the first
+    `closure_checked_letters` of those too. The XOR shifts read only the first
+    `short_shift_letters`: all of those letters, or, after a second count, the
+    fewest that hold every factor of l_max times the last XOR shift letters.
     """
 
     word: Word
@@ -410,10 +410,11 @@ def count_factors(words, length: int, enough: int) -> tuple[int, int]:
     the one before stopped. A factor's key is its polynomial hash
     sum_t w[i+t] B^(length-1-t) mod the Mersenne prime 2^61 - 1, rolled from
     window to window in pure Python; equal factors get equal keys, so a
-    collision can only lower the count. Windows are keyed max(2^12, length) at
-    a time, in order, each batch encoding only the letters it reads; counting
-    stops after the batch that brings it to `enough`, or when `words` runs out,
-    short of it: the caller decides what a short count means.
+    collision can only lower the count. Windows are keyed 2^12 at a time, in
+    order, each batch encoding only the letters that leave and enter its
+    windows, so no batch grows with the length; counting stops after the batch
+    that brings it to `enough`, or when `words` runs out, short of it: the
+    caller decides what a short count means.
     """
     modulus, base = _FACTOR_MODULUS, _FACTOR_BASE
     drop = modulus - pow(base, length, modulus)  # adding drop * w[i] removes w[i] from the window after it
@@ -421,22 +422,20 @@ def count_factors(words, length: int, enough: int) -> tuple[int, int]:
     def roll(key: int, change: int) -> int:
         return (key * base + change) % modulus
 
-    width = max(_COUNT_BATCH, length)  # the most windows in one batch
     seen: set[int] = set()
     lo, latest = 0, None  # latest: (start, keys, new keys) of the last batch that found a factor
     for w in words:
         while len(seen) < enough and lo <= len(w) - length:
-            size = min(width, len(w) - length + 1 - lo)
-            codes = memoryview(w[lo:lo + size + length - 1].encode("utf-32-le")).cast("I")
-            # window i + 1 keys B * key(i) - B^length w[i] + w[i + length]; the batch before left key(lo - 1) and w[lo - 1]
-            first = roll(keys[-1], drop * leaving + codes[length - 1]) if lo else reduce(roll, codes[:length], 0)
-            keys = list(accumulate(map(add, map(mul, codes[:size - 1], repeat(drop)), codes[length:]), roll, initial=first))
+            size = min(_COUNT_BATCH, len(w) - length + 1 - lo)
+            # window i + 1 keys B * key(i) - B^length w[i] + w[i + length]; the batch before left key(lo - 1)
+            first = roll(keys[-1], drop * ord(w[lo - 1]) + ord(w[lo + length - 1])) if lo else reduce(roll, map(ord, w[:length]), 0)
+            leaving, entering = (memoryview(w[i:i + size - 1].encode("utf-32-le")).cast("I") for i in (lo, lo + length))
+            keys = list(accumulate(map(add, map(mul, leaving, repeat(drop)), entering), roll, initial=first))
             new = set(keys)
             new -= seen
             if new:
                 seen |= new
                 latest = lo, keys, new
-            leaving = codes[size - 1]
             lo += size
         if len(seen) >= enough:
             break
@@ -453,11 +452,11 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
 
     Hash keys count the factors (`count_factors`): reaching (k-1)L + 1
     is a proof, and more shows a word outside this family. Blocks are read
-    from the least with k*L letters, the fewest that can hold them, each from
-    where the one before stopped, since each is a prefix of the next. The
-    count and the scan share one guard, and the blocks stop at the longest
-    prefix it admits, the last one built only that far: a count that runs out
-    short of (k-1)L + 1 is refused here, before a longer block is built.
+    from the least with k*L letters, the fewest that can hold them, each on
+    from where the one before, its prefix, stopped. The count and the scan
+    share one guard, and the blocks stop at the longest prefix it admits: a
+    count that runs out short of (k-1)L + 1 is refused here, before a longer
+    block is built, and the certificate keeps the block the count stopped in.
     When `_short_length` plans a second count, it counts the factors of
     L' < L letters on the certified prefix P, which holds them all, and the
     XOR shifts read only the prefix P' that holds them; the guard, which
@@ -475,6 +474,7 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
         raise RangeError("a finite directive has no infinite word to certify")
     length = l_max * m_max
     target = (spec.k - 1) * length + 1
+    block = ""  # the last block `blocks` built: the one the count stops in
 
     def too_costly(letters: int, short_letters: int = 0) -> GuardExceeded:
         """The refusal of a prefix of at least `letters` letters, which the guard does not admit."""
@@ -483,7 +483,8 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
 
     def blocks():
         """The blocks from the least with k*L letters up, each built up to `admitted` letters once the one before fell short."""
-        level, block = table.level_reaching(spec.k * length), ""
+        nonlocal block
+        level = table.level_reaching(spec.k * length)
         while len(block) < admitted:
             shorter, block = block, table.head(level, admitted)
             if not block.startswith(shorter):  # the count reads on from where the shorter block stopped
@@ -502,7 +503,6 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
     if found > target:
         raise VerificationError(f"block level {level} has {found} factors of length {length}, "
                                 f"more than the {target} of a strict episturmian word")
-    block = table.block(level)
     prefix = block[:end]
     short, short_end = _short_length(m_min, m_max, l_max), end
     if short:  # P holds every factor of L' < L letters, so counting them on P finds P'
@@ -514,7 +514,7 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
         if _scan_work(end, m_min, m_max, l_max, short_end) > _SCAN_GUARD:
             raise too_costly(end, short_end)
     checked = min(end, closure_reach(spec, CLOSURE_CHECK_WORK))
-    if closure_prefix(spec, checked) != prefix[:checked]:
+    if not prefix.startswith(closure_prefix(spec, checked)):
         raise VerificationError(f"block level {level} disagrees with the closure construction within {checked} letters")
     scans = scan_powers_multi(prefix, range(2, l_max + 1), m_min, m_max, short_end)
     return PrefixCertificate(block, m_min, m_max, length, target, level, end, checked, short_end), scans

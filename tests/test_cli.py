@@ -846,11 +846,11 @@ def test_dense_verified_census_stays_small():
 # A guard must refuse (exit 4) before its real cost in time or memory is paid, and an answer at a guard must fit the
 # same limits. Measured as children on a 2-CPU x86-64 VM (Python 3.11.7), the rows below take at most 3.5 s of CPU
 # and, but for the battery's and the two tilings at the tile guard, need at most 88 MB of address space (the long run
-# of `d=400000`; the others at most 72 MB); Fibonacci `blocks --n 38` needed between 256 and 288 MB when it built
-# block 38 before refusing. The two tilings take 0.5 to 0.6 s of CPU and 104 MB (Tribonacci) and 113 MB (`k=26`) max
-# RSS; with a Python tuple per tile, both died with MemoryError at 152 to 156 MB. Tribonacci `verify --n 26`, the
-# battery's largest, needs 137 MB, so it has its own limit. The limits leave at least 1.8 times that as headroom, the
-# tilings 1.4 times, and are set in the child only.
+# of `d=400000`, 85 MB max RSS; the others at most 69 MB); Fibonacci `blocks --n 38` needed between 256 and 288 MB
+# when it built block 38 before refusing. The two tilings take 0.5 to 0.6 s of CPU and 104 MB (Tribonacci) and 113 MB
+# (`k=26`) max RSS; with a Python tuple per tile, both died with MemoryError at 152 to 156 MB. Tribonacci `verify
+# --n 26`, the battery's largest, needs 137 MB, so it has its own limit. The limits leave at least 1.8 times that as
+# headroom, the tilings 1.4 times, and are set in the child only.
 _CONTRACT_CPU_S = 10
 _CONTRACT_AS_MB = 160
 _BATTERY_AS_MB = 400
@@ -870,11 +870,22 @@ print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_s
 """
 
 
+# At the scan guard's limits the certificate holds its longest prefixes. Their max RSS, measured with the probe
+# above at 38 MB (Tribonacci) and 56 MB (Fibonacci), must stay under about 1.25 times that, so a count or a
+# certificate that holds more than it reads fails here: with batches of L windows and the whole block kept, they took
+# 62 and 79 MB.
+_TRIB_SCAN_LIMIT = ("census", "--spec", TRIB, "--all-up-to", "72332", "--verify")
+_FIB_SCAN_LIMIT = ("census", "--spec", "k=2; d=; 1", "--all-up-to", "158905", "--verify")
+_SCAN_LIMIT_RSS_MB = {_TRIB_SCAN_LIMIT: 48, _FIB_SCAN_LIMIT: 70}
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (("census", "--spec", TRIB, "--all-up-to", "72332", "--verify"), 0),  # the scan guard's limit: P has 555,407 letters
+        (_TRIB_SCAN_LIMIT, 0),  # P has 555,407 letters
         (("census", "--spec", TRIB, "--all-up-to", "72333", "--verify"), 4),
+        (_FIB_SCAN_LIMIT, 0),  # P has 635,620 letters
+        (("census", "--spec", "k=2; d=; 1", "--all-up-to", "158906", "--verify"), 4),
         (("census", "--spec", "k=2; d=4000000; 1", "--all-up-to", "200", "--verify"), 4),  # the count runs out at the cut
         (("census", "--spec", "k=2; d=4000000; 1", "--m", "1", "--verify"), 0),  # P = a^4000000 b a, 4% under the scan guard
         (("blocks", "--spec", "k=2; d=; 1", "--n", "38"), 4),  # the palindromic prefix is above the length guard
@@ -884,6 +895,10 @@ print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_s
         (("census", "--spec", "k=26; d=; 1", "--m", "2000", "--verify"), 4),  # the scan guard, on 26 letters
         # the count runs out in the first 4,161,783 letters of block 1, which has 130,000,001
         (("census", "--spec", "k=2; d=130000000; 1", "--m", "1", "--verify"), 4),
+        # P = a^d b a ends in block 2, which has d(d + 1) + 1 letters, above the length guard from d = 11,585 on; it is
+        # built only as far as the scan guard admits, and only its first d + 2 letters are counted
+        (("census", "--spec", "k=2; d=; 10000", "--m", "1", "--verify"), 0),
+        (("census", "--spec", "k=2; d=; 12000", "--m", "1", "--verify"), 0),
         (("census", "--spec", "k=2; d=; 1", "--all-up-to", "27000", "--verify"), 0),  # P has 129,024 letters
         # P = a^400000 b a^15999: at each of the 7,746 shifts of the chunk search, a run of about 400,000 letters
         (("census", "--spec", "k=2; d=400000; 1", "--all-up-to", "8000", "--verify"), 0),
@@ -906,6 +921,7 @@ def test_inputs_at_the_guards_keep_the_exit_code_contract(argv, code):
     cost = f"{cpu_s:.2f} s of CPU and {max_rss_kb >> 10} MB max RSS, under {_CONTRACT_CPU_S} s and {as_mb} MB of address space"
     assert exit_code == code, f"{cost}\n{done.stderr[-500:]}"
     assert ("guard" in done.stderr) == (code == 4), cost
+    assert max_rss_kb < _SCAN_LIMIT_RSS_MB.get(argv, as_mb) << 10, cost
 
 
 def test_long_exponent_generate_keeps_one_closure_prefix():

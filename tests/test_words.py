@@ -239,33 +239,49 @@ class TestFactorCount:
         assert count_factors(["aabaababab"], 3, 3) == (3, 5)
         assert count_factors(["aabaababab"], 3, 4) == (4, 8)
 
-    def test_each_window_is_read_once(self, monkeypatch):
-        class Spy(str):
-            def __getitem__(self, key):
-                reads.append((key.start, key.stop))
-                return str.__getitem__(self, key)
+    class Spy(str):
+        """A word that logs its reads in `log`: a slice as its (start, stop), a letter as its index."""
 
-        reads = []
+        def __new__(cls, word, log):
+            spy = super().__new__(cls, word)
+            spy.log = log
+            return spy
+
+        def __getitem__(self, key):
+            self.log.append((key.start, key.stop) if isinstance(key, slice) else key)
+            return str.__getitem__(self, key)
+
+    def test_each_window_is_read_once(self, monkeypatch):
         monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
-        # windows of length 3: 0..2 from the first prefix, then one batch of 3..6 from the second
-        assert count_factors([Spy("aabaa"), Spy("aabaababab")], 3, 4) == (4, 8)
-        assert reads == [(0, 5), (3, 9)]
+        # windows of length 3: 0..2 from the first prefix, then one batch of 3..6 from the second. Window 0's letters
+        # are read whole, and every later window rolls in the letter that enters it and out the one that left: letters
+        # 0..8 each enter once, in (None, 3), (3, 5), 5 and (6, 9), and 0..5 each leave once, in (0, 2), 2 and (3, 6)
+        reads = []
+        assert count_factors([self.Spy("aabaa", reads), self.Spy("aabaababab", reads)], 3, 4) == (4, 8)
+        assert reads == [(None, 3), (0, 2), (3, 5), 2, 5, (3, 6), (6, 9)]
 
     def test_a_last_prefix_that_runs_out_cuts_the_batch(self, monkeypatch):
-        class Spy(str):
-            def __getitem__(self, key):
-                reads.append((key.start, key.stop))
-                return str.__getitem__(self, key)
-
         monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
         # bab first starts at window 5: 8 letters hold windows 0..5, so the second batch is cut to windows 4..5 and finds it
         reads = []
-        assert count_factors([Spy("aabaababab"[:8])], 3, 4) == (4, 8)
-        assert reads == [(0, 6), (4, 8)]
+        assert count_factors([self.Spy("aabaababab"[:8], reads)], 3, 4) == (4, 8)
+        assert reads == [(None, 3), (0, 3), (3, 6), 3, 6, (4, 5), (7, 8)]
         # 7 letters end at window 4: the count reads it alone and returns its 3 factors, short of 4, without raising
         reads = []
-        assert count_factors([Spy("aabaababab"[:7])], 3, 4) == (3, 5)
-        assert reads == [(0, 6), (4, 7)]
+        assert count_factors([self.Spy("aabaababab"[:7], reads)], 3, 4) == (3, 5)
+        assert reads == [(None, 3), (0, 3), (3, 6), 3, 6, (4, 4), (7, 7)]
+
+    def test_a_batch_reads_no_more_letters_than_it_keys_windows(self, monkeypatch):
+        # factors longer than a batch: past the first window's letters, each slice holds fewer than 4 letters
+        monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
+        w = BlockTable(DirectiveSpec.parse("k=2; d=; 1")).block(8)
+        first = {}
+        for i in range(len(w) - 9 + 1):
+            first.setdefault(w[i:i + 9], i)
+        reads = []
+        assert count_factors([self.Spy(w, reads)], 9, 10) == (10, max(first.values()) + 9) == (10, 21)
+        slices = [read for read in reads if isinstance(read, tuple)]
+        assert slices[0] == (None, 9) and max(stop - start for start, stop in slices[1:]) == 3
 
 
 class TestRotationProperties:
