@@ -29,13 +29,14 @@ _EXPORTS = {  # home module -> the names it exports
     ),
     "oracle": (
         "PrefixCertificate", "RotationClass", "ScanResult", "certified_scan", "certify_prefix", "generate_prefix",
-        "greatest_power_prefix", "max_fractional_power", "naive_scan", "same_bases", "scan_powers", "scan_powers_multi",
+        "naive_scan", "same_bases", "scan_powers", "scan_powers_multi",
     ),
     "partition": ("PartitionView", "block_positions", "level_partition", "return_words"),
     "powers": (
         "CensusProvenance", "CensusRange", "PowerCensus", "block_index", "block_index_witness", "census",
         "census_range", "length_sets", "prefix_index", "window_level",
     ),
+    "runs": ("greatest_power_prefix", "max_fractional_power"),
     "singular": ("FactorPartition", "classify_factor", "factor_partition", "singular_window", "singular_words"),
     "words": (
         "RationalIndex", "Word", "conjugacy_class", "conjugate", "factors_of_length", "is_palindrome", "is_primitive",

@@ -1,4 +1,4 @@
-"""`index`: the prefix and block indices per level, checked against the oracle under --verify."""
+"""`index`: the prefix and block indices per level, checked against the one-shift oracle (`runs`) under --verify."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
         raise RangeError(f"index levels start at 1 (got --all-up-to {args.all_up_to})")
     levels = [args.n] if args.n is not None else range(1, args.all_up_to + 1)
     if args.verify:
-        from ..oracle import greatest_power_prefix, max_fractional_power
+        from ..runs import greatest_power_prefix, max_fractional_power
     for n in levels:
         p = index_payload(table, n)
         rep.row(

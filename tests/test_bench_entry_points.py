@@ -53,11 +53,16 @@ def test_tracer_wraps_and_restores_every_entry_point():
     [
         (["census", "--spec", "k=3; d=; 1", "--m", "4", "--verify"], "oracle.certify"),
         (["verify", "--spec", "k=3; d=; 1", "--n", "3"], "checks."),
+        (["index", "--spec", "k=3; d=; 1", "--n", "2", "--verify"], "oracle.fracpow"),
     ],
-    ids=["census-verify", "verify"],
+    ids=["census-verify", "verify", "index-verify"],
 )
 def test_tracer_sees_entry_points_the_cli_imports_lazily(argv, span):
     """The CLI imports the oracle and the battery inside its subcommands, so it must call the traced names.
+
+    `index --verify` reads the one-shift measures from `runs`, not from
+    `oracle`, where the tracer finds them by name: the wrappers reach it only
+    because the tracer rebinds them in every loaded module that holds them.
 
     The tracer rebinds only names in modules already loaded, so the handler is
     imported first: one imported under the tracer would keep its wrappers after

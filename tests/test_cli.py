@@ -19,6 +19,7 @@ import episturm.commands.verify as verify_cmd
 import episturm.oracle as oracle
 import episturm.partition as partition
 import episturm.powers as powers
+import episturm.runs as runs
 from episturm.blocks import BlockTable
 from episturm.checks import ALL_CHECKS
 from episturm.directive import DirectiveSpec
@@ -299,8 +300,9 @@ class TestIndex:
         assert verdict["ok"] is True and verdict["target"] == "index"
 
     def test_verify_reports_an_oracle_disagreement(self, capsys, monkeypatch):
-        # the patched oracle measures the block as occurring once, against 2 + 3/4 by the closed form
-        monkeypatch.setattr(oracle, "max_fractional_power", lambda host, base: RationalIndex(1, 0, len(base)))
+        # the patched oracle measures the block as occurring once, against 2 + 3/4 by the closed form;
+        # the handler reads the one-shift oracle from `runs`, so it is patched there
+        monkeypatch.setattr(runs, "max_fractional_power", lambda host, base: RationalIndex(1, 0, len(base)))
         code, out, _ = run_cli(capsys, "index", "--spec", TRIB, "--n", "2", "--verify", "--json")
         assert code == 3
         rows = json_rows(out)
@@ -724,8 +726,13 @@ def _start(*argv) -> dict:
 
 
 def _expected_modules(argv) -> set:
-    """The start's modules, the handler's and its callees'; census and index load the oracle under --verify only."""
-    oracle = {"oracle"} if argv[0] in ("census", "index") and "--verify" in argv else set()
+    """The start's modules, the handler's and its callees'.
+
+    Under --verify only, index loads the one-shift oracle, `runs`, and census
+    the all-shift scan, `oracle`, which imports `runs` for its gallop.
+    """
+    verify = "--verify" in argv
+    oracle = {"index": {"runs"}, "census": {"oracle", "runs"}}.get(argv[0], set()) if verify else set()
     return _START_MODULES | {f"commands.{argv[0]}"} | _SUBCOMMAND_MODULES[argv[0]] | oracle
 
 

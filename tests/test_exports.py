@@ -1,6 +1,11 @@
 """The package's public names: every export resolves, so a deleted name fails here first."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +37,13 @@ def test_dir_lists_every_exported_name():
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         episturm.no_such_name
+
+
+def test_the_one_shift_measures_load_no_scan():
+    """They live in `runs`, so reading them compiles neither the all-shift scan nor the blocks."""
+    probe = ("import json, sys, episturm; episturm.max_fractional_power, episturm.greatest_power_prefix; "
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('episturm.'))))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(Path(episturm.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["episturm.errors", "episturm.runs", "episturm.words"]

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from episturm.blocks import BlockTable
 from episturm.directive import CLOSURE_CHECK_WORK, DirectiveSpec, closure_lengths, closure_prefix, closure_reach
 import episturm.oracle as oracle
+import episturm.runs as runs
 from episturm.errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
 from episturm.oracle import (
     RotationClass,
@@ -698,8 +699,8 @@ class TestIndexMeasurement:
     )
     def test_only_runs_longer_than_the_best_are_measured(self, monkeypatch, prefix, measured, answer):
         calls = []
-        run_end = oracle._run_end
-        monkeypatch.setattr(oracle, "_run_end", lambda *args: calls.append(args) or run_end(*args))
+        run_end = runs._run_end
+        monkeypatch.setattr(runs, "_run_end", lambda *args: calls.append(args) or run_end(*args))
         assert max_fractional_power(prefix, "ab") == answer
         assert len(calls) == measured
 

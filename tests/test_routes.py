@@ -1,5 +1,9 @@
 """The two routes share no logic: the oracle never imports the closed forms, and they never import it.
 
+The oracle is two modules: `oracle`, the all-shift scan and its certificate,
+and `runs`, the one-shift measures that `index --verify` loads alone and
+whose gallop the scan imports. Each is pinned on its own.
+
 Imports are read from the source with `ast`, the lazy ones inside functions
 included, and followed through the package, so an indirect import through a
 shared module counts too. The same reading keeps numpy out of the package.
@@ -44,12 +48,18 @@ def reachable(module: str) -> set[str]:
 
 def test_the_oracle_reaches_no_closed_form():
     assert reachable("oracle") & set(CLOSED_FORMS) == set()
-    assert {"blocks", "directive", "words"} <= reachable("oracle")
+    assert {"blocks", "directive", "runs", "words"} <= reachable("oracle")
+
+
+def test_the_one_shift_oracle_reaches_no_closed_form():
+    # nor the block recurrence or the scan: it reads only the letters it is handed
+    assert direct_imports("runs") == {"errors", "words"}
+    assert reachable("runs") & {*CLOSED_FORMS, "blocks", "oracle"} == set()
 
 
 @pytest.mark.parametrize("module", CLOSED_FORMS)
 def test_no_closed_form_reaches_the_oracle(module):
-    assert "oracle" not in reachable(module)
+    assert {"oracle", "runs"} & reachable(module) == set()
     assert "blocks" in reachable(module)
 
 
