@@ -32,7 +32,7 @@ from .directive import (
 )
 from .errors import CancellationError, InvariantViolation, VerificationError
 from .partition import level_partition, refined_levels, tile_levels
-from .powers import block_index, block_index_witness, census, length_sets, prefix_index
+from .powers import block_index, block_index_witness, census, length_sets, prefix_index, witness_host_level
 from .singular import factor_partition, singular_window
 from .words import (
     Word,
@@ -333,7 +333,6 @@ def check_power_prefixes(table: BlockTable, n_max: int) -> None:
 
 def check_index_consistency(table: BlockTable, n_max: int) -> None:
     """Prefix and block indices differ by one; witnesses have the exact lengths and occur."""
-    k = table.spec.k
     for n in range(1, n_max + 1):
         pre = prefix_index(table, n)
         blk = block_index(table, n)
@@ -346,7 +345,7 @@ def check_index_consistency(table: BlockTable, n_max: int) -> None:
             _fail("index-consistency", n, f"witness length {length}, predicted {blk.length}")
         if not all(power.startswith(block, i * len(block)) for i in range(blk.whole - 1)):
             _fail("index-consistency", n, "witness does not start with the full power")
-        host_level = n + k + 2  # a finite directive has no block past its last exponent
+        host_level = witness_host_level(table, n)  # a finite directive has no block past its last exponent
         exists = table.spec.period or host_level <= len(table.spec.preperiod)
         if exists and table.block_length(host_level) <= _WITNESS_OCCURRENCE_CAP:
             host = table.block(host_level)

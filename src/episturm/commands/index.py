@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..directive import DirectiveSpec
 from ..errors import ParseError, RangeError, VerificationError
-from ..powers import block_index
+from ..powers import block_index, witness_host_level
 from . import Reporter, build_table, index_payload, rational_fields
 
 
@@ -26,7 +26,7 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
             f" / block index {p['block_index']['text']}",
         )
         if args.verify:
-            host, block = table.block(n + spec.k + 3), table.block(n)
+            host, block = table.block(witness_host_level(table, n)), table.block(n)
             measured = max_fractional_power(host, block)
             front = greatest_power_prefix(host, block)
             blk = block_index(table, n)

@@ -88,6 +88,11 @@ def block_index_witness(table: BlockTable, n: int) -> Word:
     return table.block(n) + table.power_prefix(n + 1)
 
 
+def witness_host_level(table: BlockTable, n: int) -> int:
+    """The level whose block holds block_index_witness(table, n) and starts with table.power_prefix(n + 1)."""
+    return n + table.spec.k + 2
+
+
 def _offset_pieces(table: BlockTable, n: int, depth: int) -> list[tuple[int, int]]:
     """The lower blocks trailing a power of block n at the given depth, as (level, exponent) pairs.
 

@@ -20,8 +20,8 @@ from .words import RationalIndex, Word
 
 # `str.find` preprocesses its needle in time linear in its length (two-way's critical factorization,
 # about 4 ns a letter on a 2-CPU x86-64 VM), so `max_fractional_power` searches for base itself once
-# its longer needle would pass an eighth of the letters left. On the Fibonacci word's index hosts,
-# where the best run of block n spans about a third of block n + 5, the longer needles took 1.7 times
+# its longer needle would pass an eighth of the letters left. On hosts of block n + 5 in the Fibonacci word,
+# where the best run of block n spans about a third of the host, the longer needles took 1.7 times
 # as long as base searches; with the cap they take the same, and k5 levels 1..15 still take a quarter
 # of the time.
 _NEEDLE_SHARE = 8

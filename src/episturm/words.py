@@ -14,13 +14,14 @@ if TYPE_CHECKING:  # imported inside as_fraction, the one reader of the value as
     from fractions import Fraction
 
 Word = str
+_SHORT_LETTERS = 48  # the most letters `shorten` prints unelided
 
 
-def shorten(w: Word, limit: int = 48) -> str:
+def shorten(w: Word) -> str:
     """Compact display form for long words, used in error messages and CLI output."""
-    if len(w) <= limit:
+    if len(w) <= _SHORT_LETTERS:
         return w
-    return f"{w[:limit - 14]}..{w[-8:]}(len {len(w)})"
+    return f"{w[:_SHORT_LETTERS - 14]}..{w[-8:]}(len {len(w)})"
 
 
 def reversal(w: Word) -> Word:

@@ -68,17 +68,23 @@ class TestFailureReporting:
 
 
 class _CorruptedBlock(BlockTable):
-    """Returns corrupt(w) in place of the block w at one level."""
+    """Returns corrupt(w) in place of the word w that one method, the block unless set, gives at one level."""
 
+    method = "block"
     level = 2
 
     @staticmethod
     def corrupt(w: str) -> str:
         return w
 
+    def _at(self, method: str, n: int, w: str) -> str:
+        return self.corrupt(w) if (method, n) == (self.method, self.level) else w
+
     def block(self, n: int) -> str:
-        w = super().block(n)
-        return self.corrupt(w) if n == self.level else w
+        return self._at("block", n, super().block(n))
+
+    def power_prefix(self, n: int) -> str:
+        return self._at("power_prefix", n, super().power_prefix(n))
 
 
 class TestTwoPalindromeSplit:
@@ -243,6 +249,10 @@ FAILURE_LINES = [  # (what is patched, at which level, how its result goes wrong
     # the level-1 tiling of block 3 is ab a c ab a: reversed, its tiles no longer sit at their starts
     ("level_partition", 1, lambda view: view._replace(levels=view.levels[::-1]),
      "partition-tilings at level 1: tiles do not rebuild the block"),
+    # level 1: block ab, power prefix 2 aba, prefix index 1 + 1/2 and block index 2 + 1/2, a witness of 5 letters
+    ("prefix_index", 1, lambda pre: pre._replace(whole=pre.whole + 1), "index-consistency at level 1: 2 + 1/2 + 1 != 2 + 1/2"),
+    ("power_prefix", 2, lambda w: w + "a", "index-consistency at level 1: witness length 6, predicted 5"),
+    ("power_prefix", 2, lambda w: "c" + w[1:], "index-consistency at level 1: witness does not start with the full power"),
     ("block_index_witness", 1, lambda w: w + "d", "index-consistency at level 1: maximal power not visible at the predicted level"),
     # block 4, abacabaabacab, with its tenth letter made a c
     ("block", 4, lambda w: w[:9] + "c" + w[10:], "near-commutation at level 4: 'abacabaabccaba' != 'abacabaabacaba'"),
@@ -252,7 +262,8 @@ FAILURE_LINES = [  # (what is patched, at which level, how its result goes wrong
 class TestFailureLines:
     @pytest.mark.parametrize("name, at, wrong, message", FAILURE_LINES, ids=[message for *_, message in FAILURE_LINES])
     def test_each_failure_line_names_its_level_and_the_battery_runs_on(self, monkeypatch, name, at, wrong, message):
-        if name == "block":
+        if name in ("block", "power_prefix"):
+            monkeypatch.setattr(_CorruptedBlock, "method", name)
             monkeypatch.setattr(_CorruptedBlock, "level", at)
             monkeypatch.setattr(_CorruptedBlock, "corrupt", staticmethod(wrong))
         else:

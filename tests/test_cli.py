@@ -310,6 +310,14 @@ class TestIndex:
         assert verdict["ok"] is False and verdict["oracle_block_index"]["text"] == "1"
         assert rows[-1]["error"] == "oracle disagrees with the closed form at level 2"
 
+    def test_verify_builds_no_block_above_the_witness_host(self, capsys, monkeypatch):
+        # Tribonacci's level-6 witness host is block 6 + 3 + 2 = 11, and nothing above it is built
+        levels = []
+        block = BlockTable.block
+        monkeypatch.setattr(BlockTable, "block", lambda table, n: levels.append(n) or block(table, n))
+        code, _, _ = run_cli(capsys, "index", "--spec", TRIB, "--all-up-to", "6", "--verify")
+        assert code == 0 and max(levels) == 11
+
     def test_rows_above_the_length_guard_need_no_witness(self, capsys):
         table = BlockTable(DirectiveSpec.parse(TRIB))
         code, out, _ = run_cli(capsys, "index", "--spec", TRIB, "--all-up-to", "40", "--json")

@@ -23,7 +23,7 @@ from episturm.oracle import (
     scan_powers,
     scan_powers_multi,
 )
-from episturm.powers import block_index, census
+from episturm.powers import block_index, census, witness_host_level
 from episturm.words import RationalIndex, factors_of_length, occurrences
 
 from conftest import ALL_NAMES
@@ -764,6 +764,19 @@ class TestRandomizedCensusAgreement:
         _, scans = certified_scan(table, m_max, l)
         for m in range(1, m_max + 1):
             assert frozenset(census(table, m, l).witnesses) == scans[l].per_length[m]
+
+
+class TestRandomizedWitnessHost:
+    @given(random_specs())
+    @settings(max_examples=25, deadline=None)
+    def test_one_host_measures_the_block_index_and_the_power_prefix(self, spec):
+        table = BlockTable(spec)
+        n = 1
+        while table.block_length(host_level := witness_host_level(table, n)) <= 200_000:
+            host, block = table.block(host_level), table.block(n)
+            assert max_fractional_power(host, block) == block_index(table, n)
+            assert greatest_power_prefix(host, block) == table.power_prefix(n + 1)
+            n += 1
 
 
 class TestComplexityCertificate:

@@ -17,6 +17,7 @@ from episturm.powers import (
     length_sets,
     prefix_index,
     window_level,
+    witness_host_level,
 )
 from episturm.words import RationalIndex, is_primitive
 
@@ -99,12 +100,11 @@ class TestIndices:
     def test_block_witness_shape_and_occurrence(self, tables):
         for name in ALL_NAMES:
             table = tables[name]
-            k = table.spec.k
             for n in range(1, 5):
                 w = block_index_witness(table, n)
                 blk = block_index(table, n)
                 assert len(w) * blk.den == (blk.whole * blk.den + blk.num) * table.block_length(n)
-                assert w in table.block(n + k + 2)
+                assert w in table.block(witness_host_level(table, n))
 
     def test_bounds(self, trib):
         for fn in (prefix_index, block_index, block_index_witness):

@@ -14,7 +14,14 @@ from episturm.directive import (
     prefix_increment,
 )
 from episturm.errors import ParseError, RangeError
-from episturm.oracle import certified_scan, count_factors, generate_prefix, greatest_power_prefix, naive_scan
+from episturm.oracle import (
+    certified_scan,
+    count_factors,
+    generate_prefix,
+    greatest_power_prefix,
+    naive_scan,
+    scan_powers_multi,
+)
 from episturm.powers import length_sets
 from episturm.words import conjugacy_class
 
@@ -46,6 +53,7 @@ FINITE = DirectiveSpec.parse("k=2; d=1,2")
         (certified_scan, (BlockTable(TRIB), 0, 2), RangeError, "m_max must be >= 1 (got 0)"),
         (certified_scan, (BlockTable(TRIB), 1, 1), RangeError, "l_max must be >= 2 (got 1)"),
         (greatest_power_prefix, ("abab", ""), RangeError, "base must be nonempty"),
+        (scan_powers_multi, ("abab", (2,), 1, 2, 5), RangeError, "the XOR shifts cannot read 5 letters of a prefix of 4"),
     ],
     ids=lambda v: getattr(v, "__qualname__", None),
 )
