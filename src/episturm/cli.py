@@ -3,7 +3,8 @@
 Text output is one deterministic line per row; --json switches to JSON lines
 carrying the same data (schema in report.schema.json next to this module).
 Exit codes: 0 success, 2 usage or parse problem, 3 verification mismatch,
-4 resource guard. EPISTURM_GUARD overrides the block-level guard.
+4 resource guard, 1 when stdout closes before the output ends (with nothing
+on stderr). EPISTURM_GUARD overrides the block-level guard.
 
 This module only parses and dispatches: each subcommand's handler is a module
 of `episturm.commands`, imported once the arguments name it and handed the
@@ -99,10 +100,19 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    required_n = args.command in ("blocks", "singular", "partition")
-    rep = Reporter(args.command, args.spec, args.json)
     try:
-        if required_n and args.n is None:
+        code = _run(args, Reporter(args.command, args.spec, args.json))
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+    except BrokenPipeError:
+        # Python's recipe for a reader that stopped early: the flush at exit writes to devnull, with no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args, rep: Reporter) -> int:
+    try:
+        if args.command in ("blocks", "singular", "partition") and args.n is None:
             raise ParseError(f"{args.command} needs --n")
         args.level_guard = _level_guard()
         handler = importlib.import_module(f"{__package__}.commands.{args.command}")

@@ -31,7 +31,7 @@ class Reporter:
         self.as_json = as_json
 
     def row(self, kind: str, payload: dict, text=None, last=None) -> None:
-        """Print one row as a JSON line, or as its text lines.
+        """Print one row as a JSON line, or as its text lines: one string, or an iterable printed as it yields them.
 
         `last`, a (key, encode) pair, ends the JSON object with one more field
         whose JSON text encode() returns; it is called under --json only.

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from itertools import chain
+
 from ..blocks import BlockTable
 from ..directive import CLOSURE_CHECK_WORK, DirectiveSpec
-from ..errors import GuardExceeded, ParseError, RangeError, VerificationError
-from ..powers import census, census_range
+from ..errors import GuardExceeded, ParseError, VerificationError
+from ..powers import census, census_range, check_census_args
 from ..words import shorten
 from . import INLINE_WORD_LIMIT, Reporter, build_table
 
@@ -13,16 +16,10 @@ from . import INLINE_WORD_LIMIT, Reporter, build_table
 # 2-CPU x86-64 VM (Python 3.11); plain census ranges visit only their carrying
 # lengths, and the table's length guard bounds their bases.
 _CENSUS_RANGE_GUARD = 1 << 20
-
-
-def _check_lengths(ranged: bool, m_max: int, l: int) -> None:
-    """The closed forms' own refusals of a length or order, in their order, for a caller that certifies first."""
-    if ranged and m_max < 1:
-        raise RangeError(f"m_max must be >= 1 (got {m_max})")
-    if l < 2:
-        raise RangeError(f"power order must be >= 2 (got {l})")
-    if m_max < 1:
-        raise RangeError(f"length must be >= 1 (got {m_max})")
+# `census --full` witness lists, count * m letters summed over the rows. Under --json a row holds its list, its JSON
+# line and that line's encoding at once, about 3 bytes a letter: Tribonacci `--m 5768` (33.3M letters) takes 0.23 s
+# and 110 MB max RSS on the same VM, so 2^25 letters keep --full within 160 MB.
+_WITNESS_LETTERS_GUARD = 1 << 25
 
 
 def _census_rule(table: BlockTable, row) -> str | None:
@@ -33,8 +30,8 @@ def _census_rule(table: BlockTable, row) -> str | None:
     return f"first {row.count} conjugates of {shorten(row.provenance.base)}"
 
 
-def _census_payload(table: BlockTable, row, full: bool) -> tuple[dict, str]:
-    """The census row without its witnesses, which the caller adds under --full."""
+def _census_payload(table: BlockTable, row, full: bool) -> tuple[dict, Iterable[str]]:
+    """The census row and its text lines; under --full, with one sorted witness list, a text line a witness."""
     prov = row.provenance
     payload = {
         "m": row.m,
@@ -55,7 +52,10 @@ def _census_payload(table: BlockTable, row, full: bool) -> tuple[dict, str]:
     text = f"m={row.m} l={row.l}: {row.count}  [{where}]"
     if payload.get("rule"):
         text += f"  {payload['rule']}"
-    return payload, text
+    if full:
+        payload["witnesses"] = witnesses = sorted(row.witnesses)
+        return payload, chain((text,), (f"  {w}" for w in witnesses))
+    return payload, (text,)
 
 
 def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
@@ -72,21 +72,18 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
 
         # certify first: its guards trip before any witness set is built, and with the
         # closed forms' messages for a bad length or order, not the certificate's
-        _check_lengths(ranged, m_max, l)
+        check_census_args(m_max, l, ranged=ranged)
         certificate, scans = certified_scan(table, m_max, l, m_min=1 if ranged else m_max)
     rows = census_range(table, m_max, l).nonzero if ranged else [census(table, m_max, l)]
     carrying = {row.m: row for row in rows if row.count}
     if args.full:
-        table.check_size(f"census witness lists to m={m_max}", sum(row.count * row.m for row in carrying.values()))
+        letters = sum(row.count * row.m for row in carrying.values())
+        if letters > _WITNESS_LETTERS_GUARD:
+            raise GuardExceeded(f"census witness lists to m={m_max} have {letters} letters, above the guard {_WITNESS_LETTERS_GUARD}")
         if ranged:
             rows = (carrying[m] if m in carrying else census(table, m, l) for m in range(1, m_max + 1))
     for row in rows:
-        payload, text = _census_payload(table, row, args.full)
-        if args.full:
-            payload["witnesses"] = witnesses = sorted(row.witnesses)
-        rep.row("census-row", payload, text)
-        if args.full and witnesses:
-            rep.row("witness-list", {"m": row.m, "l": l, "witnesses": witnesses}, [f"  {w}" for w in witnesses])
+        rep.row("census-row", *_census_payload(table, row, args.full))
     if ranged:
         rep.row(
             "census-summary",
@@ -108,7 +105,7 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
                 "factor_length": certificate.factor_length,
                 "factors": certificate.factors,
                 "block_level": certificate.block_level,
-                "prefix_letters": table.block_length(certificate.block_level),
+                "built_letters": len(certificate.word),
                 "scanned_letters": certificate.scanned_letters,
                 "short_shift_letters": certificate.short_shift_letters,
                 "closure_checked_letters": certificate.closure_checked_letters,

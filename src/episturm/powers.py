@@ -61,11 +61,6 @@ class CensusRange(NamedTuple):
     m_max: int
     nonzero: tuple[PowerCensus, ...]
 
-    @property
-    def zero_lengths(self) -> tuple[int, ...]:
-        carrying = {row.m for row in self.nonzero}
-        return tuple(m for m in range(1, self.m_max + 1) if m not in carrying)
-
 
 def prefix_index(table: BlockTable, n: int) -> RationalIndex:
     """Largest fractional power of the level-n block that prefixes the word; table.power_prefix(n + 1) realizes it."""
@@ -182,10 +177,19 @@ def _row(table: BlockTable, m: int, l: int, n: int, depth: int, r: int) -> Power
     return PowerCensus(m, l, take, CensusProvenance(kind, n, depth, r, base))
 
 
-def census(table: BlockTable, m: int, l: int) -> PowerCensus:
-    """Every length-m word whose l-th power occurs in the infinite word, by closed form."""
+def check_census_args(m: int, l: int, *, ranged: bool) -> None:
+    """Refuse a census length m (m_max when ranged) below 1 or an order l below 2: a range checks m_max first, one length its order."""
+    if ranged and m < 1:
+        raise RangeError(f"m_max must be >= 1 (got {m})")
     if l < 2:
         raise RangeError(f"power order must be >= 2 (got {l})")
+    if m < 1:
+        raise RangeError(f"length must be >= 1 (got {m})")
+
+
+def census(table: BlockTable, m: int, l: int) -> PowerCensus:
+    """Every length-m word whose l-th power occurs in the infinite word, by closed form."""
+    check_census_args(m, l, ranged=False)
     n = window_level(table, m)
     size = table.block_length(n)
     points = [
@@ -206,10 +210,7 @@ def census_range(table: BlockTable, m_max: int, l: int) -> CensusRange:
     The letters of all the bases are checked against the length guard
     before any is built.
     """
-    if m_max < 1:
-        raise RangeError(f"m_max must be >= 1 (got {m_max})")
-    if l < 2:
-        raise RangeError(f"power order must be >= 2 (got {l})")
+    check_census_args(m_max, l, ranged=True)
     runs = []
     for n in range(window_level(table, m_max) + 1):
         size = table.block_length(n)

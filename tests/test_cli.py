@@ -349,12 +349,26 @@ class TestCensus:
         assert row["provenance"]["kind"] == "block-multiple"
         assert row["rule"].startswith("first 1 conjugates")
 
-    def test_full_lists_witnesses(self, capsys):
-        code, out, _ = run_cli(capsys, "census", "--spec", MIX3, "--m", "15", "--full", "--json")
+    @pytest.mark.parametrize("lengths", [("--m", "15"), ("--all-up-to", "58")])
+    def test_full_lists_each_witness_once(self, capsys, lengths):
+        # text: a row's witnesses as indented lines under it; JSON: the row's `witnesses` field, and no other row
+        code, text, _ = run_cli(capsys, "census", "--spec", MIX3, *lengths, "--full")
+        listed: dict = {}
+        for line in text.splitlines():
+            if line.startswith("m="):
+                m = int(line[2:line.index(" ")])
+            elif line.startswith("  "):
+                listed.setdefault(m, []).append(line[2:])
+        json_code, out, _ = run_cli(capsys, "census", "--spec", MIX3, *lengths, "--full", "--json")
         rows = json_rows(out)
-        wl = next(r for r in rows if r["kind"] == "witness-list")
-        assert len(wl["witnesses"]) == 8
-        assert all(len(w) == 15 for w in wl["witnesses"])
+        assert code == json_code == 0 and {r["kind"] for r in rows} <= {"census-row", "census-summary", "status"}
+        assert listed == {r["m"]: r["witnesses"] for r in rows if r.get("witnesses")}
+        assert {m: len(ws) for m, ws in listed.items()} == {r["m"]: r["count"] for r in rows if r.get("count")}
+        assert all(len(set(ws)) == len(ws) and {len(w) for w in ws} == {m} for m, ws in listed.items())
+        assert len(listed[15]) == 8
+
+    def test_the_schema_has_no_witness_list_row(self):
+        assert not VALIDATOR.is_valid({"kind": "witness-list", "m": 15, "l": 2, "witnesses": ["abacabaabacabac"]})
 
     def test_range_summary(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--spec", MIX3, "--all-up-to", "58", "--json")
@@ -419,12 +433,20 @@ class TestCensus:
         assert code == 4 and out == "" and "census base at m=500500500" in err
 
     @pytest.mark.parametrize("lengths", [("--m", "66012"), ("--all-up-to", "70000")])
-    def test_full_witness_letters_trip_the_length_guard_at_once(self, capsys, lengths):
+    def test_full_witness_letters_trip_their_guard_at_once(self, capsys, lengths):
         # m = 66012 carries 66,012 witnesses of 66,012 letters
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "census", "--spec", TRIB, *lengths, "--full")
         assert time.perf_counter() - start < 1.0
         assert code == 4 and out == "" and "census witness lists" in err
+
+    def test_the_witness_guard_sums_the_letters_of_every_list(self, capsys, monkeypatch):
+        # up to m = 58 the lists hold 5,953 letters, of which m = 58 holds 58 witnesses of 58 letters
+        monkeypatch.setattr(census_cmd, "_WITNESS_LETTERS_GUARD", 5953)
+        assert run_cli(capsys, "census", "--spec", MIX3, "--all-up-to", "58", "--full")[0] == 0
+        monkeypatch.setattr(census_cmd, "_WITNESS_LETTERS_GUARD", 5952)
+        code, out, err = run_cli(capsys, "census", "--spec", MIX3, "--all-up-to", "58", "--full")
+        assert (code, out, err) == (4, "", "episturm census: census witness lists to m=58 have 5953 letters, above the guard 5952\n")
 
     def test_huge_verified_range_trips_the_guard_at_once(self, capsys):
         start = time.perf_counter()
@@ -501,17 +523,26 @@ class TestCensus:
     def test_uncut_certificate_fields(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "1795", "--verify", "--json")
         verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
-        fields = ("factor_length", "factors", "block_level", "prefix_letters", "scanned_letters", "closure_checked_letters", "closure_cap")
+        fields = ("factor_length", "factors", "block_level", "built_letters", "scanned_letters", "closure_checked_letters", "closure_cap")
         assert code == 0 and "detail" not in verdict
         assert {name: verdict[name] for name in fields} == {
             "factor_length": 3590,
             "factors": 7181,
             "block_level": 16,
-            "prefix_letters": 19513,
+            "built_letters": 19513,
             "scanned_letters": 14198,
             "closure_checked_letters": 14198,
             "closure_cap": 1048576,
         }
+
+    def test_the_verification_row_names_the_letters_the_certificate_built(self, capsys):
+        # P = a^12000 b a ends in block 2, of 144,012,001 letters; it is built only as far as the scan guard admits
+        code, out, _ = run_cli(capsys, "census", "--spec", "k=2; d=; 12000", "--m", "1", "--verify", "--json")
+        verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
+        assert code == 0 and (verdict["block_level"], verdict["built_letters"], verdict["scanned_letters"]) == (2, 4161783, 12002)
+        for dropped in ({}, {"prefix_letters": 144012001}):
+            row = {name: value for name, value in verdict.items() if name != "built_letters"} | dropped
+            assert not VALIDATOR.is_valid(row)
 
     @pytest.mark.parametrize(
         "lengths, scanned, short",
@@ -535,8 +566,11 @@ class TestCensus:
             (("--m", "3", "--l", "1"), "power order must be >= 2 (got 1)"),
             (("--m", "0"), "length must be >= 1 (got 0)"),
             (("--m", "0", "--l", "1"), "power order must be >= 2 (got 1)"),
+            (("--m", "-2", "--full"), "length must be >= 1 (got -2)"),
+            (("--all-up-to", "0"), "m_max must be >= 1 (got 0)"),
             (("--all-up-to", "5", "--l", "1"), "power order must be >= 2 (got 1)"),
             (("--all-up-to", "0", "--l", "1"), "m_max must be >= 1 (got 0)"),
+            (("--all-up-to", "3", "--l", "1", "--full"), "power order must be >= 2 (got 1)"),
         ],
     )
     def test_verify_refuses_a_length_or_order_as_the_closed_form_does(self, capsys, lengths, message):
@@ -860,12 +894,13 @@ def test_dense_verified_census_stays_small():
 
 # A guard must refuse (exit 4) before its real cost in time or memory is paid, and an answer at a guard must fit the
 # same limits. Measured as children on a 2-CPU x86-64 VM (Python 3.11.7), the rows below take at most 3.5 s of CPU
-# and, but for the battery's and the two tilings at the tile guard, need at most 88 MB of address space (the long run
-# of `d=400000`, 85 MB max RSS; the others at most 69 MB); Fibonacci `blocks --n 38` needed between 256 and 288 MB
-# when it built block 38 before refusing. The two tilings take 0.5 to 0.6 s of CPU and 104 MB (Tribonacci) and 113 MB
-# (`k=26`) max RSS; with a Python tuple per tile, both died with MemoryError at 152 to 156 MB. Tribonacci `verify
-# --n 26`, the battery's largest, needs 137 MB, so it has its own limit. The limits leave at least 1.8 times that as
-# headroom, the tilings 1.4 times, and are set in the child only.
+# and, but for the battery's, the two tilings at the tile guard and the witness lists at theirs, need at most 88 MB of
+# address space (the long run of `d=400000`, 85 MB max RSS; the others at most 69 MB); Fibonacci `blocks --n 38`
+# needed between 256 and 288 MB when it built block 38 before refusing. The two tilings take 0.5 to 0.6 s of CPU and
+# 104 MB (Tribonacci) and 113 MB (`k=26`) max RSS; with a Python tuple per tile, both died with MemoryError at 152 to
+# 156 MB. The witness lists of `census --m 5768 --full --json` take 0.2 s and 110 MB; printed twice, they took 142 MB.
+# Tribonacci `verify --n 26`, the battery's largest, needs 137 MB, so it has its own limit. The limits leave at least
+# 1.8 times that as headroom, the tilings and the witness lists 1.4 times, and are set in the child only.
 _CONTRACT_CPU_S = 10
 _CONTRACT_AS_MB = 160
 _BATTERY_AS_MB = 400
@@ -921,6 +956,9 @@ _SCAN_LIMIT_RSS_MB = {_TRIB_SCAN_LIMIT: 48, _FIB_SCAN_LIMIT: 70}
         (("partition", "--spec", "k=26; d=; 1", "--n", "0", "--m", "20", "--json", "--verify"), 0),
         (("partition", "--spec", "k=26; d=; 1", "--n", "0", "--m", "21", "--verify"), 4),  # text, so the refusal is on stderr
         (("partition", "--spec", TRIB, "--n", "2", "--m", "24", "--json", "--verify"), 0),  # 978,793 tiles
+        # 5,768 witnesses of 5,768 letters, under the witness guard's 2^25; m = 10,609 carries 10,609 of 10,609
+        (("census", "--spec", TRIB, "--m", "5768", "--full", "--json"), 0),
+        (("census", "--spec", TRIB, "--m", "10609", "--full"), 4),
         (("verify", "--spec", TRIB, "--n", "26"), 0),  # block 28 has 29,249,425 letters, within the battery's guard
         (("verify", "--spec", TRIB, "--n", "27"), 4),  # block 29 has 53,798,080
     ],
@@ -937,6 +975,21 @@ def test_inputs_at_the_guards_keep_the_exit_code_contract(argv, code):
     assert exit_code == code, f"{cost}\n{done.stderr[-500:]}"
     assert ("guard" in done.stderr) == (code == 4), cost
     assert max_rss_kb < _SCAN_LIMIT_RSS_MB.get(argv, as_mb) << 10, cost
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_a_closed_stdout_exits_one_without_a_traceback(json_flag):
+    """The reader takes one line and closes the pipe, with about 1.6 MB of witness lines still to come."""
+    env = {key: value for key, value in os.environ.items() if key != "EPISTURM_GUARD"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    argv = [sys.executable, "-m", "episturm.cli", "census", "--spec", TRIB, "--all-up-to", "1000", "--full", *json_flag]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert first.startswith(b'{"kind": "census-row", "m": 1,' if json_flag else b"m=1 l=2: 1")
+    assert (code, err) == (1, b"")
 
 
 def test_long_exponent_generate_keeps_one_closure_prefix():
