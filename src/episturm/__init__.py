@@ -33,7 +33,7 @@ _EXPORTS = {  # home module -> the names it exports
     ),
     "partition": ("PartitionView", "block_positions", "level_partition", "return_words"),
     "powers": (
-        "CensusProvenance", "CensusRange", "PowerCensus", "block_index", "block_index_witness", "census",
+        "CensusProvenance", "PowerCensus", "block_index", "block_index_witness", "census",
         "census_range", "length_sets", "prefix_index", "window_level",
     ),
     "runs": ("greatest_power_prefix", "max_fractional_power"),

@@ -34,7 +34,7 @@ class Reporter:
         """Print one row as a JSON line, or as its text lines: one string, or an iterable printed as it yields them.
 
         `last`, a (key, encode) pair, ends the JSON object with one more field
-        whose JSON text encode() returns; it is called under --json only.
+        whose JSON text encode() yields in pieces; it is called under --json only.
         """
         if self.as_json:
             line = json.dumps({"kind": kind, **payload}, ensure_ascii=True)
@@ -42,7 +42,9 @@ class Reporter:
                 print(line)
             else:
                 key, encode = last
-                print(line[:-1], ", ", json.dumps(key), ": ", encode(), "}", sep="")
+                sys.stdout.write(f"{line[:-1]}, {json.dumps(key)}: ")
+                sys.stdout.writelines(encode())
+                print("}")
         elif text is not None:
             lines = [text] if isinstance(text, str) else text
             for line in lines:

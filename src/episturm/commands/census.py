@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable
 from itertools import chain
 
@@ -16,9 +17,9 @@ from . import INLINE_WORD_LIMIT, Reporter, build_table
 # 2-CPU x86-64 VM (Python 3.11); plain census ranges visit only their carrying
 # lengths, and the table's length guard bounds their bases.
 _CENSUS_RANGE_GUARD = 1 << 20
-# `census --full` witness lists, count * m letters summed over the rows. Under --json a row holds its list, its JSON
-# line and that line's encoding at once, about 3 bytes a letter: Tribonacci `--m 5768` (33.3M letters) takes 0.23 s
-# and 110 MB max RSS on the same VM, so 2^25 letters keep --full within 160 MB.
+# `census --full` witness lists, count * m letters summed over the rows. A row holds its sorted list and writes it
+# a witness at a time, as text or JSON: Tribonacci `--m 5768` (33.3M letters) takes 0.18 s and 47 MB max RSS with
+# --json on the same VM, so 2^25 letters keep --full well within 160 MB and its witness output near 34 MB.
 _WITNESS_LETTERS_GUARD = 1 << 25
 
 
@@ -30,8 +31,8 @@ def _census_rule(table: BlockTable, row) -> str | None:
     return f"first {row.count} conjugates of {shorten(row.provenance.base)}"
 
 
-def _census_payload(table: BlockTable, row, full: bool) -> tuple[dict, Iterable[str]]:
-    """The census row and its text lines; under --full, with one sorted witness list, a text line a witness."""
+def _census_payload(table: BlockTable, row, full: bool) -> tuple[dict, Iterable[str], tuple | None]:
+    """The census row, its text lines and, under --full, its `last` field: the sorted witnesses, one JSON piece each."""
     prov = row.provenance
     payload = {
         "m": row.m,
@@ -44,18 +45,15 @@ def _census_payload(table: BlockTable, row, full: bool) -> tuple[dict, Iterable[
         payload["base_preview"] = shorten(prov.base)
         if full or len(prov.base) <= INLINE_WORD_LIMIT:
             payload["base"] = prov.base
-    where = f"window {prov.level}"
-    if prov.kind == "off-grid":
-        where += ", off-grid"
-    else:
-        where += f", depth {prov.depth}, multiple {prov.multiplier}"
-    text = f"m={row.m} l={row.l}: {row.count}  [{where}]"
+    where = "off-grid" if prov.kind == "off-grid" else f"depth {prov.depth}, multiple {prov.multiplier}"
+    text = f"m={row.m} l={row.l}: {row.count}  [window {prov.level}, {where}]"
     if payload.get("rule"):
         text += f"  {payload['rule']}"
     if full:
-        payload["witnesses"] = witnesses = sorted(row.witnesses)
-        return payload, chain((text,), (f"  {w}" for w in witnesses))
-    return payload, (text,)
+        witnesses = sorted(row.witnesses)
+        pieces = chain(("[",), (f"{', ' if i else ''}{json.dumps(w)}" for i, w in enumerate(witnesses)), ("]",))
+        return payload, chain((text,), (f"  {w}" for w in witnesses)), ("witnesses", lambda: pieces)
+    return payload, (text,), None
 
 
 def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
@@ -74,26 +72,30 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
         # closed forms' messages for a bad length or order, not the certificate's
         check_census_args(m_max, l, ranged=ranged)
         certificate, scans = certified_scan(table, m_max, l, m_min=1 if ranged else m_max)
-    rows = census_range(table, m_max, l).nonzero if ranged else [census(table, m_max, l)]
-    carrying = {row.m: row for row in rows if row.count}
+    rows = census_range(table, m_max, l) if ranged else [census(table, m_max, l)]
     if args.full:
-        letters = sum(row.count * row.m for row in carrying.values())
+        built = {row.m: row for row in rows}
+        letters = sum(row.count * row.m for row in built.values())
         if letters > _WITNESS_LETTERS_GUARD:
             raise GuardExceeded(f"census witness lists to m={m_max} have {letters} letters, above the guard {_WITNESS_LETTERS_GUARD}")
-        if ranged:
-            rows = (carrying[m] if m in carrying else census(table, m, l) for m in range(1, m_max + 1))
+        rows = (built.pop(m) if m in built else census(table, m, l) for m in range(1 if ranged else m_max, m_max + 1))
+    carrying, mismatches = [], []
     for row in rows:
         rep.row("census-row", *_census_payload(table, row, args.full))
+        if row.count:
+            carrying.append(row.m)
+            # a row's witnesses are rotations 0..count-1 of its base: one class, compared without building them
+            if args.verify and not same_bases(scans[l].classes.pop(row.m), (RotationClass(row.provenance.base, ((0, row.count),)),)):
+                mismatches.append(row.m)
     if ranged:
         rep.row(
             "census-summary",
-            {"l": l, "m_max": m_max, "nonzero_lengths": list(carrying), "zero_count": m_max - len(carrying)},
+            {"l": l, "m_max": m_max, "nonzero_lengths": carrying, "zero_count": m_max - len(carrying)},
             f"order {l}: {len(carrying)} carrying lengths up to {m_max}: {' '.join(map(str, carrying))}",
         )
     if args.verify:
-        # a row's witnesses are rotations 0..count-1 of its base: one class, compared without building them
-        expected = {m: (RotationClass(row.provenance.base, ((0, row.count),)),) for m, row in carrying.items()}
-        mismatches = [m for m, found in scans[l].classes.items() if not same_bases(found, expected.get(m, ()))]
+        # the lengths no row carries, left in the scan, must have no bases either
+        mismatches = sorted(mismatches + [m for m, found in scans[l].classes.items() if found])
         ok = not mismatches
         rep.row(
             "verification",

@@ -43,7 +43,7 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
             f"level-{n} tiling of the block at level {upto}: {len(view.levels)} pieces, {view.covered_prefix_length} letters",
             f"piece levels: {_run_lengths(view.levels)}",
         ],
-        last=("items", lambda: _items_json(table, view)),
+        last=("items", lambda: (_items_json(table, view),)),
     )
     if args.verify:
         ok = tuple(refined_levels(table, (n + 1, tile_levels(table, n + 1, upto)))) == view.levels

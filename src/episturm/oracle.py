@@ -69,13 +69,14 @@ from .words import Word
 # `_PASS_WORK` = 32 a letter: on the prefixes certified at the limits of six reference words it took 17 to 49 ns a
 # letter per chunk size on average, and 174 ns at most (k2_mixed, chunk 128). Gallops through runs that are long
 # at every shift cost more: on a^400000 b a^r the run through the b has m - 1 letters at shift m, and a letter cost
-# 10 ns at chunk 128 but 3.3 us at chunk 32,768. An (order, length) pair's rotation classes cost 1 to 2 us, and
-# each order keeps a result of about 250 bytes, so a pair weighs 1,000: a millionth power trips at once. A window
-# the factor count keys costs 320 to 750 ns (L = 2 to 1,000, on Tribonacci and on a^n b), so it weighs 128. The
-# guard stands for at most 1 to 2 s of counting and scanning: in process, `certified_scan` took 0.45 to 0.53 s at
-# the Tribonacci limit (lengths 1..72,332; P = 555,407 letters, P' = 2,212), 0.68 to 0.76 s at the Fibonacci limit
-# (lengths 1..158,905; P = 635,620, P' = 1,117) and 1.07 to 1.24 s on a^400000 b a^15999 (lengths 1..8,000, whose
-# P' holds 400,508 of P's 416,000 letters), best of 3 in each of 2 processes.
+# 10 ns at chunk 128 but 3.3 us at chunk 32,768. An (order, length) pair's rotation classes cost 1 to 2 us, so a
+# pair weighs 1,000: a millionth power trips at once. It leaves out the m-letter word each class keeps: at lengths
+# 1..12,000 of a^400000 b a^r they hold 72M letters, 91 MB max RSS for the scan alone (ROADMAP item 1). A window the
+# factor count keys costs 320 to 750 ns (L = 2 to 1,000, on Tribonacci and on a^n b), so it weighs 128. The guard
+# stands for at most 1 to 2 s of counting and scanning: in process, `certified_scan` took 0.45 to 0.53 s at the
+# Tribonacci limit (lengths 1..72,332; P = 555,407 letters, P' = 2,212), 0.68 to 0.76 s at the Fibonacci limit
+# (lengths 1..158,905; P = 635,620, P' = 1,117) and 1.07 to 1.24 s on a^400000 b a^15999 (lengths 1..8,000, whose P'
+# holds 400,508 of P's 416,000 letters), best of 3 in each of 2 processes.
 _SCAN_GUARD = 1 << 29
 _PASS_WORK = 32
 _RESULT_WORK = 1000

@@ -4,7 +4,7 @@ Every length m falls into the window of the unique level n whose block length
 is <= m but whose successor's is not. Inside a window, lengths carrying any
 integer power lie on a small grid: plain multiples of the block length, or a
 multiple plus one of k-1 fixed offsets. The dispatcher classifies m on that
-grid, a range walks the grids and visits only the carrying points, and each
+grid, a range walks the grids and yields a row at each carrying point, and each
 row describes the exact witness set as leading rotations of one base word;
 everything else is integer arithmetic, and the scanning oracle cross-checks
 the result in the test suite.
@@ -12,6 +12,7 @@ the result in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .blocks import BlockTable
@@ -52,14 +53,6 @@ class PowerCensus(NamedTuple):
     def witnesses(self) -> tuple[Word, ...]:
         base = self.provenance.base
         return tuple(base[j:] + base[:j] for j in range(self.count))
-
-
-class CensusRange(NamedTuple):
-    """census over 1..m_max: the carrying rows, from a walk over the window grids; every other length carries none."""
-
-    l: int
-    m_max: int
-    nonzero: tuple[PowerCensus, ...]
 
 
 def prefix_index(table: BlockTable, n: int) -> RationalIndex:
@@ -204,11 +197,11 @@ def census(table: BlockTable, m: int, l: int) -> PowerCensus:
     return _row(table, m, l, n, *points[0])
 
 
-def census_range(table: BlockTable, m_max: int, l: int) -> CensusRange:
-    """census over 1..m_max, by a walk over the window grids that visits only the carrying grid points.
+def census_range(table: BlockTable, m_max: int, l: int) -> Iterator[PowerCensus]:
+    """census over 1..m_max as its carrying rows in order of m, from a walk over the window grids; no other length carries.
 
-    The letters of all the bases are checked against the length guard
-    before any is built.
+    The arguments and the bases' summed letters are checked at the call;
+    each row, base and all, is built as it is read.
     """
     check_census_args(m_max, l, ranged=True)
     runs = []
@@ -220,4 +213,4 @@ def census_range(table: BlockTable, m_max: int, l: int) -> CensusRange:
     letters = sum((lengths.start + lengths[-1]) * len(lengths) // 2 for _, _, lengths in runs if lengths)
     table.check_size(f"census range 1..{m_max}", letters)
     points = sorted((m, n, depth, r) for n, depth, lengths in runs for r, m in enumerate(lengths, 1))
-    return CensusRange(l=l, m_max=m_max, nonzero=tuple(_row(table, m, l, n, depth, r) for m, n, depth, r in points))
+    return (_row(table, m, l, n, depth, r) for m, n, depth, r in points)

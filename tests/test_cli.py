@@ -488,8 +488,7 @@ class TestCensus:
         assert code == 3 and out.endswith("on length 6 over 55 letters holding all 25 factors of length 12: MISMATCH at [6]\n")
 
         def changed_range(table, m_max, l):
-            found = census_range(table, m_max, l)
-            return found._replace(nonzero=tuple(change(r) if r.m == 6 else r for r in found.nonzero))
+            return (change(r) if r.m == 6 else r for r in census_range(table, m_max, l))
 
         monkeypatch.setattr(census_cmd, "census_range", changed_range)
         code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "13", "--verify", "--json")
@@ -501,10 +500,8 @@ class TestCensus:
 
         def moved(table, m_max, l):
             # drop the row at m = 6 and claim one at the off-grid m = 5
-            found = census_range(table, m_max, l)
             fake = powers.PowerCensus(5, l, 1, powers.CensusProvenance("off-grid", 2, base="abaca"))
-            rows = sorted((*(r for r in found.nonzero if r.m != 6), fake), key=lambda r: r.m)
-            return found._replace(nonzero=tuple(rows))
+            return sorted((*(r for r in census_range(table, m_max, l) if r.m != 6), fake), key=lambda r: r.m)
 
         monkeypatch.setattr(census_cmd, "census_range", moved)
         code, out, _ = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "13", "--verify", "--json")
@@ -892,15 +889,25 @@ def test_dense_verified_census_stays_small():
     assert max_rss_kb < 100 * 1024
 
 
+def test_closed_form_range_holds_one_base_at_a_time():
+    """a^400000 b a^r carries a square at each of the 16,000 lengths: their bases hold 1.3e8 letters in all."""
+    out = _fresh_child("-c", _RSS_PROBE, "census", "--spec", "k=2; d=400000; 1", "--all-up-to", "16000")
+    *lines, last = out.splitlines()
+    code, max_rss_kb = json.loads(last)
+    assert code == 0 and len(lines) == 16001 and lines[-1].startswith("order 2: 16000 carrying lengths up to 16000: 1 2 3")
+    assert max_rss_kb < 40 * 1024
+
+
 # A guard must refuse (exit 4) before its real cost in time or memory is paid, and an answer at a guard must fit the
 # same limits. Measured as children on a 2-CPU x86-64 VM (Python 3.11.7), the rows below take at most 3.5 s of CPU
-# and, but for the battery's, the two tilings at the tile guard and the witness lists at theirs, need at most 88 MB of
-# address space (the long run of `d=400000`, 85 MB max RSS; the others at most 69 MB); Fibonacci `blocks --n 38`
-# needed between 256 and 288 MB when it built block 38 before refusing. The two tilings take 0.5 to 0.6 s of CPU and
-# 104 MB (Tribonacci) and 113 MB (`k=26`) max RSS; with a Python tuple per tile, both died with MemoryError at 152 to
-# 156 MB. The witness lists of `census --m 5768 --full --json` take 0.2 s and 110 MB; printed twice, they took 142 MB.
-# Tribonacci `verify --n 26`, the battery's largest, needs 137 MB, so it has its own limit. The limits leave at least
-# 1.8 times that as headroom, the tilings and the witness lists 1.4 times, and are set in the child only.
+# and, but for the battery's, the two tilings at the tile guard and `d=400000` to 12,000, at most 69 MB max RSS
+# (`d=400000` to 8,000 takes 52 MB, the witness lists of `census --m 5768 --full --json` 47 MB: held whole as JSON,
+# they took 110 MB, and printed twice, 142 MB); Fibonacci `blocks --n 38` needed between 256 and 288 MB when it built
+# block 38 before refusing. The two tilings take 0.5 to 0.6 s of CPU and 104 MB (Tribonacci) and 113 MB (`k=26`) max
+# RSS; with a Python tuple per tile, both died with MemoryError at 152 to 156 MB. `d=400000` to 12,000 takes 2 s and
+# 92 MB; with every row kept, it died with MemoryError at 157 MB. Tribonacci `verify --n 26`, the battery's largest,
+# needs 137 MB, so it has its own limit. The limits leave at least 2.3 times that as headroom, `d=400000` to 12,000
+# 1.7 times and the tilings 1.4 times, and are set in the child only.
 _CONTRACT_CPU_S = 10
 _CONTRACT_AS_MB = 160
 _BATTERY_AS_MB = 400
@@ -952,6 +959,8 @@ _SCAN_LIMIT_RSS_MB = {_TRIB_SCAN_LIMIT: 48, _FIB_SCAN_LIMIT: 70}
         (("census", "--spec", "k=2; d=; 1", "--all-up-to", "27000", "--verify"), 0),  # P has 129,024 letters
         # P = a^400000 b a^15999: at each of the 7,746 shifts of the chunk search, a run of about 400,000 letters
         (("census", "--spec", "k=2; d=400000; 1", "--all-up-to", "8000", "--verify"), 0),
+        # every length to 12,000 carries a square: the scan's classes hold 7.2e7 letters, the rows one base at a time
+        (("census", "--spec", "k=2; d=400000; 1", "--all-up-to", "12000", "--verify"), 0),
         # the level-0 tiling of block 20 has exactly the tile guard's 2^20 tiles, each printed as JSON
         (("partition", "--spec", "k=26; d=; 1", "--n", "0", "--m", "20", "--json", "--verify"), 0),
         (("partition", "--spec", "k=26; d=; 1", "--n", "0", "--m", "21", "--verify"), 4),  # text, so the refusal is on stderr

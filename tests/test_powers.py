@@ -144,25 +144,32 @@ class TestCensus:
             assert row.provenance.kind == "off-grid"
 
     def test_census_range_summary(self, mix3):
-        rng = census_range(mix3, 58, 2)
-        assert [c.m for c in rng.nonzero] == [1, 2, 3, 4, 6, 7, 10, 11, 15, 21, 22, 26, 32, 43, 58]
+        assert [c.m for c in census_range(mix3, 58, 2)] == [1, 2, 3, 4, 6, 7, 10, 11, 15, 21, 22, 26, 32, 43, 58]
 
     @pytest.mark.parametrize("text", [*SPEC_TEXTS.values(), *_random_specs(12, seed=6)])
     def test_walk_equals_per_length_census(self, text):
         table = BlockTable(DirectiveSpec.parse(text))
         for l in (2, 3, 4):
             rows = [census(table, m, l) for m in range(1, 400)]
-            rng = census_range(table, 399, l)
-            assert rng.nonzero == tuple(row for row in rows if row.count)
+            assert list(census_range(table, 399, l)) == [row for row in rows if row.count]
 
     def test_range_guard_counts_the_base_letters(self, monkeypatch):
         spec = DirectiveSpec.parse(SPEC_TEXTS["k3_mixed"])
-        letters = sum(row.m for row in census_range(BlockTable(spec), 58, 2).nonzero)
-        assert len(census_range(BlockTable(spec, length_guard=letters), 58, 2).nonzero) == 15
+        letters = sum(row.m for row in census_range(BlockTable(spec), 58, 2))
+        assert len(list(census_range(BlockTable(spec, length_guard=letters), 58, 2))) == 15
         # refused before any row, and so any base, is built
         monkeypatch.setattr(powers, "_row", None)
         with pytest.raises(GuardExceeded, match=f"census range 1..58 has {letters} letters"):
             census_range(BlockTable(spec, length_guard=letters - 1), 58, 2)
+
+    def test_range_builds_each_row_as_it_is_read(self, monkeypatch, mix3):
+        built, row = [], powers._row
+        monkeypatch.setattr(powers, "_row", lambda table, m, *args: built.append(m) or row(table, m, *args))
+        rows = census_range(mix3, 58, 2)
+        assert built == []
+        assert next(rows).m == 1 and built == [1]
+        assert next(rows).m == 2 and built == [1, 2]
+        assert [r.m for r in rows] == built[2:] == [3, 4, 6, 7, 10, 11, 15, 21, 22, 26, 32, 43, 58]
 
     def test_base_checks_the_length_guard(self):
         # m = 15 carries 8 rotations of a 15-letter base built from blocks of at most 11 letters

@@ -14,6 +14,7 @@ STATED = [
     ("table.palindromic_prefix(3)", "'abacabacabaabacabacaba'"),
     ("row.count", "8"),
     ("row.witnesses[0]", "'abacabacabaabac'"),
+    ("[r.m for r in census_range(table, 58, 2)][-3:]", "[32, 43, 58]"),
     ("scans[2].classes[15]", "(RotationClass(word='abacabacabaabac', spans=((0, 8),), period=15),)"),
     ("scans[2].per_length[15] == frozenset(row.witnesses)", "True"),
     ("max_fractional_power(certificate.word, table.block(3)).as_fraction()", "Fraction(4, 1)"),
