@@ -47,7 +47,6 @@ they are re-exported here.
 from __future__ import annotations
 
 import re
-from functools import reduce
 from itertools import accumulate, repeat
 from operator import add, mul
 from typing import NamedTuple
@@ -72,20 +71,24 @@ from .words import Word
 # 10 ns at chunk 128 but 3.3 us at chunk 32,768. An (order, length) pair's rotation classes cost 1 to 2 us, so a
 # pair weighs 1,000: a millionth power trips at once. It leaves out the m-letter word each class keeps: at lengths
 # 1..12,000 of a^400000 b a^r they hold 72M letters, 91 MB max RSS for the scan alone (ROADMAP item 1). A window the
-# factor count keys costs 320 to 750 ns (L = 2 to 1,000, on Tribonacci and on a^n b), so it weighs 128. The guard
-# stands for at most 1 to 2 s of counting and scanning: in process, `certified_scan` took 0.45 to 0.53 s at the
-# Tribonacci limit (lengths 1..72,332; P = 555,407 letters, P' = 2,212), 0.68 to 0.76 s at the Fibonacci limit
-# (lengths 1..158,905; P = 635,620, P' = 1,117) and 1.07 to 1.24 s on a^400000 b a^15999 (lengths 1..8,000, whose P'
-# holds 400,508 of P's 416,000 letters), best of 3 in each of 2 processes.
+# factor count keys costs 320 to 750 ns (L = 2 to 1,000, on Tribonacci and on a^n b), so it weighs 128; a window it
+# jumps over in a periodic stretch costs nothing, so a window per letter is an upper bound. The guard stands for at
+# most 1 to 2 s of counting and scanning: in process, `certified_scan` took 0.42 to 0.55 s at the Tribonacci limit
+# (lengths 1..72,332; P = 555,407 letters, P' = 2,212), 0.61 to 0.72 s at the Fibonacci limit (lengths 1..158,905;
+# P = 635,620, P' = 1,117) and 0.81 to 0.86 s on a^400000 b a^15999 (lengths 1..8,000, whose P' holds 400,508 of P's
+# 416,000 letters, but both counts take 12 ms there: they jump over the run of a), best of 3 in each of 2 processes.
 _SCAN_GUARD = 1 << 29
 _PASS_WORK = 32
 _RESULT_WORK = 1000
 _COUNT_WORK = 128
-# The factor count keys windows mod the Mersenne prime 2^61 - 1 in Python ints,
-# at most `_COUNT_BATCH` windows at a time, whatever the factor length.
+# The factor count keys windows in base 2^32 mod a prime between 2^60 and 2^61 in Python ints, in batches of
+# `_COUNT_FLOOR` to `_COUNT_BATCH` windows, whatever the factor length. The modulus is no prime near a power of two:
+# modulo 2^61 - 1, 2 has order 61, so letters 61 places apart would weigh alike; just below 2^61, 2^64 leaves a small
+# residue (360 modulo 2^61 - 45). 2 is a primitive root of this one.
 _COUNT_BATCH = 1 << 12
-_FACTOR_MODULUS = (1 << 61) - 1
-_FACTOR_BASE = 1_000_003
+_COUNT_FLOOR = 1 << 8
+_FACTOR_MODULUS = 1212186980286611059
+_FACTOR_BASE = 1 << 32
 _LONG_CHUNK = 128  # the smallest chunk searched for: below it, one XOR per shift reads every run
 
 
@@ -322,7 +325,7 @@ def _short_length(m_min: int, m_max: int, l_max: int) -> int:
 def _scan_work(letters: int, m_min: int, m_max: int, l_max: int, short_letters: int = 0) -> int:
     """What a certified scan of `letters` letters at orders 2..l_max and lengths m_min..m_max costs, in letter-shifts.
 
-    The factor count keys the prefix's letters - L + 1 windows of length L = l_max * m_max,
+    The factor count keys at most the prefix's letters - L + 1 windows of length L = l_max * m_max,
     and `scan_powers_multi` reads its shifts by the chunk plan of order 2: below
     `_LONG_CHUNK` each shift reads every letter, and from there each chunk size pays
     `_PASS_WORK` a letter. When a short count is planned (`_short_length`), it keys at most
@@ -396,18 +399,33 @@ def naive_scan(prefix: Word, l: int, m_min: int, m_max: int) -> dict[int, frozen
     return out
 
 
+def _key_period(keys: list[int]) -> int:
+    """The least q < `_COUNT_FLOOR` with 2q <= len(keys) and keys[q:] == keys[:-q], or 0 if there is none."""
+    for q in range(1, min(_COUNT_FLOOR, len(keys) // 2 + 1)):
+        if keys[q] == keys[0] and keys[q:] == keys[:-q]:
+            return q
+    return 0
+
+
 def count_factors(words, length: int, enough: int) -> tuple[int, int]:
     """(distinct keys of the length-`length` factors counted, end of the shortest prefix holding them).
 
     `words` yields ever longer prefixes of one word; each is read on from where
     the one before stopped. A factor's key is its polynomial hash
-    sum_t w[i+t] B^(length-1-t) mod the Mersenne prime 2^61 - 1, rolled from
-    window to window in pure Python; equal factors get equal keys, so a
-    collision can only lower the count. Windows are keyed 2^12 at a time, in
-    order, each batch encoding only the letters that leave and enter its
-    windows, so no batch grows with the length; counting stops after the batch
-    that brings it to `enough`, or when `words` runs out, short of it: the
-    caller decides what a short count means.
+    sum_t w[i+t] B^(length-1-t) mod a 61-bit prime, with B = 2^32: the first
+    window's key is its UTF-32 code units read as one int, 2^12 letters at a
+    time, and each later key is rolled from the one before in pure Python.
+    Equal factors get equal keys, so a collision can only lower the count.
+    Windows are keyed in order, in batches of as many windows as factors are
+    missing, at least 2^8 and at most 2^12, each encoding only the letters
+    that leave and enter its windows; a window holds at most one new factor,
+    so a count that reaches `enough` keys at most 2^8 - 1 windows past its
+    last new factor. One that runs out of `words` stops short of it: the
+    caller decides what a short count means. A batch whose keys repeat with a period q below
+    2^8, at least twice, may lie in a period-q stretch of letters: `_run_end`
+    finds where the letters w[i] == w[i + q] from the batch's start stop, and
+    every window before that end repeats the one q letters earlier, so the
+    count goes on after them, from the key of a window they repeat.
     """
     modulus, base = _FACTOR_MODULUS, _FACTOR_BASE
     drop = modulus - pow(base, length, modulus)  # adding drop * w[i] removes w[i] from the window after it
@@ -415,21 +433,34 @@ def count_factors(words, length: int, enough: int) -> tuple[int, int]:
     def roll(key: int, change: int) -> int:
         return (key * base + change) % modulus
 
+    def first_key(window: Word) -> int:
+        """The key of window 0: its code units read as one base-B numeral, `_COUNT_BATCH` letters at a time."""
+        key = 0
+        for i in range(0, length, _COUNT_BATCH):  # the units reversed, so that the first letter is the most significant
+            units = memoryview(window[i:min(i + _COUNT_BATCH, length)].encode("utf-32-le")).cast("I")
+            key = ((key << 32 * len(units)) + int.from_bytes(units[::-1], "little")) % modulus
+        return key
+
     seen: set[int] = set()
-    lo, latest = 0, None  # latest: (start, keys, new keys) of the last batch that found a factor
+    lo, key, latest = 0, 0, None  # key: that of window lo - 1; latest: (start, keys, new keys) of the last batch that found a factor
     for w in words:
         while len(seen) < enough and lo <= len(w) - length:
-            size = min(_COUNT_BATCH, len(w) - length + 1 - lo)
-            # window i + 1 keys B * key(i) - B^length w[i] + w[i + length]; the batch before left key(lo - 1)
-            first = roll(keys[-1], drop * ord(w[lo - 1]) + ord(w[lo + length - 1])) if lo else reduce(roll, map(ord, w[:length]), 0)
+            start, size = lo, min(_COUNT_BATCH, max(enough - len(seen), _COUNT_FLOOR), len(w) - length + 1 - lo)
+            # window i + 1 keys B * key(i) - B^length w[i] + w[i + length]
+            first = roll(key, drop * ord(w[lo - 1]) + ord(w[lo + length - 1])) if lo else first_key(w[:length])
             leaving, entering = (memoryview(w[i:i + size - 1].encode("utf-32-le")).cast("I") for i in (lo, lo + length))
             keys = list(accumulate(map(add, map(mul, leaving, repeat(drop)), entering), roll, initial=first))
-            new = set(keys)
-            new -= seen
+            distinct = set(keys)
+            new = distinct - seen
             if new:
                 seen |= new
-                latest = lo, keys, new
-            lo += size
+                latest = start, keys, new
+            lo, key = start + size, keys[-1]
+            q = _key_period(keys) if len(seen) < enough and len(distinct) <= size // 2 else 0
+            if q:  # windows start..end - length each equal the window q letters on, by the letters themselves
+                end = _run_end(w, start, q)
+                if end - length + q + 1 > lo:
+                    lo, key = end - length + q + 1, keys[(end - length - start) % q]
         if len(seen) >= enough:
             break
     if latest is None:

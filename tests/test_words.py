@@ -3,6 +3,8 @@
 Also the two-palindrome splits of `checks` and the factor count of `oracle`, their only users.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -282,6 +284,54 @@ class TestFactorCount:
         assert count_factors([self.Spy(w, reads)], 9, 10) == (10, max(first.values()) + 9) == (10, 21)
         slices = [read for read in reads if isinstance(read, tuple)]
         assert slices[0] == (None, 9) and max(stop - start for start, stop in slices[1:]) == 3
+
+    @staticmethod
+    def keyed(monkeypatch) -> list[list[int]]:
+        """The keys `count_factors` rolls, one list per batch, logged as it makes them."""
+        batches, accumulate = [], oracle.accumulate
+        monkeypatch.setattr(oracle, "accumulate", lambda *args, **kw: batches.append(list(accumulate(*args, **kw))) or batches[-1])
+        return batches
+
+    @pytest.mark.parametrize("length", [1, 4, 300, 5000])
+    @pytest.mark.parametrize("w", ["a" * 100_000 + "b" + "aaa", "ab" * 50_000 + "b"], ids=["a^n b aaa", "(ab)^n b"])
+    def test_a_periodic_stretch_is_jumped_over(self, monkeypatch, w, length):
+        # the first batch repeats with period 1 or 2: the letters prove the stretch periodic up to the b, and the
+        # count keys only that batch and the windows after the stretch
+        first = {}
+        for i in range(len(w) - length + 1):
+            first.setdefault(w[i:i + length], i)
+        batches = self.keyed(monkeypatch)
+        assert count_factors([w], length, len(first) + 1) == (len(first), max(first.values()) + length)
+        assert len(batches) <= 2 and sum(map(len, batches)) <= 2 * oracle._COUNT_FLOOR
+
+    def test_a_count_keys_at_most_a_small_batch_past_its_last_factor(self, monkeypatch):
+        # op C of the verified-census benchmark: Tribonacci lengths 1..1795 at order 2, so L = 3,590
+        w = BlockTable(DirectiveSpec.parse(SPEC_TEXTS["tribonacci"])).block(16)  # 19,513 letters
+        batches = self.keyed(monkeypatch)
+        found, end = count_factors([w], 3590, 2 * 3590 + 1)
+        assert (found, end) == (7181, 14198)
+        assert end - 3590 + 1 <= sum(map(len, batches)) <= end - 3590 + oracle._COUNT_FLOOR
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_rolled_key_is_its_windows_hash(self, monkeypatch, seed):
+        # random words have no periodic batch, so the count keys every window in order; a length past 2^12 keys
+        # its first window in pieces
+        rng = random.Random(seed)
+        length = rng.choice([1, 2, 7, 300, 4099])
+        w = "".join(rng.choice("abcz") for _ in range(length + rng.randrange(1, 700)))
+        batches = self.keyed(monkeypatch)
+        count_factors([w], length, len(w) + 1)
+
+        digits = [f"{ord(x):08x}" for x in w]  # each letter a base-2^32 digit, written in hexadecimal
+        keys = [int("".join(digits[i:i + length]), 16) % oracle._FACTOR_MODULUS for i in range(len(w) - length + 1)]
+        assert [k for batch in batches for k in batch] == keys
+
+    def test_the_modulus_keys_base_2_32_without_short_cycles(self):
+        sympy = pytest.importorskip("sympy")
+        q = oracle._FACTOR_MODULUS
+        assert 1 << 60 < q < 1 << 61 and sympy.isprime(q) and oracle._FACTOR_BASE == 1 << 32
+        assert sympy.n_order(2, q) > 1 << 40  # so B^L mod q does not cycle over any length the count reaches
+        assert min(pow(2, 64, q), q - pow(2, 64, q)) > 1 << 32
 
 
 class TestRotationProperties:
