@@ -30,12 +30,17 @@ only the runs that reached the need of the order before.
 k letters has exactly (k-1)L + 1 factors of each length L (Arnoux & Rauzy
 1991; Droubay, Justin & Pirillo, TCS 255, 2001), so a prefix holding that
 many, with L = l_max * m_max, holds every power of order up to l_max with a
-base of at most m_max letters that the infinite word has. The chunk search
-reads all of that prefix P. The XOR shifts look only for powers of at most
-L' = l_max * (the last XOR shift, at most 254) letters, so once 2L' <= L they
-read only the shortest prefix P' of P that holds the (k-1)L' + 1 factors of
-length L', found by a second count on P by the same theorem. A naive double loop
-stays available as the meta-oracle for small inputs, and `ScanResult.per_length`
+base of at most m_max letters that the infinite word has. The count skips
+the windows that repeat earlier ones, found by `str.find` and proved by the
+letters: episturmian prefixes are mostly copies of earlier stretches (Berstel
+& Savelli, MFCS 2006). The chunk search reads all of that prefix P. The XOR
+shifts look only for powers of at most L' = l_max * (the last XOR shift, at
+most 254) letters, so once 2L' <= L they read only the shortest prefix P' of P
+that holds the (k-1)L' + 1 factors of length L', found by a second count on P
+by the same theorem. A second chunk plan sends chunk 64 to the chunk search
+too, so that its XOR shifts stop at 126 and read the P' of l_max * 126
+letters; the guard's price picks the plan. A naive double loop stays
+available as the meta-oracle for small inputs, and `ScanResult.per_length`
 expands the classes into word sets for it.
 
 The one-shift measures of `index --verify`, `max_fractional_power` and
@@ -62,7 +67,8 @@ from .words import Word
 # m = 3 on the Tribonacci word, whose many short runs it loops over; the XOR shifts read P, or P' once a second
 # count has found it, and that count is priced at a window per letter of P, before it runs, in place of the XOR
 # shifts (`_short_length`, `_scan_work`). At order 2, Tribonacci's P' has 2,212 letters from m_max = 508 on, so
-# its XOR shifts cost 254 * 2,212 letter-shifts, not 254 * |P|. The chunk search's Python work follows its
+# its XOR shifts cost 254 * 2,212 letter-shifts, not 254 * |P|. The plan that sends chunk 64 to the chunk search
+# too, with a count of its own, runs only when priced lower. The chunk search's Python work follows its
 # chunks, shifts and runs, each at most a multiple of the letters per chunk size (a word of n letters has fewer
 # than n maximal runs: Bannai et al., "The 'Runs' Theorem", SIAM J. Comput. 46(5), 2017), so each chunk size costs
 # `_PASS_WORK` = 32 a letter: on the prefixes certified at the limits of six reference words it took 17 to 49 ns a
@@ -72,11 +78,11 @@ from .words import Word
 # pair weighs 1,000: a millionth power trips at once. It leaves out the m-letter word each class keeps: at lengths
 # 1..12,000 of a^400000 b a^r they hold 72M letters, 91 MB max RSS for the scan alone (ROADMAP item 1). A window the
 # factor count keys costs 320 to 750 ns (L = 2 to 1,000, on Tribonacci and on a^n b), so it weighs 128; a window it
-# jumps over in a periodic stretch costs nothing, so a window per letter is an upper bound. The guard stands for at
-# most 1 to 2 s of counting and scanning: in process, `certified_scan` took 0.42 to 0.55 s at the Tribonacci limit
-# (lengths 1..72,332; P = 555,407 letters, P' = 2,212), 0.61 to 0.72 s at the Fibonacci limit (lengths 1..158,905;
-# P = 635,620, P' = 1,117) and 0.81 to 0.86 s on a^400000 b a^15999 (lengths 1..8,000, whose P' holds 400,508 of P's
-# 416,000 letters, but both counts take 12 ms there: they jump over the run of a), best of 3 in each of 2 processes.
+# skips as a copy costs nothing, so a window per letter is an upper bound. The guard stands for at most 1 to 2 s of
+# counting and scanning: in process, `certified_scan` took 0.34 to 0.37 s at the Tribonacci limit (lengths
+# 1..72,332; P = 555,407 letters, P' = 2,212), 0.52 to 0.58 s at the Fibonacci limit (lengths 1..158,905; P =
+# 635,620, P' = 1,117) and 0.79 to 1.08 s on a^400000 b a^15999 (lengths 1..8,000, whose P' holds 400,508 of P's
+# 416,000 letters, but the counts take 12 ms there: they skip the run of a), best of 3 in each of 4 processes.
 _SCAN_GUARD = 1 << 29
 _PASS_WORK = 32
 _RESULT_WORK = 1000
@@ -87,6 +93,11 @@ _COUNT_WORK = 128
 # residue (360 modulo 2^61 - 45). 2 is a primitive root of this one.
 _COUNT_BATCH = 1 << 12
 _COUNT_FLOOR = 1 << 8
+# The count's searches for copies read at most `_SEARCH_LETTERS` letters per window keyed. A search that fails reads
+# 1.3 to 4.3 ns a letter (2-CPU x86-64 VM, Python 3.11), so they add at most 85 to 280 ns to a keyed window's 320 to
+# 750 ns. On the prefixes certified for verified-census ops A to C, k4_mixed to 507, k5 to 1,795, the Tribonacci and
+# Fibonacci limits and a^400000 b a^15999, every search hit, and the searches read 1.3 to 4.9 letters per window keyed.
+_SEARCH_LETTERS = 64
 _FACTOR_MODULUS = 1212186980286611059
 _FACTOR_BASE = 1 << 32
 _LONG_CHUNK = 128  # the smallest chunk searched for: below it, one XOR per shift reads every run
@@ -310,35 +321,39 @@ def _chunks(m_min: int, m_max: int, order: int):
         m = hi + 1
 
 
-def _short_length(m_min: int, m_max: int, l_max: int) -> int:
-    """L' = l_max times the last XOR shift of the order-2 chunk plan, when 2L' <= L = l_max * m_max; else 0.
+def _short_length(m_min: int, m_max: int, l_max: int, long_chunk: int) -> int:
+    """L' = l_max times the last XOR shift of the order-2 chunk plan that searches from chunk `long_chunk` on, when 2L' <= L = l_max * m_max; else 0.
 
     Every power that an XOR shift looks for is a factor of at most L' letters, so the shortest
     prefix P' holding the (k-1)L' + 1 factors of that length holds them all. Nearer to L, P' is
     nearly all of P, and a second count would cost more than it saves: at order 3 and lengths
-    1..256, k3_mixed's P' holds 7,529 of P's 7,535 letters.
+    1..256, k3_mixed's P' of L' = 3 * 254 holds 7,529 of P's 7,535 letters, but with the chunk
+    search from 64 on, the P' of L' = 3 * 126 holds 2,686.
     """
-    last = max((hi for c, lo, hi in _chunks(m_min, m_max, 2) if c < _LONG_CHUNK), default=0)
+    last = max((hi for c, lo, hi in _chunks(m_min, m_max, 2) if c < long_chunk), default=0)
     return l_max * last if 2 * last <= m_max else 0
 
 
-def _scan_work(letters: int, m_min: int, m_max: int, l_max: int, short_letters: int = 0) -> int:
+def _scan_work(letters: int, m_min: int, m_max: int, l_max: int, short_letters: int = 0,
+               long_chunk: int | None = None, counted: int | None = None) -> int:
     """What a certified scan of `letters` letters at orders 2..l_max and lengths m_min..m_max costs, in letter-shifts.
 
     The factor count keys at most the prefix's letters - L + 1 windows of length L = l_max * m_max,
-    and `scan_powers_multi` reads its shifts by the chunk plan of order 2: below
-    `_LONG_CHUNK` each shift reads every letter, and from there each chunk size pays
-    `_PASS_WORK` a letter. When a short count is planned (`_short_length`), it keys at most
-    a window per letter, and the XOR shifts read only the `short_letters` letters of P',
-    0 until that count has found them. So the price is linear in the letters, for any
+    and `scan_powers_multi` reads its shifts by the chunk plan of order 2: below `long_chunk`
+    (`_LONG_CHUNK` by default) each shift reads every letter, and from there each chunk size
+    pays `_PASS_WORK` a letter. When a short count is planned (`_short_length`), the second
+    counts key at most a window per letter they read, `counted` letters (by default one count
+    on all the letters), and the XOR shifts read only the `short_letters` letters of P', 0
+    until that count has found them. So the default price is linear in the letters, for any
     prefix of at least L - 1 letters: a fixed part and a price per letter.
     """
-    short = _short_length(m_min, m_max, l_max)
+    long_chunk = _LONG_CHUNK if long_chunk is None else long_chunk
+    short = _short_length(m_min, m_max, l_max, long_chunk)
     xor_letters = short_letters if short else letters
     work = (l_max - 1) * (m_max - m_min + 1) * _RESULT_WORK + (letters - l_max * m_max + 1) * _COUNT_WORK
-    work += letters * _COUNT_WORK if short else 0
+    work += ((letters if short else 0) if counted is None else counted) * _COUNT_WORK
     for c, lo, hi in _chunks(m_min, m_max, 2):
-        work += xor_letters * (hi - lo + 1) if c < _LONG_CHUNK else letters * _PASS_WORK
+        work += xor_letters * (hi - lo + 1) if c < long_chunk else letters * _PASS_WORK
     return work
 
 
@@ -347,12 +362,14 @@ def scan_powers(prefix: Word, l: int, m_min: int, m_max: int) -> ScanResult:
     return scan_powers_multi(prefix, (l,), m_min, m_max)[l]
 
 
-def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int, short_letters: int | None = None) -> dict[int, ScanResult]:
+def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int, short_letters: int | None = None,
+                      long_chunk: int | None = None) -> dict[int, ScanResult]:
     """Scan several power orders at once, sharing the per-length run decomposition.
 
-    The XOR shifts (those below `_LONG_CHUNK`) read only prefix[:short_letters], all of
-    it by default: a caller that knows a shorter prefix holds every power those shifts look
-    for passes its length, and the chunk search still reads the whole prefix.
+    The chunk search takes the shifts whose chunk is at least `long_chunk`, `_LONG_CHUNK`
+    by default, and the XOR shifts below it read only prefix[:short_letters], all of it by
+    default: a caller that knows a shorter prefix holds every power those shifts look for
+    passes its length, and the chunk search still reads the whole prefix.
     """
     orders = sorted(set(orders))
     if not orders or orders[0] < 2:
@@ -361,6 +378,8 @@ def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int, short_letter
         raise RangeError(f"bad length range {m_min}..{m_max}")
     if m_max * orders[-1] > len(prefix):
         raise RangeError(f"prefix of {len(prefix)} letters is too short for order {orders[-1]} at length {m_max}")
+    if long_chunk is None:
+        long_chunk = _LONG_CHUNK
     if short_letters is None:
         short_letters = len(prefix)
     elif not 0 <= short_letters <= len(prefix):
@@ -368,7 +387,7 @@ def scan_powers_multi(prefix: Word, orders, m_min: int, m_max: int, short_letter
     whole = None
     results = {l: ScanResult(l, {}) for l in orders}
     for c, lo, hi in _chunks(m_min, m_max, orders[0]):
-        if c >= _LONG_CHUNK:  # one search finds the runs of all the shifts of chunk c
+        if c >= long_chunk:  # one search finds the runs of all the shifts of chunk c
             found = _long_runs(prefix, c, lo, hi)
         else:
             if whole is None:  # only the XOR kernel reads it
@@ -399,21 +418,13 @@ def naive_scan(prefix: Word, l: int, m_min: int, m_max: int) -> dict[int, frozen
     return out
 
 
-def _key_period(keys: list[int]) -> int:
-    """The least q < `_COUNT_FLOOR` with 2q <= len(keys) and keys[q:] == keys[:-q], or 0 if there is none."""
-    for q in range(1, min(_COUNT_FLOOR, len(keys) // 2 + 1)):
-        if keys[q] == keys[0] and keys[q:] == keys[:-q]:
-            return q
-    return 0
-
-
 def count_factors(words, length: int, enough: int) -> tuple[int, int]:
     """(distinct keys of the length-`length` factors counted, end of the shortest prefix holding them).
 
     `words` yields ever longer prefixes of one word; each is read on from where
     the one before stopped. A factor's key is its polynomial hash
-    sum_t w[i+t] B^(length-1-t) mod a 61-bit prime, with B = 2^32: the first
-    window's key is its UTF-32 code units read as one int, 2^12 letters at a
+    sum_t w[i+t] B^(length-1-t) mod a 61-bit prime, with B = 2^32: a window
+    keyed afresh has its UTF-32 code units read as one int, 2^12 letters at a
     time, and each later key is rolled from the one before in pure Python.
     Equal factors get equal keys, so a collision can only lower the count.
     Windows are keyed in order, in batches of as many windows as factors are
@@ -421,11 +432,18 @@ def count_factors(words, length: int, enough: int) -> tuple[int, int]:
     that leave and enter its windows; a window holds at most one new factor,
     so a count that reaches `enough` keys at most 2^8 - 1 windows past its
     last new factor. One that runs out of `words` stops short of it: the
-    caller decides what a short count means. A batch whose keys repeat with a period q below
-    2^8, at least twice, may lie in a period-q stretch of letters: `_run_end`
-    finds where the letters w[i] == w[i + q] from the batch's start stop, and
-    every window before that end repeats the one q letters earlier, so the
-    count goes on after them, from the key of a window they repeat.
+    caller decides what a short count means.
+
+    A window that repeats an earlier one holds no new factor, so the count
+    skips copies. After a batch whose last key repeats an earlier one,
+    `str.find` looks for the next window lo's letters in w[:lo + length - 1].
+    A hit at j < lo gives q = lo - j, and `_run_end` finds where the letters
+    w[i] == w[i + q] from j stop, at e: every window from lo to e - length + q
+    repeats the one q letters before it, so the count goes on after them and
+    keys its next window afresh. A copy that runs to the end of w is measured
+    on in the next prefix. The haystacks and needles of all searches hold at
+    most `_SEARCH_LETTERS` letters per window keyed: a search that does not
+    fit waits for the windows that pay for it.
     """
     modulus, base = _FACTOR_MODULUS, _FACTOR_BASE
     drop = modulus - pow(base, length, modulus)  # adding drop * w[i] removes w[i] from the window after it
@@ -434,7 +452,7 @@ def count_factors(words, length: int, enough: int) -> tuple[int, int]:
         return (key * base + change) % modulus
 
     def first_key(window: Word) -> int:
-        """The key of window 0: its code units read as one base-B numeral, `_COUNT_BATCH` letters at a time."""
+        """The key of a window keyed afresh: its code units read as one base-B numeral, `_COUNT_BATCH` letters at a time."""
         key = 0
         for i in range(0, length, _COUNT_BATCH):  # the units reversed, so that the first letter is the most significant
             units = memoryview(window[i:min(i + _COUNT_BATCH, length)].encode("utf-32-le")).cast("I")
@@ -442,25 +460,33 @@ def count_factors(words, length: int, enough: int) -> tuple[int, int]:
         return key
 
     seen: set[int] = set()
-    lo, key, latest = 0, 0, None  # key: that of window lo - 1; latest: (start, keys, new keys) of the last batch that found a factor
+    lo, key, latest = 0, None, None  # key: that of window lo - 1, None when window lo is keyed afresh; latest: (start, keys, new keys) of the last batch that found a factor
+    credit = 0  # letters the searches may still read: `_SEARCH_LETTERS` per window keyed, less what they read
+    copy = 0  # q of a copy that ran to the end of the word before, and goes on in the next
     for w in words:
+        if copy:
+            end = _run_end(w, lo + length - 1 - copy, copy)
+            lo, copy = end - length + copy + 1, copy if end == len(w) - copy else 0
         while len(seen) < enough and lo <= len(w) - length:
             start, size = lo, min(_COUNT_BATCH, max(enough - len(seen), _COUNT_FLOOR), len(w) - length + 1 - lo)
             # window i + 1 keys B * key(i) - B^length w[i] + w[i + length]
-            first = roll(key, drop * ord(w[lo - 1]) + ord(w[lo + length - 1])) if lo else first_key(w[:length])
+            first = first_key(w[lo:lo + length]) if key is None else roll(key, drop * ord(w[lo - 1]) + ord(w[lo + length - 1]))
             leaving, entering = (memoryview(w[i:i + size - 1].encode("utf-32-le")).cast("I") for i in (lo, lo + length))
             keys = list(accumulate(map(add, map(mul, leaving, repeat(drop)), entering), roll, initial=first))
-            distinct = set(keys)
-            new = distinct - seen
+            new = set(keys) - seen
             if new:
                 seen |= new
                 latest = start, keys, new
-            lo, key = start + size, keys[-1]
-            q = _key_period(keys) if len(seen) < enough and len(distinct) <= size // 2 else 0
-            if q:  # windows start..end - length each equal the window q letters on, by the letters themselves
-                end = _run_end(w, start, q)
-                if end - length + q + 1 > lo:
-                    lo, key = end - length + q + 1, keys[(end - length - start) % q]
+            lo, key, credit = start + size, keys[-1], credit + size * _SEARCH_LETTERS
+            read = lo + 2 * length - 1  # the haystack w[:lo + length - 1] and the needle
+            if (len(seen) < enough and lo <= len(w) - length and read <= credit
+                    and (keys[-1] not in new or keys.index(keys[-1]) < size - 1)):  # window lo - 1 repeats an earlier one
+                credit -= read
+                j = w.find(w[lo:lo + length], 0, lo + length - 1)
+                if j >= 0:  # windows lo..e - length + q each equal the window q letters before, by the letters themselves
+                    q = lo - j
+                    end = _run_end(w, j, q)
+                    lo, key, copy = end - length + q + 1, None, q if end == len(w) - q else 0
         if len(seen) >= enough:
             break
     if latest is None:
@@ -485,7 +511,13 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
     L' < L letters on the certified prefix P, which holds them all, and the
     XOR shifts read only the prefix P' that holds them; the guard, which
     admitted P with that count in place of the XOR shifts, then prices them
-    on P' and refuses before the scan if the total is over.
+    on P' and refuses before the scan if the total is over. Then the plan
+    whose chunk search takes chunk `_LONG_CHUNK` / 2 too is priced, its XOR
+    shifts at 0 first, and only if that is lower, and the guard also covers
+    the first plan's price with that plan's count added, does its own count
+    find its P' in the prefix the first plan's XOR shifts would read. The
+    plan priced lower runs, the first on a tie, so what runs is never priced
+    above the guard, and no input that the first plan answers is refused.
     """
     if m_max < 1:
         raise RangeError(f"m_max must be >= 1 (got {m_max})")
@@ -528,19 +560,40 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
         raise VerificationError(f"block level {level} has {found} factors of length {length}, "
                                 f"more than the {target} of a strict episturmian word")
     prefix = block[:end]
-    short, short_end = _short_length(m_min, m_max, l_max), end
-    if short:  # P holds every factor of L' < L letters, so counting them on P finds P'
+
+    def shortest_holding(letters: int, short: int) -> int:
+        """The end of the shortest prefix holding every factor of `short` letters, counted on prefix[:letters], which holds them all."""
         short_target = (spec.k - 1) * short + 1
-        found, short_end = count_factors([prefix], short, short_target)
+        found, short_end = count_factors([prefix[:letters]], short, short_target)
         if found != short_target:
-            raise VerificationError(f"block level {level} has {found} factors of length {short} in its first {end} "
+            raise VerificationError(f"block level {level} has {found} factors of length {short} in its first {letters} "
                                     f"letters, not the {short_target} of a strict episturmian word")
-        if _scan_work(end, m_min, m_max, l_max, short_end) > _SCAN_GUARD:
-            raise too_costly(end, short_end)
+        return short_end
+
+    short, short_end, counted = _short_length(m_min, m_max, l_max, _LONG_CHUNK), end, 0
+    if short:  # P holds every factor of L' < L letters, so counting them on P finds P'
+        short_end, counted = shortest_holding(end, short), end
+    work = _scan_work(end, m_min, m_max, l_max, short_end)
+    if work > _SCAN_GUARD:  # only after a second count, which admission priced in place of the XOR shifts
+        raise too_costly(end, short_end)
+    # the plan whose chunk search takes chunk _LONG_CHUNK / 2 too: its XOR shifts look for shorter powers, all in
+    # the P' its own count finds in the prefix that this plan's XOR shifts read
+    long_chunk, half = _LONG_CHUNK, _LONG_CHUNK // 2
+    half_short = _short_length(m_min, m_max, l_max, half)
+
+    def half_work(short_letters: int) -> int:
+        return _scan_work(end, m_min, m_max, l_max, short_letters, half, counted + (short_end if half_short else 0))
+
+    # Its count runs only if that plan may win (no price of it is lower than with its XOR shifts at 0), and only if
+    # the guard covers this plan and that count both, should it lose.
+    if half_work(0) < work and work + (short_end * _COUNT_WORK if half_short else 0) <= _SCAN_GUARD:
+        half_end = shortest_holding(short_end, half_short) if half_short else end
+        if half_work(half_end) < work:
+            long_chunk, short_end = half, half_end
     checked = min(end, closure_reach(spec, CLOSURE_CHECK_WORK))
     if not prefix.startswith(closure_prefix(spec, checked)):
         raise VerificationError(f"block level {level} disagrees with the closure construction within {checked} letters")
-    scans = scan_powers_multi(prefix, range(2, l_max + 1), m_min, m_max, short_end)
+    scans = scan_powers_multi(prefix, range(2, l_max + 1), m_min, m_max, short_end, long_chunk)
     return PrefixCertificate(block, m_min, m_max, length, target, level, end, checked, short_end), scans
 
 

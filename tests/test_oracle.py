@@ -15,6 +15,7 @@ from episturm.oracle import (
     RotationClass,
     certified_scan,
     certify_prefix,
+    count_factors,
     generate_prefix,
     greatest_power_prefix,
     max_fractional_power,
@@ -176,6 +177,14 @@ class TestRotationClasses:
         for result in scans.values():
             _check_description(result)
             assert all(len(found) <= 1 for found in result.classes.values())
+
+
+@st.composite
+def random_specs(draw):
+    k = draw(st.integers(min_value=2, max_value=5))
+    pre = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=4))
+    per = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4))
+    return DirectiveSpec.make(k, tuple(pre), tuple(per))
 
 
 @st.composite
@@ -561,45 +570,113 @@ _LAST_XOR_SHIFT = _CUTOFF_SHIFT - 1
 
 
 class TestShortShifts:
-    """From m_max = 2 * 254 on, the XOR shifts read only P', the shortest prefix of P holding every factor of l_max * 254 letters."""
+    """The XOR shifts read only P', the shortest prefix of P holding every factor of l_max times the last XOR shift.
+
+    The default plan sends the shifts below chunk 128 (1..254 at order 2) to the XOR kernel and counts P' from
+    m_max = 2 * 254 on; the other plan searches chunk 64 too (shifts 127..254), and its XOR shifts, 1..126, read a
+    P' of l_max * 126 from m_max = 2 * 126 on. The certified scan runs the one priced lower, the default on a tie.
+    """
+
+    @staticmethod
+    def planned(monkeypatch) -> list[tuple[int, int]]:
+        """(short_letters, long_chunk) of each `scan_powers_multi` call, logged as it is called."""
+        plans, scan = [], oracle.scan_powers_multi
+        monkeypatch.setattr(oracle, "scan_powers_multi", lambda *args: plans.append(args[4:]) or scan(*args))
+        return plans
 
     @pytest.mark.parametrize("m_max", [2 * _LAST_XOR_SHIFT - 1, 2 * _LAST_XOR_SHIFT])
     @pytest.mark.parametrize("l_max", [2, 3, 4])
     @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_certified_scans_equal_a_scan_of_all_of_the_prefix(self, tables, name, l_max, m_max):
+    def test_certified_scans_equal_a_scan_of_all_of_the_prefix(self, monkeypatch, tables, name, l_max, m_max):
+        plans = self.planned(monkeypatch)
         cert, scans = certified_scan(tables[name], m_max, l_max)
-        short = m_max >= 2 * _LAST_XOR_SHIFT
-        assert (cert.short_shift_letters < cert.scanned_letters) == short
-        if not short:
-            assert cert.short_shift_letters == cert.scanned_letters
-        whole = scan_powers_multi(cert.word[:cert.scanned_letters], range(2, l_max + 1), 1, m_max)
+        (short_letters, long_chunk), = plans
+        assert short_letters == cert.short_shift_letters and long_chunk in (oracle._LONG_CHUNK, oracle._LONG_CHUNK // 2)
+        last = max(hi for c, lo, hi in oracle._chunks(1, m_max, 2) if c < long_chunk)
+        prefix, length, k = cert.word[:cert.scanned_letters], l_max * last, tables[name].spec.k
+        if 2 * last > m_max:  # no second count: only m_max = 507 under the default plan
+            assert (m_max, long_chunk, cert.short_shift_letters) == (507, oracle._LONG_CHUNK, cert.scanned_letters)
+        else:
+            assert len(factors_of_length(prefix[:cert.short_shift_letters], length)) == (k - 1) * length + 1
+            assert len(factors_of_length(prefix[:cert.short_shift_letters - 1], length)) == (k - 1) * length
+        whole = scan_powers_multi(prefix, range(2, l_max + 1), 1, m_max)
         assert {l: r.per_length for l, r in scans.items()} == {l: r.per_length for l, r in whole.items()}
 
     @pytest.mark.parametrize(
-        "spec, m_max, counts",
+        "spec, m_max, length, short, long_chunk",
         [
-            ("k=3; d=1,1,2; 2,1,2", 256, 1),  # verified-census op A: L' = 508 of L = 512, so no second count
-            ("k=3; d=; 1", 1795, 2),  # op C: L' = 508 of L = 3,590
+            ("k=3; d=1,1,2; 2,1,2", 256, 252, 1093, 64),  # verified-census op A: L' = 252 of L = 512, chunk 64 searched
+            ("k=3; d=; 1", 1795, 508, 2212, 128),  # op C: L' = 508 of L = 3,590, the default plan
         ],
+        ids=["op A", "op C"],
     )
-    def test_a_second_count_reads_only_the_certified_prefix(self, monkeypatch, spec, m_max, counts):
-        calls, scanned = [], []
-        count, scan = oracle.count_factors, oracle.scan_powers_multi
+    def test_a_second_count_reads_only_the_certified_prefix(self, monkeypatch, spec, m_max, length, short, long_chunk):
+        calls, count = [], oracle.count_factors
         monkeypatch.setattr(oracle, "count_factors", lambda words, *args: calls.append((words, args)) or count(words, *args))
-        monkeypatch.setattr(oracle, "scan_powers_multi", lambda *args: scanned.append(args[4]) or scan(*args))
-        cert, _ = certified_scan(BlockTable(DirectiveSpec.parse(spec)), m_max, 2)
-        assert len(calls) == counts and calls[0][1] == (cert.factor_length, cert.factors)
-        assert scanned == [cert.short_shift_letters]
-        prefix = cert.word[:cert.scanned_letters]
-        if counts == 1:
-            assert cert.short_shift_letters == cert.scanned_letters
-            return
-        k = DirectiveSpec.parse(spec).k
-        length = 2 * _LAST_XOR_SHIFT
+        plans = self.planned(monkeypatch)
+        cert, scans = certified_scan(BlockTable(DirectiveSpec.parse(spec)), m_max, 2)
+        assert len(calls) == 2 and calls[0][1] == (cert.factor_length, cert.factors)
+        assert plans == [(cert.short_shift_letters, long_chunk)] and cert.short_shift_letters == short
+        prefix, k = cert.word[:cert.scanned_letters], DirectiveSpec.parse(spec).k
         assert calls[1] == ([prefix], (length, (k - 1) * length + 1))
         # P' is the shortest prefix holding every factor of L' letters
-        assert len(factors_of_length(prefix[:cert.short_shift_letters], length)) == (k - 1) * length + 1
-        assert len(factors_of_length(prefix[:cert.short_shift_letters - 1], length)) == (k - 1) * length
+        assert len(factors_of_length(prefix[:short], length)) == (k - 1) * length + 1
+        assert len(factors_of_length(prefix[:short - 1], length)) == (k - 1) * length
+        whole = scan_powers_multi(prefix, (2,), 1, m_max)
+        assert scans[2].per_length == whole[2].per_length
+
+    @pytest.mark.parametrize(
+        "spec, m_max, default, other, long_chunk",
+        [
+            # op A: 256 results and 6,768 windows of L = 512, then 254 XOR shifts of P = 7,279 and chunk 128, against
+            # a count of L' = 252 on P, 126 XOR shifts of its P' = 1,093 and chunks 64 and 128
+            ("k=3; d=1,1,2; 2,1,2", 256, 256_000 + 6768 * 128 + 254 * 7279 + 32 * 7279,
+             256_000 + 6768 * 128 + 7279 * 128 + 126 * 1093 + 2 * 32 * 7279, 64),
+            # op C: 1,795 results, 10,609 windows of L = 3,590 and the count of L' = 508 on P = 14,198, then 254 XOR
+            # shifts of P' = 2,212 and chunks 128 to 512. The other plan, with its XOR shifts at 0, counts L' = 252
+            # on P' and searches chunk 64 too: priced higher, its count does not run
+            ("k=3; d=; 1", 1795, 1_795_000 + 10609 * 128 + 14198 * 128 + 254 * 2212 + 3 * 32 * 14198,
+             1_795_000 + 10609 * 128 + (14198 + 2212) * 128 + 4 * 32 * 14198, 128),
+        ],
+        ids=["op A", "op C"],
+    )
+    def test_the_plan_priced_lower_runs(self, monkeypatch, spec, m_max, default, other, long_chunk):
+        prices, price = [], oracle._scan_work
+        monkeypatch.setattr(oracle, "_scan_work", lambda *args: prices.append(price(*args)) or prices[-1])
+        plans = self.planned(monkeypatch)
+        certified_scan(BlockTable(DirectiveSpec.parse(spec)), m_max, 2)
+        assert default in prices and other in prices
+        assert plans[0][1] == long_chunk == (oracle._LONG_CHUNK // 2 if other < default else oracle._LONG_CHUNK)
+
+    @given(random_specs(), st.integers(min_value=2, max_value=3), st.integers(min_value=100, max_value=600), st.integers(min_value=1, max_value=300))
+    @example(DirectiveSpec.parse("k=3; d=; 1"), 2, 508, 1)  # the other plan's count runs, and it is priced 0.1% higher
+    @example(DirectiveSpec.parse("k=2; d=1000; 1"), 3, 508, 1)
+    @settings(max_examples=25, deadline=None)
+    def test_the_plan_that_runs_is_never_priced_above_the_default(self, spec, l_max, m_max, m_min):
+        m_min = min(m_min, m_max)
+        table = BlockTable(spec)
+        with pytest.MonkeyPatch.context() as mp:
+            plans = self.planned(mp)
+            cert, scans = certified_scan(table, m_max, l_max, m_min=m_min)
+        (short_letters, long_chunk), = plans
+        p, k = cert.scanned_letters, spec.k
+        prefix, half = cert.word[:p], oracle._LONG_CHUNK // 2
+
+        def short_end(letters: int, long_chunk: int) -> int:
+            """The letters the XOR shifts of a plan read: P, or the P' its count finds in the first `letters`."""
+            length = oracle._short_length(m_min, m_max, l_max, long_chunk)
+            return count_factors([prefix[:letters]], length, (k - 1) * length + 1)[1] if length else p
+
+        default_end = short_end(p, oracle._LONG_CHUNK)
+        default = oracle._scan_work(p, m_min, m_max, l_max, default_end)
+        if long_chunk == oracle._LONG_CHUNK:
+            assert short_letters == default_end
+        else:  # the second counts: the default plan's on P, if it plans one, and this plan's on what its XOR shifts read
+            counted = (p if default_end < p else 0) + (default_end if oracle._short_length(m_min, m_max, l_max, half) else 0)
+            assert long_chunk == half and short_letters == short_end(default_end, half)
+            assert oracle._scan_work(p, m_min, m_max, l_max, short_letters, half, counted) < default
+        whole = scan_powers_multi(prefix, range(2, l_max + 1), m_min, m_max)
+        assert {l: r.per_length for l, r in scans.items()} == {l: r.per_length for l, r in whole.items()}
 
     @pytest.mark.parametrize("change", [-1, 1])
     def test_a_second_count_off_the_complexity_is_refused(self, monkeypatch, change):
@@ -633,6 +710,24 @@ class TestShortShifts:
         monkeypatch.setattr(oracle, "_SCAN_GUARD", admission - 1)  # the count runs out one letter short of P
         with pytest.raises(GuardExceeded, match=f"costs at least {admission} letter-shifts"):
             certified_scan(table, 1795, 2)
+
+    def test_the_guard_prices_the_default_plan_and_runs_the_cheaper_one(self, monkeypatch):
+        # op A: P = 7,279 letters. Admission prices the default plan: 256 results, 6,768 windows of L = 512, 254 XOR
+        # shifts of P and chunk 128. The plan that searches chunk 64 too is priced lower, but its count of L' = 252
+        # on P runs only when the guard covers the default plan and that count both, a window per letter of P
+        default = 256_000 + 6768 * oracle._COUNT_WORK + 254 * 7279 + oracle._PASS_WORK * 7279
+        table = BlockTable(DirectiveSpec.parse("k=3; d=1,1,2; 2,1,2"))
+        for guard, short in ((default + 7279 * oracle._COUNT_WORK, 1093), (default + 7279 * oracle._COUNT_WORK - 1, 7279), (default, 7279)):
+            monkeypatch.setattr(oracle, "_SCAN_GUARD", guard)
+            cert = certified_scan(table, 256, 2)[0]
+            assert (cert.scanned_letters, cert.short_shift_letters) == (7279, short)
+        counts, count = [], oracle.count_factors
+        monkeypatch.setattr(oracle, "count_factors", lambda *args: counts.append(args[1:]) or count(*args))
+        monkeypatch.setattr(oracle, "scan_powers_multi", lambda *args: pytest.fail("scanned"))
+        monkeypatch.setattr(oracle, "_SCAN_GUARD", default - 1)  # the count runs out one letter short of P
+        with pytest.raises(GuardExceeded, match=f"costs at least {default} letter-shifts, above the guard {default - 1}"):
+            certified_scan(table, 256, 2)
+        assert counts == [(512, 1025)]  # refused before the second count and the scan
 
 
 class TestIndexMeasurement:
@@ -745,14 +840,6 @@ class TestSoundnessSample:
         for bases in result.per_length.values():
             for w in bases:
                 assert occurrences(prefix, w * 2), f"no occurrence of the square of {w!r}"
-
-
-@st.composite
-def random_specs(draw):
-    k = draw(st.integers(min_value=2, max_value=5))
-    pre = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=4))
-    per = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4))
-    return DirectiveSpec.make(k, tuple(pre), tuple(per))
 
 
 class TestRandomizedCensusAgreement:

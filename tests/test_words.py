@@ -43,6 +43,12 @@ PERIODIC_WORDS = st.builds(
     lambda u, cut, centre: (u * 400)[:cut] + (u * 400)[:cut][::-1][centre:],
     st.text(alphabet="abc", min_size=1, max_size=7), st.integers(min_value=0, max_value=400), st.integers(0, 1),
 )
+# copies far apart: u x u y u ..., with u long next to the separators, cut anywhere
+COPY_WORDS = st.builds(
+    lambda u, seps, cut: "".join(u + sep for sep in seps)[:cut],
+    st.text(alphabet="ab", min_size=1, max_size=80), st.lists(st.text(alphabet="abc", min_size=0, max_size=6), min_size=1, max_size=8),
+    st.integers(min_value=1, max_value=800),
+)
 # exact powers: the words whose primitive root is shorter than themselves
 POWERS = st.builds(lambda u, r: u * r, st.text(alphabet="abc", min_size=1, max_size=7), st.integers(min_value=1, max_value=50))
 
@@ -235,6 +241,23 @@ class TestFactorCount:
             found = count_factors(prefixes, length, len(first) + 1)
         assert found == (len(factors_of_length(w, length)), max(first.values()) + length)
 
+    @given(COPY_WORDS, st.lists(st.integers(min_value=0, max_value=800), max_size=3),
+           st.integers(min_value=1, max_value=40), st.sampled_from([2, 5, 1 << 16]), st.booleans())
+    @settings(deadline=None)
+    def test_copies_far_apart_match_the_literal_factors(self, w, cuts, length, chunk, complete):
+        # small batches end in copies often, so the count searches, skips and goes on across prefixes' ends
+        prefixes = [w[:cut] for cut in sorted(cuts)] + [w]
+        first = {}
+        for i in range(len(w) - length + 1):
+            first.setdefault(w[i:i + length], i)
+        if not first:
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_COUNT_BATCH", chunk)
+            mp.setattr(oracle, "_COUNT_FLOOR", 1)
+            found = count_factors(prefixes, length, len(first) + (not complete))
+        assert found == (len(first), max(first.values()) + length)
+
     def test_stops_after_the_batch_that_has_enough(self, monkeypatch):
         monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
         # aab, aba and baa fill the first batch of four windows; the second would find bab
@@ -257,24 +280,26 @@ class TestFactorCount:
         monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
         # windows of length 3: 0..2 from the first prefix, then one batch of 3..6 from the second. Window 0's letters
         # are read whole, and every later window rolls in the letter that enters it and out the one that left: letters
-        # 0..8 each enter once, in (None, 3), (3, 5), 5 and (6, 9), and 0..5 each leave once, in (0, 2), 2 and (3, 6)
+        # 0..8 each enter once, in (0, 3), (3, 5), 5 and (6, 9), and 0..5 each leave once, in (0, 2), 2 and (3, 6)
         reads = []
         assert count_factors([self.Spy("aabaa", reads), self.Spy("aabaababab", reads)], 3, 4) == (4, 8)
-        assert reads == [(None, 3), (0, 2), (3, 5), 2, 5, (3, 6), (6, 9)]
+        assert reads == [(0, 3), (0, 2), (3, 5), 2, 5, (3, 6), (6, 9)]
 
     def test_a_last_prefix_that_runs_out_cuts_the_batch(self, monkeypatch):
         monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
+        monkeypatch.setattr(oracle, "_SEARCH_LETTERS", 0)  # no search for copies: window 3 repeats window 0
         # bab first starts at window 5: 8 letters hold windows 0..5, so the second batch is cut to windows 4..5 and finds it
         reads = []
         assert count_factors([self.Spy("aabaababab"[:8], reads)], 3, 4) == (4, 8)
-        assert reads == [(None, 3), (0, 3), (3, 6), 3, 6, (4, 5), (7, 8)]
+        assert reads == [(0, 3), (0, 3), (3, 6), 3, 6, (4, 5), (7, 8)]
         # 7 letters end at window 4: the count reads it alone and returns its 3 factors, short of 4, without raising
         reads = []
         assert count_factors([self.Spy("aabaababab"[:7], reads)], 3, 4) == (3, 5)
-        assert reads == [(None, 3), (0, 3), (3, 6), 3, 6, (4, 4), (7, 7)]
+        assert reads == [(0, 3), (0, 3), (3, 6), 3, 6, (4, 4), (7, 7)]
 
     def test_a_batch_reads_no_more_letters_than_it_keys_windows(self, monkeypatch):
-        # factors longer than a batch: past the first window's letters, each slice holds fewer than 4 letters
+        # factors longer than a batch: past the first window's letters, each slice holds fewer than 4 letters. The
+        # last window of each batch is a new factor, so no batch ends in a copy and the count searches for none
         monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
         w = BlockTable(DirectiveSpec.parse("k=2; d=; 1")).block(8)
         first = {}
@@ -283,7 +308,7 @@ class TestFactorCount:
         reads = []
         assert count_factors([self.Spy(w, reads)], 9, 10) == (10, max(first.values()) + 9) == (10, 21)
         slices = [read for read in reads if isinstance(read, tuple)]
-        assert slices[0] == (None, 9) and max(stop - start for start, stop in slices[1:]) == 3
+        assert slices[0] == (0, 9) and max(stop - start for start, stop in slices[1:]) == 3
 
     @staticmethod
     def keyed(monkeypatch) -> list[list[int]]:
@@ -305,12 +330,44 @@ class TestFactorCount:
         assert len(batches) <= 2 and sum(map(len, batches)) <= 2 * oracle._COUNT_FLOOR
 
     def test_a_count_keys_at_most_a_small_batch_past_its_last_factor(self, monkeypatch):
-        # op C of the verified-census benchmark: Tribonacci lengths 1..1795 at order 2, so L = 3,590
+        # op C of the verified-census benchmark: Tribonacci lengths 1..1795 at order 2, so L = 3,590. The last batch
+        # holds the window of the last new factor and at most 2^8 - 1 windows after it; copies of earlier windows
+        # are skipped, so the count keys fewer than the 10,609 windows up to that factor
         w = BlockTable(DirectiveSpec.parse(SPEC_TEXTS["tribonacci"])).block(16)  # 19,513 letters
         batches = self.keyed(monkeypatch)
         found, end = count_factors([w], 3590, 2 * 3590 + 1)
         assert (found, end) == (7181, 14198)
-        assert end - 3590 + 1 <= sum(map(len, batches)) <= end - 3590 + oracle._COUNT_FLOOR
+        last = int("".join(f"{ord(x):08x}" for x in w[end - 3590:end]), 16) % oracle._FACTOR_MODULUS
+        assert last in batches[-1][-oracle._COUNT_FLOOR:]
+        assert sum(map(len, batches)) < end - 3590 + 1
+
+    def test_op_a_keys_few_windows_past_the_copies(self, monkeypatch):
+        # verified-census op A: k3_mixed lengths 1..256 at order 2, so L = 512. P has 7,279 letters and 6,768
+        # windows, and only windows 0..841, 2,138..2,308 and 6,756..6,767 are new factors: the rest are copies
+        batches, keyed, count = self.keyed(monkeypatch), [], oracle.count_factors
+        monkeypatch.setattr(oracle, "count_factors", lambda *args: (count(*args), keyed.append(sum(map(len, batches))))[0])
+        cert = oracle.certified_scan(BlockTable(DirectiveSpec.parse(SPEC_TEXTS["k3_mixed"])), 256, 2)[0]
+        assert (cert.factor_length, cert.scanned_letters) == (512, 7279) and keyed[0] <= 2000
+
+    class Searched(str):
+        """A word that adds to `letters` the haystack and needle letters of each `find` made on it."""
+
+        letters = 0
+
+        def find(self, sub, start, end):
+            type(self).letters += len(sub) + end - start
+            return super().find(sub, start, end)
+
+    def test_searches_that_fail_read_a_bounded_share_per_window_keyed(self, monkeypatch):
+        # 255 stretches of 256 equal letters, each a letter of its own: each batch of 256 windows ends in a copy,
+        # but the next window starts a new stretch, so every search fails. Searched after every batch, the haystacks
+        # would hold 8.3M letters, more than `_SEARCH_LETTERS` per window keyed
+        w = "".join(chr(0x100 + i) * 256 for i in range(255))
+        batches = self.keyed(monkeypatch)
+        monkeypatch.setattr(self.Searched, "letters", 0)
+        assert count_factors([self.Searched(w)], 1, 256) == (255, len(w) - 255)
+        assert [len(batch) for batch in batches] == [256] * 255
+        assert 0 < self.Searched.letters <= oracle._SEARCH_LETTERS * len(w)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_each_rolled_key_is_its_windows_hash(self, monkeypatch, seed):
