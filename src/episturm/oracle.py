@@ -31,7 +31,7 @@ k letters has exactly (k-1)L + 1 factors of each length L (Arnoux & Rauzy
 1991; Droubay, Justin & Pirillo, TCS 255, 2001), so a prefix holding that
 many, with L = l_max * m_max, holds every power of order up to l_max with a
 base of at most m_max letters that the infinite word has. The count skips
-the windows that repeat earlier ones, found by `str.find` and proved by the
+the windows that repeat earlier ones, found by their keys and proved by the
 letters: episturmian prefixes are mostly copies of earlier stretches (Berstel
 & Savelli, MFCS 2006). The chunk search reads all of that prefix P. The XOR
 shifts look only for powers of at most L' = l_max * (the last XOR shift, at
@@ -39,7 +39,7 @@ most 254) letters, so once 2L' <= L they read only the shortest prefix P' of P
 that holds the (k-1)L' + 1 factors of length L', found by a second count on P
 by the same theorem. A second chunk plan sends chunk 64 to the chunk search
 too, so that its XOR shifts stop at 126 and read the P' of l_max * 126
-letters; the guard's price picks the plan. A naive double loop stays
+letters; the price of the shifts picks the plan. A naive double loop stays
 available as the meta-oracle for small inputs, and `ScanResult.per_length`
 expands the classes into word sets for it.
 
@@ -68,9 +68,10 @@ from .words import Word
 # count has found it, and that count is priced at a window per letter of P, before it runs, in place of the XOR
 # shifts (`_short_length`, `_scan_work`). At order 2, Tribonacci's P' has 2,212 letters from m_max = 508 on, so
 # its XOR shifts cost 254 * 2,212 letter-shifts, not 254 * |P|. The plan that sends chunk 64 to the chunk search
-# too, with a count of its own, runs only when priced lower. The chunk search's Python work follows its
-# chunks, shifts and runs, each at most a multiple of the letters per chunk size (a word of n letters has fewer
-# than n maximal runs: Bannai et al., "The 'Runs' Theorem", SIAM J. Comput. 46(5), 2017), so each chunk size costs
+# too runs only when its shifts are priced lower, after a count of its own that the guard covers on top of the first
+# plan's price. The chunk search's Python work follows its chunks, shifts and runs, each at most a multiple of the
+# letters per chunk size (a word of n letters has fewer than n maximal runs: Bannai et al., "The 'Runs' Theorem",
+# SIAM J. Comput. 46(5), 2017), so each chunk size costs
 # `_PASS_WORK` = 32 a letter: on the prefixes certified at the limits of six reference words it took 17 to 49 ns a
 # letter per chunk size on average, and 174 ns at most (k2_mixed, chunk 128). Gallops through runs that are long
 # at every shift cost more: on a^400000 b a^r the run through the b has m - 1 letters at shift m, and a letter cost
@@ -79,10 +80,10 @@ from .words import Word
 # 1..12,000 of a^400000 b a^r they hold 72M letters, 91 MB max RSS for the scan alone (ROADMAP item 1). A window the
 # factor count keys costs 320 to 750 ns (L = 2 to 1,000, on Tribonacci and on a^n b), so it weighs 128; a window it
 # skips as a copy costs nothing, so a window per letter is an upper bound. The guard stands for at most 1 to 2 s of
-# counting and scanning: in process, `certified_scan` took 0.34 to 0.37 s at the Tribonacci limit (lengths
-# 1..72,332; P = 555,407 letters, P' = 2,212), 0.52 to 0.58 s at the Fibonacci limit (lengths 1..158,905; P =
-# 635,620, P' = 1,117) and 0.79 to 1.08 s on a^400000 b a^15999 (lengths 1..8,000, whose P' holds 400,508 of P's
-# 416,000 letters, but the counts take 12 ms there: they skip the run of a), best of 3 in each of 4 processes.
+# counting and scanning: in process, `certified_scan` took 0.33 s at the Tribonacci limit (lengths 1..72,332; P =
+# 555,407 letters, P' = 2,212), 0.53 s at the Fibonacci limit (lengths 1..158,905; P = 635,620, P' = 1,117) and 0.49
+# to 0.50 s on a^400000 b a^15999 (lengths 1..8,000, under the plan that searches chunk 64 too, whose P' holds
+# 400,252 of P's 416,000 letters; the counts skip the run of a), best of 3 in each of 2 processes.
 _SCAN_GUARD = 1 << 29
 _PASS_WORK = 32
 _RESULT_WORK = 1000
@@ -93,11 +94,13 @@ _COUNT_WORK = 128
 # residue (360 modulo 2^61 - 45). 2 is a primitive root of this one.
 _COUNT_BATCH = 1 << 12
 _COUNT_FLOOR = 1 << 8
-# The count's searches for copies read at most `_SEARCH_LETTERS` letters per window keyed. A search that fails reads
-# 1.3 to 4.3 ns a letter (2-CPU x86-64 VM, Python 3.11), so they add at most 85 to 280 ns to a keyed window's 320 to
-# 750 ns. On the prefixes certified for verified-census ops A to C, k4_mixed to 507, k5 to 1,795, the Tribonacci and
-# Fibonacci limits and a^400000 b a^15999, every search hit, and the searches read 1.3 to 4.9 letters per window keyed.
-_SEARCH_LETTERS = 64
+# The count's proofs of copies read at most `_COPY_LETTERS` keys and letters per window keyed, and one proof more. A
+# proof is charged the keys it scans for the first batch that met its window's key, and 2L letters: the first L of the
+# copy, which `_run_end` compares, and the window keyed afresh after it, whose first key reads it as one int. A key
+# scanned cost 10 ns (20 in the batch that holds it, scanned twice) and a charged letter 15 to 18 ns (L = 1 to
+# 317,810), 2-CPU x86-64 VM, Python 3.11, so the proofs add at most 320 ns to a keyed window's 320 to 750 ns. The
+# letters of the copy past L pay for the windows it skips.
+_COPY_LETTERS = 16
 _FACTOR_MODULUS = 1212186980286611059
 _FACTOR_BASE = 1 << 32
 _LONG_CHUNK = 128  # the smallest chunk searched for: below it, one XOR per shift reads every run
@@ -187,7 +190,8 @@ class PrefixCertificate(NamedTuple):
     already hold them, and the closure construction built the first
     `closure_checked_letters` of those too. The XOR shifts read only the first
     `short_shift_letters`: all of those letters, or, after a second count, the
-    fewest that hold every factor of l_max times the last XOR shift letters.
+    fewest that hold every factor of `short_factor_length` letters, l_max times
+    the last XOR shift of the chunk plan that ran (0 when no second count ran).
     """
 
     word: Word
@@ -199,6 +203,7 @@ class PrefixCertificate(NamedTuple):
     scanned_letters: int
     closure_checked_letters: int
     short_shift_letters: int
+    short_factor_length: int
 
 
 def generate_prefix(table: BlockTable, min_length: int) -> Word:
@@ -334,27 +339,30 @@ def _short_length(m_min: int, m_max: int, l_max: int, long_chunk: int) -> int:
     return l_max * last if 2 * last <= m_max else 0
 
 
-def _scan_work(letters: int, m_min: int, m_max: int, l_max: int, short_letters: int = 0,
-               long_chunk: int | None = None, counted: int | None = None) -> int:
+def _shift_work(letters: int, short_letters: int, m_min: int, m_max: int, long_chunk: int) -> int:
+    """What `scan_powers_multi` pays for its shifts at lengths m_min..m_max, in letter-shifts.
+
+    It reads them by the chunk plan of order 2: below `long_chunk` each XOR shift reads the
+    first `short_letters` letters, and from there each chunk size pays `_PASS_WORK` a letter
+    of all the `letters`.
+    """
+    return sum(short_letters * (hi - lo + 1) if c < long_chunk else letters * _PASS_WORK for c, lo, hi in _chunks(m_min, m_max, 2))
+
+
+def _scan_work(letters: int, m_min: int, m_max: int, l_max: int, short_letters: int = 0) -> int:
     """What a certified scan of `letters` letters at orders 2..l_max and lengths m_min..m_max costs, in letter-shifts.
 
     The factor count keys at most the prefix's letters - L + 1 windows of length L = l_max * m_max,
-    and `scan_powers_multi` reads its shifts by the chunk plan of order 2: below `long_chunk`
-    (`_LONG_CHUNK` by default) each shift reads every letter, and from there each chunk size
-    pays `_PASS_WORK` a letter. When a short count is planned (`_short_length`), the second
-    counts key at most a window per letter they read, `counted` letters (by default one count
-    on all the letters), and the XOR shifts read only the `short_letters` letters of P', 0
-    until that count has found them. So the default price is linear in the letters, for any
-    prefix of at least L - 1 letters: a fixed part and a price per letter.
+    and the shifts follow the chunk plan from `_LONG_CHUNK` on (`_shift_work`). When a short
+    count is planned (`_short_length`), it keys at most a window per letter, and the XOR shifts
+    read only the `short_letters` letters of P', 0 until that count has found them. So the price
+    is linear in the letters, for any prefix of at least L - 1 letters: a fixed part and a price
+    per letter.
     """
-    long_chunk = _LONG_CHUNK if long_chunk is None else long_chunk
-    short = _short_length(m_min, m_max, l_max, long_chunk)
-    xor_letters = short_letters if short else letters
+    short = _short_length(m_min, m_max, l_max, _LONG_CHUNK)
     work = (l_max - 1) * (m_max - m_min + 1) * _RESULT_WORK + (letters - l_max * m_max + 1) * _COUNT_WORK
-    work += ((letters if short else 0) if counted is None else counted) * _COUNT_WORK
-    for c, lo, hi in _chunks(m_min, m_max, 2):
-        work += xor_letters * (hi - lo + 1) if c < long_chunk else letters * _PASS_WORK
-    return work
+    work += letters * _COUNT_WORK if short else 0
+    return work + _shift_work(letters, short_letters if short else letters, m_min, m_max, _LONG_CHUNK)
 
 
 def scan_powers(prefix: Word, l: int, m_min: int, m_max: int) -> ScanResult:
@@ -435,15 +443,17 @@ def count_factors(words, length: int, enough: int) -> tuple[int, int]:
     caller decides what a short count means.
 
     A window that repeats an earlier one holds no new factor, so the count
-    skips copies. After a batch whose last key repeats an earlier one,
-    `str.find` looks for the next window lo's letters in w[:lo + length - 1].
-    A hit at j < lo gives q = lo - j, and `_run_end` finds where the letters
+    skips copies. After each batch, the key of the next window lo, rolled on,
+    tells whether it repeats an earlier window; the keys of the batches that
+    met new factors, kept in order, tell where: at j, in the first batch that
+    holds that key. Then q = lo - j, and `_run_end` finds where the letters
     w[i] == w[i + q] from j stop, at e: every window from lo to e - length + q
     repeats the one q letters before it, so the count goes on after them and
     keys its next window afresh. A copy that runs to the end of w is measured
-    on in the next prefix. The haystacks and needles of all searches hold at
-    most `_SEARCH_LETTERS` letters per window keyed: a search that does not
-    fit waits for the windows that pay for it.
+    on in the next prefix. A proof is charged the keys it scans and twice
+    `length` letters, and starts only while the credit of `_COPY_LETTERS`
+    per window keyed is above 0, so the proofs read at most that many keys
+    and letters per window keyed, and one proof more.
     """
     modulus, base = _FACTOR_MODULUS, _FACTOR_BASE
     drop = modulus - pow(base, length, modulus)  # adding drop * w[i] removes w[i] from the window after it
@@ -454,14 +464,15 @@ def count_factors(words, length: int, enough: int) -> tuple[int, int]:
     def first_key(window: Word) -> int:
         """The key of a window keyed afresh: its code units read as one base-B numeral, `_COUNT_BATCH` letters at a time."""
         key = 0
-        for i in range(0, length, _COUNT_BATCH):  # the units reversed, so that the first letter is the most significant
-            units = memoryview(window[i:min(i + _COUNT_BATCH, length)].encode("utf-32-le")).cast("I")
-            key = ((key << 32 * len(units)) + int.from_bytes(units[::-1], "little")) % modulus
+        for i in range(0, length, _COUNT_BATCH):  # read big-endian, so that the first letter is the most significant
+            units = window[i:min(i + _COUNT_BATCH, length)].encode("utf-32-be")
+            key = ((key << 8 * len(units)) + int.from_bytes(units, "big")) % modulus
         return key
 
     seen: set[int] = set()
+    met: list[tuple[int, list[int]]] = []  # (start, keys) of each batch that met a new key
     lo, key, latest = 0, None, None  # key: that of window lo - 1, None when window lo is keyed afresh; latest: (start, keys, new keys) of the last batch that found a factor
-    credit = 0  # letters the searches may still read: `_SEARCH_LETTERS` per window keyed, less what they read
+    credit = 0  # letters and keys the proofs of copies may still read: `_COPY_LETTERS` per window keyed, less what they read
     copy = 0  # q of a copy that ran to the end of the word before, and goes on in the next
     for w in words:
         if copy:
@@ -470,23 +481,28 @@ def count_factors(words, length: int, enough: int) -> tuple[int, int]:
         while len(seen) < enough and lo <= len(w) - length:
             start, size = lo, min(_COUNT_BATCH, max(enough - len(seen), _COUNT_FLOOR), len(w) - length + 1 - lo)
             # window i + 1 keys B * key(i) - B^length w[i] + w[i + length]
-            first = first_key(w[lo:lo + length]) if key is None else roll(key, drop * ord(w[lo - 1]) + ord(w[lo + length - 1]))
+            key = first_key(w[lo:lo + length]) if key is None else roll(key, drop * ord(w[lo - 1]) + ord(w[lo + length - 1]))
             leaving, entering = (memoryview(w[i:i + size - 1].encode("utf-32-le")).cast("I") for i in (lo, lo + length))
-            keys = list(accumulate(map(add, map(mul, leaving, repeat(drop)), entering), roll, initial=first))
+            keys = list(accumulate(map(add, map(mul, leaving, repeat(drop)), entering), roll, initial=key))
             new = set(keys) - seen
             if new:
                 seen |= new
+                met.append((start, keys))
                 latest = start, keys, new
-            lo, key, credit = start + size, keys[-1], credit + size * _SEARCH_LETTERS
-            read = lo + 2 * length - 1  # the haystack w[:lo + length - 1] and the needle
-            if (len(seen) < enough and lo <= len(w) - length and read <= credit
-                    and (keys[-1] not in new or keys.index(keys[-1]) < size - 1)):  # window lo - 1 repeats an earlier one
-                credit -= read
-                j = w.find(w[lo:lo + length], 0, lo + length - 1)
-                if j >= 0:  # windows lo..e - length + q each equal the window q letters before, by the letters themselves
-                    q = lo - j
-                    end = _run_end(w, j, q)
-                    lo, key, copy = end - length + q + 1, None, q if end == len(w) - q else 0
+            lo, key, credit = start + size, keys[-1], credit + size * _COPY_LETTERS
+            if len(seen) < enough and lo <= len(w) - length and credit > 0:
+                after = roll(key, drop * ord(w[lo - 1]) + ord(w[lo + length - 1]))  # window lo's key
+                if after in seen:  # window lo repeats window j, in the first batch that met its key
+                    credit -= 2 * length  # the copy's first L letters and the window keyed afresh after it
+                    for j, kept in met:
+                        credit -= len(kept)
+                        if after in kept:
+                            break
+                    j += kept.index(after)
+                    end = _run_end(w, j, lo - j)
+                    if end >= j + length:  # windows lo..end - length + q each equal the window q = lo - j letters before
+                        q = lo - j
+                        lo, key, copy = end - length + q + 1, None, q if end == len(w) - q else 0
         if len(seen) >= enough:
             break
     if latest is None:
@@ -512,12 +528,14 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
     XOR shifts read only the prefix P' that holds them; the guard, which
     admitted P with that count in place of the XOR shifts, then prices them
     on P' and refuses before the scan if the total is over. Then the plan
-    whose chunk search takes chunk `_LONG_CHUNK` / 2 too is priced, its XOR
-    shifts at 0 first, and only if that is lower, and the guard also covers
-    the first plan's price with that plan's count added, does its own count
-    find its P' in the prefix the first plan's XOR shifts would read. The
-    plan priced lower runs, the first on a tie, so what runs is never priced
-    above the guard, and no input that the first plan answers is refused.
+    whose chunk search takes chunk `_LONG_CHUNK` / 2 too is priced, with its
+    count and its XOR shifts at 0, and only if that is lower than the first
+    plan's shifts, and the guard also covers the first plan's price with that
+    count added, does the count find its P' in the prefix the first plan's XOR
+    shifts would read. Then the plan whose shifts are priced lower runs, the
+    first on a tie: the count that has run is paid either way. So what runs is
+    never priced above the guard, and no input that the first plan answers is
+    refused.
     """
     if m_max < 1:
         raise RangeError(f"m_max must be >= 1 (got {m_max})")
@@ -570,31 +588,29 @@ def certified_scan(table: BlockTable, m_max: int, l_max: int, *, m_min: int = 1)
                                     f"letters, not the {short_target} of a strict episturmian word")
         return short_end
 
-    short, short_end, counted = _short_length(m_min, m_max, l_max, _LONG_CHUNK), end, 0
-    if short:  # P holds every factor of L' < L letters, so counting them on P finds P'
-        short_end, counted = shortest_holding(end, short), end
+    short = _short_length(m_min, m_max, l_max, _LONG_CHUNK)
+    short_end = shortest_holding(end, short) if short else end  # P holds every factor of L' < L letters, so counting them on P finds P'
     work = _scan_work(end, m_min, m_max, l_max, short_end)
     if work > _SCAN_GUARD:  # only after a second count, which admission priced in place of the XOR shifts
         raise too_costly(end, short_end)
-    # the plan whose chunk search takes chunk _LONG_CHUNK / 2 too: its XOR shifts look for shorter powers, all in
-    # the P' its own count finds in the prefix that this plan's XOR shifts read
+    # The plan whose chunk search takes chunk _LONG_CHUNK / 2 too: its XOR shifts look for shorter powers, all in the
+    # P' its own count finds in the prefix this plan's XOR shifts read. That count runs only if the plan may win,
+    # priced with it and with those XOR shifts at 0, and only if the guard covers it on top of this plan. Once it has
+    # run, the shifts alone decide.
     long_chunk, half = _LONG_CHUNK, _LONG_CHUNK // 2
     half_short = _short_length(m_min, m_max, l_max, half)
-
-    def half_work(short_letters: int) -> int:
-        return _scan_work(end, m_min, m_max, l_max, short_letters, half, counted + (short_end if half_short else 0))
-
-    # Its count runs only if that plan may win (no price of it is lower than with its XOR shifts at 0), and only if
-    # the guard covers this plan and that count both, should it lose.
-    if half_work(0) < work and work + (short_end * _COUNT_WORK if half_short else 0) <= _SCAN_GUARD:
-        half_end = shortest_holding(short_end, half_short) if half_short else end
-        if half_work(half_end) < work:
-            long_chunk, short_end = half, half_end
+    counting, half_end = (short_end * _COUNT_WORK, 0) if half_short else (0, end)
+    shifts = _shift_work(end, short_end, m_min, m_max, _LONG_CHUNK)
+    if _shift_work(end, half_end, m_min, m_max, half) + counting < shifts and work + counting <= _SCAN_GUARD:
+        if half_short:
+            half_end = shortest_holding(short_end, half_short)
+        if _shift_work(end, half_end, m_min, m_max, half) < shifts:
+            long_chunk, short, short_end = half, half_short, half_end
     checked = min(end, closure_reach(spec, CLOSURE_CHECK_WORK))
     if not prefix.startswith(closure_prefix(spec, checked)):
         raise VerificationError(f"block level {level} disagrees with the closure construction within {checked} letters")
     scans = scan_powers_multi(prefix, range(2, l_max + 1), m_min, m_max, short_end, long_chunk)
-    return PrefixCertificate(block, m_min, m_max, length, target, level, end, checked, short_end), scans
+    return PrefixCertificate(block, m_min, m_max, length, target, level, end, checked, short_end, short), scans
 
 
 def certify_prefix(table: BlockTable, m_max: int, l_max: int) -> PrefixCertificate:

@@ -595,8 +595,9 @@ class TestShortShifts:
         last = max(hi for c, lo, hi in oracle._chunks(1, m_max, 2) if c < long_chunk)
         prefix, length, k = cert.word[:cert.scanned_letters], l_max * last, tables[name].spec.k
         if 2 * last > m_max:  # no second count: only m_max = 507 under the default plan
-            assert (m_max, long_chunk, cert.short_shift_letters) == (507, oracle._LONG_CHUNK, cert.scanned_letters)
+            assert (m_max, long_chunk, cert.short_shift_letters, cert.short_factor_length) == (507, oracle._LONG_CHUNK, cert.scanned_letters, 0)
         else:
+            assert cert.short_factor_length == length
             assert len(factors_of_length(prefix[:cert.short_shift_letters], length)) == (k - 1) * length + 1
             assert len(factors_of_length(prefix[:cert.short_shift_letters - 1], length)) == (k - 1) * length
         whole = scan_powers_multi(prefix, range(2, l_max + 1), 1, m_max)
@@ -616,7 +617,7 @@ class TestShortShifts:
         plans = self.planned(monkeypatch)
         cert, scans = certified_scan(BlockTable(DirectiveSpec.parse(spec)), m_max, 2)
         assert len(calls) == 2 and calls[0][1] == (cert.factor_length, cert.factors)
-        assert plans == [(cert.short_shift_letters, long_chunk)] and cert.short_shift_letters == short
+        assert plans == [(cert.short_shift_letters, long_chunk)] and (cert.short_shift_letters, cert.short_factor_length) == (short, length)
         prefix, k = cert.word[:cert.scanned_letters], DirectiveSpec.parse(spec).k
         assert calls[1] == ([prefix], (length, (k - 1) * length + 1))
         # P' is the shortest prefix holding every factor of L' letters
@@ -626,30 +627,40 @@ class TestShortShifts:
         assert scans[2].per_length == whole[2].per_length
 
     @pytest.mark.parametrize(
-        "spec, m_max, default, other, long_chunk",
+        "spec, m_max, default, other, counted, after, long_chunk",
         [
-            # op A: 256 results and 6,768 windows of L = 512, then 254 XOR shifts of P = 7,279 and chunk 128, against
-            # a count of L' = 252 on P, 126 XOR shifts of its P' = 1,093 and chunks 64 and 128
-            ("k=3; d=1,1,2; 2,1,2", 256, 256_000 + 6768 * 128 + 254 * 7279 + 32 * 7279,
-             256_000 + 6768 * 128 + 7279 * 128 + 126 * 1093 + 2 * 32 * 7279, 64),
-            # op C: 1,795 results, 10,609 windows of L = 3,590 and the count of L' = 508 on P = 14,198, then 254 XOR
-            # shifts of P' = 2,212 and chunks 128 to 512. The other plan, with its XOR shifts at 0, counts L' = 252
-            # on P' and searches chunk 64 too: priced higher, its count does not run
-            ("k=3; d=; 1", 1795, 1_795_000 + 10609 * 128 + 14198 * 128 + 254 * 2212 + 3 * 32 * 14198,
-             1_795_000 + 10609 * 128 + (14198 + 2212) * 128 + 4 * 32 * 14198, 128),
+            # op A: 254 XOR shifts of P = 7,279 and chunk 128, against chunks 64 and 128 with, before the count of
+            # L' = 252 on P, no XOR shifts, and after it, the 126 XOR shifts of its P' = 1,093
+            ("k=3; d=1,1,2; 2,1,2", 256, 254 * 7279 + 32 * 7279, 2 * 32 * 7279, 7279, 2 * 32 * 7279 + 126 * 1093, 64),
+            # op C: 254 XOR shifts of P' = 2,212 and chunks 128 to 512 of P = 14,198. Chunks 64 to 512 and a count of
+            # L' = 252 on P' are priced higher, so that count does not run
+            ("k=3; d=; 1", 1795, 254 * 2212 + 3 * 32 * 14198, 4 * 32 * 14198, 2212, None, 128),
+            # a^20000 b a^1199: the count of L' = 252 on the default plan's P' = 20,508 runs, and the 126 XOR shifts
+            # of its own P' = 20,252 win on the shifts alone, though not with that count added
+            ("k=2; d=20000; 1", 600, 254 * 20508 + 2 * 32 * 21200, 3 * 32 * 21200, 20508, 3 * 32 * 21200 + 126 * 20252, 64),
         ],
-        ids=["op A", "op C"],
+        ids=["op A", "op C", "a^20000 b"],
     )
-    def test_the_plan_priced_lower_runs(self, monkeypatch, spec, m_max, default, other, long_chunk):
-        prices, price = [], oracle._scan_work
-        monkeypatch.setattr(oracle, "_scan_work", lambda *args: prices.append(price(*args)) or prices[-1])
+    def test_the_plan_whose_shifts_are_priced_lower_runs(self, monkeypatch, spec, m_max, default, other, counted, after, long_chunk):
+        prices, price = [], oracle._shift_work
+        monkeypatch.setattr(oracle, "_shift_work", lambda *args: prices.append(price(*args)) or prices[-1])
         plans = self.planned(monkeypatch)
         certified_scan(BlockTable(DirectiveSpec.parse(spec)), m_max, 2)
-        assert default in prices and other in prices
-        assert plans[0][1] == long_chunk == (oracle._LONG_CHUNK // 2 if other < default else oracle._LONG_CHUNK)
+        assert prices[-3:] == [default, other, after] if after else prices[-2:] == [default, other]
+        assert (other + counted * oracle._COUNT_WORK < default) == (after is not None)
+        assert plans[0][1] == long_chunk == (oracle._LONG_CHUNK // 2 if after and after < default else oracle._LONG_CHUNK)
+
+    def test_a_tie_keeps_the_default_plan(self, monkeypatch):
+        # op A with both plans' shifts priced alike once the chunk-64 count has run (it runs: 7,279 windows at 128
+        # are below the default shifts' 10^6): the default plan runs, on P, with no second count of its own
+        monkeypatch.setattr(oracle, "_shift_work", lambda letters, short_letters, m_min, m_max, long_chunk:
+                            0 if long_chunk < oracle._LONG_CHUNK and not short_letters else 10**6)
+        plans = self.planned(monkeypatch)
+        cert = certified_scan(BlockTable(DirectiveSpec.parse("k=3; d=1,1,2; 2,1,2")), 256, 2)[0]
+        assert plans == [(7279, oracle._LONG_CHUNK)] and (cert.short_shift_letters, cert.short_factor_length) == (7279, 0)
 
     @given(random_specs(), st.integers(min_value=2, max_value=3), st.integers(min_value=100, max_value=600), st.integers(min_value=1, max_value=300))
-    @example(DirectiveSpec.parse("k=3; d=; 1"), 2, 508, 1)  # the other plan's count runs, and it is priced 0.1% higher
+    @example(DirectiveSpec.parse("k=3; d=; 1"), 2, 508, 1)  # the other plan's count runs; its shifts win, but not with it added
     @example(DirectiveSpec.parse("k=2; d=1000; 1"), 3, 508, 1)
     @settings(max_examples=25, deadline=None)
     def test_the_plan_that_runs_is_never_priced_above_the_default(self, spec, l_max, m_max, m_min):
@@ -668,13 +679,14 @@ class TestShortShifts:
             return count_factors([prefix[:letters]], length, (k - 1) * length + 1)[1] if length else p
 
         default_end = short_end(p, oracle._LONG_CHUNK)
-        default = oracle._scan_work(p, m_min, m_max, l_max, default_end)
+        default = oracle._shift_work(p, default_end, m_min, m_max, oracle._LONG_CHUNK)
         if long_chunk == oracle._LONG_CHUNK:
             assert short_letters == default_end
-        else:  # the second counts: the default plan's on P, if it plans one, and this plan's on what its XOR shifts read
-            counted = (p if default_end < p else 0) + (default_end if oracle._short_length(m_min, m_max, l_max, half) else 0)
+        else:  # its shifts are priced lower, and the guard covers the default plan with this plan's count added
+            counted = default_end if oracle._short_length(m_min, m_max, l_max, half) else 0
             assert long_chunk == half and short_letters == short_end(default_end, half)
-            assert oracle._scan_work(p, m_min, m_max, l_max, short_letters, half, counted) < default
+            assert oracle._shift_work(p, short_letters, m_min, m_max, half) < default
+            assert oracle._scan_work(p, m_min, m_max, l_max, default_end) + counted * oracle._COUNT_WORK <= oracle._SCAN_GUARD
         whole = scan_powers_multi(prefix, range(2, l_max + 1), m_min, m_max)
         assert {l: r.per_length for l, r in scans.items()} == {l: r.per_length for l, r in whole.items()}
 

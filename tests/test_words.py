@@ -245,7 +245,7 @@ class TestFactorCount:
            st.integers(min_value=1, max_value=40), st.sampled_from([2, 5, 1 << 16]), st.booleans())
     @settings(deadline=None)
     def test_copies_far_apart_match_the_literal_factors(self, w, cuts, length, chunk, complete):
-        # small batches end in copies often, so the count searches, skips and goes on across prefixes' ends
+        # small batches end in copies often, so the count proves copies, skips them and goes on across prefixes' ends
         prefixes = [w[:cut] for cut in sorted(cuts)] + [w]
         first = {}
         for i in range(len(w) - length + 1):
@@ -287,7 +287,8 @@ class TestFactorCount:
 
     def test_a_last_prefix_that_runs_out_cuts_the_batch(self, monkeypatch):
         monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
-        monkeypatch.setattr(oracle, "_SEARCH_LETTERS", 0)  # no search for copies: window 3 repeats window 0
+        assert count_factors(["aabaababab"[:8]], 3, 4) == (4, 8) and count_factors(["aabaababab"[:7]], 3, 4) == (3, 5)
+        monkeypatch.setattr(oracle, "_COPY_LETTERS", 0)  # no proof of a copy: window 4 repeats window 1
         # bab first starts at window 5: 8 letters hold windows 0..5, so the second batch is cut to windows 4..5 and finds it
         reads = []
         assert count_factors([self.Spy("aabaababab"[:8], reads)], 3, 4) == (4, 8)
@@ -298,13 +299,15 @@ class TestFactorCount:
         assert reads == [(0, 3), (0, 3), (3, 6), 3, 6, (4, 4), (7, 7)]
 
     def test_a_batch_reads_no_more_letters_than_it_keys_windows(self, monkeypatch):
-        # factors longer than a batch: past the first window's letters, each slice holds fewer than 4 letters. The
-        # last window of each batch is a new factor, so no batch ends in a copy and the count searches for none
+        # factors longer than a batch: past the first window's letters, each slice holds fewer than 4 letters. With
+        # no proof of a copy, which reads a window afresh, the count keys every window up to the last factor
         monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
         w = BlockTable(DirectiveSpec.parse("k=2; d=; 1")).block(8)
         first = {}
         for i in range(len(w) - 9 + 1):
             first.setdefault(w[i:i + 9], i)
+        assert count_factors([w], 9, 10) == (10, 21)
+        monkeypatch.setattr(oracle, "_COPY_LETTERS", 0)
         reads = []
         assert count_factors([self.Spy(w, reads)], 9, 10) == (10, max(first.values()) + 9) == (10, 21)
         slices = [read for read in reads if isinstance(read, tuple)]
@@ -349,25 +352,26 @@ class TestFactorCount:
         cert = oracle.certified_scan(BlockTable(DirectiveSpec.parse(SPEC_TEXTS["k3_mixed"])), 256, 2)[0]
         assert (cert.factor_length, cert.scanned_letters) == (512, 7279) and keyed[0] <= 2000
 
-    class Searched(str):
-        """A word that adds to `letters` the haystack and needle letters of each `find` made on it."""
-
-        letters = 0
-
-        def find(self, sub, start, end):
-            type(self).letters += len(sub) + end - start
-            return super().find(sub, start, end)
-
-    def test_searches_that_fail_read_a_bounded_share_per_window_keyed(self, monkeypatch):
-        # 255 stretches of 256 equal letters, each a letter of its own: each batch of 256 windows ends in a copy,
-        # but the next window starts a new stretch, so every search fails. Searched after every batch, the haystacks
-        # would hold 8.3M letters, more than `_SEARCH_LETTERS` per window keyed
-        w = "".join(chr(0x100 + i) * 256 for i in range(255))
-        batches = self.keyed(monkeypatch)
-        monkeypatch.setattr(self.Searched, "letters", 0)
-        assert count_factors([self.Searched(w)], 1, 256) == (255, len(w) - 255)
-        assert [len(batch) for batch in batches] == [256] * 255
-        assert 0 < self.Searched.letters <= oracle._SEARCH_LETTERS * len(w)
+    @pytest.mark.parametrize("rate", [2, 10**6])
+    def test_proofs_of_copies_read_a_bounded_share_per_window_keyed(self, monkeypatch, rate):
+        # a random binary word has all 256 factors of 8 letters early, and then every window repeats one, but its
+        # copies are short: proved after every batch of 4 windows, each proof would skip only 1 or 2 windows. Each
+        # proof is charged 2L and the keys it scans for its window's first batch, and starts only while the credit
+        # is above 0
+        rng, length = random.Random(1), 8
+        w = "".join(rng.choice("ab") for _ in range(3000))
+        first = {}
+        for i in range(len(w) - length + 1):
+            first.setdefault(w[i:i + length], i)
+        monkeypatch.setattr(oracle, "_COUNT_BATCH", 4)
+        monkeypatch.setattr(oracle, "_COUNT_FLOOR", 1)
+        monkeypatch.setattr(oracle, "_COPY_LETTERS", rate)
+        batches, proofs, run_end = self.keyed(monkeypatch), [], oracle._run_end
+        monkeypatch.setattr(oracle, "_run_end", lambda *args: proofs.append(args) or run_end(*args))
+        assert count_factors([w], length, len(first) + 1) == (len(first), max(first.values()) + length) == (256, 1225)
+        keyed = sum(map(len, batches))
+        assert len(proofs) * 2 * length <= rate * keyed + 2 * length + 4
+        assert (len(proofs), keyed) == ((37, 2907) if rate == 2 else (792, 1508))  # unbounded, the proofs skip more
 
     @pytest.mark.parametrize("seed", range(6))
     def test_each_rolled_key_is_its_windows_hash(self, monkeypatch, seed):
