@@ -20,8 +20,8 @@ _EXPORTS = {  # home module -> the names it exports
     "blocks": ("BlockTable",),
     "checks": ("ALL_CHECKS", "run_battery"),
     "directive": (
-        "DirectiveSpec", "PalindromicPrefixTable", "closure_prefix", "directive_letter", "exponent", "exponent_sum",
-        "morphism", "palindromic_closure", "prefix_increment",
+        "PalindromicPrefixTable", "closure_prefix", "directive_letter", "exponent_sum", "morphism", "palindromic_closure",
+        "prefix_increment",
     ),
     "errors": (
         "CancellationError", "EpisturmError", "GuardExceeded", "InsufficientDataError", "InvariantViolation",
@@ -38,6 +38,7 @@ _EXPORTS = {  # home module -> the names it exports
     ),
     "runs": ("greatest_power_prefix", "max_fractional_power"),
     "singular": ("FactorPartition", "classify_factor", "factor_partition", "singular_window", "singular_words"),
+    "spec": ("DirectiveSpec", "exponent"),
     "words": (
         "RationalIndex", "Word", "conjugacy_class", "conjugate", "factors_of_length", "is_palindrome", "is_primitive",
         "reversal", "strip_prefix", "strip_suffix", "z_array",

@@ -11,10 +11,13 @@ size: every word it builds is checked against the length guard first.
 from __future__ import annotations
 
 import threading
+from typing import TYPE_CHECKING
 
-from .directive import DirectiveSpec, exponent
 from .errors import CancellationError, GuardExceeded, RangeError
-from .words import Word, strip_prefix
+from .spec import DirectiveSpec, exponent
+
+if TYPE_CHECKING:
+    from .words import Word
 
 DEFAULT_LEVEL_GUARD = 64
 DEFAULT_LENGTH_GUARD = 1 << 27
@@ -183,6 +186,8 @@ class BlockTable:
         if not 1 <= r <= k - 1:
             raise RangeError(f"tail depth {r} outside 1..{k - 1}")
         if n >= r:
+            from .words import strip_prefix  # the one reader of `words` here, so a closed-form start never loads it
+
             return strip_prefix(self.block(n), self.palindromic_prefix(n - r))
         return self._spec.alphabet[(n - r) % k] + self.block(n)
 

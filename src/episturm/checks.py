@@ -30,7 +30,7 @@ from .directive import (
     prefix_increment,
     previous_same_letter,
 )
-from .errors import CancellationError, InvariantViolation, VerificationError
+from .errors import CancellationError, InvariantViolation, VerificationError, shorten
 from .partition import level_partition, refined_levels, tile_levels
 from .powers import block_index, block_index_witness, census, length_sets, prefix_index, witness_host_level
 from .singular import factor_partition, singular_window
@@ -40,7 +40,6 @@ from .words import (
     is_palindrome,
     is_primitive,
     reversal,
-    shorten,
     strip_suffix,
 )
 

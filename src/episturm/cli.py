@@ -116,7 +116,7 @@ def _run(args, rep: Reporter) -> int:
             raise ParseError(f"{args.command} needs --n")
         args.level_guard = _level_guard()
         handler = importlib.import_module(f"{__package__}.commands.{args.command}")
-        from .directive import DirectiveSpec  # every handler loads it; importing the CLI alone loads no math module
+        from .spec import DirectiveSpec  # every handler loads it; importing the CLI alone loads no math module
         code = handler.run(args, DirectiveSpec.parse(args.spec), rep)
         rep.status(True)
         return code

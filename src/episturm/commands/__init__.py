@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
+
+from ..errors import shorten
 
 if TYPE_CHECKING:
     from ..blocks import BlockTable
-    from ..directive import DirectiveSpec
+    from ..spec import DirectiveSpec
     from ..words import RationalIndex
 
 INLINE_WORD_LIMIT = 64
@@ -57,9 +60,15 @@ class Reporter:
             print(f"episturm {self.command}: {error}", file=sys.stderr)
 
 
-def word_fields(w: str, full: bool) -> dict:
-    from ..words import shorten
+def json_list(words) -> Iterator[str]:
+    """A list of strings as json.dumps prints it, one piece per item, so its whole JSON text is never held."""
+    yield "["
+    for i, w in enumerate(words):
+        yield f"{', ' if i else ''}{json.dumps(w)}"
+    yield "]"
 
+
+def word_fields(w: str, full: bool) -> dict:
     fields: dict = {"length": len(w), "preview": shorten(w)}
     if full or len(w) <= INLINE_WORD_LIMIT:
         fields["word"] = w

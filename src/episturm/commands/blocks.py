@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from ..directive import DirectiveSpec
-from ..words import shorten
+from ..errors import shorten
+from ..spec import DirectiveSpec
 from . import Reporter, build_table, index_payload, word_fields
 
 

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from itertools import chain
 
 from ..blocks import BlockTable
-from ..directive import CLOSURE_CHECK_WORK, DirectiveSpec
-from ..errors import GuardExceeded, ParseError, VerificationError
+from ..errors import GuardExceeded, ParseError, VerificationError, shorten
 from ..powers import census, census_range, check_census_args
-from ..words import shorten
-from . import INLINE_WORD_LIMIT, Reporter, build_table
+from ..spec import DirectiveSpec
+from . import INLINE_WORD_LIMIT, Reporter, build_table, json_list
 
 # A `census --full` row costs about 20 us per length (2^20 lengths: 20 s) on a
 # 2-CPU x86-64 VM (Python 3.11); plain census ranges visit only their carrying
@@ -51,8 +49,7 @@ def _census_payload(table: BlockTable, row, full: bool) -> tuple[dict, Iterable[
         text += f"  {payload['rule']}"
     if full:
         witnesses = sorted(row.witnesses)
-        pieces = chain(("[",), (f"{', ' if i else ''}{json.dumps(w)}" for i, w in enumerate(witnesses)), ("]",))
-        return payload, chain((text,), (f"  {w}" for w in witnesses)), ("witnesses", lambda: pieces)
+        return payload, chain((text,), (f"  {w}" for w in witnesses)), ("witnesses", lambda: json_list(witnesses))
     return payload, (text,), None
 
 
@@ -66,6 +63,7 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
     if args.full and ranged and m_max > _CENSUS_RANGE_GUARD:
         raise GuardExceeded(f"{m_max} lengths above the census range guard {_CENSUS_RANGE_GUARD}")
     if args.verify:
+        from ..directive import CLOSURE_CHECK_WORK
         from ..oracle import RotationClass, certified_scan, same_bases
 
         # certify first: its guards trip before any witness set is built, and with the
@@ -110,6 +108,7 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
                 "built_letters": len(certificate.word),
                 "scanned_letters": certificate.scanned_letters,
                 "short_shift_letters": certificate.short_shift_letters,
+                "short_factor_length": certificate.short_factor_length,
                 "closure_checked_letters": certificate.closure_checked_letters,
                 "closure_cap": CLOSURE_CHECK_WORK,
                 "mismatched_lengths": mismatches,

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from ..directive import DirectiveSpec, closure_prefix, closure_reach
+from ..directive import closure_prefix, closure_reach
 from ..errors import GuardExceeded, RangeError
+from ..spec import DirectiveSpec
 from . import Reporter
 
 # The guard bounds the letters the closure steps scan, |u_j| summed over the steps

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from ..directive import DirectiveSpec
 from ..errors import ParseError, RangeError, VerificationError
 from ..powers import block_index, witness_host_level
+from ..spec import DirectiveSpec
 from . import Reporter, build_table, index_payload, rational_fields
 
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from itertools import groupby, islice
 
-from ..directive import DirectiveSpec
 from ..errors import GuardExceeded, VerificationError
+from ..spec import DirectiveSpec
 from . import Reporter, build_table
 
 # A tile costs about 0.5 us and 100 bytes with --json --verify (2^20 tiles: 0.6 s,

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from ..checks import run_battery
-from ..directive import DirectiveSpec
 from ..errors import GuardExceeded, RangeError, VerificationError
+from ..spec import DirectiveSpec
 from . import Reporter, build_table
 
 # The battery costs about 0.17 us and 12 bytes per letter of block n + 2, its

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the short form of a word their messages print."""
+
+_SHORT_LETTERS = 48  # the most letters `shorten` prints unelided
+
+
+def shorten(w: str) -> str:
+    """Compact display form for long words, used in error messages and CLI output."""
+    if len(w) <= _SHORT_LETTERS:
+        return w
+    return f"{w[:_SHORT_LETTERS - 14]}..{w[-8:]}(len {len(w)})"
 
 
 class EpisturmError(Exception):

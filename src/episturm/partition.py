@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from itertools import accumulate, chain
 from operator import sub
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .blocks import BlockTable
 from .errors import InsufficientDataError, InvariantViolation, RangeError
-from .words import Word, occurrences
+
+if TYPE_CHECKING:
+    from .words import Word
 
 
 class PartitionView(NamedTuple):
@@ -105,6 +107,8 @@ def return_words(prefix: Word, w: Word) -> frozenset:
     """Factors spanning one occurrence of w to the next, over all occurrences inside prefix."""
     if not w:
         raise RangeError("return words need a nonempty factor")
+    from .words import occurrences
+
     starts = occurrences(prefix, w)
     if len(starts) < 2:
         raise InsufficientDataError(f"{w!r} occurs {len(starts)} time(s); need at least 2")

@@ -13,11 +13,13 @@ the result in the test suite.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .blocks import BlockTable
 from .errors import InvariantViolation, RangeError
-from .words import RationalIndex, Word
+
+if TYPE_CHECKING:
+    from .words import RationalIndex, Word
 
 
 class CensusProvenance(NamedTuple):
@@ -59,6 +61,8 @@ def prefix_index(table: BlockTable, n: int) -> RationalIndex:
     """Largest fractional power of the level-n block that prefixes the word; table.power_prefix(n + 1) realizes it."""
     if n < 1:
         raise RangeError(f"prefix index starts at level 1 (got {n})")
+    from .words import RationalIndex  # imported where an index is built, so a census start never loads `words`
+
     return RationalIndex(1 + table.exponent(n + 1), table.palindromic_prefix_length(n - table.spec.k), table.block_length(n))
 
 
@@ -66,6 +70,8 @@ def block_index(table: BlockTable, n: int) -> RationalIndex:
     """Largest fractional power of the level-n block occurring anywhere in the word."""
     if n < 1:
         raise RangeError(f"block index starts at level 1 (got {n})")
+    from .words import RationalIndex
+
     return RationalIndex(2 + table.exponent(n + 1), table.palindromic_prefix_length(n - table.spec.k), table.block_length(n))
 
 

@@ -8,11 +8,13 @@ source window): its sliding windows of block length, all distinct.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .blocks import BlockTable
-from .errors import InvariantViolation, RangeError
-from .words import Word, conjugacy_class, reversal, shorten
+from .errors import InvariantViolation, RangeError, shorten
+
+if TYPE_CHECKING:
+    from .words import Word
 
 
 class FactorPartition(NamedTuple):
@@ -37,6 +39,8 @@ def singular_window(table: BlockTable, n: int, r: int) -> Word:
         raise RangeError(f"singular classes start at level 1 (got {n})")
     if not 1 <= r <= k - 1:
         raise RangeError(f"singular kind {r} outside 1..{k - 1}")
+    from .words import reversal  # imported where it is read, so loading this module loads no `words`
+
     if n >= r:
         tail = table.block_tail(n, r)
         core = reversal(tail) + table.palindromic_prefix(n - r) + tail
@@ -67,6 +71,8 @@ def factor_partition(table: BlockTable, n: int) -> FactorPartition:
     """Partition of all block-length factors at level n, with its invariants verified."""
     if n < 1:
         raise RangeError(f"factor partition starts at level 1 (got {n})")
+    from .words import conjugacy_class, reversal
+
     k = table.spec.k
     size = table.block_length(n)
     rotations = frozenset(conjugacy_class(table.block(n)))

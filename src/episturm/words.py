@@ -8,20 +8,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import CancellationError, RangeError
+from .errors import CancellationError, RangeError, shorten
 
 if TYPE_CHECKING:  # imported inside as_fraction, the one reader of the value as a Fraction
     from fractions import Fraction
 
 Word = str
-_SHORT_LETTERS = 48  # the most letters `shorten` prints unelided
-
-
-def shorten(w: Word) -> str:
-    """Compact display form for long words, used in error messages and CLI output."""
-    if len(w) <= _SHORT_LETTERS:
-        return w
-    return f"{w[:_SHORT_LETTERS - 14]}..{w[-8:]}(len {len(w)})"
 
 
 def reversal(w: Word) -> Word:

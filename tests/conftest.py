@@ -5,7 +5,7 @@ needs a brute-force ground truth)."""
 import pytest
 
 from episturm.blocks import BlockTable
-from episturm.directive import DirectiveSpec
+from episturm.spec import DirectiveSpec
 from episturm.oracle import certified_scan
 
 SPEC_TEXTS = {

@@ -11,10 +11,11 @@ from fractions import Fraction
 
 from episturm.blocks import BlockTable
 from episturm.checks import run_battery
-from episturm.directive import DirectiveSpec, closure_prefix
+from episturm.directive import closure_prefix
 from episturm.oracle import certified_scan, generate_prefix, greatest_power_prefix, max_fractional_power
 from episturm.powers import block_index, census
 from episturm.singular import factor_partition
+from episturm.spec import DirectiveSpec
 from episturm.words import factors_of_length, reversal
 
 from conftest import ALL_NAMES, KBONACCI_NAMES, SPEC_TEXTS, SWEEP_NAMES

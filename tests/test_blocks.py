@@ -3,9 +3,10 @@
 import pytest
 
 from episturm.blocks import BlockTable
-from episturm.directive import DirectiveSpec, exponent_sum, prefix_increment
+from episturm.directive import exponent_sum, prefix_increment
 from episturm.errors import CancellationError, GuardExceeded, RangeError
 from episturm.powers import block_index_witness
+from episturm.spec import DirectiveSpec
 from episturm.words import conjugate, is_palindrome, is_primitive, reversal
 
 from conftest import ALL_NAMES

@@ -11,13 +11,13 @@ from episturm.blocks import BlockTable
 from episturm.checks import ALL_CHECKS, check_block_letters, run_battery
 from episturm.directive import (
     CLOSURE_CHECK_WORK,
-    DirectiveSpec,
     PalindromicPrefixTable,
     closure_lengths,
     closure_prefix,
     closure_reach,
 )
 from episturm.errors import CancellationError, InvariantViolation, VerificationError
+from episturm.spec import DirectiveSpec
 
 from conftest import SPEC_TEXTS
 

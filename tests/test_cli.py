@@ -22,7 +22,7 @@ import episturm.powers as powers
 import episturm.runs as runs
 from episturm.blocks import BlockTable
 from episturm.checks import ALL_CHECKS
-from episturm.directive import DirectiveSpec
+from episturm.spec import DirectiveSpec
 from episturm.words import RationalIndex
 
 TRIB = "k=3; d=; 1"
@@ -542,20 +542,22 @@ class TestCensus:
             assert not VALIDATOR.is_valid(row)
 
     @pytest.mark.parametrize(
-        "lengths, scanned, short",
+        "lengths, scanned, short, short_length",
         [
-            (("--all-up-to", "1795"), 14198, 2212),  # lengths 1..1,795: the XOR shifts read P' of L' = 508
-            (("--all-up-to", "507"), 4149, 1178),  # chunk 64 searched: the XOR shifts read P' of L' = 252
-            (("--m", "1795"), 14198, 14198),  # no XOR shift
+            (("--all-up-to", "1795"), 14198, 2212, 508),  # lengths 1..1,795: the XOR shifts read P' of L' = 508
+            (("--all-up-to", "507"), 4149, 1178, 252),  # chunk 64 searched: the XOR shifts read P' of L' = 252
+            (("--m", "1795"), 14198, 14198, 0),  # no XOR shift, so no second count
         ],
     )
-    def test_the_verification_row_names_the_letters_the_short_shifts_read(self, capsys, lengths, scanned, short):
+    def test_the_verification_row_names_the_letters_the_short_shifts_read(self, capsys, lengths, scanned, short, short_length):
         code, out, _ = run_cli(capsys, "census", "--spec", TRIB, *lengths, "--verify", "--json")
         verdict = next(r for r in json_rows(out) if r["kind"] == "verification")
         assert code == 0 and (verdict["scanned_letters"], verdict["short_shift_letters"]) == (scanned, short)
-        for dropped in ({}, {"short_shift_letters": 0}):
-            row = {name: value for name, value in verdict.items() if name != "short_shift_letters"} | dropped
-            assert not VALIDATOR.is_valid(row)
+        assert verdict["short_factor_length"] == short_length
+        for field, bad in (("short_shift_letters", 0), ("short_factor_length", -1)):
+            for dropped in ({}, {field: bad}):
+                row = {name: value for name, value in verdict.items() if name != field} | dropped
+                assert not VALIDATOR.is_valid(row)
 
     @pytest.mark.parametrize(
         "lengths, message",
@@ -742,13 +744,13 @@ print(json.dumps({"code": code, "modules": modules, **{name: name in sys.modules
 _START_MODULES = {"cli", "commands", "errors"}
 # What each subcommand adds besides its handler, `commands.<subcommand>`: the modules that handler calls.
 _SUBCOMMAND_MODULES = {
-    "generate": {"directive", "words"},
-    "blocks": {"blocks", "directive", "powers", "words"},
-    "singular": {"blocks", "directive", "singular", "words"},
-    "partition": {"blocks", "directive", "partition", "words"},
-    "index": {"blocks", "directive", "powers", "words"},
-    "census": {"blocks", "directive", "powers", "words"},
-    "verify": {"blocks", "checks", "directive", "partition", "powers", "singular", "words"},
+    "generate": {"directive", "spec", "words"},
+    "blocks": {"blocks", "powers", "spec", "words"},
+    "singular": {"blocks", "singular", "spec", "words"},
+    "partition": {"blocks", "partition", "spec"},
+    "index": {"blocks", "powers", "spec", "words"},
+    "census": {"blocks", "powers", "spec"},
+    "verify": {"blocks", "checks", "directive", "partition", "powers", "singular", "spec", "words"},
 }
 
 
@@ -768,10 +770,11 @@ def _expected_modules(argv) -> set:
     """The start's modules, the handler's and its callees'.
 
     Under --verify only, index loads the one-shift oracle, `runs`, and census
-    the all-shift scan, `oracle`, which imports `runs` for its gallop.
+    the all-shift scan, `oracle`, which imports `runs` for its gallop, and the
+    closure route (`directive` and the `words` it reads) for its certificate.
     """
     verify = "--verify" in argv
-    oracle = {"index": {"runs"}, "census": {"oracle", "runs"}}.get(argv[0], set()) if verify else set()
+    oracle = {"index": {"runs"}, "census": {"oracle", "runs", "directive", "words"}}.get(argv[0], set()) if verify else set()
     return _START_MODULES | {f"commands.{argv[0]}"} | _SUBCOMMAND_MODULES[argv[0]] | oracle
 
 
@@ -905,9 +908,11 @@ def test_closed_form_range_holds_one_base_at_a_time():
 # they took 110 MB, and printed twice, 142 MB); Fibonacci `blocks --n 38` needed between 256 and 288 MB when it built
 # block 38 before refusing. The two tilings take 0.5 to 0.6 s of CPU and 104 MB (Tribonacci) and 113 MB (`k=26`) max
 # RSS; with a Python tuple per tile, both died with MemoryError at 152 to 156 MB. `d=400000` to 12,000 takes 2 s and
-# 92 MB; with every row kept, it died with MemoryError at 157 MB. Tribonacci `verify --n 26`, the battery's largest,
+# 92 MB; with every row kept, it died with MemoryError at 157 MB. `singular --full --json` at the partition guard
+# takes 103 MB (Fibonacci `--n 18`) and 123 MB (Tribonacci `--n 14`) max RSS, as its text form does; with each
+# member list held whole as JSON, they took 191 and 175 MB. Tribonacci `verify --n 26`, the battery's largest,
 # needs 137 MB, so it has its own limit. The limits leave at least 2.3 times that as headroom, `d=400000` to 12,000
-# 1.7 times and the tilings 1.4 times, and are set in the child only.
+# 1.7 times, the tilings 1.4 times and the singular classes 1.3 times, and are set in the child only.
 _CONTRACT_CPU_S = 10
 _CONTRACT_AS_MB = 160
 _BATTERY_AS_MB = 400
@@ -968,6 +973,10 @@ _SCAN_LIMIT_RSS_MB = {_TRIB_SCAN_LIMIT: 48, _FIB_SCAN_LIMIT: 70}
         # 5,768 witnesses of 5,768 letters, under the witness guard's 2^25; m = 10,609 carries 10,609 of 10,609
         (("census", "--spec", TRIB, "--m", "5768", "--full", "--json"), 0),
         (("census", "--spec", TRIB, "--m", "10609", "--full"), 4),
+        # k |block n|^2 letters of class members, under the length guard's 2^27: 91,530,450 and 99,809,472
+        (("singular", "--spec", "k=2; d=; 1", "--n", "18", "--full", "--json"), 0),
+        (("singular", "--spec", TRIB, "--n", "14", "--full", "--json"), 0),
+        (("singular", "--spec", TRIB, "--n", "15", "--full"), 4),  # text, so the refusal is on stderr
         (("verify", "--spec", TRIB, "--n", "26"), 0),  # block 28 has 29,249,425 letters, within the battery's guard
         (("verify", "--spec", TRIB, "--n", "27"), 4),  # block 29 has 53,798,080
     ],

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from episturm.directive import (
-    DirectiveSpec,
     PalindromicPrefixTable,
     closure_lengths,
     closure_prefix,
     closure_reach,
     directive_letter,
-    exponent,
     exponent_sum,
     block_letter,
     morphism,
@@ -23,6 +21,7 @@ from episturm.directive import (
     previous_same_letter,
 )
 from episturm.errors import ParseError, RangeError
+from episturm.spec import DirectiveSpec, exponent
 
 TRIB = DirectiveSpec.parse("k=3; d=; 1")
 FIB = DirectiveSpec.parse("k=2; d=; 1")

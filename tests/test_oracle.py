@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from episturm.blocks import BlockTable
-from episturm.directive import CLOSURE_CHECK_WORK, DirectiveSpec, closure_lengths, closure_prefix, closure_reach
+from episturm.directive import CLOSURE_CHECK_WORK, closure_lengths, closure_prefix, closure_reach
 import episturm.oracle as oracle
 import episturm.runs as runs
 from episturm.errors import GuardExceeded, NotAFactorError, RangeError, VerificationError
@@ -25,6 +25,7 @@ from episturm.oracle import (
     scan_powers_multi,
 )
 from episturm.powers import block_index, census, witness_host_level
+from episturm.spec import DirectiveSpec
 from episturm.words import RationalIndex, factors_of_length, occurrences
 
 from conftest import ALL_NAMES

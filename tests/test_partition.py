@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 import episturm.partition as partition
 from episturm.blocks import BlockTable
 from episturm.commands.partition import _run_lengths
-from episturm.directive import DirectiveSpec
 from episturm.errors import InsufficientDataError, InvariantViolation, RangeError
 from episturm.oracle import generate_prefix
 from episturm.partition import block_positions, level_partition, refined_levels, return_words, tile_count
+from episturm.spec import DirectiveSpec
 
 from conftest import ALL_NAMES
 

@@ -6,7 +6,6 @@ import pytest
 from fractions import Fraction
 
 from episturm.blocks import BlockTable
-from episturm.directive import DirectiveSpec
 from episturm import powers
 from episturm.errors import GuardExceeded, RangeError
 from episturm.powers import (
@@ -19,6 +18,7 @@ from episturm.powers import (
     window_level,
     witness_host_level,
 )
+from episturm.spec import DirectiveSpec
 from episturm.words import RationalIndex, is_primitive
 
 from conftest import ALL_NAMES, SPEC_TEXTS
@@ -124,7 +124,7 @@ class TestCensus:
 
     def test_extension_rule_carries_witnesses(self, tables):
         from episturm.blocks import BlockTable
-        from episturm.directive import DirectiveSpec
+        from episturm.spec import DirectiveSpec
 
         table = BlockTable(DirectiveSpec.parse("k=3; d=3,1,2; 1"))
         assert census(table, 1, 3).witnesses == ("a",)

@@ -4,12 +4,10 @@ import pytest
 
 from episturm.blocks import BlockTable
 from episturm.directive import (
-    DirectiveSpec,
     PalindromicPrefixTable,
     block_letter,
     closure_prefix,
     directive_letter,
-    exponent,
     exponent_sum,
     prefix_increment,
 )
@@ -23,6 +21,7 @@ from episturm.oracle import (
     scan_powers_multi,
 )
 from episturm.powers import length_sets
+from episturm.spec import DirectiveSpec, exponent
 from episturm.words import conjugacy_class
 
 from conftest import SPEC_TEXTS

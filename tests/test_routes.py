@@ -2,7 +2,10 @@
 
 The oracle is two modules: `oracle`, the all-shift scan and its certificate,
 and `runs`, the one-shift measures that `index --verify` loads alone and
-whose gallop the scan imports. Each is pinned on its own.
+whose gallop the scan imports. Each is pinned on its own. The closure route
+(`directive`), which the oracle's certificate and the battery compare with the
+blocks, is pinned apart from the block recurrence and the closed forms: they
+share only the directive spec (`spec`).
 
 Imports are read from the source with `ast`, the lazy ones inside functions
 included, and followed through the package, so an indirect import through a
@@ -61,6 +64,17 @@ def test_the_one_shift_oracle_reaches_no_closed_form():
 def test_no_closed_form_reaches_the_oracle(module):
     assert {"oracle", "runs"} & reachable(module) == set()
     assert "blocks" in reachable(module)
+
+
+@pytest.mark.parametrize("module", (*CLOSED_FORMS, "blocks"))
+def test_no_closed_form_reaches_the_closure(module):
+    assert "directive" not in reachable(module)
+    assert "spec" in reachable(module)
+
+
+def test_the_closure_reaches_no_closed_form():
+    assert reachable("directive") & {*CLOSED_FORMS, "blocks"} == set()
+    assert reachable("directive") == {"errors", "spec", "words"}
 
 
 def numpy_imports(tree: ast.AST) -> list[int]:

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 import episturm.oracle as oracle
 from episturm.blocks import BlockTable
 from episturm.checks import check_two_palindrome_split, two_palindrome_splits
-from episturm.directive import DirectiveSpec, PalindromicPrefixTable, directive_letter
-from episturm.errors import CancellationError, RangeError
+from episturm.directive import PalindromicPrefixTable, directive_letter
+from episturm.errors import CancellationError, RangeError, shorten
 from episturm.oracle import count_factors
+from episturm.spec import DirectiveSpec
 from episturm.words import (
     RationalIndex,
     conjugacy_class,
@@ -22,7 +23,6 @@ from episturm.words import (
     is_palindrome,
     is_primitive,
     reversal,
-    shorten,
     strip_prefix,
     strip_suffix,
     longest_palindromic_suffix,
