@@ -25,6 +25,7 @@ from .directive import (
     closure_prefix,
     closure_reach,
     directive_letter,
+    entry_increments,
     exponent_sum,
     next_same_letter,
     prefix_increment,
@@ -210,13 +211,13 @@ def check_tail_letters(table: BlockTable, n_max: int) -> None:
 
 
 def check_morphic_blocks(table: BlockTable, n_max: int) -> None:
-    """Blocks are primitive and equal their morphic construction from the directive."""
-    spec = table.spec
+    """Blocks are primitive and equal their morphic construction from the directive, each level's from the last."""
+    increments = entry_increments(table.spec)
     for n in range(0, n_max + 1):
         w = table.block(n)
         if not is_primitive(w):
             _fail("morphic-blocks", n, "block is not primitive")
-        if prefix_increment(spec, exponent_sum(spec, n)) != w:
+        if next(increments) != w:
             _fail("morphic-blocks", n, "morphic route disagrees with the block recurrence")
 
 

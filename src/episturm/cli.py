@@ -7,8 +7,9 @@ Exit codes: 0 success, 2 usage or parse problem, 3 verification mismatch,
 on stderr). EPISTURM_GUARD overrides the block-level guard.
 
 This module only parses and dispatches: each subcommand's handler is a module
-of `episturm.commands`, imported once the arguments name it and handed the
-parsed --spec, so a start compiles only that handler and the modules it calls.
+of `episturm.commands`, imported once the arguments name it and --spec parses,
+and handed the parsed spec, so a start compiles only that handler and the
+modules it calls, and a refused directive compiles no handler at all.
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ def _run(args, rep: Reporter) -> int:
         if args.command in ("blocks", "singular", "partition") and args.n is None:
             raise ParseError(f"{args.command} needs --n")
         args.level_guard = _level_guard()
-        handler = importlib.import_module(f"{__package__}.commands.{args.command}")
         from .spec import DirectiveSpec  # every handler loads it; importing the CLI alone loads no math module
-        code = handler.run(args, DirectiveSpec.parse(args.spec), rep)
+        spec = DirectiveSpec.parse(args.spec)  # before the handler, so a refused directive compiles none of it
+        code = importlib.import_module(f"{__package__}.commands.{args.command}").run(args, spec, rep)
         rep.status(True)
         return code
     except _USAGE_ERRORS as exc:

@@ -129,6 +129,28 @@ def prefix_increment(spec: DirectiveSpec, n: int) -> Word:
     return w
 
 
+def entry_increments(spec: DirectiveSpec) -> Iterator[Word]:
+    """prefix_increment(spec, exponent_sum(spec, n)) for n = 0, 1, ..., each composed one entry past the last.
+
+    With f the composed morphisms of the letters read so far, entry i, a run of e copies of a, sends every
+    letter x != a to a^e x: f(x) gains f(a)^e in front, f(a) stays, and the increment is f(a). What goes in
+    front is shared by every letter, so it is kept once, newest first, in `front`; a letter's image is the
+    part of `front` laid since its own last entry, then its image at that entry. Past the end of a finite
+    directive, `exponent` raises RangeError.
+    """
+    front = ""
+    since: dict[str, tuple[int, Word]] = {}  # letter -> (len(front) after its last entry, its image then)
+    entry = 1
+    while True:
+        a, times = block_letter(spec, entry), exponent(spec, entry)
+        mark, image = since.get(a, (0, a))
+        image = front[:len(front) - mark] + image
+        yield image
+        front = image * times + front
+        since[a] = (len(front), image)
+        entry += 1
+
+
 class PalindromicPrefixTable:
     """Cache of the iterated-closure prefixes; prefix(1) is empty, each step closes one more directive letter."""
 

@@ -56,7 +56,11 @@ def singular_window(table: BlockTable, n: int, r: int) -> Word:
 
 def singular_words(table: BlockTable, n: int, r: int) -> frozenset:
     """The kind-r singular factors at level n."""
-    window = singular_window(table, n, r)
+    return _window_factors(table, n, r, singular_window(table, n, r))
+
+
+def _window_factors(table: BlockTable, n: int, r: int, window: Word) -> frozenset:
+    """The block-length windows of the kind-r source window, checked to be all distinct."""
     size = table.block_length(n)
     found = frozenset(window[i:i + size] for i in range(len(window) - size + 1))
     expected = size - table.palindromic_prefix_length(n - r) - 1
@@ -68,17 +72,33 @@ def singular_words(table: BlockTable, n: int, r: int) -> frozenset:
 
 
 def factor_partition(table: BlockTable, n: int) -> FactorPartition:
-    """Partition of all block-length factors at level n, with its invariants verified."""
+    """Partition of all block-length factors at level n, with its invariants verified.
+
+    Each class is shown closed under reversal without a mirrored copy of it. The rotations of the
+    block B mirror to the rotations of reversal(B), so they are closed exactly when reversal(B)
+    occurs in B + B. A kind-r class is the block-length windows of its source window W, whose
+    mirrors are the windows of reversal(W): a palindromic W makes it closed. Any other W, which
+    the construction never yields, is compared set to set, so a class that is not closed still
+    fails.
+    """
     if n < 1:
         raise RangeError(f"factor partition starts at level 1 (got {n})")
-    from .words import conjugacy_class, reversal
+    from .words import is_palindrome, reversal
 
     k = table.spec.k
     size = table.block_length(n)
-    rotations = frozenset(conjugacy_class(table.block(n)))
+    block = table.block(n)
+    doubled = block + block
+    rotations = frozenset(doubled[j:j + len(block)] for j in range(len(block)))
     if len(rotations) != size:
         raise InvariantViolation(f"level-{n} block is not primitive: {len(rotations)} rotations for length {size}")
-    singular = {r: singular_words(table, n, r) for r in range(1, k)}
+    singular: dict[int, frozenset] = {}
+    lopsided: list[int] = []  # kinds whose window is no palindrome, compared set to set below
+    for r in range(1, k):
+        window = singular_window(table, n, r)
+        singular[r] = _window_factors(table, n, r, window)
+        if not is_palindrome(window):
+            lopsided.append(r)
 
     classes: list[frozenset] = [rotations] + [singular[r] for r in range(1, k)]
     for a in range(len(classes)):
@@ -86,10 +106,11 @@ def factor_partition(table: BlockTable, n: int) -> FactorPartition:
             overlap = classes[a] & classes[b]
             if overlap:
                 raise InvariantViolation(f"level {n}: classes {a} and {b} share {shorten(sorted(overlap)[0])!r}")
-    for idx, cls in enumerate(classes):
-        mirrored = frozenset(reversal(w) for w in cls)
-        if mirrored != cls:
-            raise InvariantViolation(f"level {n}: class {idx} is not closed under reversal")
+    if doubled.find(reversal(block)) == -1:
+        raise InvariantViolation(f"level {n}: class 0 is not closed under reversal")
+    for r in lopsided:
+        if frozenset(map(reversal, singular[r])) != singular[r]:
+            raise InvariantViolation(f"level {n}: class {r} is not closed under reversal")
     expected_total = (k - 1) * size + 1
     total = sum(len(c) for c in classes)
     if total != expected_total:

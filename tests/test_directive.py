@@ -12,6 +12,7 @@ from episturm.directive import (
     closure_prefix,
     closure_reach,
     directive_letter,
+    entry_increments,
     exponent_sum,
     block_letter,
     morphism,
@@ -221,6 +222,22 @@ class TestClosure:
             assert prefix_increment(spec, n) == one_by_one
             n += 1
         assert n > 15
+
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.lists(st.integers(min_value=1, max_value=3), max_size=4),
+        st.lists(st.integers(min_value=1, max_value=3), max_size=4),
+    )
+    def test_entry_increments_compose_one_entry_at_a_time(self, k, preperiod, period):
+        if not preperiod and not period:
+            preperiod = [1]
+        spec = DirectiveSpec.make(k, tuple(preperiod), tuple(period))
+        increments = entry_increments(spec)
+        for n in range(12 if period else len(preperiod)):
+            assert next(increments) == prefix_increment(spec, exponent_sum(spec, n))
+        if not period:  # a finite directive has no letter after its last entry
+            with pytest.raises(RangeError):
+                next(increments)
 
     @pytest.mark.parametrize("spec", [TRIB, FIB, MIX3, DirectiveSpec.parse("k=2; d=40; 1"), DirectiveSpec.parse("k=2; d=1,2")])
     def test_closure_lengths_follow_the_closure(self, spec):

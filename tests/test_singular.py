@@ -1,10 +1,14 @@
 """Factor partitions: singular classes, their invariants, and ground truth."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import episturm.singular as singular_module
+from episturm.blocks import BlockTable
 from episturm.errors import InvariantViolation, RangeError
 from episturm.singular import classify_factor, factor_partition, singular_window, singular_words
-from episturm.words import factors_of_length, reversal, strip_suffix
+from episturm.spec import DirectiveSpec
+from episturm.words import conjugacy_class, factors_of_length, is_palindrome, reversal, strip_suffix
 
 from conftest import ALL_NAMES
 
@@ -117,6 +121,71 @@ class TestPartitionInvariants:
             for cls in part.singular.values():
                 for w in cls:
                     assert host.find(w + w) == -1
+
+
+@st.composite
+def partition_levels(draw):
+    """A random directive on 2 to 6 letters and a level whose block has at most 2,000 letters."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    pre = draw(st.lists(st.integers(min_value=1, max_value=3), max_size=4))
+    per = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4))
+    table = BlockTable(DirectiveSpec.make(k, tuple(pre), tuple(per)))
+    top = 1
+    while table.block_length(top + 1) <= 2_000:
+        top += 1
+    return table, draw(st.integers(min_value=1, max_value=top))
+
+
+def _mirror_closed(cls) -> bool:
+    return frozenset(map(reversal, cls)) == cls
+
+
+class TestLinearMirrorProofs:
+    """factor_partition proves each class closed under reversal without mirroring it; the set comparison agrees."""
+
+    @given(partition_levels())
+    @settings(max_examples=60, deadline=None)
+    def test_the_linear_proofs_pass_only_on_closed_classes(self, case):
+        table, n = case
+        part = factor_partition(table, n)
+        block = table.block(n)
+        assert ((block + block).find(reversal(block)) != -1) == _mirror_closed(part.rotations)
+        for r, cls in part.singular.items():
+            window = singular_window(table, n, r)
+            assert is_palindrome(window)  # the construction makes every source window a palindrome
+            assert _mirror_closed(cls)
+
+    @given(st.text(alphabet="abc", min_size=1, max_size=30))
+    def test_the_rotation_proof_is_an_equivalence(self, w):
+        # the mirrors of w's rotations are the rotations of w's mirror, so they are closed exactly when it is one
+        assert ((w + w).find(reversal(w)) != -1) == _mirror_closed(frozenset(conjugacy_class(w)))
+
+    @given(st.text(alphabet="abc", min_size=1, max_size=20), st.booleans(), st.integers(min_value=1, max_value=40))
+    def test_a_palindromic_window_gives_a_closed_class(self, half, odd, size):
+        window = half + reversal(half)[odd:]
+        assert _mirror_closed(frozenset(factors_of_length(window, size)))
+
+    def test_rotations_not_closed_under_reversal_fail(self, monkeypatch):
+        # "abbc" in place of block 2, "abac", shares no factor with the singular classes, but its mirror cbba is
+        # none of its rotations
+        table = BlockTable(DirectiveSpec.parse("k=3; d=; 1"))
+        real = table.block
+        monkeypatch.setattr(table, "block", lambda n: "abbc" if n == 2 else real(n))
+        with pytest.raises(InvariantViolation, match="class 0 is not closed under reversal"):
+            factor_partition(table, 2)
+
+    def test_a_window_that_is_no_palindrome_is_compared_set_to_set(self, trib, monkeypatch):
+        # "ababab" is no palindrome, but its length-4 windows are the closed kind-1 class at level 2
+        real = singular_module.singular_window
+        monkeypatch.setattr(singular_module, "singular_window", lambda t, n, r: "ababab" if (n, r) == (2, 1) else real(t, n, r))
+        assert factor_partition(trib, 2).singular[1] == frozenset({"abab", "baba"})
+
+    def test_a_class_not_closed_under_reversal_still_fails(self, trib, monkeypatch):
+        # "bbbcb" yields bbbc and bbcb, as many factors as kind 1 has, but not their mirrors cbbb and bcbb
+        real = singular_module.singular_window
+        monkeypatch.setattr(singular_module, "singular_window", lambda t, n, r: "bbbcb" if (n, r) == (2, 1) else real(t, n, r))
+        with pytest.raises(InvariantViolation, match="class 1 is not closed under reversal"):
+            factor_partition(trib, 2)
 
 
 class TestClassify:
