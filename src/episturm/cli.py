@@ -10,14 +10,20 @@ This module only parses and dispatches: each subcommand's handler is a module
 of `episturm.commands`, imported once the arguments name it and --spec parses,
 and handed the parsed spec, so a start compiles only that handler and the
 modules it calls, and a refused directive compiles no handler at all.
+
+One option table, `_COMMANDS`, is the grammar. A well-formed command line is
+read straight from it; argparse, built from the same table, loads only for
+help and malformed arguments, so those keep argparse's own messages and exit
+codes.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .commands import Reporter
 from .errors import (
@@ -29,6 +35,9 @@ from .errors import (
     RangeError,
     VerificationError,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 _USAGE_ERRORS = (ParseError, RangeError, CancellationError, NotAFactorError)
 _VERIFY_ERRORS = (VerificationError, InvariantViolation)
@@ -50,57 +59,91 @@ def _level_guard() -> int | None:
 
 # -- argument plumbing ---------------------------------------------------------
 
+_SPEC = ("--spec", str, True, None, 'directive, e.g. "k=3; d=1,1,2; 2,1,2" or "k=3; d=; 1"')
+_JSON = ("--json", bool, False, False, "emit JSON lines instead of text")
+_N = ("--n", int, False, None, "block level")
+_FULL = ("--full", bool, False, False, "expand words and witness sets in full")
+_VERIFY = ("--verify", bool, False, False, "cross-check against the scanning oracle")
+
+# The grammar: subcommand -> (help, options). An option is (flag, kind,
+# required, default, help), its kind int, str or bool for a switch; both
+# parsers below read it, and argparse lists the options in this order.
+_COMMANDS = {
+    "generate": ("print a prefix of the word", (_SPEC, _JSON, ("--length", int, True, None, "how many letters"))),
+    "blocks": ("block, palindromic prefix, tails and indices at one level", (_SPEC, _JSON, _N, _FULL)),
+    "singular": ("factor partition classes at one level", (_SPEC, _JSON, _N, _FULL)),
+    "partition": ("tiling of a block by the level-n window blocks", (
+        _SPEC, _JSON, _N,
+        ("--verify", bool, False, False, "check that splitting each level-(n+1) tile one level down gives this tiling"),
+        ("--m", int, False, None, "host block level to tile (default: two above --n)"),
+    )),
+    "index": ("prefix and block indices with witnesses", (
+        _SPEC, _JSON, _N, _VERIFY, ("--all-up-to", int, False, None, "report levels 1..N"),
+    )),
+    "census": ("which words of a given length have an l-th power in the word", (
+        _SPEC, _JSON, _FULL, _VERIFY,
+        ("--m", int, False, None, "single base length"),
+        ("--all-up-to", int, False, None, "all base lengths 1..N"),
+        ("--l", int, False, 2, "power order (default 2)"),
+    )),
+    "verify": ("run the whole invariant battery", (_SPEC, _JSON, _N)),
+}
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for the plain grammar, or None for anything else.
+
+    Served: the subcommand, then its flags by their exact names in any order,
+    each value the token after its flag, the last of a repeated flag winning.
+    Declined, for argparse to answer: help, an unknown token, `--flag=value`,
+    an abbreviation, a value starting with "-", a bad int, a missing required
+    flag.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][1]
+    kinds = {flag: kind for flag, kind, _, _, _ in options}
+    values = {flag: default for flag, _, _, default, _ in options}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kind = kinds.get(flag)
+        if kind is None:
+            return None
+        if kind is bool:
+            values[flag] = True
+            continue
+        value = next(tokens, "-")  # a flag with no value left is declined like a value starting with "-"
+        if value.startswith("-"):
+            return None
+        try:
+            values[flag] = kind(value)
+        except ValueError:
+            return None
+    if any(required and values[flag] is None for flag, _, required, _, _ in options):
+        return None
+    return SimpleNamespace(command=argv[0], **{flag[2:].replace("-", "_"): value for flag, value in values.items()})
+
 
 def _parser() -> argparse.ArgumentParser:
+    """The argparse parser of the same grammar: it answers help and every argv _parse declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="episturm",
         description="Construct episturmian words from directive exponents and enumerate their powers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, n=False, full=False, verify=False):
-        p.add_argument("--spec", required=True, help='directive, e.g. "k=3; d=1,1,2; 2,1,2" or "k=3; d=; 1"')
-        p.add_argument("--json", action="store_true", help="emit JSON lines instead of text")
-        if n:
-            p.add_argument("--n", type=int, help="block level")
-        if full:
-            p.add_argument("--full", action="store_true", help="expand words and witness sets in full")
-        if verify:
-            p.add_argument("--verify", action="store_true", help="cross-check against the scanning oracle")
-
-    p = sub.add_parser("generate", help="print a prefix of the word")
-    common(p)
-    p.add_argument("--length", type=int, required=True, help="how many letters")
-
-    p = sub.add_parser("blocks", help="block, palindromic prefix, tails and indices at one level")
-    common(p, n=True, full=True)
-
-    p = sub.add_parser("singular", help="factor partition classes at one level")
-    common(p, n=True, full=True)
-
-    p = sub.add_parser("partition", help="tiling of a block by the level-n window blocks")
-    common(p, n=True)
-    p.add_argument("--verify", action="store_true", help="check that splitting each level-(n+1) tile one level down gives this tiling")
-    p.add_argument("--m", type=int, help="host block level to tile (default: two above --n)")
-
-    p = sub.add_parser("index", help="prefix and block indices with witnesses")
-    common(p, n=True, verify=True)
-    p.add_argument("--all-up-to", type=int, help="report levels 1..N")
-
-    p = sub.add_parser("census", help="which words of a given length have an l-th power in the word")
-    common(p, full=True, verify=True)
-    p.add_argument("--m", type=int, help="single base length")
-    p.add_argument("--all-up-to", type=int, help="all base lengths 1..N")
-    p.add_argument("--l", type=int, default=2, help="power order (default 2)")
-
-    p = sub.add_parser("verify", help="run the whole invariant battery")
-    common(p, n=True)
-
+    for command, (command_help, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for flag, kind, required, default, option_help in options:
+            how = {"action": "store_true"} if kind is bool else {"type": kind}
+            p.add_argument(flag, required=required, default=default, help=option_help, **how)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv) or _parser().parse_args(argv)
     try:
         code = _run(args, Reporter(args.command, args.spec, args.json))
         sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit

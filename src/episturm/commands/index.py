@@ -26,7 +26,8 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
             f" / block index {p['block_index']['text']}",
         )
         if args.verify:
-            host, block = table.block(witness_host_level(table, n)), table.block(n)
+            host_level = witness_host_level(table, n)
+            host, block = table.block(host_level), table.block(n)
             measured = max_fractional_power(host, block)
             front = greatest_power_prefix(host, block)
             blk = block_index(table, n)
@@ -36,6 +37,7 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
                 {
                     "target": "index",
                     "level": n,
+                    "host_level": host_level,
                     "ok": ok,
                     "oracle_block_index": rational_fields(measured),
                     "oracle_prefix_witness_length": len(front),

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, JSON rows against the schema."""
 
+import importlib.util
 import json
 import os
 import random
@@ -9,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 import episturm.cli as cli
@@ -298,6 +300,17 @@ class TestIndex:
         rows = json_rows(out)
         verdict = next(r for r in rows if r["kind"] == "verification")
         assert verdict["ok"] is True and verdict["target"] == "index"
+
+    def test_verification_rows_name_their_host_level(self, capsys):
+        # level n is measured on block n + k + 2, whose length the text row prints
+        table = BlockTable(DirectiveSpec.parse(MIX3))
+        code, out, _ = run_cli(capsys, "index", "--spec", MIX3, "--all-up-to", "4", "--verify", "--json")
+        assert code == 0
+        verdicts = [r for r in json_rows(out) if r["kind"] == "verification"]
+        assert [(r["level"], r["host_level"]) for r in verdicts] == [(n, n + 5) for n in range(1, 5)]
+        code, text, _ = run_cli(capsys, "index", "--spec", MIX3, "--all-up-to", "4", "--verify")
+        hosts = [line.split(" letters")[0].removeprefix("  oracle on ") for line in text.splitlines() if "oracle" in line]
+        assert hosts == [str(table.block_length(n + 5)) for n in range(1, 5)]
 
     def test_verify_reports_an_oracle_disagreement(self, capsys, monkeypatch):
         # the patched oracle measures the block as occurring once, against 2 + 3/4 by the closed form;
@@ -729,15 +742,119 @@ class TestArgparse:
         assert exc.value.code == 2
 
 
-# A fresh interpreter runs cli.main on argv and reports its exit code, the package
-# modules it loaded, and whether numpy, dataclasses and fractions were loaded.
+def _bench_ops():
+    """bench/ops.py, loaded from its file; it stays registered while it loads, for its dataclass."""
+    spec = importlib.util.spec_from_file_location("_bench_ops", Path(__file__).resolve().parents[1] / "bench" / "ops.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _int_spelling(value: int) -> st.SearchStrategy[str]:
+    """Ways to write `value` that int() reads: padded, signed, grouped, in Arabic-Indic digits."""
+    plain = str(value)
+    spellings = [plain, f" {plain}", f"{plain} ", f"+{plain}", plain.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))]
+    if len(plain) > 1 and value > 0:
+        spellings.append(f"{plain[0]}_{plain[1:]}")
+    return st.sampled_from(spellings)
+
+
+def _value(kind) -> st.SearchStrategy[str]:
+    if kind is int:
+        return st.integers(0, 10**6).flatmap(_int_spelling)
+    return st.sampled_from([TRIB, MIX3, "", "k=1"]) | st.text(max_size=12)
+
+
+@st.composite
+def _command_line(draw, command: str) -> list[str]:
+    """argv from the command's table entry: its flags shuffled and repeated, odd values, now and then a stray token.
+
+    A stray token lands anywhere, between a flag and its value too, so some
+    lines hold a bad int, a value starting with "-" or a flag with no value.
+    """
+    options = cli._COMMANDS[command][1]
+    picked = draw(st.lists(st.sampled_from(options), max_size=8))
+    if draw(st.booleans()):
+        picked += [option for option in options if option[2]]  # the required flags, so most lines are served
+    picked = draw(st.permutations(picked))
+    argv = [command]
+    for flag, kind, *_ in picked:
+        argv.append(flag)
+        if kind is not bool:
+            argv.append(draw(_value(kind)))
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["-h", "--n=3", "--verif", "--all", "--", "x", "-5", "1.5", "--JSON"])))
+    return argv
+
+
+class TestOptionTable:
+    """The table-driven fast path returns argparse's namespace whenever it serves a line, and serves every real one."""
+
+    PARSER = cli._parser()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_served_lines_parse_as_argparse_parses_them(self, command, data):
+        argv = data.draw(_command_line(command))
+        served = cli._parse(argv)
+        if served is not None:
+            assert vars(served) == vars(self.PARSER.parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "--spec", TRIB, "--m", " 7", "--l", "+4", "--m", "3_0", "--json", "--json"],
+            ["index", "--verify", "--all-up-to", "٣", "--spec", MIX3],
+            ["generate", "--length", "0", "--spec", ""],
+        ],
+    )
+    def test_odd_but_plain_lines_are_served(self, argv):
+        assert vars(cli._parse(argv)) == vars(self.PARSER.parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["--help"], ["census", "-h"], ["frobnicate", "--spec", TRIB], ["census", "--m", "3"],
+            ["blocks", "--spec", TRIB, "--n", "x"], ["blocks", "--spec", TRIB, "--n=3"], ["index", "--spec", TRIB, "--verif"],
+            ["census", "--spec", TRIB, "--all", "5"], ["generate", "--spec", TRIB, "--length", "-5"], ["blocks", "--spec", TRIB, "--n"],
+            ["blocks", "--spec", "--json"], ["blocks", "--spec", TRIB, "--", "--n", "3"], ["blocks", "--spec", TRIB, "3"],
+        ],
+    )
+    def test_help_and_anything_else_is_left_to_argparse(self, argv):
+        assert cli._parse(argv) is None
+
+    def test_every_golden_line_is_served(self):
+        golden = json.loads((Path(__file__).parent / "golden" / "readme_cli.json").read_text())
+        for case in golden:
+            assert vars(cli._parse(case["argv"])) == vars(self.PARSER.parse_args(case["argv"]))
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("workload", ["verified-census", "closed-form", "battery"])
+    def test_every_benchmark_op_is_served(self, workload, seed):
+        for op in _bench_ops().generate(workload, seed, 35):
+            argv = [*op.argv, "--json"]
+            assert vars(cli._parse(argv)) == vars(self.PARSER.parse_args(argv))
+
+
+# A fresh interpreter runs cli.main on argv and reports its exit code (SystemExit's for argparse's
+# help and errors), the package modules it loaded, and whether numpy, dataclasses, fractions,
+# decimal, argparse and gettext were loaded.
 _START_PROBE = """
 import contextlib, io, json, sys
 from episturm import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    code = cli.main(sys.argv[1:])
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 modules = sorted(name[len("episturm."):] for name in sys.modules if name.startswith("episturm."))
-print(json.dumps({"code": code, "modules": modules, **{name: name in sys.modules for name in ("numpy", "dataclasses", "fractions", "decimal")}}))
+flags = ("numpy", "dataclasses", "fractions", "decimal", "argparse", "gettext")
+print(json.dumps({"code": code, "modules": modules, **{name: name in sys.modules for name in flags}}))
 """
 
 # What every start loads: the dispatcher, the helpers its handlers share, and the errors.
@@ -816,6 +933,7 @@ class TestNumpyStaysUnloaded:
         assert (start["code"], start["numpy"], start["dataclasses"]) == (code, False, False)
         assert set(start["modules"]) == _expected_modules(argv, code)
         assert (start["fractions"], start["decimal"]) == (False, False)
+        assert (start["argparse"], start["gettext"]) == (False, False)
 
     def test_importing_the_package_loads_no_numpy(self):
         """Nor any submodule: each export is imported on first access."""
@@ -829,6 +947,7 @@ class TestNumpyStaysUnloaded:
         assert (start["code"], start["numpy"], start["dataclasses"]) == (0, False, False)
         assert set(start["modules"]) == _expected_modules(("census", "--verify"))
         assert (start["fractions"], start["decimal"]) == (False, False)
+        assert (start["argparse"], start["gettext"]) == (False, False)
 
     def test_verify_loads_no_numpy(self):
         # the two-palindrome-split check searches the doubled block for its reversal, with no hash
@@ -836,11 +955,27 @@ class TestNumpyStaysUnloaded:
         assert (start["code"], start["numpy"], start["dataclasses"]) == (0, False, False)
         assert set(start["modules"]) == _expected_modules(("verify",))
         assert (start["fractions"], start["decimal"]) == (False, False)
+        assert (start["argparse"], start["gettext"]) == (False, False)
 
     def test_importing_the_cli_loads_no_math_module(self):
-        """The handlers' shared helpers import what they read when they are called."""
-        probe = "import json, sys, episturm.cli; print(json.dumps(sorted(m for m in sys.modules if m.startswith('episturm.'))))"
+        """The handlers' shared helpers import what they read when they are called, and argparse loads only for help and errors."""
+        probe = "import json, sys, episturm.cli; print(json.dumps(sorted(m for m in sys.modules if m.startswith('episturm.') or m in ('argparse', 'gettext'))))"
         assert json.loads(_fresh_child("-c", probe)) == [f"episturm.{name}" for name in sorted(_START_MODULES)]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("--help",), 0),
+            (("census", "--help"), 0),
+            (("census", "--spec", TRIB, "--mm", "4"), 2),
+            (("census", "--spec", TRIB, "--m", "x"), 2),
+            (("census", "--spec", TRIB, "--m=4"), 0),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+    )
+    def test_help_and_malformed_arguments_load_argparse(self, argv, code):
+        start = _start(*argv)
+        assert (start["code"], start["argparse"], start["gettext"]) == (code, True, True)
 
 
 # A fresh interpreter runs the CLI as `python -m episturm.cli` does, as __main__, and reports

@@ -1,9 +1,9 @@
 """Recorded CLI runs replayed byte for byte, and the schema's row kinds against them.
 
 tests/golden/readme_cli.json holds, for the README examples plus a witness
-listing, census ranges under --full and --verify, a usage error and a guard
-trip, each in text and in --json form: the argv, the exit code and the exact
-stdout of `episturm.cli.main`.
+listing, census ranges under --full and --verify, an index range under
+--verify, a usage error and a guard trip, each in text and in --json form:
+the argv, the exit code and the exact stdout of `episturm.cli.main`.
 """
 
 import json
