@@ -20,7 +20,7 @@ _EXPORTS = {  # home module -> the names it exports
     "blocks": ("BlockTable",),
     "checks": ("ALL_CHECKS", "run_battery"),
     "directive": (
-        "PalindromicPrefixTable", "closure_prefix", "directive_letter", "exponent_sum", "morphism", "palindromic_closure",
+        "PalindromicPrefixTable", "closure_prefix", "directive_letter", "exponent_sum", "palindromic_closure",
         "prefix_increment",
     ),
     "errors": (
@@ -40,8 +40,8 @@ _EXPORTS = {  # home module -> the names it exports
     "singular": ("FactorPartition", "classify_factor", "factor_partition", "singular_window", "singular_words"),
     "spec": ("DirectiveSpec", "exponent"),
     "words": (
-        "RationalIndex", "Word", "conjugacy_class", "conjugate", "factors_of_length", "is_palindrome", "is_primitive",
-        "reversal", "strip_prefix", "strip_suffix", "z_array",
+        "RationalIndex", "Word", "conjugacy_class", "conjugate", "factors_of_length", "is_palindrome", "reversal",
+        "strip_prefix", "strip_suffix", "z_array",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

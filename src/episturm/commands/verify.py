@@ -7,9 +7,9 @@ from ..errors import GuardExceeded, RangeError, VerificationError
 from ..spec import DirectiveSpec
 from . import Reporter, build_table
 
-# The battery costs about 0.17 us and 12 bytes per letter of block n + 2, its
-# largest, above a 0.5 s floor (2^25 letters: 6 s, 440 MB) on a 2-CPU x86-64 VM
-# (Python 3.11).
+# Block n + 2 is the battery's largest word. At the guard a verify child takes
+# at most about 0.9 s and 174 MB (Fibonacci --n 33, 24.2M letters; Tribonacci
+# --n 26, 29.2M letters, 0.6 s and 137 MB) on a 2-CPU x86-64 VM (Python 3.11).
 _BATTERY_LETTER_GUARD = 1 << 25
 
 

@@ -13,6 +13,7 @@ import math
 import threading
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import islice
 
 from .errors import RangeError
 from .spec import DirectiveSpec, exponent  # bound at run time: callers also import both from this module
@@ -96,41 +97,22 @@ def palindromic_closure(w: Word) -> Word:
     return w + w[:len(w) - longest_palindromic_suffix(w)][::-1]
 
 
-def morphism(a: str, w: Word, times: int = 1) -> Word:
-    """Image of w under the map fixing a and sending any other letter x to a+x, applied `times` times (x goes to a^times x)."""
-    if len(a) != 1:
-        raise RangeError("morphism seed must be a single letter")
-    run = a * times
-    for c in set(w) - {a}:  # each pass inserts only a's, which no later pass replaces
-        w = w.replace(c, run + c)
-    return w
-
-
 def prefix_increment(spec: DirectiveSpec, n: int) -> Word:
     """Word prepended to the n-th closure prefix to obtain the next one, built morphically.
 
     Equals the image of directive letter n+1 under the composed morphisms of
     the first n directive letters; the closure table satisfies
-    prefix(j+1) == prefix_increment(spec, j-1) + prefix(j) for j >= 1. A run
-    of one letter composes as one power of its morphism.
+    prefix(j+1) == prefix_increment(spec, j-1) + prefix(j) for j >= 1. Each
+    morphism fixes its own letter, so every letter of a run has the increment
+    of the run's entry, read from `entry_increments`.
     """
     if n < 0:
         raise RangeError("increment level must be >= 0")
-    runs: list[tuple[str, int]] = []  # directive letters 1..n as (letter, run length)
-    entry, left = 1, n
-    while left:
-        take = min(exponent(spec, entry), left)
-        runs.append((block_letter(spec, entry), take))
-        left -= take
-        entry += 1
-    w = directive_letter(spec, n + 1)
-    for a, times in reversed(runs):
-        w = morphism(a, w, times)
-    return w
+    return next(islice(entry_increments(spec), _entry_of_position(spec, n + 1) - 1, None))
 
 
 def entry_increments(spec: DirectiveSpec) -> Iterator[Word]:
-    """prefix_increment(spec, exponent_sum(spec, n)) for n = 0, 1, ..., each composed one entry past the last.
+    """Each directive entry's increment in turn: its letter's image under the morphisms of the letters before it.
 
     With f the composed morphisms of the letters read so far, entry i, a run of e copies of a, sends every
     letter x != a to a^e x: f(x) gains f(a)^e in front, f(a) stays, and the increment is f(a). What goes in

@@ -48,17 +48,6 @@ def conjugacy_class(w: Word) -> list[Word]:
     return out
 
 
-def is_primitive(w: Word) -> bool:
-    """True when w is not a repetition of any shorter word.
-
-    Uses the classic doubling trick: w is a strict power exactly when it
-    occurs in w+w at some offset strictly between 0 and |w|.
-    """
-    if not w:
-        raise RangeError("primitivity is undefined for the empty word")
-    return (w + w).find(w, 1) == len(w)
-
-
 def strip_prefix(w: Word, p: Word) -> Word:
     """Remove p from the front of w; the removal must match exactly."""
     if not w.startswith(p):

@@ -24,6 +24,11 @@ KBONACCI_NAMES = ("tribonacci", "k4_bonacci", "k5_bonacci")
 ALL_NAMES = tuple(SPEC_TEXTS)
 
 
+def is_primitive(w: str) -> bool:
+    """Reference: w is no power u^j, j >= 2, of a shorter word."""
+    return not any(w == w[:q] * (len(w) // q) for q in range(1, len(w)) if len(w) % q == 0)
+
+
 @pytest.fixture(scope="session")
 def tables() -> dict[str, BlockTable]:
     return {name: BlockTable(DirectiveSpec.parse(text)) for name, text in SPEC_TEXTS.items()}

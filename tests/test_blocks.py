@@ -7,9 +7,9 @@ from episturm.directive import exponent_sum, prefix_increment
 from episturm.errors import CancellationError, GuardExceeded, RangeError
 from episturm.powers import block_index_witness
 from episturm.spec import DirectiveSpec
-from episturm.words import conjugate, is_palindrome, is_primitive, reversal
+from episturm.words import conjugate, is_palindrome, reversal
 
-from conftest import ALL_NAMES
+from conftest import ALL_NAMES, is_primitive
 
 
 @pytest.fixture(scope="module")

@@ -95,8 +95,11 @@ class TestTwoPalindromeSplit:
             (2, lambda w: w[0] * len(w), "two-palindrome-split at level 2: splits at [0, 1, 2, 3], expected [3]"),
             # abacabaabacab with its second letter made an a: aaacabaabacab splits nowhere
             (4, lambda w: w[0] * 2 + w[2:], "two-palindrome-split at level 4: splits at [], expected [1]"),
+            # a proper power u^j splits j times or never, so the one split is where the battery proves blocks primitive
+            (4, lambda w: w * 2, "two-palindrome-split at level 4: splits at [1, 14], expected [1]"),
+            (5, lambda w: w * 3, "two-palindrome-split at level 5: splits at [3, 27, 51], expected [3]"),
         ],
-        ids=["every split", "no split"],
+        ids=["every split", "no split", "square", "cube"],
     )
     def test_a_wrong_split_fails_the_check_and_the_battery_runs_on(self, level, corrupt, message, monkeypatch):
         monkeypatch.setattr(_CorruptedBlock, "level", level)
@@ -115,6 +118,17 @@ class TestTwoPalindromeSplit:
         checks.check_two_palindrome_split(table, 30)
         assert lengths == [table.block_length(n) for n in range(1, 31)]
         assert lengths[-1] == 2_178_309
+
+
+class TestOneComposition:
+    @pytest.mark.parametrize("name", ["check_morphic_blocks", "check_increment_words"])
+    def test_each_morphic_check_composes_the_directive_once(self, monkeypatch, name):
+        # k3_mixed has runs of two letters, which increment-words reads as one entry repeated
+        real, started = checks.entry_increments, []
+        monkeypatch.setattr(checks, "entry_increments", lambda spec: started.append(spec) or real(spec))
+        table = BlockTable(DirectiveSpec.parse(SPEC_TEXTS["k3_mixed"]))
+        getattr(checks, name)(table, 8)
+        assert started == [table.spec]
 
 
 class _CorruptedTails(BlockTable):
@@ -229,6 +243,11 @@ def _wrong_at(real, at, wrong):
     )
 
 
+def _wrong_item(real, at, wrong):
+    """`real`, a stream of one argument, with item `at` (counted from 0) replaced by wrong(item)."""
+    return lambda first: (wrong(w) if i == at else w for i, w in enumerate(real(first)))
+
+
 FAILURE_LINES = [  # (what is patched, at which level, how its result goes wrong, the failure)
     # Tribonacci directive letters cycle abc, so position 5 (b) has its neighbours at 2 and 8
     ("previous_same_letter", 5, lambda j: None, "position-functions at level 5: previous: None vs brute 2"),
@@ -240,9 +259,9 @@ FAILURE_LINES = [  # (what is patched, at which level, how its result goes wrong
     ("length_sets", 1, lambda grid: {1: (3,), 2: (2,), 3: ()},
      "length-grids at level 1: census classifies 3 at depth 2, grid says 1"),
     ("singular_window", 1, lambda w: w + "a", "singular-forms at level 1: kind 1: window forms disagree"),
-    # increments 2 and 3 are abac and abacaba
-    ("prefix_increment", 3, lambda w: w[:4], "increment-words at level 3: repeat=True but letters repeat=False"),
-    ("prefix_increment", 3, lambda w: w[1:],
+    # increments 2 and 3 are abac and abacaba; Tribonacci entries are single letters, so stream item i is increment i
+    ("entry_increments", 3, lambda w: w[:4], "increment-words at level 3: repeat=True but letters repeat=False"),
+    ("entry_increments", 3, lambda w: w[1:],
      "increment-words at level 3: previous increment is not a proper prefix of the next"),
     ("refined_levels", None, lambda levels: levels + [0],
      "partition-tilings at level 1: one-step expansion disagrees with the finer tiling"),
@@ -267,7 +286,8 @@ class TestFailureLines:
             monkeypatch.setattr(_CorruptedBlock, "level", at)
             monkeypatch.setattr(_CorruptedBlock, "corrupt", staticmethod(wrong))
         else:
-            monkeypatch.setattr(checks, name, _wrong_at(getattr(checks, name), at, wrong))
+            patch = _wrong_item if name == "entry_increments" else _wrong_at
+            monkeypatch.setattr(checks, name, patch(getattr(checks, name), at, wrong))
         results = list(run_battery(_CorruptedBlock(DirectiveSpec.parse(SPEC_TEXTS["tribonacci"])), 6))
         assert [check for check, _ in results] == [check for check, _ in ALL_CHECKS]
         error = dict(results)[message.split(" at level ")[0]]

@@ -19,9 +19,9 @@ from episturm.powers import (
     witness_host_level,
 )
 from episturm.spec import DirectiveSpec
-from episturm.words import RationalIndex, is_primitive
+from episturm.words import RationalIndex
 
-from conftest import ALL_NAMES, SPEC_TEXTS
+from conftest import ALL_NAMES, SPEC_TEXTS, is_primitive
 
 
 def _random_specs(count: int, seed: int) -> list[str]:

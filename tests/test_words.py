@@ -21,7 +21,6 @@ from episturm.words import (
     conjugate,
     factors_of_length,
     is_palindrome,
-    is_primitive,
     reversal,
     strip_prefix,
     strip_suffix,
@@ -29,7 +28,7 @@ from episturm.words import (
     z_array,
 )
 
-from conftest import SPEC_TEXTS
+from conftest import SPEC_TEXTS, is_primitive
 
 WORDS = st.text(alphabet="abc", min_size=0, max_size=40)
 NONEMPTY = st.text(alphabet="abc", min_size=1, max_size=40)
@@ -82,15 +81,6 @@ class TestBasics:
     def test_conjugacy_class_power(self):
         assert conjugacy_class("abab") == ["abab", "baba"]
         assert conjugacy_class("aaa") == ["aaa"]
-
-    def test_is_primitive(self):
-        assert is_primitive("a")
-        assert is_primitive("ab")
-        assert is_primitive("aab")
-        assert not is_primitive("abab")
-        assert not is_primitive("aaa")
-        with pytest.raises(RangeError):
-            is_primitive("")
 
     def test_strip_prefix(self):
         assert strip_prefix("abacaba", "aba") == "caba"
