@@ -40,7 +40,7 @@ _EXPORTS = {  # home module -> the names it exports
     "singular": ("FactorPartition", "classify_factor", "factor_partition", "singular_window", "singular_words"),
     "spec": ("DirectiveSpec", "exponent"),
     "words": (
-        "RationalIndex", "Word", "conjugacy_class", "conjugate", "factors_of_length", "is_palindrome", "reversal",
+        "RationalIndex", "Word", "conjugate", "factors_of_length", "is_palindrome", "reversal",
         "strip_prefix", "strip_suffix", "z_array",
     ),
 }

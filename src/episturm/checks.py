@@ -327,7 +327,7 @@ def check_power_prefixes(table: BlockTable, n_max: int) -> None:
         expected = (table.exponent(n) + 1) * table.block_length(n - 1) + table.palindromic_prefix_length(n - 1 - k)
         if len(r) != expected:
             _fail("power-prefixes", n, f"length {len(r)} vs predicted {expected}")
-        if table.block(n + 2)[:len(r)] != r:
+        if not table.block(n + 2).startswith(r):
             _fail("power-prefixes", n, "not a prefix of the word")
         if len(r) <= reach and closures.prefix(exponent_sum(table.spec, n) + 1) != r:
             _fail("power-prefixes", n, "disagrees with the closure construction")
@@ -418,8 +418,8 @@ def check_closure_equivalence(table: BlockTable, n_max: int) -> None:
     """The closure construction and the block recurrence build the same prefix."""
     target = min(table.block_length(n_max + 1), closure_reach(table.spec, CLOSURE_CHECK_WORK))
     by_closure = closure_prefix(table.spec, target)
-    by_blocks = table.block(table.level_reaching(target))[:target]
-    if by_closure != by_blocks:
+    # compared in place: the block reaching target letters starts with exactly the closure's target letters
+    if len(by_closure) != target or not table.block(table.level_reaching(target)).startswith(by_closure):
         _fail("closure-equivalence", target, "construction routes disagree")
 
 

@@ -7,7 +7,7 @@ from itertools import chain
 
 from ..blocks import BlockTable
 from ..errors import GuardExceeded, ParseError, VerificationError, shorten
-from ..powers import census, census_range, check_census_args
+from ..powers import census, census_range, check_census_args, witness_letters
 from ..spec import DirectiveSpec
 from . import INLINE_WORD_LIMIT, Reporter, build_table, json_list
 
@@ -72,11 +72,12 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
         certificate, scans = certified_scan(table, m_max, l, m_min=1 if ranged else m_max)
     rows = census_range(table, m_max, l) if ranged else [census(table, m_max, l)]
     if args.full:
-        built = {row.m: row for row in rows}
-        letters = sum(row.count * row.m for row in built.values())
+        # a range's witness lists are priced before any base is built; its rows, zero ones too, come from census()
+        letters = witness_letters(table, m_max, l) if ranged else rows[0].count * m_max
         if letters > _WITNESS_LETTERS_GUARD:
             raise GuardExceeded(f"census witness lists to m={m_max} have {letters} letters, above the guard {_WITNESS_LETTERS_GUARD}")
-        rows = (built.pop(m) if m in built else census(table, m, l) for m in range(1 if ranged else m_max, m_max + 1))
+        if ranged:
+            rows = (census(table, m, l) for m in range(1, m_max + 1))
     carrying, mismatches = [], []
     for row in rows:
         rep.row("census-row", *_census_payload(table, row, args.full))

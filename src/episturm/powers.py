@@ -153,19 +153,23 @@ def _carrying(table: BlockTable, n: int, depth: int, l: int, r_max: int) -> int:
     return min(r_max, (table.exponent(n + 1) + 1 + (n >= table.spec.k)) // l)
 
 
+def _take(table: BlockTable, l: int, n: int, depth: int, r: int) -> int:
+    """How many leading rotations of the base at grid point (depth, r) of the level-n window have an l-th power in the word."""
+    if _carrying(table, n, depth, l, r) < r:
+        return 0
+    if depth > 1:
+        return table.palindromic_prefix_length(n + 1 - depth) + 1
+    if l * r < table.exponent(n + 1) + 2:
+        return table.block_length(n)
+    return table.palindromic_prefix_length(n - table.spec.k) + 1
+
+
 def _row(table: BlockTable, m: int, l: int, n: int, depth: int, r: int) -> PowerCensus:
     """The census row of length m at grid point (depth, r) of the level-n window."""
     # orders beyond 2 at window 0 extend the small-length rule by the
     # same run-of-first-letter argument; labeled so reports show it
     kind = "block-offset" if depth > 1 else "block-multiple" if n > 0 else "short-length" if l == 2 else "extension"
-    if _carrying(table, n, depth, l, r) < r:
-        take = 0
-    elif depth > 1:
-        take = table.palindromic_prefix_length(n + 1 - depth) + 1
-    elif l * r < table.exponent(n + 1) + 2:
-        take = table.block_length(n)
-    else:
-        take = table.palindromic_prefix_length(n - table.spec.k) + 1
+    take = _take(table, l, n, depth, r)
     base = None
     if take:
         table.check_size(f"census base at m={m}", m)
@@ -203,12 +207,8 @@ def census(table: BlockTable, m: int, l: int) -> PowerCensus:
     return _row(table, m, l, n, *points[0])
 
 
-def census_range(table: BlockTable, m_max: int, l: int) -> Iterator[PowerCensus]:
-    """census over 1..m_max as its carrying rows in order of m, from a walk over the window grids; no other length carries.
-
-    The arguments and the bases' summed letters are checked at the call;
-    each row, base and all, is built as it is read.
-    """
+def _carrying_runs(table: BlockTable, m_max: int, l: int) -> list[tuple[int, int, range]]:
+    """The grid points up to m_max that carry an l-th power, as (level, depth, lengths): multiple r is lengths[r - 1]."""
     check_census_args(m_max, l, ranged=True)
     runs = []
     for n in range(window_level(table, m_max) + 1):
@@ -216,7 +216,23 @@ def census_range(table: BlockTable, m_max: int, l: int) -> Iterator[PowerCensus]
         for depth, (offset, r_max) in _grid(table, n).items():
             r_max = _carrying(table, n, depth, l, r_max)
             runs.append((n, depth, range(offset + size, min(m_max, offset + r_max * size) + 1, size)))
+    return runs
+
+
+def census_range(table: BlockTable, m_max: int, l: int) -> Iterator[PowerCensus]:
+    """census over 1..m_max as its carrying rows in order of m, from a walk over the window grids; no other length carries.
+
+    The arguments and the bases' summed letters are checked at the call;
+    each row, base and all, is built as it is read.
+    """
+    runs = _carrying_runs(table, m_max, l)
     letters = sum((lengths.start + lengths[-1]) * len(lengths) // 2 for _, _, lengths in runs if lengths)
     table.check_size(f"census range 1..{m_max}", letters)
     points = sorted((m, n, depth, r) for n, depth, lengths in runs for r, m in enumerate(lengths, 1))
     return (_row(table, m, l, n, depth, r) for m, n, depth, r in points)
+
+
+def witness_letters(table: BlockTable, m_max: int, l: int) -> int:
+    """The letters of census_range's witness lists, count * m summed over its rows, from the recurrences: no base is built."""
+    return sum(_take(table, l, n, depth, r) * m for n, depth, lengths in _carrying_runs(table, m_max, l)
+               for r, m in enumerate(lengths, 1))

@@ -24,10 +24,6 @@ class FactorPartition(NamedTuple):
     rotations: frozenset
     singular: dict[int, frozenset]
 
-    @property
-    def classes(self) -> int:
-        return 1 + len(self.singular)
-
     def total_count(self) -> int:
         return len(self.rotations) + sum(len(c) for c in self.singular.values())
 

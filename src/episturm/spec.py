@@ -88,13 +88,6 @@ class DirectiveSpec(_SpecFields):
         period = ints(parts[2]) if len(parts) == 3 else ()
         return cls.make(k, preperiod, period)
 
-    def to_text(self) -> str:
-        pre = ",".join(str(d) for d in self.preperiod)
-        if not self.period:
-            return f"k={self.k}; d={pre}"
-        per = ",".join(str(d) for d in self.period)
-        return f"k={self.k}; d={pre}; {per}"
-
 
 def exponent(spec: DirectiveSpec, i: int) -> int:
     """The i-th exponent (1-based)."""

@@ -34,20 +34,6 @@ def conjugate(w: Word, j: int) -> Word:
     return w[j:] + w[:j]
 
 
-def conjugacy_class(w: Word) -> list[Word]:
-    """Distinct rotations of w, in rotation order starting from w itself."""
-    if not w:
-        raise RangeError("the empty word has no rotations")
-    seen: set[Word] = set()
-    out: list[Word] = []
-    for j in range(len(w)):
-        c = w[j:] + w[:j]
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return out
-
-
 def strip_prefix(w: Word, p: Word) -> Word:
     """Remove p from the front of w; the removal must match exactly."""
     if not w.startswith(p):

@@ -461,6 +461,12 @@ class TestCensus:
         code, out, err = run_cli(capsys, "census", "--spec", MIX3, "--all-up-to", "58", "--full")
         assert (code, out, err) == (4, "", "episturm census: census witness lists to m=58 have 5953 letters, above the guard 5952\n")
 
+    def test_a_refused_full_range_builds_no_base(self, capsys, monkeypatch):
+        monkeypatch.setattr(census_cmd, "_WITNESS_LETTERS_GUARD", 5952)
+        monkeypatch.setattr(powers, "_row", None)
+        code, out, err = run_cli(capsys, "census", "--spec", MIX3, "--all-up-to", "58", "--full")
+        assert (code, out, err) == (4, "", "episturm census: census witness lists to m=58 have 5953 letters, above the guard 5952\n")
+
     def test_huge_verified_range_trips_the_guard_at_once(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--all-up-to", "100000000", "--verify")
@@ -1087,7 +1093,14 @@ _SCAN_LIMIT_RSS_MB = {_TRIB_SCAN_LIMIT: 48, _FIB_SCAN_LIMIT: 70}
 # (Tribonacci), must stay under about 1.25 times that, so a second copy of the classes fails here.
 _FIB_SINGULAR_FULL = ("singular", "--spec", "k=2; d=; 1", "--n", "18", "--full", "--json")
 _TRIB_SINGULAR_FULL = ("singular", "--spec", TRIB, "--n", "14", "--full", "--json")
-_OWN_RSS_MB = {**_SCAN_LIMIT_RSS_MB, _FIB_SINGULAR_FULL: 74, _TRIB_SINGULAR_FULL: 99}
+
+# a^400000 b a^r carries one square witness, a^m, at each length m: to 8,191 its lists hold 33,550,336 letters, under the
+# witness guard's 2^25, and to 16,383 they hold 134,209,536. The guard is priced from the recurrences and each row is
+# built as it prints, so both took 15 to 16 MB max RSS with the probe above; with every carrying row built before the
+# guard was summed, they took 48 MB (--json) and 148 MB.
+_D400K_FULL_LIMIT = ("census", "--spec", "k=2; d=400000; 1", "--all-up-to", "8191", "--full", "--json")
+_D400K_FULL_OVER = ("census", "--spec", "k=2; d=400000; 1", "--all-up-to", "16383", "--full")
+_OWN_RSS_MB = {**_SCAN_LIMIT_RSS_MB, _FIB_SINGULAR_FULL: 74, _TRIB_SINGULAR_FULL: 99, _D400K_FULL_LIMIT: 30, _D400K_FULL_OVER: 30}
 
 
 @pytest.mark.parametrize(
@@ -1122,6 +1135,8 @@ _OWN_RSS_MB = {**_SCAN_LIMIT_RSS_MB, _FIB_SINGULAR_FULL: 74, _TRIB_SINGULAR_FULL
         # 5,768 witnesses of 5,768 letters, under the witness guard's 2^25; m = 10,609 carries 10,609 of 10,609
         (("census", "--spec", TRIB, "--m", "5768", "--full", "--json"), 0),
         (("census", "--spec", TRIB, "--m", "10609", "--full"), 4),
+        (_D400K_FULL_LIMIT, 0),
+        (_D400K_FULL_OVER, 4),
         # k |block n|^2 letters of class members, under the length guard's 2^27: 91,530,450 and 99,809,472
         (_FIB_SINGULAR_FULL, 0),
         (_TRIB_SINGULAR_FULL, 0),

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from episturm.blocks import BlockTable
 from episturm import powers
@@ -17,6 +18,7 @@ from episturm.powers import (
     prefix_index,
     window_level,
     witness_host_level,
+    witness_letters,
 )
 from episturm.spec import DirectiveSpec
 from episturm.words import RationalIndex
@@ -152,6 +154,18 @@ class TestCensus:
         for l in (2, 3, 4):
             rows = [census(table, m, l) for m in range(1, 400)]
             assert list(census_range(table, 399, l)) == [row for row in rows if row.count]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=5),
+        st.lists(st.integers(min_value=1, max_value=4), max_size=4),
+        st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+        st.integers(min_value=1, max_value=500),
+        st.integers(min_value=2, max_value=4),
+    )
+    def test_witness_letters_price_the_range_rows(self, k, pre, period, m_max, l):
+        table = BlockTable(DirectiveSpec.make(k, tuple(pre), tuple(period)))
+        assert witness_letters(table, m_max, l) == sum(row.count * row.m for row in census_range(table, m_max, l))
 
     def test_range_guard_counts_the_base_letters(self, monkeypatch):
         spec = DirectiveSpec.parse(SPEC_TEXTS["k3_mixed"])

@@ -20,9 +20,8 @@ from episturm.oracle import (
     naive_scan,
     scan_powers_multi,
 )
-from episturm.powers import length_sets
+from episturm.powers import length_sets, witness_letters
 from episturm.spec import DirectiveSpec, exponent
-from episturm.words import conjugacy_class
 
 from conftest import SPEC_TEXTS
 
@@ -44,7 +43,7 @@ FINITE = DirectiveSpec.parse("k=2; d=1,2")
         (PalindromicPrefixTable(TRIB).prefix, (0,), RangeError, "closure index 0 must be >= 1"),
         (PalindromicPrefixTable(TRIB).prefix_of_length, (-1,), RangeError, "length must be nonnegative"),
         (closure_prefix, (TRIB, -1), RangeError, "length must be nonnegative"),
-        (conjugacy_class, ("",), RangeError, "the empty word has no rotations"),
+        (witness_letters, (BlockTable(TRIB), 0, 2), RangeError, "m_max must be >= 1 (got 0)"),
         (length_sets, (BlockTable(TRIB), 0), RangeError, "length grid starts at level 1 (got 0)"),
         (generate_prefix, (BlockTable(TRIB), 0), RangeError, "min_length must be >= 1 (got 0)"),
         (naive_scan, ("abab", 1, 1, 2), RangeError, "power order must be >= 2 (got 1)"),
@@ -61,11 +60,6 @@ def test_out_of_domain_input_is_refused(call, args, error, fragment):
         call(*args)
     assert type(raised.value) is error
     assert fragment in str(raised.value)
-
-
-def test_a_finite_directive_prints_without_a_period():
-    assert FINITE.to_text() == "k=2; d=1,2"
-    assert DirectiveSpec.parse(FINITE.to_text()) == FINITE
 
 
 def test_a_count_with_no_prefix_as_long_as_the_factors_finds_none():

@@ -17,7 +17,6 @@ from episturm.oracle import count_factors
 from episturm.spec import DirectiveSpec
 from episturm.words import (
     RationalIndex,
-    conjugacy_class,
     conjugate,
     factors_of_length,
     is_palindrome,
@@ -28,7 +27,7 @@ from episturm.words import (
     z_array,
 )
 
-from conftest import SPEC_TEXTS, is_primitive
+from conftest import SPEC_TEXTS
 
 WORDS = st.text(alphabet="abc", min_size=0, max_size=40)
 NONEMPTY = st.text(alphabet="abc", min_size=1, max_size=40)
@@ -74,13 +73,6 @@ class TestBasics:
             conjugate("abcd", -1)
         with pytest.raises(RangeError):
             conjugate("", 0)
-
-    def test_conjugacy_class_primitive(self):
-        assert conjugacy_class("aab") == ["aab", "aba", "baa"]
-
-    def test_conjugacy_class_power(self):
-        assert conjugacy_class("abab") == ["abab", "baba"]
-        assert conjugacy_class("aaa") == ["aaa"]
 
     def test_strip_prefix(self):
         assert strip_prefix("abacaba", "aba") == "caba"
@@ -390,12 +382,6 @@ class TestRotationProperties:
     def test_conjugate_is_involution_through_length(self, w, j):
         j %= len(w)
         assert conjugate(conjugate(w, j), (len(w) - j) % len(w)) == w
-
-    @given(NONEMPTY)
-    def test_class_size_divides_length(self, w):
-        cls = conjugacy_class(w)
-        assert len(w) % len(cls) == 0
-        assert is_primitive(w) == (len(cls) == len(w))
 
 
 class TestRationalIndex:
