@@ -124,10 +124,10 @@ def check_telescoping(table: BlockTable, n_max: int) -> None:
         if table.block_length(n + 1) <= table.palindromic_prefix_length(n):
             _fail("telescoping", n, "next block not longer than the palindromic prefix")
         if n >= k - 1:
-            left = table.block(n + 1) + table.palindromic_prefix(n - k + 1)
-            right = table.block(n) + table.palindromic_prefix(n)
-            if left != right:
-                _fail("telescoping", n, f"literal form {shorten(left)!r} != {shorten(right)!r}")
+            left = [table.block(n + 1), table.palindromic_prefix(n - k + 1)]
+            right = [table.block(n), table.palindromic_prefix(n)]
+            if not _same_join(left, right):
+                _fail("telescoping", n, f"literal form {shorten(''.join(left))!r} != {shorten(''.join(right))!r}")
 
 
 def check_prefix_nesting(table: BlockTable, n_max: int) -> None:
@@ -185,9 +185,14 @@ def check_near_commutation(table: BlockTable, n_max: int) -> None:
     k = table.spec.k
     for n in range(1, n_max + 1):
         with _at_level("near-commutation", n):
-            left = strip_suffix(table.block(n) + table.block(n - 1), table.block_tail(n - 1, k - 1))
-            right = strip_suffix(table.block(n - 1) + table.block(n), table.block_tail(n, 1))
-            if left != right:
+            sides = []
+            for first, last, tail in ((table.block(n), table.block(n - 1), table.block_tail(n - 1, k - 1)),
+                                      (table.block(n - 1), table.block(n), table.block_tail(n, 1))):
+                # the tail comes off the last block; where it is longer (below level k - 1) or no suffix, off the product
+                fits = last.endswith(tail)
+                sides.append([first, last[:len(last) - len(tail)]] if fits else [strip_suffix(first + last, tail)])
+            if not _same_join(*sides):
+                left, right = ("".join(side) for side in sides)
                 _fail("near-commutation", n, f"{shorten(left)!r} != {shorten(right)!r}")
 
 
@@ -327,7 +332,7 @@ def check_power_prefixes(table: BlockTable, n_max: int) -> None:
         expected = (table.exponent(n) + 1) * table.block_length(n - 1) + table.palindromic_prefix_length(n - 1 - k)
         if len(r) != expected:
             _fail("power-prefixes", n, f"length {len(r)} vs predicted {expected}")
-        if not table.block(n + 2).startswith(r):
+        if not table.block(table.level_reaching(len(r))).startswith(r):
             _fail("power-prefixes", n, "not a prefix of the word")
         if len(r) <= reach and closures.prefix(exponent_sum(table.spec, n) + 1) != r:
             _fail("power-prefixes", n, "disagrees with the closure construction")
@@ -355,6 +360,7 @@ def check_index_consistency(table: BlockTable, n_max: int) -> None:
                 _fail("index-consistency", n, "maximal power not visible at the predicted level")
             if not host.startswith(power):
                 _fail("index-consistency", n, "prefix witness is not a prefix")
+        del power  # released before the next level's, which is longer, is built
 
 
 def check_length_grids(table: BlockTable, n_max: int) -> None:

@@ -62,22 +62,27 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
     m_max = args.all_up_to if ranged else args.m
     if args.full and ranged and m_max > _CENSUS_RANGE_GUARD:
         raise GuardExceeded(f"{m_max} lengths above the census range guard {_CENSUS_RANGE_GUARD}")
+    # a bad length or order is refused first, with the closed forms' messages for a range or for one length
+    check_census_args(m_max, l, ranged=ranged)
+    m_min = 1 if ranged else m_max
     if args.verify:
         from ..directive import CLOSURE_CHECK_WORK
         from ..oracle import RotationClass, certified_scan, same_bases
 
-        # certify first: its guards trip before any witness set is built, and with the
-        # closed forms' messages for a bad length or order, not the certificate's
-        check_census_args(m_max, l, ranged=ranged)
-        certificate, scans = certified_scan(table, m_max, l, m_min=1 if ranged else m_max)
-    rows = census_range(table, m_max, l) if ranged else [census(table, m_max, l)]
+        # certify first: its guards trip before any witness set is built
+        certificate, scans = certified_scan(table, m_max, l, m_min=m_min)
+    # census() builds each row as it prints; a range checks its bases' summed letters here, and without --full
+    # prints only its carrying rows
+    every_row = (census(table, m, l) for m in range(m_min, m_max + 1))
+    rows = census_range(table, m_max, l) if ranged else every_row
     if args.full:
-        # a range's witness lists are priced before any base is built; its rows, zero ones too, come from census()
-        letters = witness_letters(table, m_max, l) if ranged else rows[0].count * m_max
+        # the witness lists are priced from the recurrences before any base is built
+        letters = witness_letters(table, m_max, l, m_min=m_min)
+        if letters and not ranged:  # a carrying length's base meets the length guard first, as census() builds it
+            table.check_size(f"census base at m={m_max}", m_max)
         if letters > _WITNESS_LETTERS_GUARD:
             raise GuardExceeded(f"census witness lists to m={m_max} have {letters} letters, above the guard {_WITNESS_LETTERS_GUARD}")
-        if ranged:
-            rows = (census(table, m, l) for m in range(1, m_max + 1))
+        rows = every_row
     carrying, mismatches = [], []
     for row in rows:
         rep.row("census-row", *_census_payload(table, row, args.full))

@@ -8,8 +8,9 @@ from ..spec import DirectiveSpec
 from . import Reporter, build_table
 
 # Block n + 2 is the battery's largest word. At the guard a verify child takes
-# at most about 0.9 s and 174 MB (Fibonacci --n 33, 24.2M letters; Tribonacci
-# --n 26, 29.2M letters, 0.6 s and 137 MB) on a 2-CPU x86-64 VM (Python 3.11).
+# at most about 1.2 s of CPU and 140 MB (Fibonacci --n 33, 24.2M letters;
+# Tribonacci --n 26, 29.2M letters, 0.9 s and 119 MB) on a 2-CPU x86-64 VM
+# (Python 3.11), within the 160 MB every subcommand keeps.
 _BATTERY_LETTER_GUARD = 1 << 25
 
 

@@ -232,7 +232,10 @@ def census_range(table: BlockTable, m_max: int, l: int) -> Iterator[PowerCensus]
     return (_row(table, m, l, n, depth, r) for m, n, depth, r in points)
 
 
-def witness_letters(table: BlockTable, m_max: int, l: int) -> int:
-    """The letters of census_range's witness lists, count * m summed over its rows, from the recurrences: no base is built."""
-    return sum(_take(table, l, n, depth, r) * m for n, depth, lengths in _carrying_runs(table, m_max, l)
-               for r, m in enumerate(lengths, 1))
+def witness_letters(table: BlockTable, m_max: int, l: int, m_min: int = 1) -> int:
+    """The letters of the census witness lists at lengths m_min..m_max, count * m summed over their rows: no base is built."""
+    letters = 0
+    for n, depth, lengths in _carrying_runs(table, m_max, l):
+        below = max(0, -(-(m_min - lengths.start) // lengths.step))  # the multiples under m_min, skipped unread
+        letters += sum(_take(table, l, n, depth, r) * m for r, m in enumerate(lengths[below:], below + 1))
+    return letters

@@ -5,6 +5,7 @@ import tracemalloc
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import episturm.checks as checks
 from episturm.blocks import BlockTable
@@ -118,6 +119,25 @@ class TestTwoPalindromeSplit:
         checks.check_two_palindrome_split(table, 30)
         assert lengths == [table.block_length(n) for n in range(1, 31)]
         assert lengths[-1] == 2_178_309
+
+
+def _cut(data, word: str) -> list[str]:
+    """The word cut at random places; a repeated cut or one at either end leaves an empty piece."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(word)), max_size=6)))
+    bounds = [0, *cuts, len(word)]
+    return [word[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestSameJoin:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_pieces_compare_as_their_joins(self, data):
+        left = data.draw(st.text("ab", max_size=12))
+        # the same word, another of its length, or one of any length, so unequal totals come up too
+        same_length = st.text("ab", min_size=len(left), max_size=len(left))
+        right = data.draw(st.one_of(st.just(left), same_length, st.text("ab", max_size=12)))
+        a, b = _cut(data, left), _cut(data, right)
+        assert checks._same_join(a, b) == ("".join(a) == "".join(b))
 
 
 class TestOneComposition:

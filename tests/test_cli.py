@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -31,6 +32,7 @@ TRIB = "k=3; d=; 1"
 MIX3 = "k=3; d=1,1,2; 2,1,2"
 
 SCHEMA = json.loads((Path(cli.__file__).parent / "report.schema.json").read_text())
+README = (Path(__file__).parents[1] / "README.md").read_text()
 VALIDATOR = Draft202012Validator(SCHEMA)
 
 
@@ -466,6 +468,14 @@ class TestCensus:
         monkeypatch.setattr(powers, "_row", None)
         code, out, err = run_cli(capsys, "census", "--spec", MIX3, "--all-up-to", "58", "--full")
         assert (code, out, err) == (4, "", "episturm census: census witness lists to m=58 have 5953 letters, above the guard 5952\n")
+
+    def test_a_refused_full_length_builds_no_base(self, capsys, monkeypatch):
+        monkeypatch.setattr(powers, "_row", None)
+        code, out, err = run_cli(capsys, "census", "--spec", TRIB, "--m", "66012", "--full")
+        assert (code, out, err) == (4, "", "episturm census: census witness lists to m=66012 have 4357584144 letters, above the guard 33554432\n")
+        # a base above the length guard is refused by it first, with its own message
+        code, out, err = run_cli(capsys, "census", "--spec", "k=2; d=; 1000", "--m", "500500500", "--full")
+        assert (code, out, err) == (4, "", "episturm census: census base at m=500500500 has 500500500 letters, above the length guard 134217728\n")
 
     def test_huge_verified_range_trips_the_guard_at_once(self, capsys):
         start = time.perf_counter()
@@ -1058,13 +1068,14 @@ def test_closed_form_range_holds_one_base_at_a_time():
 # 92 MB; with every row kept, it died with MemoryError at 157 MB. `singular --full --json` at the partition guard
 # takes 59 MB (Fibonacci `--n 18`) and 79 MB (Tribonacci `--n 14`) max RSS, as its text form does, with its classes
 # held once; with a mirrored copy of each class made to check it is closed under reversal, they took 103 and 123 MB,
-# and with each member list held whole as JSON, 191 and 175 MB. Tribonacci `verify --n 26`, the battery's largest,
-# needs 137 MB, so it has its own limit. The limits leave at least 2.3 times that as headroom, `d=400000` to 12,000
-# 1.7 times and the tilings 1.4 times, and are set in the child only; the singular classes have their own bounds
-# below.
+# and with each member list held whole as JSON, 191 and 175 MB. The battery at its guard takes 0.8 to 1.2 s of CPU and
+# 119 MB (Tribonacci `--n 26`), 123 MB (`k=26; d=; 1 --n 23`) and 139 MB (Fibonacci `--n 33`) max RSS; with its
+# products joined to be compared, Fibonacci took 174 MB and died with MemoryError at 144 MB, and `verify` ran under a
+# 400 MB limit of its own. The limits leave at least 2.3 times that as headroom, `d=400000` to 12,000 1.7 times, the
+# tilings 1.4 times and the battery 1.15 times, and are set in the child only; the singular classes, the battery and
+# the witness guard have their own bounds below.
 _CONTRACT_CPU_S = 10
 _CONTRACT_AS_MB = 160
-_BATTERY_AS_MB = 400
 
 
 # A fresh small interpreter (see _RSS_PROBE) sets the limits on itself, spawns the CLI under them with its output
@@ -1100,7 +1111,18 @@ _TRIB_SINGULAR_FULL = ("singular", "--spec", TRIB, "--n", "14", "--full", "--jso
 # guard was summed, they took 48 MB (--json) and 148 MB.
 _D400K_FULL_LIMIT = ("census", "--spec", "k=2; d=400000; 1", "--all-up-to", "8191", "--full", "--json")
 _D400K_FULL_OVER = ("census", "--spec", "k=2; d=400000; 1", "--all-up-to", "16383", "--full")
-_OWN_RSS_MB = {**_SCAN_LIMIT_RSS_MB, _FIB_SINGULAR_FULL: 74, _TRIB_SINGULAR_FULL: 99, _D400K_FULL_LIMIT: 30, _D400K_FULL_OVER: 30}
+
+# A single length prices its witness list at its grid point before its base is built: Fibonacci `--m 24157817 --full`
+# exits 4 at 14 MB max RSS with the probe above, and `--m 39088169 --full` too. With the base and its doubling built
+# first, the first took 120 MB and the second died with MemoryError at 111 MB.
+_FIB_FULL_M = ("census", "--spec", "k=2; d=; 1", "--m", "24157817", "--full")
+_FIB_FULL_M_OVER = ("census", "--spec", "k=2; d=; 1", "--m", "39088169", "--full")
+
+# The battery compares each product in pieces, without joining it: Fibonacci `verify --n 33` took 139 MB max RSS with the
+# probe above. With telescoping and near-commutation joining both sides, it died with MemoryError at 144 MB.
+_FIB_BATTERY_LIMIT = ("verify", "--spec", "k=2; d=; 1", "--n", "33")
+_OWN_RSS_MB = {**_SCAN_LIMIT_RSS_MB, _FIB_SINGULAR_FULL: 74, _TRIB_SINGULAR_FULL: 99, _D400K_FULL_LIMIT: 30, _D400K_FULL_OVER: 30,
+               _FIB_FULL_M: 30, _FIB_FULL_M_OVER: 30, _FIB_BATTERY_LIMIT: 150}
 
 
 @pytest.mark.parametrize(
@@ -1135,6 +1157,8 @@ _OWN_RSS_MB = {**_SCAN_LIMIT_RSS_MB, _FIB_SINGULAR_FULL: 74, _TRIB_SINGULAR_FULL
         # 5,768 witnesses of 5,768 letters, under the witness guard's 2^25; m = 10,609 carries 10,609 of 10,609
         (("census", "--spec", TRIB, "--m", "5768", "--full", "--json"), 0),
         (("census", "--spec", TRIB, "--m", "10609", "--full"), 4),
+        (_FIB_FULL_M, 4),  # 24,157,817 witnesses of 24,157,817 letters
+        (_FIB_FULL_M_OVER, 4),
         (_D400K_FULL_LIMIT, 0),
         (_D400K_FULL_OVER, 4),
         # k |block n|^2 letters of class members, under the length guard's 2^27: 91,530,450 and 99,809,472
@@ -1143,20 +1167,28 @@ _OWN_RSS_MB = {**_SCAN_LIMIT_RSS_MB, _FIB_SINGULAR_FULL: 74, _TRIB_SINGULAR_FULL
         (("singular", "--spec", TRIB, "--n", "15", "--full"), 4),  # text, so the refusal is on stderr
         (("verify", "--spec", TRIB, "--n", "26"), 0),  # block 28 has 29,249,425 letters, within the battery's guard
         (("verify", "--spec", TRIB, "--n", "27"), 4),  # block 29 has 53,798,080
+        (_FIB_BATTERY_LIMIT, 0),  # block 35 has 24,157,817 letters
+        (("verify", "--spec", "k=26; d=; 1", "--n", "23"), 0),  # block 25 has 2^25 letters, the most the guard admits
+        (("verify", "--spec", "k=26; d=; 1", "--n", "24"), 4),  # block 26 has 67,108,863
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
 )
 def test_inputs_at_the_guards_keep_the_exit_code_contract(argv, code):
     env = {key: value for key, value in os.environ.items() if key != "EPISTURM_GUARD"}
     env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-    as_mb = _BATTERY_AS_MB if argv[0] == "verify" else _CONTRACT_AS_MB
-    done = subprocess.run([sys.executable, "-c", _CONTRACT_PROBE, str(_CONTRACT_CPU_S), str(as_mb), *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", _CONTRACT_PROBE, str(_CONTRACT_CPU_S), str(_CONTRACT_AS_MB), *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     exit_code, cpu_s, max_rss_kb = json.loads(done.stdout)
-    cost = f"{cpu_s:.2f} s of CPU and {max_rss_kb >> 10} MB max RSS, under {_CONTRACT_CPU_S} s and {as_mb} MB of address space"
+    cost = f"{cpu_s:.2f} s of CPU and {max_rss_kb >> 10} MB max RSS, under {_CONTRACT_CPU_S} s and {_CONTRACT_AS_MB} MB of address space"
     assert exit_code == code, f"{cost}\n{done.stderr[-500:]}"
     assert ("guard" in done.stderr) == (code == 4), cost
-    assert max_rss_kb < _OWN_RSS_MB.get(argv, as_mb) << 10, cost
+    assert max_rss_kb < _OWN_RSS_MB.get(argv, _CONTRACT_AS_MB) << 10, cost
+
+
+def test_the_readme_states_the_contract_the_test_runs():
+    guards = re.search(r"^## Guards and determinism\n(.*?)^## ", README, re.M | re.S).group(1)
+    assert re.search(r"(\d+) s of CPU", guards).group(1) == str(_CONTRACT_CPU_S)
+    assert re.search(r"(\d+) MB of address space", guards).group(1) == str(_CONTRACT_AS_MB)
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])

@@ -162,10 +162,13 @@ class TestCensus:
         st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
         st.integers(min_value=1, max_value=500),
         st.integers(min_value=2, max_value=4),
+        st.integers(min_value=1, max_value=500),
     )
-    def test_witness_letters_price_the_range_rows(self, k, pre, period, m_max, l):
+    def test_witness_letters_price_the_range_rows(self, k, pre, period, m_max, l, m_min):
         table = BlockTable(DirectiveSpec.make(k, tuple(pre), tuple(period)))
-        assert witness_letters(table, m_max, l) == sum(row.count * row.m for row in census_range(table, m_max, l))
+        rows = list(census_range(table, m_max, l))
+        assert witness_letters(table, m_max, l) == sum(row.count * row.m for row in rows)
+        assert witness_letters(table, m_max, l, m_min=m_min) == sum(row.count * row.m for row in rows if row.m >= m_min)
 
     def test_range_guard_counts_the_base_letters(self, monkeypatch):
         spec = DirectiveSpec.parse(SPEC_TEXTS["k3_mixed"])
