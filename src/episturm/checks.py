@@ -47,6 +47,9 @@ _POSITION_CAP = 1 << 12
 _WITNESS_OCCURRENCE_CAP = 2_000_000
 _PARTITION_SIZE_CAP = 2_000
 _CENSUS_LENGTH_CAP = 2_000
+_STRETCH = 1 << 20  # letters _same_join copies at a time from a stretch inside two pieces
+
+_Piece = Word | tuple[Word, int]  # a word, or (word, stop) read as word[:stop] without the copy
 
 
 def _fail(name: str, level, detail: str):
@@ -188,11 +191,12 @@ def check_near_commutation(table: BlockTable, n_max: int) -> None:
             sides = []
             for first, last, tail in ((table.block(n), table.block(n - 1), table.block_tail(n - 1, k - 1)),
                                       (table.block(n - 1), table.block(n), table.block_tail(n, 1))):
-                # the tail comes off the last block; where it is longer (below level k - 1) or no suffix, off the product
+                # the tail comes off the last block, read up to its length; where the tail is longer (below
+                # level k - 1) or no suffix, it comes off the product
                 fits = last.endswith(tail)
-                sides.append([first, last[:len(last) - len(tail)]] if fits else [strip_suffix(first + last, tail)])
+                sides.append([first, (last, len(last) - len(tail))] if fits else [strip_suffix(first + last, tail)])
             if not _same_join(*sides):
-                left, right = ("".join(side) for side in sides)
+                left, right = (_join(side) for side in sides)
                 _fail("near-commutation", n, f"{shorten(left)!r} != {shorten(right)!r}")
 
 
@@ -291,33 +295,46 @@ def check_junction_products(table: BlockTable, n_max: int) -> None:
                     _fail("junction-products", n, "resolved formal junction fails")
 
 
-def _same_join(left: list[Word], right: list[Word]) -> bool:
-    """Whether the words of `left` and those of `right` join to the same word, compared without joining either.
+def _same_join(left: list[_Piece], right: list[_Piece]) -> bool:
+    """Whether the pieces of `left` and those of `right` join to the same word, compared without joining either.
 
-    Step by step, `startswith` compares the stretch up to the nearer end of a piece at its offsets. A piece
-    the stretch covers whole is the needle, so only a stretch that starts and ends inside pieces is copied.
+    A piece is a word, or a (word, stop) pair read only up to stop. Step by step, `startswith` compares the
+    stretch up to the nearer end of a piece at its offsets. A word the stretch covers whole is the needle;
+    any other stretch is copied from the right piece, _STRETCH letters at a time.
     """
-    left, right = [w for w in left if w], [w for w in right if w]
-    if sum(map(len, left)) != sum(map(len, right)):
+    left, right = _bounded(left), _bounded(right)
+    if sum(stop for _, stop in left) != sum(stop for _, stop in right):
         return False
     x = y = i = j = 0  # piece left[x] is read from i, piece right[y] from j
     while x < len(left):
-        a, b = left[x], right[y]
-        size = min(len(a) - i, len(b) - j)
+        (a, end_a), (b, end_b) = left[x], right[y]
+        size = min(end_a - i, end_b - j)
         if size == len(b):
             same = a.startswith(b, i)
         elif size == len(a):
             same = b.startswith(a, j)
         else:
-            same = a.startswith(b[j:j + size], i)
+            stretches = range(j, j + size, _STRETCH)
+            same = all(a.startswith(b[at:min(at + _STRETCH, j + size)], i + at - j) for at in stretches)
         if not same:
             return False
         i, j = i + size, j + size
-        if i == len(a):
+        if i == end_a:
             x, i = x + 1, 0
-        if j == len(b):
+        if j == end_b:
             y, j = y + 1, 0
     return True
+
+
+def _bounded(pieces: list[_Piece]) -> list[tuple[Word, int]]:
+    """Each nonempty piece as (word, stop)."""
+    pairs = ((p, len(p)) if isinstance(p, str) else p for p in pieces)
+    return [(w, stop) for w, stop in pairs if stop]
+
+
+def _join(pieces: list[_Piece]) -> Word:
+    """The word the pieces join to, for a failure message."""
+    return "".join(w[:stop] for w, stop in _bounded(pieces))
 
 
 def check_power_prefixes(table: BlockTable, n_max: int) -> None:

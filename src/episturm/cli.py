@@ -15,10 +15,19 @@ One option table, `_COMMANDS`, is the grammar. A well-formed command line is
 read straight from it; argparse, built from the same table, loads only for
 help and malformed arguments, so those keep argparse's own messages and exit
 codes.
+
+The process entry is `entry()`: `python -m episturm.cli` and the `episturm`
+console script both run it. It ends the process with `sys.exit(main())` and
+freezes the heap on the way out (`gc.freeze`), so the interpreter's
+exit-time collection skips the module and class cycles that the OS takes
+back with the process anyway; flushing, `atexit` and the exit code are
+untouched. `main(argv)` itself never freezes, so a library caller keeps its
+collector as it was.
 """
 
 from __future__ import annotations
 
+import gc
 import importlib
 import os
 import sys
@@ -175,5 +184,13 @@ def _run(args, rep: Reporter) -> int:
         return 4
 
 
+def entry() -> None:
+    """The process entry: exit with main()'s code, leaving the heap frozen for finalization to skip."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,11 +122,19 @@ class TestTwoPalindromeSplit:
         assert lengths[-1] == 2_178_309
 
 
-def _cut(data, word: str) -> list[str]:
-    """The word cut at random places; a repeated cut or one at either end leaves an empty piece."""
+def _cut(data, word: str) -> list:
+    """The word cut at random places; a repeated cut or one at either end leaves an empty piece.
+
+    Some pieces come as (word, stop) pairs, their words running on past stop.
+    """
     cuts = sorted(data.draw(st.lists(st.integers(0, len(word)), max_size=6)))
     bounds = [0, *cuts, len(word)]
-    return [word[a:b] for a, b in zip(bounds, bounds[1:])]
+    pieces = [word[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [(p + data.draw(st.text("ab", max_size=3)), len(p)) if data.draw(st.booleans()) else p for p in pieces]
+
+
+def _joined(pieces: list) -> str:
+    return "".join(p if isinstance(p, str) else p[0][:p[1]] for p in pieces)
 
 
 class TestSameJoin:
@@ -137,7 +146,23 @@ class TestSameJoin:
         same_length = st.text("ab", min_size=len(left), max_size=len(left))
         right = data.draw(st.one_of(st.just(left), same_length, st.text("ab", max_size=12)))
         a, b = _cut(data, left), _cut(data, right)
-        assert checks._same_join(a, b) == ("".join(a) == "".join(b))
+        stretch = data.draw(st.sampled_from([1, 2, 3, checks._STRETCH]))
+        with mock.patch.object(checks, "_STRETCH", stretch):
+            assert checks._same_join(a, b) == (_joined(a) == _joined(b))
+
+    def test_near_commutation_copies_at_most_one_stretch(self):
+        # Fibonacci blocks 31 and 32 have 3,524,578 and 5,702,887 letters; each side of level 32 drops a tail
+        # from its last block, and the stretch inside both pieces of block 32 is 2,178,309 letters
+        table = BlockTable(DirectiveSpec.parse(SPEC_TEXTS["fibonacci"]))
+        assert table.block_length(32) - table.block_length(31) > 2 * checks._STRETCH
+        checks.check_near_commutation(table, 32)  # builds the blocks
+        tracemalloc.start()
+        try:
+            checks.check_near_commutation(table, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < checks._STRETCH + (1 << 17)
 
 
 class TestOneComposition:

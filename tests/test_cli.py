@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, exit codes, JSON rows against the schema."""
 
+import ast
+import gc
 import importlib.util
 import json
 import os
@@ -887,10 +889,18 @@ _SUBCOMMAND_MODULES = {
 }
 
 
-def _fresh_child(*args) -> str:
-    env = {key: value for key, value in os.environ.items() if key != "EPISTURM_GUARD"}
+def _child_env() -> dict:
+    """A child's environment: the package on the path, no guard override, and stdout buffered as a shell leaves it.
+
+    Under PYTHONUNBUFFERED every print is written at once, so no exit would have bytes left to flush.
+    """
+    env = {key: value for key, value in os.environ.items() if key not in ("EPISTURM_GUARD", "PYTHONUNBUFFERED")}
     env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+    return env
+
+
+def _fresh_child(*args) -> str:
+    done = subprocess.run([sys.executable, *args], env=_child_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -994,20 +1004,35 @@ class TestNumpyStaysUnloaded:
         assert (start["code"], start["argparse"], start["gettext"]) == (code, True, True)
 
 
-# A fresh interpreter runs the CLI as `python -m episturm.cli` does, as __main__, and reports
-# its exit code and whether any handler imported `episturm.cli`, which would compile and run it again.
+# A fresh interpreter runs the CLI as `python -m episturm.cli` does, as __main__, and reports its exit code,
+# whether any handler imported `episturm.cli`, which would compile and run it again, and whether the heap was
+# frozen when the process entry ended. The CLI's stdout is the probe's fd 1, pointed at devnull, or with
+# "closed" first, at a pipe whose reader is gone; the report goes to a copy of the probe's own stdout.
 _MAIN_PROBE = """
-import contextlib, io, json, runpy, sys
-sys.argv[0] = "episturm"
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+import contextlib, gc, io, json, os, runpy, sys
+report = os.fdopen(os.dup(1), "w")
+if sys.argv[1] == "closed":
+    reader, writer = os.pipe()
+    os.close(reader)
+    os.dup2(writer, 1)
+else:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+sys.argv = ["episturm", *sys.argv[2:]]
+assert gc.get_freeze_count() == 0
+with contextlib.redirect_stderr(io.StringIO()):
     try:
         runpy.run_module("episturm.cli", run_name="__main__")
         code = None
     except SystemExit as exc:
         code = exc.code
-print(json.dumps({"code": code, "second_cli": "episturm.cli" in sys.modules,
-                  "handlers": sorted(m for m in sys.modules if m.startswith("episturm.commands."))}))
+print(json.dumps({"code": code, "second_cli": "episturm.cli" in sys.modules, "frozen": gc.get_freeze_count() > 0,
+                  "handlers": sorted(m for m in sys.modules if m.startswith("episturm.commands."))}), file=report)
+report.close()
 """
+
+
+def _main(*argv, stdout="open") -> dict:
+    return json.loads(_fresh_child("-c", _MAIN_PROBE, stdout, *argv))
 
 
 @pytest.mark.parametrize(
@@ -1024,8 +1049,60 @@ print(json.dumps({"code": code, "second_cli": "episturm.cli" in sys.modules,
     ids=lambda argv: argv[0],
 )
 def test_running_as_main_compiles_the_cli_once(argv):
-    done = json.loads(_fresh_child("-c", _MAIN_PROBE, *argv))
-    assert done == {"code": 0, "second_cli": False, "handlers": [f"episturm.commands.{argv[0]}"]}
+    done = _main(*argv)
+    assert done == {"code": 0, "second_cli": False, "frozen": True, "handlers": [f"episturm.commands.{argv[0]}"]}
+
+
+class TestProcessEntry:
+    """The process entry freezes the heap on every way out, so finalization skips it; main() never does."""
+
+    @pytest.mark.parametrize(
+        "argv, stdout, code",
+        [
+            (("census", "--spec", TRIB, "--m", "4"), "open", 0),
+            (("verify", "--spec", "k=6; e=2; 3,2", "--n", "8"), "open", 2),
+            (("blocks", "--spec", "k=5; d=3,3,3; 2", "--n", "78"), "open", 4),
+            (("census", "--spec", TRIB, "--mm", "4"), "open", 2),
+            (("census", "--help"), "open", 0),
+            (("generate", "--spec", TRIB, "--length", "10"), "closed", 1),
+        ],
+        ids=["answer", "refused spec", "guard", "usage error", "help", "closed stdout"],
+    )
+    def test_every_exit_path_leaves_the_heap_frozen(self, argv, stdout, code):
+        done = _main(*argv, stdout=stdout)
+        assert (done["code"], done["frozen"]) == (code, True)
+
+    def test_main_in_process_leaves_the_collector_alone(self, capsys):
+        assert gc.get_freeze_count() == 0
+        assert cli.main(["census", "--spec", TRIB, "--m", "4"]) == 0
+        assert cli.main(["verify", "--spec", "k=6; e=2; 3,2", "--n", "8"]) == 2
+        with pytest.raises(SystemExit):
+            cli.main(["census", "--help"])
+        capsys.readouterr()
+        assert gc.get_freeze_count() == 0
+
+    def test_the_console_script_runs_the_main_block_entry(self):
+        main_block = next(node for node in ast.parse(Path(cli.__file__).read_text()).body
+                          if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'")
+        assert [ast.unparse(node) for node in main_block.body] == ["entry()"]
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)\n\n", pyproject, re.M | re.S).group(1)
+        assert scripts == 'episturm = "episturm.cli:entry"'
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_the_flush_at_exit_writes_every_byte(self, capsys, json_flag):
+        """Two million letters, read through a pipe to the end, are the bytes main() prints in process.
+
+        The child's stdout is block-buffered, so what is left in its buffer reaches the pipe only if the exit
+        flushes it.
+        """
+        argv = ["generate", "--spec", MIX3, "--length", "2000000", *json_flag]
+        done = subprocess.run([sys.executable, "-m", "episturm.cli", *argv], env=_child_env(), capture_output=True,
+                              timeout=60)
+        assert (done.returncode, done.stderr) == (0, b"")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(out) > 2_000_000
+        assert done.stdout == out.encode()
 
 
 # Linux counts a parent's resident memory at spawn in the child's max RSS, so a
@@ -1174,10 +1251,8 @@ _OWN_RSS_MB = {**_SCAN_LIMIT_RSS_MB, _FIB_SINGULAR_FULL: 74, _TRIB_SINGULAR_FULL
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
 )
 def test_inputs_at_the_guards_keep_the_exit_code_contract(argv, code):
-    env = {key: value for key, value in os.environ.items() if key != "EPISTURM_GUARD"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-c", _CONTRACT_PROBE, str(_CONTRACT_CPU_S), str(_CONTRACT_AS_MB), *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", _CONTRACT_PROBE, str(_CONTRACT_CPU_S), str(_CONTRACT_AS_MB), *argv],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
     exit_code, cpu_s, max_rss_kb = json.loads(done.stdout)
     cost = f"{cpu_s:.2f} s of CPU and {max_rss_kb >> 10} MB max RSS, under {_CONTRACT_CPU_S} s and {_CONTRACT_AS_MB} MB of address space"
     assert exit_code == code, f"{cost}\n{done.stderr[-500:]}"
@@ -1194,10 +1269,8 @@ def test_the_readme_states_the_contract_the_test_runs():
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
 def test_a_closed_stdout_exits_one_without_a_traceback(json_flag):
     """The reader takes one line and closes the pipe, with about 1.6 MB of witness lines still to come."""
-    env = {key: value for key, value in os.environ.items() if key != "EPISTURM_GUARD"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
     argv = [sys.executable, "-m", "episturm.cli", "census", "--spec", TRIB, "--all-up-to", "1000", "--full", *json_flag]
-    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+    with subprocess.Popen(argv, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
         first = child.stdout.readline()
         child.stdout.close()
         err = child.stderr.read()
