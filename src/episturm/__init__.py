@@ -41,7 +41,7 @@ _EXPORTS = {  # home module -> the names it exports
     "spec": ("DirectiveSpec", "exponent"),
     "words": (
         "RationalIndex", "Word", "conjugate", "factors_of_length", "is_palindrome", "reversal",
-        "strip_prefix", "strip_suffix", "z_array",
+        "strip_suffix", "z_array",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -3,9 +3,10 @@
 Levels 1-k..0 are single-letter seeds (level 0 is the first alphabet letter,
 level -j the (k-j+1)-th). Each higher block concatenates powers of the k
 previous ones, every block is a prefix of the next from level 0 on, and the
-infinite word is their common limit. The table memoizes blocks, palindromic
-prefixes and the integer length sequences, guarded both by level and by
-size: every word it builds is checked against the length guard first.
+infinite word is their common limit. The table memoizes the blocks and the
+integer length sequences only: palindromic prefixes, tails and the words made
+from them are read off the memoized blocks. It is guarded both by level and
+by size: every word it builds is checked against the length guard first.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class BlockTable:
         self._length_guard = length_guard
         self._lock = threading.RLock()
         self._blocks: dict[int, Word] = {}
-        self._prefixes: dict[int, Word] = {}
         self._pieces: dict[int, tuple[tuple[int, int], ...]] = {}
         # the integer-sequence memos hold the seed levels 1-k..0 and then every
         # level up to the highest computed, with no gaps (_sequence relies on it)
@@ -149,20 +149,18 @@ class BlockTable:
         return "".join(parts)[:size]
 
     def palindromic_prefix(self, n: int) -> Word:
-        """The palindromic prefix paired with level n (empty at level 0 when the first exponent is 1)."""
+        """The palindromic prefix paired with level n (empty at level 0 when the first exponent is 1).
+
+        Pal_n = B_n^(d_(n+1)) Pal_(n-k), and Pal_(n-k) is the first |Pal_(n-k)| letters of block n-1, which
+        is longer; below level k it is B_n^(d_(n+1)) less its last letter. So it never reads level n+1.
+        """
         k = self._spec.k
         self._check_level(n, low=0, what="palindromic prefix")
-        with self._lock:
-            got = self._prefixes.get(n)
-            if got is None:
-                self.check_size(f"palindromic prefix at level {n}", self.palindromic_prefix_length(n))
-                d_next = exponent(self._spec, n + 1)
-                if n < k:
-                    got = (self.block(n) * d_next)[:-1]
-                else:
-                    got = self.block(n) * d_next + self.palindromic_prefix(n - k)
-                self._prefixes[n] = got
-            return got
+        self.check_size(f"palindromic prefix at level {n}", self.palindromic_prefix_length(n))
+        copies = self.block(n) * exponent(self._spec, n + 1)
+        if n < k:
+            return copies[:-1]
+        return copies + self.block(n - 1)[:self.palindromic_prefix_length(n - k)]
 
     def palindromic_prefix_length(self, n: int) -> int:
         """Length of the level-n palindromic prefix; -1 at the formal seed levels -k..-1."""
@@ -186,9 +184,7 @@ class BlockTable:
         if not 1 <= r <= k - 1:
             raise RangeError(f"tail depth {r} outside 1..{k - 1}")
         if n >= r:
-            from .words import strip_prefix  # the one reader of `words` here, so a closed-form start never loads it
-
-            return strip_prefix(self.block(n), self.palindromic_prefix(n - r))
+            return self.block(n)[self.palindromic_prefix_length(n - r):]
         return self._spec.alphabet[(n - r) % k] + self.block(n)
 
     def junction(self, n: int) -> Word:

@@ -89,10 +89,11 @@ def check_length_tables(table: BlockTable, n_max: int) -> None:
 
 
 def check_palindromic_prefixes(table: BlockTable, n_max: int) -> None:
-    """Palindromic prefixes are palindromes, sized by the recurrence, nested, and literal prefixes."""
+    """Palindromic prefixes are palindromes, sized by the recurrence, nested, literal prefixes, and B_n^(d_(n+1)) Pal_(n-k) from level k on."""
     k = table.spec.k
     closures = PalindromicPrefixTable(table.spec)
     reach = closure_reach(table.spec, CLOSURE_CHECK_WORK)
+    previous = ""
     for n in range(0, n_max + 1):
         p = table.palindromic_prefix(n)
         if not is_palindrome(p):
@@ -101,9 +102,12 @@ def check_palindromic_prefixes(table: BlockTable, n_max: int) -> None:
             _fail("palindromic-prefixes", n, f"length {len(p)} vs recurrence {table.palindromic_prefix_length(n)}")
         if not table.block(n + 1).startswith(p):
             _fail("palindromic-prefixes", n, "not a prefix of the next block")
-        if n >= 1 and not p.startswith(table.palindromic_prefix(n - 1)):
+        if not p.startswith(previous):
             _fail("palindromic-prefixes", n, "does not extend the previous one")
-        explicit = (table.exponent(n + 1) - 1) * table.block_length(n)
+        d_next = table.exponent(n + 1)
+        if n >= k and not _same_join([p], [table.block(n)] * d_next + [table.palindromic_prefix(n - k)]):
+            _fail("palindromic-prefixes", n, f"not the block to power {d_next} followed by the prefix at level {n - k}")
+        explicit = (d_next - 1) * table.block_length(n)
         explicit += sum(table.exponent(j + 1) * table.block_length(j) for j in range(n))
         if len(p) != explicit:
             _fail("palindromic-prefixes", n, f"length {len(p)} vs explicit sum {explicit}")
@@ -114,6 +118,7 @@ def check_palindromic_prefixes(table: BlockTable, n_max: int) -> None:
             stage = exponent_sum(table.spec, n + 1)
             if closures.prefix(stage) != p:
                 _fail("palindromic-prefixes", n, "disagrees with the iterated-closure construction")
+        previous = p
 
 
 def check_telescoping(table: BlockTable, n_max: int) -> None:
@@ -175,10 +180,7 @@ def check_two_palindrome_split(table: BlockTable, n_max: int) -> None:
     for n in range(1, n_max + 1):
         w = table.block(n)
         splits = two_palindrome_splits(w)
-        if n >= k:
-            expected = len(table.palindromic_prefix(n - k))
-        else:
-            expected = len(w) - 1
+        expected = table.palindromic_prefix_length(n - k) if n >= k else len(w) - 1
         if splits != [expected]:
             _fail("two-palindrome-split", n, f"splits at {splits}, expected [{expected}]")
 

@@ -7,14 +7,15 @@ from itertools import chain
 
 from ..blocks import BlockTable
 from ..errors import GuardExceeded, ParseError, VerificationError, shorten
-from ..powers import census, census_range, check_census_args, witness_letters
+from ..powers import census, census_each, census_range, check_census_args, witness_letters
 from ..spec import DirectiveSpec
 from . import INLINE_WORD_LIMIT, Reporter, build_table, json_list
 
-# A `census --full` row costs about 20 us per length (2^20 lengths: 20 s) on a
-# 2-CPU x86-64 VM (Python 3.11); plain census ranges visit only their carrying
-# lengths, and the table's length guard bounds their bases.
-_CENSUS_RANGE_GUARD = 1 << 20
+# `census --all-up-to N --full` prints a row for every length, from one walk over the window grids: on a 2-CPU
+# x86-64 VM (Python 3.11), Tribonacci `--l 4` takes about 3.5 us a length as text and 8 us with --json, so 2^19
+# lengths take about 1.9 and 4.3 s of CPU. Plain census ranges visit only their carrying lengths, and the table's
+# length guard bounds their bases.
+_CENSUS_RANGE_GUARD = 1 << 19
 # `census --full` witness lists, count * m letters summed over the rows. A row holds its sorted list and writes it
 # a witness at a time, as text or JSON: Tribonacci `--m 5768` (33.3M letters) takes 0.18 s and 47 MB max RSS with
 # --json on the same VM, so 2^25 letters keep --full well within 160 MB and its witness output near 34 MB.
@@ -47,9 +48,11 @@ def _census_payload(table: BlockTable, row, full: bool) -> tuple[dict, Iterable[
     text = f"m={row.m} l={row.l}: {row.count}  [window {prov.level}, {where}]"
     if payload.get("rule"):
         text += f"  {payload['rule']}"
-    if full:
+    if full and row.count:
         witnesses = sorted(row.witnesses)
         return payload, chain((text,), (f"  {w}" for w in witnesses)), ("witnesses", lambda: json_list(witnesses))
+    if full:  # an empty list goes inline, in the bytes json_list writes, and skips the streamed field's writes
+        payload["witnesses"] = []
     return payload, (text,), None
 
 
@@ -71,10 +74,9 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
 
         # certify first: its guards trip before any witness set is built
         certificate, scans = certified_scan(table, m_max, l, m_min=m_min)
-    # census() builds each row as it prints; a range checks its bases' summed letters here, and without --full
-    # prints only its carrying rows
-    every_row = (census(table, m, l) for m in range(m_min, m_max + 1))
-    rows = census_range(table, m_max, l) if ranged else every_row
+    # each row is built as it prints; a range checks its bases' summed letters here, and without --full prints only
+    # its carrying rows
+    rows = census_range(table, m_max, l) if ranged else (census(table, m, l) for m in (m_max,))
     if args.full:
         # the witness lists are priced from the recurrences before any base is built
         letters = witness_letters(table, m_max, l, m_min=m_min)
@@ -82,7 +84,7 @@ def run(args, spec: DirectiveSpec, rep: Reporter) -> int:
             table.check_size(f"census base at m={m_max}", m_max)
         if letters > _WITNESS_LETTERS_GUARD:
             raise GuardExceeded(f"census witness lists to m={m_max} have {letters} letters, above the guard {_WITNESS_LETTERS_GUARD}")
-        rows = every_row
+        rows = census_each(table, m_min, m_max, l)
     carrying, mismatches = [], []
     for row in rows:
         rep.row("census-row", *_census_payload(table, row, args.full))

@@ -8,9 +8,10 @@ from ..spec import DirectiveSpec
 from . import Reporter, build_table
 
 # Block n + 2 is the battery's largest word. At the guard a verify child takes
-# at most about 1.2 s of CPU and 140 MB (Fibonacci --n 33, 24.2M letters;
-# Tribonacci --n 26, 29.2M letters, 0.9 s and 119 MB) on a 2-CPU x86-64 VM
-# (Python 3.11), within the 160 MB every subcommand keeps.
+# at most about 0.8 s of CPU and 107 MB max RSS (Fibonacci --n 33, 24.2M
+# letters, 104 MB; Tribonacci --n 26, 29.2M letters, 0.6 s and 97 MB; k=26;
+# d=; 1 --n 23, 2^25 letters, 107 MB) on a 2-CPU x86-64 VM (Python 3.11),
+# within the 160 MB every subcommand keeps.
 _BATTERY_LETTER_GUARD = 1 << 25
 
 

@@ -193,18 +193,32 @@ def check_census_args(m: int, l: int, *, ranged: bool) -> None:
 def census(table: BlockTable, m: int, l: int) -> PowerCensus:
     """Every length-m word whose l-th power occurs in the infinite word, by closed form."""
     check_census_args(m, l, ranged=False)
-    n = window_level(table, m)
-    size = table.block_length(n)
-    points = [
-        (depth, (m - offset) // size)
-        for depth, (offset, r_max) in _grid(table, n).items()
-        if (m - offset) % size == 0 and 1 <= (m - offset) // size <= r_max
-    ]
-    if not points:
-        return PowerCensus(m, l, 0, CensusProvenance("off-grid", n))
-    if len(points) > 1:
-        raise InvariantViolation(f"length {m} matches {len(points)} applicable grid points at level {n} ({points})")
-    return _row(table, m, l, n, *points[0])
+    return next(census_each(table, m, m, l))
+
+
+def census_each(table: BlockTable, m_min: int, m_max: int, l: int) -> Iterator[PowerCensus]:
+    """census at every length m_min..m_max in order of m, reading each window's grid once; each row is built as it is read.
+
+    A window's depths have distinct offsets below |block n|, so m % |block n| names the one depth m can lie on;
+    depths that share it would make two grid points of one length, and raise.
+    """
+    n, m = window_level(table, m_min), m_min
+    while m <= m_max:
+        size, end = table.block_length(n), min(m_max + 1, table.block_length(n + 1))
+        points: dict[int, tuple[int, int, int]] = {}  # offset mod size -> (depth, offset, r_max)
+        for depth, (offset, r_max) in _grid(table, n).items():
+            if offset % size in points:
+                shared = points[offset % size][0]
+                raise InvariantViolation(f"depths {shared} and {depth} share offset {offset}: 2 applicable grid points at level {n}")
+            points[offset % size] = depth, offset, r_max
+        for length in range(m, end):
+            depth, offset, r_max = points.get(length % size, (None, 0, 0))
+            r = (length - offset) // size
+            if 1 <= r <= r_max:
+                yield _row(table, length, l, n, depth, r)
+            else:
+                yield PowerCensus(length, l, 0, CensusProvenance("off-grid", n))
+        n, m = n + 1, end
 
 
 def _carrying_runs(table: BlockTable, m_max: int, l: int) -> list[tuple[int, int, range]]:

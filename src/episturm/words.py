@@ -34,13 +34,6 @@ def conjugate(w: Word, j: int) -> Word:
     return w[j:] + w[:j]
 
 
-def strip_prefix(w: Word, p: Word) -> Word:
-    """Remove p from the front of w; the removal must match exactly."""
-    if not w.startswith(p):
-        raise CancellationError(f"{shorten(p)!r} is not a prefix of {shorten(w)!r}")
-    return w[len(p):]
-
-
 def strip_suffix(w: Word, s: Word) -> Word:
     """Remove s from the end of w; the removal must match exactly."""
     if not w.endswith(s):

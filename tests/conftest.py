@@ -29,6 +29,19 @@ def is_primitive(w: str) -> bool:
     return not any(w == w[:q] * (len(w) // q) for q in range(1, len(w)) if len(w) % q == 0)
 
 
+def palindromic_prefix_by_recursion(table: BlockTable, n: int) -> str:
+    """Reference: Pal_n = B_n^(d_(n+1)) Pal_(n-k) from level k on, and B_n^(d_(n+1)) less its last letter below."""
+    copies = table.block(n) * table.exponent(n + 1)
+    return copies[:-1] if n < table.spec.k else copies + palindromic_prefix_by_recursion(table, n - table.spec.k)
+
+
+def block_tail_by_cancellation(table: BlockTable, n: int, r: int) -> str:
+    """Reference: block n with Pal_(n-r) cancelled from its front, for n >= r; the cancellation must match."""
+    w, p = table.block(n), palindromic_prefix_by_recursion(table, n - r)
+    assert w.startswith(p)
+    return w[len(p):]
+
+
 @pytest.fixture(scope="session")
 def tables() -> dict[str, BlockTable]:
     return {name: BlockTable(DirectiveSpec.parse(text)) for name, text in SPEC_TEXTS.items()}

@@ -1,6 +1,7 @@
 """Block tables: recurrence, palindromic prefixes, tails, junctions, guards."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from episturm.blocks import BlockTable
 from episturm.directive import exponent_sum, prefix_increment
@@ -9,7 +10,7 @@ from episturm.powers import block_index_witness
 from episturm.spec import DirectiveSpec
 from episturm.words import conjugate, is_palindrome, reversal
 
-from conftest import ALL_NAMES, is_primitive
+from conftest import ALL_NAMES, block_tail_by_cancellation, is_primitive, palindromic_prefix_by_recursion
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,23 @@ class TestPalindromicPrefixes:
             assert mix3.palindromic_prefix_length(n) == (
                 mix3.exponent(n + 1) * mix3.block_length(n) + mix3.palindromic_prefix_length(n - 3)
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=4),
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+)
+def test_prefixes_and_tails_read_off_the_blocks_match_the_recursion(k, pre, period):
+    table = BlockTable(DirectiveSpec.make(k, tuple(pre), tuple(period)))
+    n = 0
+    while table.block_length(n) <= 4000:
+        assert table.palindromic_prefix(n) == palindromic_prefix_by_recursion(table, n)
+        for r in range(1, min(n, k - 1) + 1):
+            assert table.block_tail(n, r) == block_tail_by_cancellation(table, n, r)
+        n += 1
+    assert n > k  # every directive reaches the levels where Pal_n reads Pal_(n-k)
 
 
 class TestTails:

@@ -165,6 +165,9 @@ class TestBlocks:
         code, _, err = run_cli(capsys, "blocks", "--spec", TRIB, "--n", "6")
         assert code == 4
         assert "guard" in err
+        # the palindromic prefix at the guard level reads blocks 4 and 3, never block 5
+        code, out, _ = run_cli(capsys, "blocks", "--spec", TRIB, "--n", "4")
+        assert code == 0 and "palindromic prefix: 14 letters  abacabaabacaba" in out
         monkeypatch.setenv("EPISTURM_GUARD", "not-a-number")
         code, _, err = run_cli(capsys, "blocks", "--spec", TRIB, "--n", "2")
         assert code == 2
@@ -1195,11 +1198,12 @@ _D400K_FULL_OVER = ("census", "--spec", "k=2; d=400000; 1", "--all-up-to", "1638
 _FIB_FULL_M = ("census", "--spec", "k=2; d=; 1", "--m", "24157817", "--full")
 _FIB_FULL_M_OVER = ("census", "--spec", "k=2; d=; 1", "--m", "39088169", "--full")
 
-# The battery compares each product in pieces, without joining it: Fibonacci `verify --n 33` took 139 MB max RSS with the
-# probe above. With telescoping and near-commutation joining both sides, it died with MemoryError at 144 MB.
+# The battery compares each product in pieces, without joining it, and the table memoizes blocks only: Fibonacci
+# `verify --n 33` took 103 MB max RSS with the probe above. With every palindromic prefix memoized too, it took 140 MB;
+# with telescoping and near-commutation joining both sides, it died with MemoryError at 144 MB.
 _FIB_BATTERY_LIMIT = ("verify", "--spec", "k=2; d=; 1", "--n", "33")
 _OWN_RSS_MB = {**_SCAN_LIMIT_RSS_MB, _FIB_SINGULAR_FULL: 74, _TRIB_SINGULAR_FULL: 99, _D400K_FULL_LIMIT: 30, _D400K_FULL_OVER: 30,
-               _FIB_FULL_M: 30, _FIB_FULL_M_OVER: 30, _FIB_BATTERY_LIMIT: 150}
+               _FIB_FULL_M: 30, _FIB_FULL_M_OVER: 30, _FIB_BATTERY_LIMIT: 120}
 
 
 @pytest.mark.parametrize(
@@ -1212,6 +1216,10 @@ _OWN_RSS_MB = {**_SCAN_LIMIT_RSS_MB, _FIB_SINGULAR_FULL: 74, _TRIB_SINGULAR_FULL
         (("census", "--spec", "k=2; d=4000000; 1", "--all-up-to", "200", "--verify"), 4),  # the count runs out at the cut
         (("census", "--spec", "k=2; d=4000000; 1", "--m", "1", "--verify"), 0),  # P = a^4000000 b a, 4% under the scan guard
         (("blocks", "--spec", "k=2; d=; 1", "--n", "38"), 4),  # the palindromic prefix is above the length guard
+        # the palindromic prefix and the tails are read off the memoized blocks 35 and 34; with the prefixes memoized
+        # too, both died with MemoryError at 148 MB
+        (("blocks", "--spec", "k=2; d=; 1", "--n", "35"), 0),
+        (("blocks", "--spec", TRIB, "--n", "28"), 0),
         (("index", "--spec", "k=26; d=; 1", "--all-up-to", "5", "--verify"), 4),  # the first host is above the length guard
         (("generate", "--spec", TRIB, "--length", "18947743"), 0),  # the longest prefix the closure guard admits
         (("generate", "--spec", TRIB, "--length", "18947744"), 4),
@@ -1234,6 +1242,10 @@ _OWN_RSS_MB = {**_SCAN_LIMIT_RSS_MB, _FIB_SINGULAR_FULL: 74, _TRIB_SINGULAR_FULL
         # 5,768 witnesses of 5,768 letters, under the witness guard's 2^25; m = 10,609 carries 10,609 of 10,609
         (("census", "--spec", TRIB, "--m", "5768", "--full", "--json"), 0),
         (("census", "--spec", TRIB, "--m", "10609", "--full"), 4),
+        # a row for every length up to the range guard, 2^19, from one walk over the window grids: 1.9 s of CPU as text
+        # and 4.3 s with --json; with a census() call a length, 2^18 lengths took 8.6 and 9.9 s
+        (("census", "--spec", TRIB, "--all-up-to", "524288", "--l", "4", "--full"), 0),
+        (("census", "--spec", TRIB, "--all-up-to", "524288", "--l", "4", "--full", "--json"), 0),
         (_FIB_FULL_M, 4),  # 24,157,817 witnesses of 24,157,817 letters
         (_FIB_FULL_M_OVER, 4),
         (_D400K_FULL_LIMIT, 0),

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from episturm.blocks import BlockTable
 from episturm import powers
-from episturm.errors import GuardExceeded, RangeError
+from episturm.errors import GuardExceeded, InvariantViolation, RangeError
 from episturm.powers import (
     block_index,
     block_index_witness,
     census,
+    census_each,
     census_range,
     length_sets,
     prefix_index,
@@ -154,6 +155,35 @@ class TestCensus:
         for l in (2, 3, 4):
             rows = [census(table, m, l) for m in range(1, 400)]
             assert list(census_range(table, 399, l)) == [row for row in rows if row.count]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=5),
+        st.lists(st.integers(min_value=1, max_value=4), max_size=4),
+        st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+        st.integers(min_value=1, max_value=600),
+        st.integers(min_value=0, max_value=600),
+        st.integers(min_value=2, max_value=4),
+    )
+    def test_each_length_walk_matches_the_grid_lists(self, k, pre, period, m_min, span, l):
+        # the walk finds a length's depth by its residue; the reference looks it up in the listed grid lengths
+        table = BlockTable(DirectiveSpec.make(k, tuple(pre), tuple(period)))
+        rows = list(census_each(table, m_min, m_min + span, l))
+        assert [row.m for row in rows] == list(range(m_min, m_min + span + 1))
+        for row in rows:
+            n = window_level(table, row.m)
+            # the level-0 window is the run of the first letter: the multiples of |block 0| = 1 up to d_1
+            grid = length_sets(table, n) if n else {1: tuple(range(1, table.exponent(1) + 1))}
+            points = [(depth, members.index(row.m) + 1) for depth, members in grid.items() if row.m in members]
+            prov = row.provenance
+            assert prov.level == n and [(prov.depth, prov.multiplier)] == (points or [(None, None)])
+            assert row == census(table, row.m, l)
+
+    def test_a_shared_offset_raises_at_every_length(self, monkeypatch, trib):
+        monkeypatch.setattr(powers, "_grid", lambda table, n: {1: (0, 1), 2: (0, 1)})
+        for m in (4, 5):
+            with pytest.raises(InvariantViolation, match="2 applicable grid points at level 2"):
+                census(trib, m, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(

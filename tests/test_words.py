@@ -21,7 +21,6 @@ from episturm.words import (
     factors_of_length,
     is_palindrome,
     reversal,
-    strip_prefix,
     strip_suffix,
     longest_palindromic_suffix,
     z_array,
@@ -73,12 +72,6 @@ class TestBasics:
             conjugate("abcd", -1)
         with pytest.raises(RangeError):
             conjugate("", 0)
-
-    def test_strip_prefix(self):
-        assert strip_prefix("abacaba", "aba") == "caba"
-        assert strip_prefix("abac", "") == "abac"
-        with pytest.raises(CancellationError):
-            strip_prefix("abac", "ac")
 
     def test_strip_suffix(self):
         assert strip_suffix("abacaba", "aba") == "abac"
